@@ -43,7 +43,7 @@ let run () quick no_ext markdown jobs cache_dir profile words =
       else Nvsc_core.Experiment.default_config
     in
     let jobs =
-      match jobs with Some n -> n | None -> Nvsc_sweep.Pool.default_jobs ()
+      match jobs with Some n -> n | None -> Nvsc_team.Pool.default_jobs ()
     in
     let cache =
       Option.map (fun dir -> Nvsc_sweep.Cache.create ~dir ()) cache_dir

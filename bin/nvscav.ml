@@ -76,8 +76,8 @@ let pp_trace_line fmt trace =
     (Nvsc_memtrace.Trace_log.reads trace)
     (Nvsc_memtrace.Trace_log.writes trace)
 
-let power_results ?(jobs = 1) ?(bank_shards = 1) trace =
-  Nvsc_dramsim.Memory_system.compare_technologies ~jobs ~bank_shards
+let power_results ?jobs trace =
+  Nvsc_dramsim.Memory_system.compare_technologies ?jobs
     ~techs:Nvsc_nvram.Technology.paper_set
     ~replay:(fun sink -> Nvsc_memtrace.Trace_log.replay_batch trace sink)
     ()
@@ -133,11 +133,11 @@ let pp_place_report fmt ~tech r =
     (Nvsc_placement.Hybrid_memory.assess hybrid);
   Format.pp_print_newline fmt ()
 
-let pp_run_report ?jobs ?bank_shards fmt ~(tech : Nvsc_nvram.Technology.t) r =
+let pp_run_report ?jobs fmt ~(tech : Nvsc_nvram.Technology.t) r =
   pp_summary_and_objects fmt r;
   let trace = Option.get r.Nvsc_core.Scavenger.mem_trace in
   pp_trace_line fmt trace;
-  pp_normalized_power fmt (power_results ?jobs ?bank_shards trace);
+  pp_normalized_power fmt (power_results ?jobs trace);
   let hybrid =
     planned_hybrid ~tech:(Nvsc_nvram.Technology.get tech.tech) r
   in
@@ -753,7 +753,7 @@ let run_cmd =
     let doc = "NVRAM technology for the hybrid's NVRAM half." in
     Arg.(value & opt string "sttram" & info [ "tech" ] ~docv:"TECH" ~doc)
   in
-  let run () name scale iterations shards tech_name profile =
+  let run () name scale iterations jobs tech_name profile =
     match Nvsc_nvram.Technology.of_string tech_name with
     | None ->
       `Error
@@ -770,14 +770,12 @@ let run_cmd =
             ?trace_out:(Cli.profile_trace_out profile)
             ~enabled:(Cli.profile_enabled profile)
           @@ fun () ->
-          (* one --shards knob drives both sharded stages: the
-             set-partitioned cache filter and the bank-sharded DRAM
-             replay (the latter clamped to the organisation's banks) *)
-          pp_run_report ~jobs:shards ~bank_shards:shards fmt ~tech
+          (* --jobs spreads the technology comparison across a domain
+             pool; omitted, the comparison stays serial *)
+          pp_run_report ?jobs fmt ~tech
             (Nvsc_core.Scavenger.run
                Nvsc_core.Scavenger.Config.(
-                 scavenger_config ~scale ~iterations
-                 |> with_trace true |> with_shards shards)
+                 scavenger_config ~scale ~iterations |> with_trace true)
                app))
   in
   let info =
@@ -793,7 +791,7 @@ let run_cmd =
     Term.(
       ret
         (const run $ logs_term $ app_arg $ scale_arg $ iterations_arg
-       $ Cli.shards $ tech_arg $ Cli.profile))
+       $ Cli.jobs $ tech_arg $ Cli.profile))
 
 (* --- record -------------------------------------------------------------- *)
 

@@ -82,13 +82,6 @@ type t = {
      [release] can hand the ~2 MB of buffers to the per-domain pool and
      swap in one-slot stand-ins. *)
   mutable batch : Sink.Batch.t;
-  (* zero-copy hand-off hook: when set, every non-empty flush ends with
-     [batch <- exchange batch] — the shard team keeps the filled batch (its
-     Bigarray storage is domain-shareable) and returns a recycled
-     replacement, so emission continues while shards are still reading.
-     The replacement must have the same capacity and word-prefilled
-     sizes. *)
-  mutable batch_exchange : (Sink.Batch.t -> Sink.Batch.t) option;
   mutable obj_ids : int array;
   mutable instr_before : int array;
   mutable batch_capacity : int;
@@ -204,7 +197,6 @@ let create ?(seed = 42) ?(batch_capacity = Sink.default_capacity)
     recording = false;
     redzone_bytes = redzone_words * Layout.word;
     batch;
-    batch_exchange = None;
     obj_ids = bufs.b_obj_ids;
     instr_before = bufs.b_instr_before;
     batch_capacity;
@@ -288,15 +280,10 @@ let flush_batch t ~boundary =
     (match t.instr_sink with Some isink -> isink instr_tail | None -> ());
     t.pending_instr <- 0
   end;
-  (match t.record_sink with
+  match t.record_sink with
   | Some rs when n > 0 || instr_tail > 0 ->
     rs t.batch ~obj_ids:t.obj_ids ~instr_before:t.instr_before ~instr_tail
       ~first:0 ~n
-  | _ -> ());
-  (* after every consumer has seen the slice: let the shard team keep the
-     filled batch and swap in a recycled one *)
-  match t.batch_exchange with
-  | Some ex when n > 0 -> t.batch <- ex t.batch
   | _ -> ()
 
 let flush_refs t = flush_batch t ~boundary:true
@@ -335,16 +322,6 @@ let set_record_sink t f =
   flush_refs t;
   t.record_sink <- Some f;
   recompute_recording t
-
-let set_batch_exchange t ex =
-  flush_refs t;
-  t.batch_exchange <- Some ex
-
-let clear_batch_exchange t =
-  flush_refs t;
-  t.batch_exchange <- None
-
-let batch_capacity t = t.batch_capacity
 
 let redzone_bytes t = t.redzone_bytes
 

@@ -68,21 +68,6 @@ val set_record_sink : t -> record_sink -> unit
     references first.  Installing a recorder makes {!flops} counts
     accumulate even without an instruction sink. *)
 
-val set_batch_exchange : t -> (Nvsc_memtrace.Sink.Batch.t -> Nvsc_memtrace.Sink.Batch.t) -> unit
-(** Install the zero-copy batch hand-off hook: after every non-empty
-    flush has been delivered to all sinks, the context replaces its
-    emission batch with [exchange batch].  The shard team keeps the
-    filled batch (Bigarray storage is domain-shareable) and returns a
-    recycled one — which must have the same capacity and word-prefilled
-    sizes.  Flushes buffered references first. *)
-
-val clear_batch_exchange : t -> unit
-(** Remove the hand-off hook (flushing buffered references through it
-    first, so no emitted reference is lost). *)
-
-val batch_capacity : t -> int
-(** Capacity of the emission batch. *)
-
 (** Object/stack lifecycle events, as seen by an {!add_event_sink}
     observer.  Events are delivered in program order, interleaved with
     attributed batches: the batch is flushed {e before} the mutation the

@@ -39,7 +39,6 @@ module Config = struct
     sanitize : bool;
     check_init : bool;
     persist : bool;
-    shards : int;
     obs : Nvsc_obs.t;
   }
 
@@ -53,7 +52,6 @@ module Config = struct
       sanitize = false;
       check_init = false;
       persist = false;
-      shards = 1;
       obs = Nvsc_obs.off;
     }
 
@@ -74,7 +72,7 @@ module Config = struct
 
   let with_shards shards t =
     if shards < 1 then invalid_arg "Config.with_shards: shards must be >= 1";
-    { t with shards }
+    t
 
   let with_obs obs t = { t with obs }
 end
@@ -99,14 +97,14 @@ let run (cfg : Config.t) (module A : Nvsc_apps.Workload.APP) =
   Nvsc_obs.scoped cfg.obs @@ fun () ->
   Span.with_ ~arg:A.name "scavenger.run" @@ fun () ->
   let { Config.scale; iterations; with_trace; sampling; batch_capacity;
-        sanitize; check_init; persist; shards; obs = _ } =
+        sanitize; check_init; persist; obs = _ } =
     cfg
   in
   let prev_checks = Sink.checks_enabled () in
   if sanitize then Sink.set_debug_checks true;
   Fun.protect ~finally:(fun () -> Sink.set_debug_checks prev_checks)
   @@ fun () ->
-  let ctx, san, pchk, trace, hierarchy, team =
+  let ctx, san, pchk, trace, hierarchy =
     Span.with_ "scavenger.setup" @@ fun () ->
     let ctx =
       Ctx.create ?batch_capacity
@@ -126,67 +124,30 @@ let run (cfg : Config.t) (module A : Nvsc_apps.Workload.APP) =
       Ctx.set_sampling ctx ~period ~sample_length
     | None -> ());
     let trace = if with_trace then Some (Trace_log.create ()) else None in
-    let hierarchy, team =
+    let hierarchy =
       match trace with
-      | None -> (None, None)
-      | Some log -> (
-        match Shard.effective_shards shards with
-        | eff when eff >= 2 ->
-          (* Sharded filter: the same [cache-hierarchy] sink (identical
-             pipeline stats), but main-loop batches fan out by reference
-             to a team of set-partitioned shard domains; the serial trace
-             order is reconstructed by the keyed merge after the run. *)
-          let team =
-            Shard.create ~shards:eff
-              ~batch_capacity:(Ctx.batch_capacity ctx) ()
-          in
-          Ctx.add_sink ctx
-            (Sink.create ~name:"cache-hierarchy" (fun b ~first ~n ->
-                 match Ctx.phase ctx with
-                 | Mem_object.Main _ -> Shard.feed team b ~first ~n
-                 | Mem_object.Pre | Mem_object.Post -> ()));
-          Ctx.set_batch_exchange ctx (Shard.exchange team);
-          (None, Some team)
-        | _ ->
-          let h =
-            Hierarchy.create ~sink:(Trace_log.sink ~name:"trace-log" log) ()
-          in
-          (* Filter only main-loop batches through the caches: the paper
-             instruments the main computation loop.  Batches are delivered
-             under their emission phase, so the filter is exact. *)
-          Ctx.add_sink ctx
-            (Sink.create ~name:"cache-hierarchy" (fun b ~first ~n ->
-                 match Ctx.phase ctx with
-                 | Mem_object.Main _ -> Hierarchy.consume h b ~first ~n
-                 | Mem_object.Pre | Mem_object.Post -> ()));
-          (Some h, None))
+      | None -> None
+      | Some log ->
+        let h =
+          Hierarchy.create ~sink:(Trace_log.sink ~name:"trace-log" log) ()
+        in
+        (* Filter only main-loop batches through the caches: the paper
+           instruments the main computation loop.  Batches are delivered
+           under their emission phase, so the filter is exact. *)
+        Ctx.add_sink ctx
+          (Sink.create ~name:"cache-hierarchy" (fun b ~first ~n ->
+               match Ctx.phase ctx with
+               | Mem_object.Main _ -> Hierarchy.consume h b ~first ~n
+               | Mem_object.Pre | Mem_object.Post -> ()));
+        Some h
     in
-    (ctx, san, pchk, trace, hierarchy, team)
+    (ctx, san, pchk, trace, hierarchy)
   in
-  (match
-     Span.with_ ~arg:A.name "scavenger.app" (fun () ->
-         A.run ~scale ctx ~iterations)
-   with
-  | () -> ()
-  | exception e ->
-    (* never leak worker domains: unblock and join the team, then let the
-       app's exception win *)
-    (match team with
-    | Some tm ->
-      Ctx.clear_batch_exchange ctx;
-      (try Shard.finish tm with _ -> ())
-    | None -> ());
-    raise e);
+  Span.with_ ~arg:A.name "scavenger.app" (fun () ->
+      A.run ~scale ctx ~iterations);
   Span.with_ "scavenger.analysis" @@ fun () ->
   Ctx.flush_refs ctx;
-  (match hierarchy with Some h -> Hierarchy.drain h | None -> ());
-  (match (team, trace) with
-  | Some tm, Some log ->
-    Shard.finish tm;
-    Shard.export_metrics tm;
-    Ctx.clear_batch_exchange ctx;
-    Shard.merge_into_trace tm log
-  | _ -> ());
+  Option.iter Hierarchy.drain hierarchy;
   let sanitizer = Option.map Nvsc_sanitizer.Trace_san.finish san in
   let persist_report =
     Option.map (fun p -> Nvsc_sanitizer.Persist_check.finish p) pchk
@@ -198,11 +159,8 @@ let run (cfg : Config.t) (module A : Nvsc_apps.Workload.APP) =
   let fast_tallies =
     Array.init (iterations + 1) (fun i -> Ctx.fast_tally ctx ~iter:i)
   in
-  let miss_rate cache_of team_rate =
-    match (hierarchy, team) with
-    | Some h, _ -> Cache.miss_rate (cache_of h)
-    | None, Some tm -> team_rate tm
-    | None, None -> 0.
+  let miss_rate cache_of =
+    match hierarchy with Some h -> Cache.miss_rate (cache_of h) | None -> 0.
   in
   let pipeline = Ctx.pipeline_stats ctx in
   Metrics.Counter.incr m_runs;
@@ -230,8 +188,8 @@ let run (cfg : Config.t) (module A : Nvsc_apps.Workload.APP) =
     metrics;
     fast_tallies;
     mem_trace = trace;
-    l1_miss_rate = miss_rate Hierarchy.l1d Shard.l1_miss_rate;
-    l2_miss_rate = miss_rate Hierarchy.l2 Shard.l2_miss_rate;
+    l1_miss_rate = miss_rate Hierarchy.l1d;
+    l2_miss_rate = miss_rate Hierarchy.l2;
     unattributed = Ctx.unattributed ctx;
     pipeline;
     sanitizer;

@@ -63,11 +63,6 @@ module Config : sig
     sanitize : bool;  (** attach the NVSC-San trace sanitizer *)
     check_init : bool;  (** sanitizer: also track uninitialised reads *)
     persist : bool;  (** attach the NVSC-Persist crash-consistency checker *)
-    shards : int;
-        (** filter-stage parallelism: shard the cache simulation by set
-            index across this many worker domains (clamped to the largest
-            power of two dividing both levels' set counts; 1 = serial).
-            Output is byte-identical for every shard count. *)
     obs : Nvsc_obs.t;
         (** arm span recording for this run ({!Nvsc_obs.on}) or leave the
             recorder as-is ({!Nvsc_obs.off}) *)
@@ -94,8 +89,10 @@ module Config : sig
       annotations.  Independent of [sanitize]. *)
 
   val with_shards : int -> t -> t
-  (** Filter-stage parallelism (≥ 1; only meaningful with
-      [with_trace true]).  See {!Shard}. *)
+  (** Has no effect: checks [n >= 1] (else [Invalid_argument]) and
+      returns the configuration unchanged.  It remains only for the
+      nvbench ledger's [core.scavenger_s.shards2] row and goes away with
+      that row in the next benchmark change. *)
 
   val with_obs : Nvsc_obs.t -> t -> t
 end

@@ -180,11 +180,8 @@ let[@inline never] refresh_rank_slow t rank upto =
 let[@inline] refresh_rank t rank upto =
   if t.next_refresh.(rank) <= upto then refresh_rank_slow t rank upto
 
-(* Column access, bus serialisation, energy and latency accounting — the
-   tail every issue path shares once the row decision has produced
-   [row_ready].  Inlined into both callers so the float pipeline (and its
-   operation order, which the byte-identity contract pins) is textually
-   single-sourced. *)
+(* Column access, bus serialisation, energy and latency accounting once
+   the row decision has produced [row_ready]; inlined into [issue_flat]. *)
 let[@inline] complete t (op : Access.op) ~bank ~arrival ~row_ready =
   let fl = t.fl in
   let cas_done = row_ready +. fl.c_t_cas_ns in
@@ -252,42 +249,6 @@ let issue_flat t (op : Access.op) ~bank ~row =
   (match t.row_policy with
   | Closed_page -> Array.unsafe_set t.open_row bank (-1)
   | Open_page -> ());
-  complete t op ~bank ~arrival ~row_ready
-
-(* The same kernel with the row-buffer decision replaced by a precomputed
-   class: 0 = row hit, 1 = miss with no open row, 2 = miss over an open
-   row.  The class is the only part of the access that reads per-bank
-   row-buffer state, so a bank-sharded first pass (see {!Controller_team})
-   can compute it in parallel and replay the global timing/energy chain
-   here — same float operations in the same order as [issue_flat], hence
-   byte-identical stats.  [t.open_row] is not consulted or maintained:
-   a controller driven through this entry point owns no row decisions. *)
-(* [@inline]: called once per event from [Controller_team]'s replay
-   sweep; inlining the whole kernel (admit, refresh check, float chain)
-   into that loop keeps the controller fields in registers across
-   events. *)
-let[@inline] issue_classified t (op : Access.op) ~bank ~cls =
-  admit t;
-  let fl = t.fl in
-  let arrival = fl.now in
-  refresh_rank t (bank lsr t.banks_shift) arrival;
-  let start = Float.max arrival (Array.unsafe_get t.bank_ready bank) in
-  let row_ready =
-    if cls = 0 then begin
-      t.row_hits <- t.row_hits + 1;
-      start
-    end
-    else begin
-      t.row_misses <- t.row_misses + 1;
-      t.activations <- t.activations + 1;
-      fl.act_pre_energy_nj <-
-        fl.act_pre_energy_nj +. fl.c_e_act_pre_nj;
-      let penalty =
-        if cls = 2 then t.penalty_over_open_ns else t.penalty_no_open_ns
-      in
-      start +. penalty
-    end
-  in
   complete t op ~bank ~arrival ~row_ready
 
 let issue t op (c : Address_mapping.coords) =

@@ -54,17 +54,6 @@ val consume : t -> Nvsc_memtrace.Sink.Batch.t -> first:int -> n:int -> unit
 (** Submit a batch slice of transactions in order (the sink-consumer
     shape). *)
 
-val issue_classified :
-  t -> Nvsc_memtrace.Access.op -> bank:int -> cls:int -> unit
-(** Issue one transaction whose row-buffer outcome has been precomputed:
-    [cls] is 0 for a row hit, 1 for a miss with no row open, 2 for a miss
-    over an open row; [bank] is the flat bank index
-    ([rank * banks + bank]).  Performs exactly the float operations of the
-    FCFS {!submit_ref} path in the same order — the serial replay half of
-    the bank-sharded pipeline ({!Controller_team}).  The controller's own
-    row-buffer state is neither consulted nor maintained, so a controller
-    must not mix this entry point with {!submit}. *)
-
 val sink : ?name:string -> t -> Nvsc_memtrace.Sink.t
 (** A sink feeding this controller via {!consume}. *)
 

@@ -25,37 +25,16 @@ let run_trace ?org ?scheme ?window ?row_policy ?scheduler ~tech trace =
 
 let compare_technologies ?org ?scheme ?window ?row_policy ?scheduler
     ?(jobs = 1) ?(bank_shards = 1) ~techs ~replay () =
-  (* Bank sharding decomposes only the FCFS discipline (see
-     {!Controller_team}); any explicit reordering scheduler falls back to
-     the serial controller.  Either way the stats are byte-identical, so
-     the fallback is a performance choice, not a behavioural one. *)
-  let bank_shards =
-    match scheduler with
-    | None | Some Controller.Fcfs -> Controller_team.shards_for ?org bank_shards
-    | Some (Controller.Fr_fcfs _) -> 1
-  in
+  if bank_shards < 1 then
+    invalid_arg "Memory_system.compare_technologies: bank_shards must be >= 1";
   let simulate tech =
     Nvsc_obs.Span.with_ ~arg:tech.Technology.name "dramsim.simulate"
     @@ fun () ->
-    if bank_shards > 1 then begin
-      let team =
-        Controller_team.create ?org ?scheme ?window ?row_policy
-          ~shards:bank_shards ~tech ()
-      in
-      let s = Controller_team.sink ~name:tech.Technology.name team in
-      replay s;
-      Nvsc_memtrace.Sink.flush s;
-      let st = Controller_team.stats team in
-      Controller_team.export_metrics team;
-      (tech, st)
-    end
-    else begin
-      let t = create ?org ?scheme ?window ?row_policy ?scheduler ~tech () in
-      let s = sink ~name:tech.Technology.name t in
-      replay s;
-      Nvsc_memtrace.Sink.flush s;
-      (tech, stats t)
-    end
+    let t = create ?org ?scheme ?window ?row_policy ?scheduler ~tech () in
+    let s = sink ~name:tech.Technology.name t in
+    replay s;
+    Nvsc_memtrace.Sink.flush s;
+    (tech, stats t)
   in
   if jobs <= 1 then List.map simulate techs
   else

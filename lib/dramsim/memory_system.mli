@@ -59,10 +59,12 @@ val compare_technologies :
     technologies on a domain pool (each worker owns a private controller;
     [replay] must then be safe to run concurrently against distinct
     sinks, which trace-log batch replay is); results keep input order and
-    are byte-identical to the serial path.  [bank_shards > 1] runs each
-    FCFS simulation through the bank-sharded {!Controller_team} (clamped
-    by {!Controller_team.shards_for}; ignored under [Fr_fcfs]) — again
-    byte-identical by construction. *)
+    are byte-identical to the serial path.
+
+    [bank_shards] has no effect: it is checked (≥ 1, else
+    [Invalid_argument]) and otherwise ignored.  It remains only for the
+    nvbench ledger's [dramsim.compare_s.team2] row and goes away with
+    that row in the next benchmark change. *)
 
 val normalized_power :
   (Nvsc_nvram.Technology.t * Controller.stats) list ->

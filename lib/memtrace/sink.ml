@@ -13,7 +13,7 @@ let checks_enabled () = Atomic.get debug_checks
 
 module Batch = struct
   (* Bigarray storage: elements live outside the OCaml heap, so a filled
-     batch can be handed by reference to N shard domains with zero
+     batch can be handed by reference to N worker domains with zero
      copying and no GC interaction — the minor collector never scans or
      moves the payload.  The concrete kind/layout is statically known at
      every use site, so [Array1.unsafe_get] compiles to a direct load. *)

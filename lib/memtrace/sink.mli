@@ -28,7 +28,7 @@ val checks_enabled : unit -> bool
 
     Storage is [Bigarray]-backed (v2 of this interface): elements are
     unboxed, live outside the OCaml heap, and are domain-shareable, so one
-    filled batch can be handed by reference to N shard domains with zero
+    filled batch can be handed by reference to N worker domains with zero
     copying.  The old public int-array record ([{ addrs; sizes; ops }]) is
     gone — consumers that hoisted the fields now hoist the typed buffer
     views {!addrs}/{!sizes}/{!ops} instead (see the DESIGN.md versioning

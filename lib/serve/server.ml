@@ -1,6 +1,6 @@
 module Json = Nvsc_util.Json
 module Metrics = Nvsc_obs.Metrics
-module Pool = Nvsc_sweep.Pool
+module Pool = Nvsc_team.Pool
 module Cache = Nvsc_sweep.Cache
 module Cell = Nvsc_sweep.Cell
 

@@ -2,7 +2,7 @@
 
     One process holds the expensive state — a warm
     {!Nvsc_sweep.Cache} of completed cells and a resident
-    {!Nvsc_sweep.Pool} of worker domains — and serves analysis requests
+    {!Nvsc_team.Pool} of worker domains — and serves analysis requests
     over a Unix-domain (and optionally loopback TCP) socket speaking
     {!Protocol}.  Each connection is handled by its own thread; each
     analysis request is decomposed into cells ({!Plan}), scheduled on

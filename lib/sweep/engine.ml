@@ -13,7 +13,9 @@ type stats = {
 
 let run ?jobs ?cache ?trace matrix =
   Nvsc_obs.Span.with_ "sweep.run" @@ fun () ->
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+  let jobs =
+    match jobs with Some j -> j | None -> Nvsc_team.Pool.default_jobs ()
+  in
   let specs = Array.of_list (Matrix.cells matrix) in
   (* Trace-fed sweep: read the trace digest once and stamp it into every
      spec, so the cache keys on the trace *content* — re-analyzing the
@@ -43,7 +45,7 @@ let run ?jobs ?cache ?trace matrix =
     |> Array.of_list
   in
   let computed =
-    Pool.map ~jobs
+    Nvsc_team.Pool.map ~jobs
       (fun i -> Cell.execute ?trace (fst looked_up.(i)))
       miss_indices
   in

@@ -23,8 +23,8 @@ type stats = {
 
 val run :
   ?jobs:int -> ?cache:Cache.t -> ?trace:string -> Matrix.t -> outcome array * stats
-(** [jobs] defaults to {!Pool.default_jobs}.  Without [cache] every cell
-    executes and [hits]/[misses]/[evictions] stay 0.  With [trace] (an
+(** [jobs] defaults to {!Nvsc_team.Pool.default_jobs}.  Without [cache]
+    every cell executes and [hits]/[misses]/[evictions] stay 0.  With [trace] (an
     [.nvt] file) every cell replays the recorded stream instead of
     re-running its application, and the trace's content digest is stamped
     into each spec before lookup — so the cache keys on trace content and

@@ -49,24 +49,14 @@ let iterations =
 
 let jobs =
   let doc =
-    "Worker domains (default: the machine's recommended domain count). The \
-     report is byte-identical for every N."
+    "Worker domains (default: the machine's recommended domain count; \
+     $(b,nvscav run) defaults to 1). The report is byte-identical for every \
+     N."
   in
   Arg.(
     value
     & opt (some (min_int_conv ~what:"jobs" ~min:1)) None
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let shards =
-  let doc =
-    "Cache-filter shard domains (default 1 = serial).  The simulation is \
-     partitioned by set index across N worker domains; the report and \
-     trace are byte-identical for every N."
-  in
-  Arg.(
-    value
-    & opt (min_int_conv ~what:"shards" ~min:1) 1
-    & info [ "shards" ] ~docv:"N" ~doc)
 
 let cache_dir =
   let doc =

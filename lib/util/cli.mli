@@ -21,7 +21,6 @@ val min_int_conv : what:string -> min:int -> int Cmdliner.Arg.conv
 val scale : float Cmdliner.Term.t
 val iterations : int Cmdliner.Term.t
 val jobs : int option Cmdliner.Term.t
-val shards : int Cmdliner.Term.t
 val cache_dir : string option Cmdliner.Term.t
 val cache_max : int option Cmdliner.Term.t
 val apps : string list option Cmdliner.Term.t

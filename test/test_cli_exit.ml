@@ -57,6 +57,7 @@ let table =
     ("missing positional", [ "analyze" ], 2);
     ("unknown flag", [ "list"; "--nosuchflag" ], 2);
     ("jobs zero", [ "sweep"; "--jobs"; "0"; "--apps"; "gtc" ], 2);
+    ("run jobs zero", [ "run"; "gtc"; "--jobs"; "0" ], 2);
     ("iterations zero", [ "analyze"; "gtc"; "--iterations"; "0" ], 2);
     ("scale zero", [ "analyze"; "gtc"; "--scale"; "0" ], 2);
     ("scale negative", [ "analyze"; "gtc"; "--scale"; "-1" ], 2);

@@ -160,6 +160,39 @@ let test_latency_positive_prop =
       && s.Controller.row_hits + s.Controller.row_misses
          = s.Controller.accesses)
 
+(* The technology pool ([compare_technologies ~jobs]) must return the
+   serial comparison's stats, byte for byte and in input order, over a
+   cache-filtered trace with fills, write-backs and straddling lines. *)
+let test_power_jobs_identical () =
+  let log = Nvsc_memtrace.Trace_log.create () in
+  let h =
+    Nvsc_cachesim.Hierarchy.create ~sink:(Nvsc_memtrace.Trace_log.sink log) ()
+  in
+  let n = 2000 in
+  let batch = Nvsc_memtrace.Sink.Batch.create n in
+  let lcg = ref 12345 in
+  for i = 0 to n - 1 do
+    lcg := (!lcg * 1103515245) + 12345;
+    let addr =
+      if i land 3 = 0 then 0x10000 + (i * 68)
+      else 0x400000 + (((!lcg lsr 7) land 0xFFFFFF) land 0x3FFFC0) + (i land 63)
+    in
+    let op = if i land 7 < 3 then Access.Write else Access.Read in
+    Nvsc_memtrace.Sink.Batch.set batch i ~addr ~size:(1 lsl (i land 3)) ~op
+  done;
+  Nvsc_cachesim.Hierarchy.consume h batch ~first:0 ~n;
+  Nvsc_cachesim.Hierarchy.drain h;
+  let compare ?jobs () =
+    Memory_system.compare_technologies ?jobs ~techs:Tech.paper_set
+      ~replay:(Nvsc_memtrace.Trace_log.replay_batch log) ()
+  in
+  let serial = compare () in
+  List.iter2
+    (fun ((ts : Tech.t), (ss : Controller.stats)) ((tp : Tech.t), sp) ->
+      Alcotest.(check string) "tech order" ts.name tp.name;
+      Alcotest.(check bool) (ts.name ^ ": stats identical") true (ss = sp))
+    serial (compare ~jobs:3 ())
+
 let suite =
   [
     Alcotest.test_case "timing derivation" `Quick test_timing_derivation;
@@ -178,4 +211,6 @@ let suite =
       test_normalized_power_table6_band;
     Alcotest.test_case "baseline required" `Quick test_normalized_requires_baseline;
     QCheck_alcotest.to_alcotest test_latency_positive_prop;
+    Alcotest.test_case "technology-parallel power stage is byte-identical"
+      `Quick test_power_jobs_identical;
   ]

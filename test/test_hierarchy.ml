@@ -120,6 +120,76 @@ let conservation_prop =
       H.drain h;
       List.for_all (fun l -> Hashtbl.mem written l) lines)
 
+(* Property: line-run coalescing in [consume] (the batch-time run
+   detector that replays a run of same-line references through the
+   repeat-line memo in one probe) is invisible in every counter and every
+   trace record.  Random run-heavy word-granular streams are replayed
+   per reference through [access_raw], which never coalesces, and through
+   [consume] in 64-reference slices; DESIGN.md "Kernel fast paths" has the
+   proof sketch. *)
+let gen_run_stream =
+  QCheck.Gen.(
+    list_size (int_range 1 60)
+      (triple (int_bound 0x3FFF) (int_range 1 24) (int_bound 255)))
+
+let expand_runs segs =
+  List.concat_map
+    (fun (line, len, wpat) ->
+      List.init len (fun j ->
+          let addr = 0x400000 + (line * 64) + ((j * 4) land 63) in
+          let op =
+            if (wpat lsr (j land 7)) land 1 = 1 then Access.Write
+            else Access.Read
+          in
+          (addr, 4, op)))
+    segs
+
+let replay_fingerprint feed =
+  let trace = ref [] in
+  let h =
+    H.create
+      ~sink:
+        (Sink.of_fn (fun a ->
+             trace := (a.Access.addr, a.Access.size, a.Access.op) :: !trace))
+      ()
+  in
+  feed h;
+  H.drain h;
+  let cache c =
+    Nvsc_cachesim.Cache.
+      [
+        hits c; misses c; read_hits c; read_misses c; write_hits c;
+        write_misses c; evictions c; dirty_evictions c;
+      ]
+  in
+  ( (cache (H.l1d h), cache (H.l2 h)),
+    (H.accesses h, H.memory_reads h, H.memory_writes h),
+    List.rev !trace )
+
+let coalescing_invisible =
+  QCheck.Test.make ~name:"run coalescing is invisible (per-ref = consume)"
+    ~count:20 (QCheck.make gen_run_stream) (fun segs ->
+      let refs = Array.of_list (expand_runs segs) in
+      let per_ref h =
+        Array.iter (fun (addr, size, op) -> H.access_raw h ~addr ~size ~op) refs
+      in
+      let consumed h =
+        let cap = 64 in
+        let batch = Sink.Batch.create cap in
+        let len = Array.length refs in
+        let first = ref 0 in
+        while !first < len do
+          let n = min cap (len - !first) in
+          for i = 0 to n - 1 do
+            let addr, size, op = refs.(!first + i) in
+            Sink.Batch.set batch i ~addr ~size ~op
+          done;
+          H.consume h batch ~first:0 ~n;
+          first := !first + n
+        done
+      in
+      replay_fingerprint per_ref = replay_fingerprint consumed)
+
 let suite =
   [
     Alcotest.test_case "read miss -> memory read" `Quick
@@ -134,4 +204,5 @@ let suite =
     Alcotest.test_case "mismatched line sizes" `Quick
       test_mismatched_lines_rejected;
     QCheck_alcotest.to_alcotest conservation_prop;
+    QCheck_alcotest.to_alcotest coalescing_invisible;
   ]

@@ -212,7 +212,6 @@ let test_config_builders () =
       |> with_sampling ~period:100 ~sample_length:10
       |> with_batch_capacity 64
       |> with_sanitize ~check_init:true true
-      |> with_shards 4
       |> with_obs Obs.on)
   in
   Alcotest.(check (float 0.)) "scale" 0.5 cfg.C.scale;
@@ -223,21 +222,21 @@ let test_config_builders () =
   Alcotest.(check (option int)) "batch capacity" (Some 64) cfg.C.batch_capacity;
   Alcotest.(check bool) "sanitize" true cfg.C.sanitize;
   Alcotest.(check bool) "check_init" true cfg.C.check_init;
-  Alcotest.(check int) "shards" 4 cfg.C.shards;
-  Alcotest.(check int) "default shards" 1 C.default.C.shards;
   Alcotest.(check bool) "obs handle" true (Obs.is_armed cfg.C.obs);
   (* updates are functional: default is untouched *)
   Alcotest.(check (float 0.)) "default intact" 1.0 C.default.C.scale
 
-(* [run_legacy] is gone (v2 API cleanup): the sharded run is the config
-   surface under equivalence test now — every analysis field must be
-   independent of the shard count. *)
+(* [Config.with_shards] is an inert shim: it still rejects widths below
+   one, and a run configured with any other width is the serial run. *)
 let test_sharded_run_equivalence () =
   let module S = Nvsc_core.Scavenger in
   let base =
     S.Config.(default |> with_scale 0.25 |> with_iterations 2
               |> with_trace true)
   in
+  Alcotest.check_raises "width 0"
+    (Invalid_argument "Config.with_shards: shards must be >= 1") (fun () ->
+      ignore (S.Config.with_shards 0 base));
   let serial = S.run base app in
   let sharded = S.run S.Config.(base |> with_shards 4) app in
   Alcotest.(check int) "footprint" serial.S.footprint_bytes

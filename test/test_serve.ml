@@ -12,7 +12,7 @@ module Plan = Nvsc_serve.Plan
 module Server = Nvsc_serve.Server
 module Client = Nvsc_serve.Client
 module Cell = Nvsc_sweep.Cell
-module Pool = Nvsc_sweep.Pool
+module Pool = Nvsc_team.Pool
 
 (* --- Json.Lines framing -------------------------------------------------- *)
 

@@ -7,7 +7,7 @@
 module Json = Nvsc_util.Json
 module Cell = Nvsc_sweep.Cell
 module Matrix = Nvsc_sweep.Matrix
-module Pool = Nvsc_sweep.Pool
+module Pool = Nvsc_team.Pool
 module Cache = Nvsc_sweep.Cache
 module Engine = Nvsc_sweep.Engine
 module E = Nvsc_core.Experiment
