@@ -230,20 +230,27 @@ let run ~quick ~out =
   in
   let () = filter_bench ~reps "filter.gtc-stream" gtc_log in
 
-  (* DRAM controller submit path on a line-granular trace *)
+  (* DRAM controller submit path on a line-granular trace, then the
+     [stats] call that ends every technology's replay *)
   let () =
     let n = if quick then 100_000 else 400_000 in
     let tech = Nvsc_nvram.Technology.get Nvsc_nvram.Technology.DDR3 in
-    let dt =
-      best_of reps (fun () ->
-          let c = Nvsc_dramsim.Controller.create ~tech () in
-          for i = 0 to n - 1 do
-            Nvsc_dramsim.Controller.submit_ref c ~addr:(i * 64 * 17)
-              ~op:(if i land 3 = 0 then Access.Write else Access.Read)
-          done;
-          Nvsc_dramsim.Controller.flush c)
+    let stream () =
+      let c = Nvsc_dramsim.Controller.create ~tech () in
+      for i = 0 to n - 1 do
+        Nvsc_dramsim.Controller.submit_ref c ~addr:(i * 64 * 17)
+          ~op:(if i land 3 = 0 then Access.Write else Access.Read)
+      done;
+      Nvsc_dramsim.Controller.flush c;
+      c
     in
-    report "controller.submit" "ns/txn" (dt *. 1e9 /. float_of_int n)
+    let dt = best_of reps (fun () -> ignore (stream ())) in
+    report "controller.submit" "ns/txn" (dt *. 1e9 /. float_of_int n);
+    let c = stream () in
+    let dt =
+      best_of reps (fun () -> ignore (Nvsc_dramsim.Controller.stats c))
+    in
+    report "controller.stats" "ms" (dt *. 1e3)
   in
 
   (* counter recording (dense per-object slots) *)

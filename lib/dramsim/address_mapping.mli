@@ -33,6 +33,17 @@ val decode_packed : scheme -> Org.t -> int -> int
     column, which never influences line-granularity timing, is dropped).
     Agrees with {!decode} on rank, bank and row for every address. *)
 
+type plan
+(** The shifts and masks of one [(scheme, org)] pair, computed once. *)
+
+val plan : scheme -> Org.t -> plan
+
+val decode_plan : plan -> int -> int
+(** [decode_plan (plan scheme org) addr = decode_packed scheme org addr]
+    for every [addr]: shift-and-mask on non-negative addresses, division
+    arithmetic on negative ones.  The controller's per-transaction
+    decode. *)
+
 val scheme_name : scheme -> string
 
 val all_schemes : scheme list

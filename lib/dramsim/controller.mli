@@ -82,8 +82,12 @@ type stats = {
   avg_latency_ns : float;  (** admission-to-completion mean *)
   p50_latency_ns : float;
   p95_latency_ns : float;
-  p99_latency_ns : float;  (** latency tail — what bank conflicts, write
-                               recovery and refresh blackouts cost *)
+  p99_latency_ns : float;
+      (** latency tail — what bank conflicts, write recovery and refresh
+          blackouts cost.  The percentiles are exact (linear
+          interpolation between the order statistics at floor and ceil
+          of [p * (n - 1)]): the controller keeps a histogram of the
+          distinct latencies, not one entry per transaction. *)
   bandwidth_gbs : float;
   row_hit_rate : float;
 }

@@ -18,11 +18,6 @@ let stats t = Controller.stats t.controller
 
 let tech t = t.tech
 
-let run_trace ?org ?scheme ?window ?row_policy ?scheduler ~tech trace =
-  let t = create ?org ?scheme ?window ?row_policy ?scheduler ~tech () in
-  List.iter (access t) trace;
-  stats t
-
 let compare_technologies ?org ?scheme ?window ?row_policy ?scheduler
     ?(jobs = 1) ?(bank_shards = 1) ~techs ~replay () =
   if bank_shards < 1 then

@@ -27,18 +27,6 @@ val stats : t -> Controller.stats
 
 val tech : t -> Nvsc_nvram.Technology.t
 
-val run_trace :
-  ?org:Org.t ->
-  ?scheme:Address_mapping.scheme ->
-  ?window:int ->
-  ?row_policy:Controller.row_policy ->
-  ?scheduler:Controller.scheduler ->
-  tech:Nvsc_nvram.Technology.t ->
-  Nvsc_memtrace.Access.t list ->
-  Controller.stats
-(** One-shot convenience: simulate a whole materialised trace and return
-    the stats (list-compat shim; tests only — hot paths use {!sink}). *)
-
 val compare_technologies :
   ?org:Org.t ->
   ?scheme:Address_mapping.scheme ->

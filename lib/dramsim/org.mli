@@ -3,7 +3,7 @@
     Defaults: 2 GB of devices organised as 16 ranks x 16 banks, 1024 rows x
     1024 columns per bank, x4 devices behind a 64-bit JEDEC data bus. *)
 
-type t = {
+type t = private {
   ranks : int;
   banks : int;  (** per rank *)
   rows : int;  (** per bank *)
@@ -23,7 +23,9 @@ val make :
   ?line_bytes:int ->
   unit ->
   t
-(** All parameters must be powers of two; defaults reproduce Table III. *)
+(** All parameters must be powers of two; defaults reproduce Table III.
+    [t] is private, so every [Org.t] has passed this check: the address
+    decode relies on it to turn divisions into shifts. *)
 
 val paper : t
 

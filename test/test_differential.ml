@@ -15,6 +15,11 @@ module Cache = Nvsc_cachesim.Cache
 module Hierarchy = Nvsc_cachesim.Hierarchy
 module OC = Nvsc_oracle.Oracle_cache
 module OH = Nvsc_oracle.Oracle_hierarchy
+module Org = Nvsc_dramsim.Org
+module AM = Nvsc_dramsim.Address_mapping
+module Controller = Nvsc_dramsim.Controller
+module OCtl = Nvsc_oracle.Oracle_controller
+module Tech = Nvsc_nvram.Technology
 
 (* --- geometries ------------------------------------------------------- *)
 
@@ -279,6 +284,248 @@ let test_miss_path_allocation_free () =
     Alcotest.failf "cache miss path allocated: %.0f minor words / 20k accesses"
       dw
 
+(* --- DRAM controller against the reference controller ------------------ *)
+
+(* The optimized controller (shift-and-mask decode, exact latency
+   histogram) must report the reference controller's stats bit for bit.
+   Floats are compared by their IEEE bits, so a percentile that merely
+   rounds the same way would still fail. *)
+let stats_mismatches (s : Controller.stats) (o : OCtl.stats) =
+  let bits = Int64.bits_of_float in
+  let ints =
+    [
+      ("accesses", s.accesses, o.accesses);
+      ("reads", s.reads, o.reads);
+      ("writes", s.writes, o.writes);
+      ("row_hits", s.row_hits, o.row_hits);
+      ("row_misses", s.row_misses, o.row_misses);
+      ("activations", s.activations, o.activations);
+      ("refreshes", s.refreshes, o.refreshes);
+    ]
+  and floats =
+    [
+      ("elapsed_ns", s.elapsed_ns, o.elapsed_ns);
+      ("burst_energy_nj", s.burst_energy_nj, o.burst_energy_nj);
+      ("act_pre_energy_nj", s.act_pre_energy_nj, o.act_pre_energy_nj);
+      ("refresh_energy_nj", s.refresh_energy_nj, o.refresh_energy_nj);
+      ("background_energy_nj", s.background_energy_nj, o.background_energy_nj);
+      ("total_energy_nj", s.total_energy_nj, o.total_energy_nj);
+      ("avg_power_w", s.avg_power_w, o.avg_power_w);
+      ("avg_latency_ns", s.avg_latency_ns, o.avg_latency_ns);
+      ("p50_latency_ns", s.p50_latency_ns, o.p50_latency_ns);
+      ("p95_latency_ns", s.p95_latency_ns, o.p95_latency_ns);
+      ("p99_latency_ns", s.p99_latency_ns, o.p99_latency_ns);
+      ("bandwidth_gbs", s.bandwidth_gbs, o.bandwidth_gbs);
+      ("row_hit_rate", s.row_hit_rate, o.row_hit_rate);
+    ]
+  in
+  List.filter_map
+    (fun (n, a, b) ->
+      if a = b then None else Some (Printf.sprintf "%s: %d vs %d" n a b))
+    ints
+  @ List.filter_map
+      (fun (n, a, b) ->
+        if Int64.equal (bits a) (bits b) then None
+        else Some (Printf.sprintf "%s: %h vs %h" n a b))
+      floats
+
+type dram_config = {
+  org : Org.t;
+  scheme : AM.scheme;
+  window : int;
+  policy : [ `Open | `Closed ];
+  lookahead : int option; (* [Some d] = FR-FCFS over [d] *)
+  tech : Tech.t;
+}
+
+let dram_config_name c =
+  Printf.sprintf
+    "%dr x %db x %drows, %d lines/row, %dB lines, %s, w%d, %s, %s, %s"
+    c.org.ranks c.org.banks c.org.rows (Org.lines_per_row c.org)
+    c.org.line_bytes (AM.scheme_name c.scheme) c.window
+    (match c.policy with `Open -> "open" | `Closed -> "closed")
+    (match c.lookahead with
+    | None -> "fcfs"
+    | Some d -> Printf.sprintf "fr-fcfs %d" d)
+    c.tech.Tech.name
+
+(* Run one stream through both controllers and list every stats field
+   that differs. *)
+let dram_mismatches c stream =
+  let ctl =
+    Controller.create ~org:c.org ~scheme:c.scheme ~window:c.window
+      ~row_policy:
+        (match c.policy with
+        | `Open -> Controller.Open_page
+        | `Closed -> Controller.Closed_page)
+      ~scheduler:
+        (match c.lookahead with
+        | None -> Controller.Fcfs
+        | Some d -> Controller.Fr_fcfs d)
+      ~tech:c.tech ()
+  and ora =
+    OCtl.create ~org:c.org ~scheme:c.scheme ~window:c.window
+      ~row_policy:
+        (match c.policy with
+        | `Open -> OCtl.Open_page
+        | `Closed -> OCtl.Closed_page)
+      ~scheduler:
+        (match c.lookahead with None -> OCtl.Fcfs | Some d -> OCtl.Fr_fcfs d)
+      ~tech:c.tech ()
+  in
+  List.iter
+    (fun (addr, op) ->
+      Controller.submit_ref ctl ~addr ~op;
+      OCtl.submit_ref ora ~addr ~op)
+    stream;
+  stats_mismatches (Controller.stats ctl) (OCtl.stats ora)
+
+let pow2_upto k = QCheck.Gen.map (fun e -> 1 lsl e) (QCheck.Gen.int_range 0 k)
+
+let gen_org =
+  QCheck.Gen.(
+    let* ranks = pow2_upto 3 and* banks = pow2_upto 4 and* rows = pow2_upto 6 in
+    let* line_bytes = oneofl [ 32; 64; 128 ] in
+    let* bus_width_bits = oneofl [ 32; 64 ] in
+    (* a row holds 1 to 32 lines *)
+    let* lines_per_row = pow2_upto 5 in
+    let cols = lines_per_row * line_bytes * 8 / bus_width_bits in
+    return (Org.make ~ranks ~banks ~rows ~cols ~bus_width_bits ~line_bytes ()))
+
+let gen_dram_config =
+  QCheck.Gen.(
+    let* org = gen_org in
+    let* scheme = oneofl AM.all_schemes in
+    let* window = oneofl [ 1; 2; 8 ] in
+    let* policy = oneofl [ `Open; `Closed ] in
+    let* lookahead = oneofl [ None; Some 4 ] in
+    let* tech = oneofl Tech.paper_set in
+    return { org; scheme; window; policy; lookahead; tech })
+
+(* Addresses cluster on a few rows (row hits, bank conflicts) and also
+   reach up to four times the capacity (wraparound); every byte offset
+   within a line occurs. *)
+let gen_dram_stream org =
+  QCheck.Gen.(
+    let capacity = Org.capacity_bytes org in
+    let row = Org.row_bytes org in
+    let hot = List.init 4 (fun k -> (k * 7 * row) mod capacity) in
+    list_size (int_range 1 600)
+      (let* addr =
+         frequency
+           [
+             ( 3,
+               map2 (fun h off -> h + off) (oneofl hot)
+                 (int_range 0 (row - 1)) );
+             (2, int_range 0 ((4 * capacity) - 1));
+           ]
+       in
+       let* w = bool in
+       return (addr, if w then Access.Write else Access.Read)))
+
+let dram_differential =
+  QCheck.Test.make ~name:"controller matches reference controller" ~count:300
+    (QCheck.make
+       ~print:(fun (c, stream) ->
+         Printf.sprintf "%s; %d txns" (dram_config_name c) (List.length stream))
+       QCheck.Gen.(
+         let* c = gen_dram_config in
+         let* stream = gen_dram_stream c.org in
+         return (c, stream)))
+    (fun (c, stream) ->
+      match dram_mismatches c stream with
+      | [] -> true
+      | ms -> QCheck.Test.fail_report (String.concat "; " ms))
+
+(* Refresh-heavy: under the default scheme the 20k transactions span
+   about 13 DDR3 refresh intervals on each of 16 ranks (208 refreshes,
+   one per ~100 transactions), and every scheme, row policy and
+   scheduler is compared. *)
+let test_dram_refresh_heavy () =
+  let stream = List.map (fun (addr, _, op) -> (addr, op)) (lcg_stream 20_000) in
+  let ddr3 = Tech.get Tech.DDR3 in
+  List.iter
+    (fun scheme ->
+      List.iter
+        (fun policy ->
+          List.iter
+            (fun lookahead ->
+              let c =
+                { org = Org.paper; scheme; window = 8; policy; lookahead;
+                  tech = ddr3 }
+              in
+              match dram_mismatches c stream with
+              | [] -> ()
+              | ms ->
+                Alcotest.failf "%s: %s" (dram_config_name c)
+                  (String.concat "; " ms))
+            [ None; Some 4 ])
+        [ `Open; `Closed ])
+    AM.all_schemes;
+  let c = Controller.create ~tech:ddr3 () in
+  List.iter (fun (addr, op) -> Controller.submit_ref c ~addr ~op) stream;
+  let s = Controller.stats c in
+  if s.refreshes < 100 then
+    Alcotest.failf "stream not refresh-heavy: %d refreshes" s.refreshes
+
+(* Percentile edge cases: one and two transactions, every latency equal
+   (window 1 with closed pages serialises reads at one fixed latency),
+   and 101 transactions, where p * (n - 1) is integral for all three. *)
+let test_dram_percentile_edges () =
+  let reads n = List.init n (fun i -> (i * 64, Access.Read)) in
+  let pcram = Tech.get Tech.PCRAM in
+  let base =
+    { org = Org.paper; scheme = AM.Row_bank_rank_col; window = 8;
+      policy = `Open; lookahead = None; tech = pcram }
+  in
+  let check name c stream =
+    match dram_mismatches c stream with
+    | [] -> ()
+    | ms -> Alcotest.failf "%s: %s" name (String.concat "; " ms)
+  in
+  check "n = 0" base [];
+  check "n = 1" base (reads 1);
+  check "n = 2" base (reads 2);
+  check "n = 2, write then read" base [ (0, Access.Write); (64, Access.Read) ];
+  check "n = 101" base (reads 101);
+  check "n = 101, mixed" base
+    (List.init 101 (fun i ->
+         ( (i * 8192) + ((i land 3) * 64),
+           if i mod 3 = 0 then Access.Write else Access.Read )));
+  let serial = { base with window = 1; policy = `Closed } in
+  check "all equal" serial (reads 500);
+  let c =
+    Controller.create ~window:1 ~row_policy:Controller.Closed_page ~tech:pcram
+      ()
+  in
+  List.iter (fun (addr, op) -> Controller.submit_ref c ~addr ~op) (reads 500);
+  let s = Controller.stats c in
+  Alcotest.(check (float 0.))
+    "all equal: p50 = mean" s.avg_latency_ns s.p50_latency_ns;
+  Alcotest.(check (float 0.))
+    "all equal: p99 = p50" s.p50_latency_ns s.p99_latency_ns
+
+(* The FCFS submit path allocates nothing once the histogram holds the
+   stream's few distinct latencies: any boxed float (a latency hashed
+   through a boxed Int64, or passed to an out-of-line call) would show up
+   as >= 20_000 minor words.  PCRAM never refreshes, so the refresh
+   catch-up, which is allowed to allocate, stays out of the count. *)
+let test_dram_submit_allocation_free () =
+  let c = Controller.create ~tech:(Tech.get Tech.PCRAM) () in
+  let pass () =
+    for i = 0 to 19_999 do
+      Controller.submit_ref c ~addr:(i * 64 * 17)
+        ~op:(if i land 3 = 0 then Access.Write else Access.Read)
+    done
+  in
+  pass ();
+  let w0 = Gc.minor_words () in
+  pass ();
+  let dw = Gc.minor_words () -. w0 in
+  if dw > 16. then
+    Alcotest.failf
+      "controller submit path allocated: %.0f minor words / 20k txns" dw
+
 let suite =
   [
     Alcotest.test_case "long LCG streams, all geometries (4x20k refs)" `Quick
@@ -287,7 +534,13 @@ let suite =
       test_hit_path_allocation_free;
     Alcotest.test_case "cache miss path is allocation-free" `Quick
       test_miss_path_allocation_free;
+    Alcotest.test_case "controller matches reference, refresh-heavy DDR3"
+      `Quick test_dram_refresh_heavy;
+    Alcotest.test_case "controller percentile edge cases match reference"
+      `Quick test_dram_percentile_edges;
+    Alcotest.test_case "controller submit path is allocation-free" `Quick
+      test_dram_submit_allocation_free;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       (hierarchy_differential_tests
-      @ [ straddle_differential; cache_differential ])
+      @ [ straddle_differential; cache_differential; dram_differential ])

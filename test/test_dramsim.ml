@@ -42,18 +42,24 @@ let test_power_params () =
   Alcotest.(check (float 1e-9)) "read energy = V*I*t" (1.5 *. 0.04 *. 5.)
     (Power_params.burst_read_energy_nj p ~t_burst_ns:5.)
 
+(* Simulate a whole materialised trace on a fresh controller. *)
+let run_trace ~tech trace =
+  let c = Controller.create ~tech () in
+  List.iter (Controller.submit c) trace;
+  Controller.stats c
+
 let seq_reads n = List.init n (fun i -> Access.read ~addr:(i * 64) ~size:64)
 let seq_writes n = List.init n (fun i -> Access.write ~addr:(i * 64) ~size:64)
 
 let test_row_hits_on_stream () =
-  let s = Memory_system.run_trace ~tech:ddr3 (seq_reads 256) in
+  let s = run_trace ~tech:ddr3 (seq_reads 256) in
   (* two 128-line rows -> 2 misses, 254 hits *)
   Alcotest.(check int) "row misses" 2 s.Controller.row_misses;
   Alcotest.(check int) "row hits" 254 s.Controller.row_hits;
   Alcotest.(check int) "activations" 2 s.Controller.activations
 
 let test_counts () =
-  let s = Memory_system.run_trace ~tech:ddr3 (seq_reads 10 @ seq_writes 5) in
+  let s = run_trace ~tech:ddr3 (seq_reads 10 @ seq_writes 5) in
   Alcotest.(check int) "accesses" 15 s.Controller.accesses;
   Alcotest.(check int) "reads" 10 s.Controller.reads;
   Alcotest.(check int) "writes" 5 s.Controller.writes;
@@ -61,24 +67,24 @@ let test_counts () =
 
 let test_elapsed_monotone_with_latency () =
   let trace = seq_writes 2000 in
-  let t_ddr = (Memory_system.run_trace ~tech:ddr3 trace).Controller.elapsed_ns in
-  let t_stt = (Memory_system.run_trace ~tech:sttram trace).Controller.elapsed_ns in
-  let t_pcm = (Memory_system.run_trace ~tech:pcram trace).Controller.elapsed_ns in
+  let t_ddr = (run_trace ~tech:ddr3 trace).Controller.elapsed_ns in
+  let t_stt = (run_trace ~tech:sttram trace).Controller.elapsed_ns in
+  let t_pcm = (run_trace ~tech:pcram trace).Controller.elapsed_ns in
   Alcotest.(check bool) "DDR3 <= STTRAM" true (t_ddr <= t_stt);
   Alcotest.(check bool) "STTRAM < PCRAM (write recovery)" true (t_stt < t_pcm)
 
 let test_refresh_only_dram () =
   (* run long enough to cross several tREFI windows *)
   let trace = seq_reads 20000 in
-  let s_d = Memory_system.run_trace ~tech:ddr3 trace in
-  let s_p = Memory_system.run_trace ~tech:pcram trace in
+  let s_d = run_trace ~tech:ddr3 trace in
+  let s_p = run_trace ~tech:pcram trace in
   Alcotest.(check bool) "DRAM refreshed" true (s_d.Controller.refreshes > 0);
   Alcotest.(check int) "NVRAM never refreshes" 0 s_p.Controller.refreshes;
   Alcotest.(check (float 1e-9)) "no NVRAM refresh energy" 0.
     s_p.Controller.refresh_energy_nj
 
 let test_energy_additivity () =
-  let s = Memory_system.run_trace ~tech:ddr3 (seq_reads 5000) in
+  let s = run_trace ~tech:ddr3 (seq_reads 5000) in
   Alcotest.(check (float 1e-3)) "components sum to total"
     s.Controller.total_energy_nj
     (s.Controller.burst_energy_nj +. s.Controller.act_pre_energy_nj
@@ -90,12 +96,12 @@ let test_energy_additivity () =
     && s.Controller.background_energy_nj >= 0.)
 
 let test_avg_power_consistency () =
-  let s = Memory_system.run_trace ~tech:ddr3 (seq_reads 5000) in
+  let s = run_trace ~tech:ddr3 (seq_reads 5000) in
   Alcotest.(check (float 1e-6)) "power = energy / time" s.Controller.avg_power_w
     (s.Controller.total_energy_nj /. s.Controller.elapsed_ns)
 
 let test_latency_percentiles () =
-  let s = Memory_system.run_trace ~tech:pcram (seq_writes 2000) in
+  let s = run_trace ~tech:pcram (seq_writes 2000) in
   Alcotest.(check bool) "percentiles ordered" true
     (s.Controller.p50_latency_ns <= s.Controller.p95_latency_ns
     && s.Controller.p95_latency_ns <= s.Controller.p99_latency_ns);
@@ -142,7 +148,7 @@ let test_normalized_requires_baseline () =
     (fun () ->
       ignore
         (Memory_system.normalized_power
-           [ (pcram, Memory_system.run_trace ~tech:pcram (seq_reads 2)) ]))
+           [ (pcram, run_trace ~tech:pcram (seq_reads 2)) ]))
 
 let test_latency_positive_prop =
   QCheck.Test.make ~name:"latency and makespan positive on any trace" ~count:20
@@ -155,7 +161,7 @@ let test_latency_positive_prop =
             else Access.read ~addr:(l * 64) ~size:64)
           evs
       in
-      let s = Memory_system.run_trace ~tech:sttram trace in
+      let s = run_trace ~tech:sttram trace in
       s.Controller.elapsed_ns > 0. && s.Controller.avg_latency_ns > 0.
       && s.Controller.row_hits + s.Controller.row_misses
          = s.Controller.accesses)

@@ -74,6 +74,47 @@ let test_wraparound () =
   let c = AM.decode AM.Row_bank_rank_col o (Org.capacity_bytes o + 64) in
   Alcotest.(check bool) "wrapped in range" true (coords_in_range o c)
 
+(* The controller's shift-and-mask decode against the division-based
+   [decode], repacked: random power-of-two orgs, every scheme, and
+   addresses that are negative, beyond capacity or near [max_int] (where
+   the division arithmetic still applies to negatives). *)
+let gen_org =
+  QCheck.Gen.(
+    let pow2 k = map (fun e -> 1 lsl e) (int_range 0 k) in
+    let* ranks = pow2 4 and* banks = pow2 5 and* rows = pow2 12 in
+    let* line_bytes = oneofl [ 16; 32; 64; 128 ] in
+    let* bus_width_bits = oneofl [ 16; 32; 64; 128 ] in
+    let* lines_per_row = pow2 7 in
+    let cols = lines_per_row * line_bytes * 8 / bus_width_bits in
+    return (Org.make ~ranks ~banks ~rows ~cols ~bus_width_bits ~line_bytes ()))
+
+let gen_addr (o : Org.t) =
+  QCheck.Gen.(
+    let cap = Org.capacity_bytes o in
+    oneof
+      [
+        int_range 0 ((4 * cap) - 1);
+        int_range (-4 * cap) (-1);
+        int_range (max_int - (4 * cap)) max_int;
+        int_range min_int (min_int + (4 * cap));
+        int;
+      ])
+
+let packed_decode_prop =
+  QCheck.Test.make ~name:"decode_packed equals packed decode" ~count:2000
+    (QCheck.make
+       ~print:(fun (o, scheme, addr) ->
+         Format.asprintf "%a; %s; %d" Org.pp o (AM.scheme_name scheme) addr)
+       QCheck.Gen.(
+         let* o = gen_org in
+         let* scheme = oneofl AM.all_schemes in
+         let* addr = gen_addr o in
+         return (o, scheme, addr)))
+    (fun (o, scheme, addr) ->
+      let c = AM.decode scheme o addr in
+      AM.decode_packed scheme o addr
+      = (c.row * Org.total_banks o) + (c.rank * o.banks) + c.bank)
+
 let suite =
   [
     Alcotest.test_case "org defaults (Table III)" `Quick test_org_defaults;
@@ -87,4 +128,5 @@ let suite =
     Alcotest.test_case "line interleave spreads" `Quick
       test_line_interleave_spreads;
     Alcotest.test_case "address wraparound" `Quick test_wraparound;
+    QCheck_alcotest.to_alcotest packed_decode_prop;
   ]

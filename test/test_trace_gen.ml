@@ -120,8 +120,12 @@ let test_feeds_simulators () =
     TG.to_list (TG.zipf ~seed:1 ~lines:4096 ~write_fraction:0.3 ~n:5_000 ())
   in
   let s =
-    Nvsc_dramsim.Memory_system.run_trace
-      ~tech:(Nvsc_nvram.Technology.get Nvsc_nvram.Technology.DDR3) t
+    let c =
+      Nvsc_dramsim.Controller.create
+        ~tech:(Nvsc_nvram.Technology.get Nvsc_nvram.Technology.DDR3) ()
+    in
+    List.iter (Nvsc_dramsim.Controller.submit c) t;
+    Nvsc_dramsim.Controller.stats c
   in
   Alcotest.(check int) "all simulated" 5000 s.Nvsc_dramsim.Controller.accesses;
   Alcotest.(check bool) "hot head gives row hits" true
