@@ -50,100 +50,52 @@ let with_trace_errors f =
 
 let fmt = Format.std_formatter
 
-(* --- shared report printers --------------------------------------------- *)
-
-(* One printer per report section, shared between the live commands
-   ([run]/[analyze]/[power]/[place]) and [replay]: both paths render a
-   [Scavenger.result], so a replayed trace produces byte-identical
-   output to the live pipeline by construction. *)
-
-let pp_summary_and_objects fmt r =
-  Nvsc_core.Stack_analysis.pp_summary_table fmt
-    [ Nvsc_core.Stack_analysis.summarize r ];
-  Nvsc_core.Object_analysis.pp_report fmt (Nvsc_core.Object_analysis.analyze r)
-
-let pp_analyze_report fmt r =
-  pp_summary_and_objects fmt r;
-  Format.fprintf fmt "untouched in main loop: %s of long-term data@."
-    (Nvsc_util.Table.cell_pct
-       (Nvsc_core.Usage_variance.untouched_in_main_fraction r));
-  Nvsc_core.Usage_variance.pp_variance fmt
-    (Nvsc_core.Usage_variance.variance r)
-
-let pp_trace_line fmt trace =
-  Format.fprintf fmt "main-memory trace: %d accesses (%d reads, %d writes)@."
-    (Nvsc_memtrace.Trace_log.length trace)
-    (Nvsc_memtrace.Trace_log.reads trace)
-    (Nvsc_memtrace.Trace_log.writes trace)
-
-let power_results ?jobs trace =
-  Nvsc_dramsim.Memory_system.compare_technologies ?jobs
-    ~techs:Nvsc_nvram.Technology.paper_set
-    ~replay:(fun sink -> Nvsc_memtrace.Trace_log.replay_batch trace sink)
-    ()
-
-let pp_normalized_power fmt results =
-  List.iter
-    (fun ((t : Nvsc_nvram.Technology.t), p) ->
-      Format.fprintf fmt "%-8s normalized power %.3f@." t.name p)
-    (Nvsc_dramsim.Memory_system.normalized_power results)
-
-let pp_power_report fmt trace =
-  pp_trace_line fmt trace;
-  let results = power_results trace in
-  List.iter
-    (fun ((t : Nvsc_nvram.Technology.t), (s : Nvsc_dramsim.Controller.stats)) ->
-      Format.fprintf fmt
-        "%-8s avg power %a  elapsed %a  row-hit %.2f  bandwidth %.2fGB/s@."
-        t.name Nvsc_util.Units.pp_watts s.avg_power_w Nvsc_util.Units.pp_ns
-        s.elapsed_ns s.row_hit_rate s.bandwidth_gbs)
-    results;
-  pp_normalized_power fmt results
-
-let items_of_result (r : Nvsc_core.Scavenger.result) =
-  List.map
-    (fun (m : Nvsc_core.Object_metrics.t) ->
-      {
-        Nvsc_placement.Item.id = m.obj.Nvsc_memtrace.Mem_object.id;
-        name = m.obj.Nvsc_memtrace.Mem_object.name;
-        size_bytes = Nvsc_core.Object_metrics.size_bytes m;
-        reads = m.reads;
-        writes = m.writes;
-        ref_share = m.ref_share;
-      })
-    (Nvsc_core.Scavenger.global_and_heap_metrics r)
-
-let planned_hybrid ~tech (r : Nvsc_core.Scavenger.result) =
-  let hybrid =
-    Nvsc_placement.Hybrid_memory.create
-      ~dram_bytes:(2 * r.footprint_bytes)
-      ~nvram_bytes:(2 * r.footprint_bytes)
-      ~tech
+let tech_arg =
+  let doc =
+    "NVRAM technology for the hybrid's NVRAM half (the place cell of \
+     $(b,run), $(b,place) and $(b,replay))."
   in
-  Nvsc_placement.Static_policy.plan ~hybrid (items_of_result r)
+  Arg.(value & opt string "sttram" & info [ "tech" ] ~docv:"TECH" ~doc)
 
-let pp_place_report fmt ~tech r =
-  let hybrid = planned_hybrid ~tech r in
-  List.iter
-    (fun (item : Nvsc_placement.Item.t) ->
-      Format.fprintf fmt "NVRAM <- %a@." Nvsc_placement.Item.pp item)
-    (Nvsc_placement.Hybrid_memory.items_in hybrid
-       Nvsc_placement.Hybrid_memory.Nvram);
-  Nvsc_placement.Hybrid_memory.pp_assessment fmt
-    (Nvsc_placement.Hybrid_memory.assess hybrid);
-  Format.pp_print_newline fmt ()
-
-let pp_run_report ?jobs fmt ~(tech : Nvsc_nvram.Technology.t) r =
-  pp_summary_and_objects fmt r;
-  let trace = Option.get r.Nvsc_core.Scavenger.mem_trace in
-  pp_trace_line fmt trace;
-  pp_normalized_power fmt (power_results ?jobs trace);
-  let hybrid =
-    planned_hybrid ~tech:(Nvsc_nvram.Technology.get tech.tech) r
+let replay_kind_arg =
+  let doc =
+    "Analysis to replay: $(b,run) (default), $(b,objects), $(b,power), \
+     $(b,perf) or $(b,place)."
   in
-  Nvsc_placement.Hybrid_memory.pp_assessment fmt
-    (Nvsc_placement.Hybrid_memory.assess hybrid);
-  Format.pp_print_newline fmt ()
+  Arg.(value & opt string "run" & info [ "kind" ] ~docv:"KIND" ~doc)
+
+(* --- plans ---------------------------------------------------------------- *)
+
+module Serve = Nvsc_serve
+module Engine = Nvsc_sweep.Engine
+
+(* [analyze], [run], [power], [place], [replay] and [sweep] build the
+   daemon's plan for the request and execute it here, in-process, through
+   the sweep engine; each cell's chunk is exactly what [nvscav client]
+   would stream, so local and served reports agree by construction.
+   [jobs] defaults to 1: the report is the same at every width.  The
+   result cache, if any, is made only once the plan is valid. *)
+let run_plan ?(jobs = 1) ?make_cache ?(profile = Cli.Profile_off)
+    ?(on_stats = ignore) planned =
+  match planned with
+  | Error (e : Serve.Protocol.error) -> `Error (false, e.message)
+  | Ok (plan : Serve.Plan.t) ->
+    with_trace_errors @@ fun () ->
+    let cache = Option.map (fun make -> make ()) make_cache in
+    Nvsc_obs.with_profiling
+      ?trace_out:(Cli.profile_trace_out profile)
+      ~enabled:(Cli.profile_enabled profile)
+    @@ fun () ->
+    let outcomes, stats =
+      Engine.run_specs ~jobs ?cache ?trace:plan.trace plan.specs
+    in
+    Array.iteri
+      (fun i (o : Engine.outcome) ->
+        print_string (Serve.Plan.chunk plan i o.payload))
+      outcomes;
+    flush stdout;
+    on_stats stats;
+    `Ok ()
 
 (* --- list -------------------------------------------------------------- *)
 
@@ -169,16 +121,12 @@ let list_cmd =
 (* --- analyze ----------------------------------------------------------- *)
 
 let analyze_cmd =
-  let run () name scale iterations profile =
-    with_app name (fun app ->
-        Logs.info (fun m ->
-            m "running %s at scale %g for %d iterations" name scale iterations);
-        Nvsc_obs.with_profiling
-          ?trace_out:(Cli.profile_trace_out profile)
-          ~enabled:(Cli.profile_enabled profile)
-        @@ fun () ->
-        pp_analyze_report fmt
-          (Nvsc_core.Scavenger.run (scavenger_config ~scale ~iterations) app))
+  let run () app scale iterations profile =
+    Logs.info (fun m ->
+        m "running %s at scale %g for %d iterations" app scale iterations);
+    run_plan ~profile
+      (Serve.Plan.of_request
+         (Serve.Protocol.Analyze { app; scale; iterations }))
   in
   let info =
     Cmd.info "analyze"
@@ -280,22 +228,20 @@ let power_cmd =
     in
     Arg.(value & opt (some string) None & info [ "from-file" ] ~docv:"FILE" ~doc)
   in
-  let run () name scale iterations from_file =
-    with_trace_errors @@ fun () ->
-    with_app name (fun app ->
-        let trace =
-          match from_file with
-          | Some path -> Nvsc_memtrace.Trace_file.load path
-          | None ->
-            let r =
-              Nvsc_core.Scavenger.run
-                Nvsc_core.Scavenger.Config.(
-                  scavenger_config ~scale ~iterations |> with_trace true)
-                app
-            in
-            Option.get r.mem_trace
-        in
-        pp_power_report fmt trace)
+  let run () app scale iterations from_file =
+    match from_file with
+    | None -> run_plan (Serve.Plan.power ~app ~scale ~iterations)
+    | Some path -> (
+      (* a DRAMSim2 text trace comes with no application run to plan *)
+      match find_app app with
+      | Error msg -> `Error (false, msg)
+      | Ok _ -> (
+        with_trace_errors @@ fun () ->
+        match Nvsc_memtrace.Trace_file.load path with
+        | trace ->
+          Nvsc_sweep.Cell.pp_power_of_trace fmt trace;
+          `Ok ()
+        | exception Failure msg -> `Error (false, msg)))
   in
   let info =
     Cmd.info "power"
@@ -338,17 +284,8 @@ let perf_cmd =
 (* --- place ------------------------------------------------------------- *)
 
 let place_cmd =
-  let tech_arg =
-    let doc = "NVRAM technology for the hybrid's NVRAM half." in
-    Arg.(value & opt string "sttram" & info [ "tech" ] ~docv:"TECH" ~doc)
-  in
-  let run () name scale iterations tech_name =
-    match Nvsc_nvram.Technology.of_string tech_name with
-    | None -> `Error (false, Printf.sprintf "unknown technology %S" tech_name)
-    | Some tech ->
-      with_app name (fun app ->
-          pp_place_report fmt ~tech
-            (Nvsc_core.Scavenger.run (scavenger_config ~scale ~iterations) app))
+  let run () app scale iterations tech =
+    run_plan (Serve.Plan.place ~app ~scale ~iterations ~tech)
   in
   let info =
     Cmd.info "place"
@@ -608,13 +545,6 @@ let lint_cmd =
 (* --- sweep --------------------------------------------------------------- *)
 
 let sweep_cmd =
-  let module Sweep = Nvsc_sweep in
-  let rec map_result f = function
-    | [] -> Ok []
-    | x :: rest ->
-      Result.bind (f x) (fun y ->
-          Result.map (fun ys -> y :: ys) (map_result f rest))
-  in
   let from_trace_arg =
     Arg.(
       value
@@ -627,63 +557,18 @@ let sweep_cmd =
              content digest.")
   in
   let run () scale iterations jobs cache_dir cache_max apps kinds techs
-      override_specs from_trace profile =
-    let ( let* ) = Result.bind in
-    let forced =
-      match from_trace with
-      | None -> Ok (apps, scale, iterations)
-      | Some path -> (
-        (* Pin the matrix to what the trace actually recorded. *)
-        try
-          let meta, _digest = Nvsc_core.Trace_run.info path in
-          Ok
-            ( Some [ meta.Nvsc_memtrace.Trace_codec.app ],
-              meta.scale, meta.iterations )
-        with
-        | Nvsc_memtrace.Trace_codec.Error msg | Sys_error msg -> Error msg)
-    in
-    let matrix =
-      let* apps, scale, iterations = forced in
-      let* kinds =
-        match kinds with
-        | None -> Ok None
-        | Some names ->
-          Result.map Option.some
-            (map_result
-               (fun s ->
-                 match Sweep.Cell.kind_of_string s with
-                 | Some k -> Ok k
-                 | None ->
-                   Error
-                     (Cli.unknown ~what:"kind"
-                        ~known:
-                          (List.map Sweep.Cell.kind_to_string
-                             Sweep.Cell.all_kinds)
-                        s))
-               names)
-      in
-      let* overrides = map_result Sweep.Matrix.parse_override override_specs in
-      Sweep.Matrix.make ?apps ?kinds ?techs ~scale ~iterations ~overrides ()
-    in
-    match matrix with
-    | Error msg -> `Error (false, msg)
-    | Ok matrix ->
-      let cache =
-        Option.map
-          (fun dir -> Sweep.Cache.create ~dir ?max_entries:cache_max ())
-          cache_dir
-      in
-      Nvsc_obs.with_profiling
-        ?trace_out:(Cli.profile_trace_out profile)
-        ~enabled:(Cli.profile_enabled profile)
-      @@ fun () ->
-      let outcomes, stats =
-        Sweep.Engine.run ?jobs ?cache ?trace:from_trace matrix
-      in
-      Sweep.Engine.pp_outcomes fmt outcomes;
-      Format.pp_print_flush fmt ();
-      Format.fprintf Format.err_formatter "%a@." Sweep.Engine.pp_stats stats;
-      `Ok ()
+      overrides from_trace profile =
+    run_plan
+      ~jobs:(Option.value jobs ~default:(Nvsc_team.Pool.default_jobs ()))
+      ?make_cache:
+        (Option.map
+           (fun dir () -> Nvsc_sweep.Cache.create ~dir ?max_entries:cache_max ())
+           cache_dir)
+      ~profile
+      ~on_stats:(Format.eprintf "%a@." Engine.pp_stats)
+      (Serve.Plan.of_request
+         (Serve.Protocol.Sweep
+            { apps; kinds; techs; scale; iterations; overrides; from_trace }))
   in
   let info =
     Cmd.info "sweep"
@@ -743,40 +628,16 @@ let checkpoint_cmd =
 
 (* --- run ----------------------------------------------------------------- *)
 
-(* The whole pipeline in one command: scavenge with a cache-filtered
-   trace, report the objects, compare memory technologies over the trace
-   and plan a hybrid placement.  Exercises every instrumented layer, so
-   [--profile=FILE] here yields a trace covering scavenger, trace_gen,
-   cachesim, dramsim and placement spans. *)
+(* The whole pipeline in one command: three cells (objects, power, place)
+   fed by one scavenger run with a cache-filtered trace.  Exercises every
+   instrumented layer, so [--profile=FILE] here yields a trace covering
+   scavenger, cachesim, dramsim, placement and sweep spans. *)
 let run_cmd =
-  let tech_arg =
-    let doc = "NVRAM technology for the hybrid's NVRAM half." in
-    Arg.(value & opt string "sttram" & info [ "tech" ] ~docv:"TECH" ~doc)
-  in
-  let run () name scale iterations jobs tech_name profile =
-    match Nvsc_nvram.Technology.of_string tech_name with
-    | None ->
-      `Error
-        ( false,
-          Cli.unknown ~what:"technology"
-            ~known:
-              (List.map
-                 (fun (t : Nvsc_nvram.Technology.t) -> t.name)
-                 Nvsc_nvram.Technology.paper_set)
-            tech_name )
-    | Some tech ->
-      with_app name (fun app ->
-          Nvsc_obs.with_profiling
-            ?trace_out:(Cli.profile_trace_out profile)
-            ~enabled:(Cli.profile_enabled profile)
-          @@ fun () ->
-          (* --jobs spreads the technology comparison across a domain
-             pool; omitted, the comparison stays serial *)
-          pp_run_report ?jobs fmt ~tech
-            (Nvsc_core.Scavenger.run
-               Nvsc_core.Scavenger.Config.(
-                 scavenger_config ~scale ~iterations |> with_trace true)
-               app))
+  let run () app scale iterations jobs tech profile =
+    (* --jobs widens the technology comparison; omitted, it stays serial *)
+    run_plan ?jobs ~profile
+      (Serve.Plan.of_request
+         (Serve.Protocol.Run { app; scale; iterations; tech }))
   in
   let info =
     Cmd.info "run"
@@ -852,69 +713,9 @@ let replay_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"TRACE" ~doc:"Recorded $(b,.nvt) trace file.")
   in
-  let kind_arg =
-    let kinds =
-      [
-        ("run", `Run); ("objects", `Objects); ("power", `Power);
-        ("perf", `Perf); ("place", `Place);
-      ]
-    in
-    Arg.(
-      value
-      & opt (enum kinds) `Run
-      & info [ "kind" ] ~docv:"KIND"
-          ~doc:
-            "Analysis to replay: $(b,run) (default), $(b,objects), \
-             $(b,power), $(b,perf) or $(b,place).")
-  in
-  let tech_arg =
-    Arg.(
-      value & opt string "sttram"
-      & info [ "tech" ] ~docv:"TECH"
-          ~doc:"NVRAM technology for $(b,run)/$(b,place) replays.")
-  in
-  let reader_arg =
-    let modes =
-      [
-        ("auto", Nvsc_memtrace.Trace_codec.Auto);
-        ("mmap", Nvsc_memtrace.Trace_codec.Mmap);
-        ("buffered", Nvsc_memtrace.Trace_codec.Buffered);
-      ]
-    in
-    Arg.(
-      value
-      & opt (enum modes) Nvsc_memtrace.Trace_codec.Auto
-      & info [ "reader" ] ~docv:"MODE"
-          ~doc:
-            "Chunk I/O path: $(b,auto) (default: mmap when available), \
-             $(b,mmap) (require the mapped reader) or $(b,buffered) \
-             (channel reads).  Output is byte-identical across modes.")
-  in
-  let run () path kind tech_name reader profile =
-    match Nvsc_nvram.Technology.of_string tech_name with
-    | None -> `Error (false, Printf.sprintf "unknown technology %S" tech_name)
-    | Some tech ->
-      with_trace_errors @@ fun () ->
-      Nvsc_obs.with_profiling
-        ?trace_out:(Cli.profile_trace_out profile)
-        ~enabled:(Cli.profile_enabled profile)
-      @@ fun () ->
-      (match kind with
-      | `Run ->
-        pp_run_report fmt ~tech (Nvsc_core.Trace_run.replay ~reader path)
-      | `Objects ->
-        pp_analyze_report fmt (Nvsc_core.Trace_run.replay ~reader path)
-      | `Power ->
-        let r = Nvsc_core.Trace_run.replay ~reader path in
-        pp_power_report fmt (Option.get r.Nvsc_core.Scavenger.mem_trace)
-      | `Perf ->
-        Nvsc_cpusim.Sensitivity.pp_points fmt
-          (Nvsc_cpusim.Sensitivity.run
-             ~replay:(Nvsc_core.Trace_run.perf_replay ~reader path)
-             ())
-      | `Place ->
-        pp_place_report fmt ~tech (Nvsc_core.Trace_run.replay ~reader path));
-      `Ok ()
+  let run () path kind tech profile =
+    run_plan ~profile
+      (Serve.Plan.of_request (Serve.Protocol.Replay { path; kind; tech }))
   in
   let info =
     Cmd.info "replay"
@@ -924,13 +725,14 @@ let replay_cmd =
          to their live counterparts: $(b,--kind run) matches $(b,nvscav \
          run), $(b,objects) matches $(b,analyze), $(b,power)/$(b,place) \
          match $(b,power)/$(b,place); $(b,perf) matches $(b,perf) for a \
-         trace recorded with its scale at 1 iteration.  Memory use is \
+         trace recorded with its scale at 1 iteration.  The analyses of a \
+         $(b,run) replay share one pass over the trace.  Memory use is \
          bounded by the trace's chunk capacity, not its length."
   in
   Cmd.v info
     Term.(
       ret
-        (const run $ logs_term $ trace_arg $ kind_arg $ tech_arg $ reader_arg
+        (const run $ logs_term $ trace_arg $ replay_kind_arg $ tech_arg
        $ Cli.profile))
 
 (* --- crashsim ------------------------------------------------------------- *)
@@ -981,8 +783,6 @@ let crashsim_cmd =
   Cmd.v info Term.(ret (const run $ logs_term $ trace_arg))
 
 (* --- serve ---------------------------------------------------------------- *)
-
-module Serve = Nvsc_serve
 
 let socket_arg =
   let doc =
@@ -1096,12 +896,6 @@ let client_analyze_cmd =
        $ iterations_arg))
 
 let client_run_cmd =
-  let tech_arg =
-    Arg.(
-      value & opt string "sttram"
-      & info [ "tech" ] ~docv:"TECH"
-          ~doc:"NVRAM technology for the hybrid's NVRAM half.")
-  in
   let run () socket port name scale iterations tech =
     with_client ~socket ~port @@ fun c ->
     client_request c (Serve.Protocol.Run { app = name; scale; iterations; tech })
@@ -1123,18 +917,6 @@ let client_replay_cmd =
             "Recorded $(b,.nvt) trace file, resolved on the $(i,server)'s \
              filesystem.")
   in
-  let kind_arg =
-    Arg.(
-      value & opt string "run"
-      & info [ "kind" ] ~docv:"KIND"
-          ~doc:"Analysis to replay: run, objects, power, perf or place.")
-  in
-  let tech_arg =
-    Arg.(
-      value & opt string "sttram"
-      & info [ "tech" ] ~docv:"TECH"
-          ~doc:"NVRAM technology for run/place replays.")
-  in
   let run () socket port path kind tech =
     with_client ~socket ~port @@ fun c ->
     client_request c (Serve.Protocol.Replay { path; kind; tech })
@@ -1145,8 +927,8 @@ let client_replay_cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ logs_term $ socket_arg $ port_arg $ trace_arg $ kind_arg
-       $ tech_arg))
+        (const run $ logs_term $ socket_arg $ port_arg $ trace_arg
+       $ replay_kind_arg $ tech_arg))
 
 let client_sweep_cmd =
   let from_trace_arg =

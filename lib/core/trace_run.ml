@@ -80,9 +80,9 @@ let iteration_of_phase = function
   | Mem_object.Pre | Mem_object.Post -> 0
   | Mem_object.Main i -> i
 
-let replay ?reader path =
+let replay path =
   Span.with_ ~arg:path "trace.replay" @@ fun () ->
-  let r = Trace_codec.Reader.open_ ?mode:reader path in
+  let r = Trace_codec.Reader.open_ path in
   Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
   let meta = Trace_codec.Reader.meta r in
   let iterations = meta.Trace_codec.iterations in
@@ -176,9 +176,9 @@ let replay ?reader path =
     persist_stats = None;
   }
 
-let perf_replay ?reader path model =
+let perf_replay path model =
   Span.with_ ~arg:path "trace.perf_replay" @@ fun () ->
-  let r = Trace_codec.Reader.open_ ?mode:reader path in
+  let r = Trace_codec.Reader.open_ path in
   Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
   let in_main = ref false in
   Trace_codec.stream r

@@ -28,21 +28,16 @@ val record :
     exception the partial file is left unreadable (no trailer) and the
     exception re-raised. *)
 
-val replay :
-  ?reader:Nvsc_memtrace.Trace_codec.io_mode -> string -> Scavenger.result
+val replay : string -> Scavenger.result
 (** Stream the trace at [path] through attribution counters, fast tallies
     and the cache hierarchy (main-loop phases only, as live), rebuilding
     the full result — metrics come from the trace's final object tables,
     the main-memory trace from the cache filter.  Replay never
-    materializes more than one chunk of references.  [reader] (default
-    [Auto]) selects the chunk I/O path — mmap-fed or buffered; the result
-    is byte-identical either way. *)
+    materializes more than one chunk of references.  Chunks are read
+    through the reader's [Auto] I/O path: mapped where the platform
+    allows, buffered otherwise. *)
 
-val perf_replay :
-  ?reader:Nvsc_memtrace.Trace_codec.io_mode ->
-  string ->
-  Nvsc_cpusim.Perf_model.t ->
-  unit
+val perf_replay : string -> Nvsc_cpusim.Perf_model.t -> unit
 (** Feed the trace's main-loop references and instruction counts to a
     performance model — the trace-driven counterpart of
     {!Experiment.perf_replay}, for {!Nvsc_cpusim.Sensitivity.run}'s

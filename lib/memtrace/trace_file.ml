@@ -20,8 +20,11 @@ let parse_record ?(size = 64) line =
     match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
     | [ addr; op; _cycle ] ->
       let addr =
-        try int_of_string addr
-        with Failure _ -> failwith ("Trace_file: bad address " ^ addr)
+        match int_of_string addr with
+        | a when a >= 0 -> a
+        (* hex literals past max_int also wrap to negatives *)
+        | _ -> failwith ("Trace_file: negative address " ^ addr)
+        | exception Failure _ -> failwith ("Trace_file: bad address " ^ addr)
       in
       let op =
         match op with

@@ -25,5 +25,6 @@ val append_record : out_channel -> index:int -> Access.t -> unit
 
 val parse_record : ?size:int -> string -> Access.t option
 (** Parse one line; [None] for comments and blank lines.  Raises [Failure]
-    on malformed input.  The parsed access gets byte size [size]
+    on malformed input, including a negative address (a hex literal past
+    [max_int] reads as one).  The parsed access gets byte size [size]
     (default 64 — the format carries no size column). *)

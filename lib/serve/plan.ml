@@ -52,123 +52,129 @@ let check_config ~scale ~iterations =
 (* A section printer receiving the wrong payload constructor would be a
    scheduling bug, not a client error, hence the assertions. *)
 
-let objects = function
+let objects_of = function
   | Cell.Objects_result o -> o
   | _ -> invalid_arg "Plan: objects payload expected"
 
-let power = function
+let power_of = function
   | Cell.Power_result p -> p
   | _ -> invalid_arg "Plan: power payload expected"
 
-let perf = function
+let perf_of = function
   | Cell.Perf_result rows -> rows
   | _ -> invalid_arg "Plan: perf payload expected"
 
-let place = function
+let place_of = function
   | Cell.Place_result p -> p
   | _ -> invalid_arg "Plan: place payload expected"
 
-(* Composed exactly as the local subcommands compose their reports, from
-   the same payload section printers, so the streamed chunks concatenate
-   to byte-identical output. *)
+(* Each request's report, composed from the payload section printers.
+   The local subcommands run these same plans, so the streamed chunks
+   concatenate to their stdout by construction. *)
 
 let analyze_section fmt p =
-  let o = objects p in
+  let o = objects_of p in
   Cell.pp_objects_summary fmt o;
   Cell.pp_objects_usage fmt o
 
-let run_sections =
-  [|
-    (fun fmt p -> Cell.pp_objects_summary fmt (objects p));
-    (fun fmt p ->
-      let pw = power p in
-      Cell.pp_power_trace_line fmt pw;
-      Cell.pp_power_normalized fmt pw);
-    (fun fmt p -> Cell.pp_place_assessment fmt (place p));
-  |]
-
 let power_section fmt p =
-  let pw = power p in
+  let pw = power_of p in
   Cell.pp_power_trace_line fmt pw;
   Cell.pp_power_stats fmt pw;
   Cell.pp_power_normalized fmt pw
 
-let perf_section fmt p = Cell.pp_perf_points fmt (perf p)
+let perf_section fmt p = Cell.pp_perf_points fmt (perf_of p)
 
 let place_section fmt p =
-  let pl = place p in
+  let pl = place_of p in
   Cell.pp_place_items fmt pl;
   Cell.pp_place_assessment fmt pl
 
-(* --- spec builders ------------------------------------------------------ *)
+(* [run]: objects summary, trace line and normalized power, assessment *)
+let run_cells =
+  [
+    (Cell.Objects, fun fmt p -> Cell.pp_objects_summary fmt (objects_of p));
+    ( Cell.Power,
+      fun fmt p ->
+        let pw = power_of p in
+        Cell.pp_power_trace_line fmt pw;
+        Cell.pp_power_normalized fmt pw );
+    (Cell.Place, fun fmt p -> Cell.pp_place_assessment fmt (place_of p));
+  ]
 
-let spec ?tech ?digest ~app ~scale ~iterations kind =
+(* --- plans -------------------------------------------------------------- *)
+
+(* One spec per (kind, section); only place cells carry the technology. *)
+let plan ?tech ?digest ?trace ~app ~scale ~iterations cells =
+  let spec kind =
+    {
+      Cell.app;
+      kind;
+      scale;
+      iterations;
+      tech =
+        (match (kind, tech) with
+        | Cell.Place, Some (t : Technology.t) -> Some t.tech
+        | _ -> None);
+      trace_digest = digest;
+    }
+  in
   {
-    Cell.app;
-    kind;
-    scale;
-    iterations;
-    tech = Option.map (fun (t : Technology.t) -> t.tech) tech;
-    trace_digest = digest;
+    specs = Array.of_list (List.map (fun (kind, _) -> spec kind) cells);
+    trace;
+    sections = Array.of_list (List.map snd cells);
   }
 
-let analyze ~app ~scale ~iterations =
+let live ?tech ~app ~scale ~iterations cells =
   let* () = check_app app in
+  let* tech =
+    match tech with
+    | None -> Ok None
+    | Some name -> Result.map Option.some (check_tech name)
+  in
   let* () = check_config ~scale ~iterations in
-  Ok
-    {
-      specs = [| spec ~app ~scale ~iterations Cell.Objects |];
-      trace = None;
-      sections = [| analyze_section |];
-    }
+  Ok (plan ?tech ~app ~scale ~iterations cells)
 
-let run_specs ?digest ~app ~scale ~iterations tech =
-  [|
-    spec ?digest ~app ~scale ~iterations Cell.Objects;
-    spec ?digest ~app ~scale ~iterations Cell.Power;
-    spec ~tech ?digest ~app ~scale ~iterations Cell.Place;
-  |]
+let analyze ~app ~scale ~iterations =
+  live ~app ~scale ~iterations [ (Cell.Objects, analyze_section) ]
 
 let run ~app ~scale ~iterations ~tech =
-  let* () = check_app app in
-  let* tech = check_tech tech in
-  let* () = check_config ~scale ~iterations in
-  Ok
-    {
-      specs = run_specs ~app ~scale ~iterations tech;
-      trace = None;
-      sections = run_sections;
-    }
+  live ~tech ~app ~scale ~iterations run_cells
+
+let power ~app ~scale ~iterations =
+  live ~app ~scale ~iterations [ (Cell.Power, power_section) ]
+
+let place ~app ~scale ~iterations ~tech =
+  live ~tech ~app ~scale ~iterations [ (Cell.Place, place_section) ]
 
 let trace_info path =
   try Ok (Nvsc_core.Trace_run.info path) with
   | Nvsc_memtrace.Trace_codec.Error msg | Sys_error msg ->
     bad ~field:"path" msg
 
+let replay_kinds =
+  [
+    ("run", run_cells);
+    ("objects", [ (Cell.Objects, analyze_section) ]);
+    ("power", [ (Cell.Power, power_section) ]);
+    ("perf", [ (Cell.Perf, perf_section) ]);
+    ("place", [ (Cell.Place, place_section) ]);
+  ]
+
 let replay ~path ~kind ~tech =
   let* tech = check_tech tech in
   let* meta, digest = trace_info path in
-  let app = meta.Nvsc_memtrace.Trace_codec.app in
-  let scale = meta.scale and iterations = meta.iterations in
-  let cell k = spec ~digest ~app ~scale ~iterations k in
-  let* specs, sections =
-    match kind with
-    | "run" ->
-      Ok (run_specs ~digest ~app ~scale ~iterations tech, run_sections)
-    | "objects" -> Ok ([| cell Cell.Objects |], [| analyze_section |])
-    | "power" -> Ok ([| cell Cell.Power |], [| power_section |])
-    | "perf" -> Ok ([| cell Cell.Perf |], [| perf_section |])
-    | "place" ->
-      Ok
-        ( [| spec ~tech ~digest ~app ~scale ~iterations Cell.Place |],
-          [| place_section |] )
-    | kind ->
+  let* cells =
+    match List.assoc_opt kind replay_kinds with
+    | Some cells -> Ok cells
+    | None ->
       bad ~field:"kind"
         (Nvsc_util.Cli.unknown ~what:"kind"
-           ~known:[ "run"; "objects"; "power"; "perf"; "place" ]
-           kind)
+           ~known:(List.map fst replay_kinds) kind)
   in
-  Ok { specs; trace = Some path; sections }
+  Ok
+    (plan ~tech ~digest ~trace:path ~app:meta.Nvsc_memtrace.Trace_codec.app
+       ~scale:meta.scale ~iterations:meta.iterations cells)
 
 let map_result f l =
   List.fold_right

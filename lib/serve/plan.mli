@@ -1,15 +1,16 @@
 (** Request → execution plan: which {!Nvsc_sweep.Cell}s to run, and how
-    to render each completed cell into the report chunk the client
-    streams.
+    to render each completed cell into its report chunk.
 
-    Cells are the daemon's unit of scheduling {e and} of caching, so
-    decomposing every analysis request into cells gives each request
-    per-cell parallelism on the shared pool and content-addressed
-    memoization for free — a warm [analyze] request is served without
-    running anything.  The section printers come from
-    {!Nvsc_sweep.Cell}, the same printers the local subcommands render
-    with, so the concatenated chunks are byte-identical to local
-    stdout. *)
+    A plan is the one path from a request to its report.  The daemon
+    streams each chunk to its client; the local [nvscav] subcommands
+    ([analyze], [run], [power], [place], [replay], [sweep]) execute the
+    same plan in-process through {!Nvsc_sweep.Engine} and print the same
+    chunks, so client output is byte-identical to local stdout by
+    construction.  Cells are the unit of caching, and the cells that
+    share one application run execute as one group
+    ({!Nvsc_sweep.Cell.group}) — a warm [analyze] request is served
+    without running anything, and a cold [run] runs the application
+    once. *)
 
 module Cell = Nvsc_sweep.Cell
 
@@ -22,6 +23,19 @@ type t = {
 
 val chunk : t -> int -> Cell.payload -> string
 (** Render cell [i]'s completed payload to its report chunk. *)
+
+val power : app:string -> scale:float -> iterations:int -> (t, Protocol.error) result
+(** [nvscav power APP]: one power cell (trace line, per-technology
+    statistics, normalized power).  Local only: not a protocol request. *)
+
+val place :
+  app:string ->
+  scale:float ->
+  iterations:int ->
+  tech:string ->
+  (t, Protocol.error) result
+(** [nvscav place APP]: one place cell (the NVRAM items, then the
+    assessment).  Local only: not a protocol request. *)
 
 val of_request : Protocol.request -> (t, Protocol.error) result
 (** Validates and decomposes an analysis request ([analyze]/[run]/

@@ -133,35 +133,42 @@ let run_plan t ~send ~id (plan : Plan.t) =
       (fun acc (_, found) -> if found = None then acc else acc + 1)
       0 looked_up
   in
-  (* Misses go to the shared pool; completed cells are stored from the
-     worker so the cache warms even if this client disconnects
-     mid-stream. *)
-  let tickets =
-    Array.map
-      (fun (spec, found) ->
-        match found with
-        | Some payload -> `Hit payload
-        | None ->
-          `Miss
-            (Pool.submit
-               ~cancelled:(fun () -> Atomic.get disconnected)
-               t.pool
-               (fun () ->
-                 let payload = Cell.execute ?trace:plan.Plan.trace spec in
-                 with_lock t.cache_mu (fun () ->
-                     Cache.store t.cache spec payload);
-                 payload)))
-      looked_up
-  in
+  (* Misses go to the shared pool, one task per group (one application
+     pass feeds every cell of a group; tasks never nest pools).
+     Completed cells are stored from the worker so the cache warms even
+     if this client disconnects mid-stream. *)
+  let tickets = Hashtbl.create 8 in
+  Nvsc_sweep.Engine.miss_groups looked_up
+  |> List.iter (fun group ->
+         let ticket =
+           Pool.submit
+             ~cancelled:(fun () -> Atomic.get disconnected)
+             t.pool
+             (fun () ->
+               let specs = List.map snd group in
+               let payloads =
+                 Cell.execute_group ?trace:plan.Plan.trace specs
+               in
+               List.iter2
+                 (fun spec payload ->
+                   with_lock t.cache_mu (fun () ->
+                       Cache.store t.cache spec payload))
+                 specs payloads;
+               List.combine (List.map fst group) payloads)
+         in
+         List.iter (fun (i, _) -> Hashtbl.add tickets i ticket) group);
   (* Await in report order: cell [i]'s chunk streams as soon as it (and
      everything before it) is done, while later cells still compute. *)
   let failure = ref None in
   Array.iteri
-    (fun i entry ->
+    (fun i (_, found) ->
       let outcome =
-        match entry with
-        | `Hit payload -> Pool.Done payload
-        | `Miss ticket -> Pool.await ticket
+        match found with
+        | Some payload -> Pool.Done payload
+        | None -> (
+          match Pool.await (Hashtbl.find tickets i) with
+          | Pool.Done payloads -> Pool.Done (List.assoc i payloads)
+          | (Pool.Failed _ | Pool.Cancelled) as o -> o)
       in
       if !failure = None && not (Atomic.get disconnected) then
         match outcome with
@@ -170,7 +177,7 @@ let run_plan t ~send ~id (plan : Plan.t) =
           with Closed -> Atomic.set disconnected true)
         | Pool.Failed e -> failure := Some (Printexc.to_string e)
         | Pool.Cancelled -> failure := Some "request was cancelled")
-    tickets;
+    looked_up;
   if Atomic.get disconnected then raise Closed;
   let n = Array.length plan.Plan.specs in
   match !failure with

@@ -81,7 +81,7 @@ let spec_of_json j =
       | Some d -> Some (to_str d));
   }
 
-let code_version = "nvsc-sweep-v2"
+let code_version = "nvsc-sweep-v3"
 
 let digest spec =
   Digest.to_hex
@@ -105,7 +105,6 @@ type objects_payload = {
   cdf : Usage_variance.cdf_point list;
   variance : Usage_variance.variance;
   untouched_fraction : float;
-  pipeline : Nvsc_appkit.Ctx.pipeline_stats;
 }
 
 type power_row = {
@@ -179,7 +178,6 @@ let objects_to_json (o : objects_payload) =
       ("cdf", Serial.cdf_to_json o.cdf);
       ("variance", Serial.variance_to_json o.variance);
       ("untouched_fraction", float o.untouched_fraction);
-      ("pipeline", Serial.pipeline_to_json o.pipeline);
     ]
 
 let objects_of_json j =
@@ -191,7 +189,6 @@ let objects_of_json j =
     cdf = Serial.cdf_of_json (member "cdf" j);
     variance = Serial.variance_of_json (member "variance" j);
     untouched_fraction = to_float (member "untouched_fraction" j);
-    pipeline = Serial.pipeline_of_json (member "pipeline" j);
   }
 
 let power_row_to_json (r : power_row) =
@@ -334,10 +331,6 @@ let info_of_result (r : Scavenger.result) =
     total_main_refs = r.total_main_refs;
   }
 
-let base_config (spec : spec) =
-  Scavenger.Config.(
-    default |> with_scale spec.scale |> with_iterations spec.iterations)
-
 let objects_payload_of_result (r : Scavenger.result) =
   {
     info = info_of_result r;
@@ -347,36 +340,32 @@ let objects_payload_of_result (r : Scavenger.result) =
     cdf = Usage_variance.usage_cdf r;
     variance = Usage_variance.variance r;
     untouched_fraction = Usage_variance.untouched_in_main_fraction r;
-    pipeline = r.pipeline;
   }
 
-let execute_objects spec app =
-  Objects_result (objects_payload_of_result (Scavenger.run (base_config spec) app))
-
-let power_payload_of_result (r : Scavenger.result) =
-  let trace = Option.get r.mem_trace in
+let power_rows ?jobs trace =
   let results =
-    Nvsc_dramsim.Memory_system.compare_technologies
+    Nvsc_dramsim.Memory_system.compare_technologies ?jobs
       ~techs:Technology.paper_set
       ~replay:(fun sink -> Trace_log.replay_batch trace sink)
       ()
   in
   let normalized = Nvsc_dramsim.Memory_system.normalized_power results in
-  let power_rows =
-    List.map2
-      (fun ((t : Technology.t), (s : Nvsc_dramsim.Controller.stats))
-           ((t' : Technology.t), n) ->
-        assert (t.tech = t'.Technology.tech);
-        {
-          tech_name = t.name;
-          avg_power_w = s.avg_power_w;
-          elapsed_ns = s.elapsed_ns;
-          row_hit_rate = s.row_hit_rate;
-          bandwidth_gbs = s.bandwidth_gbs;
-          normalized = n;
-        })
-      results normalized
-  in
+  List.map2
+    (fun ((t : Technology.t), (s : Nvsc_dramsim.Controller.stats))
+         ((t' : Technology.t), n) ->
+      assert (t.tech = t'.Technology.tech);
+      {
+        tech_name = t.name;
+        avg_power_w = s.avg_power_w;
+        elapsed_ns = s.elapsed_ns;
+        row_hit_rate = s.row_hit_rate;
+        bandwidth_gbs = s.bandwidth_gbs;
+        normalized = n;
+      })
+    results normalized
+
+let power_payload_of_result ?jobs (r : Scavenger.result) =
+  let trace = Option.get r.mem_trace in
   {
     p_info = info_of_result r;
     trace_length = Trace_log.length trace;
@@ -384,16 +373,9 @@ let power_payload_of_result (r : Scavenger.result) =
     trace_writes = Trace_log.writes trace;
     l1_miss_rate = r.l1_miss_rate;
     l2_miss_rate = r.l2_miss_rate;
-    power_rows;
+    power_rows = power_rows ?jobs trace;
     p_pipeline = r.pipeline;
   }
-
-let execute_power spec app =
-  Power_result
-    (power_payload_of_result
-       (Scavenger.run
-          Scavenger.Config.(base_config spec |> with_trace true)
-          app))
 
 let perf_rows_of_points points =
   List.map
@@ -406,13 +388,17 @@ let perf_rows_of_points points =
       })
     points
 
-let execute_perf spec app =
-  let points =
-    Nvsc_cpusim.Sensitivity.run
-      ~replay:(Nvsc_core.Experiment.perf_replay ~scale:spec.scale app)
-      ()
+(* Figure 12 replays the application once per technology through its own
+   performance model, so a perf cell never shares a pass. *)
+let execute_perf ?trace spec =
+  let replay =
+    match trace with
+    | Some path -> Nvsc_core.Trace_run.perf_replay path
+    | None ->
+      Nvsc_core.Experiment.perf_replay ~scale:spec.scale (find_app spec.app)
   in
-  Perf_result (perf_rows_of_points points)
+  Perf_result
+    (perf_rows_of_points (Nvsc_cpusim.Sensitivity.run ~replay ()))
 
 let place_payload_of_result spec (r : Scavenger.result) =
   let tech =
@@ -445,67 +431,90 @@ let place_payload_of_result spec (r : Scavenger.result) =
     assessment = Nvsc_placement.Hybrid_memory.assess hybrid;
   }
 
-let execute_place spec app =
-  Place_result
-    (place_payload_of_result spec (Scavenger.run (base_config spec) app))
-
 let m_cells = Nvsc_obs.Metrics.counter "sweep.cells"
 
-(* A trace-fed cell never re-runs the application: every kind is rebuilt
-   by streaming the recorded reference stream.  The spec's pinned digest
-   is re-verified against the file, so a cached payload can only ever be
-   served for the exact trace content it was computed from. *)
-let execute_from_trace spec path =
-  (match spec.trace_digest with
-  | None -> ()
-  | Some pinned ->
+let shares_pass a b =
+  a.kind <> Perf && b.kind <> Perf && a.app = b.app && a.scale = b.scale
+  && a.iterations = b.iterations && a.trace_digest = b.trace_digest
+
+(* Groups in order of first appearance, members in input order.  Sharing
+   is an equivalence on non-perf cells, so any member stands for its
+   group. *)
+let group cells =
+  let rec add cell = function
+    | [] -> [ [ cell ] ]
+    | ((_, member) :: _ as g) :: rest when shares_pass member (snd cell) ->
+      (cell :: g) :: rest
+    | g :: rest -> g :: add cell rest
+  in
+  List.map List.rev (List.fold_left (fun groups c -> add c groups) [] cells)
+
+let check_trace ?trace (spec : spec) =
+  match (trace, spec.trace_digest) with
+  | Some path, Some pinned ->
+    (* the pinned digest is re-verified against the file, so a cached
+       payload can only ever be served for the exact trace content it
+       was computed from *)
     let _, digest = Nvsc_core.Trace_run.info path in
     if digest <> pinned then
       invalid_arg
         (Printf.sprintf
            "Cell.execute: trace %s has digest %s but the spec pins %s" path
-           digest pinned));
-  match spec.kind with
-  | Objects ->
-    Objects_result (objects_payload_of_result (Nvsc_core.Trace_run.replay path))
-  | Power ->
-    Power_result (power_payload_of_result (Nvsc_core.Trace_run.replay path))
-  | Perf ->
-    Perf_result
-      (perf_rows_of_points
-         (Nvsc_cpusim.Sensitivity.run
-            ~replay:(Nvsc_core.Trace_run.perf_replay path)
-            ()))
-  | Place ->
-    Place_result
-      (place_payload_of_result spec (Nvsc_core.Trace_run.replay path))
+           digest pinned)
+  | None, Some _ ->
+    invalid_arg
+      "Cell.execute: spec pins a trace digest but no trace file was given"
+  | Some _, None | None, None -> ()
+
+(* The one pass a group shares: a trace-fed group streams the recorded
+   reference stream and never re-runs the application; a live group
+   filters its main-memory trace only when a power cell needs it. *)
+let shared_pass ?trace ~traced (spec : spec) =
+  match trace with
+  | Some path -> Nvsc_core.Trace_run.replay path
+  | None ->
+    Scavenger.run
+      Scavenger.Config.(
+        default |> with_scale spec.scale
+        |> with_iterations spec.iterations
+        |> with_trace traced)
+      (find_app spec.app)
+
+let execute_group ?jobs ?trace specs =
+  match specs with
+  | [] -> []
+  | lead :: rest ->
+    if rest <> [] && not (List.for_all (shares_pass lead) specs) then
+      invalid_arg "Cell.execute_group: the cells do not share one pass";
+    check_trace ?trace lead;
+    let traced = List.exists (fun s -> s.kind = Power) specs in
+    let pass = lazy (shared_pass ?trace ~traced lead) in
+    List.map
+      (fun spec ->
+        Nvsc_obs.Span.with_
+          ~arg:(spec.app ^ "/" ^ kind_to_string spec.kind)
+          "sweep.cell"
+        @@ fun () ->
+        Nvsc_obs.Metrics.Counter.incr m_cells;
+        match spec.kind with
+        | Objects -> Objects_result (objects_payload_of_result (Lazy.force pass))
+        | Power -> Power_result (power_payload_of_result ?jobs (Lazy.force pass))
+        | Place -> Place_result (place_payload_of_result spec (Lazy.force pass))
+        | Perf -> execute_perf ?trace spec)
+      specs
 
 let execute ?trace spec =
-  Nvsc_obs.Span.with_
-    ~arg:(spec.app ^ "/" ^ kind_to_string spec.kind)
-    "sweep.cell"
-  @@ fun () ->
-  Nvsc_obs.Metrics.Counter.incr m_cells;
-  match trace with
-  | Some path -> execute_from_trace spec path
-  | None ->
-    if spec.trace_digest <> None then
-      invalid_arg
-        "Cell.execute: spec pins a trace digest but no trace file was given";
-    let app = find_app spec.app in
-    (match spec.kind with
-    | Objects -> execute_objects spec app
-    | Power -> execute_power spec app
-    | Perf -> execute_perf spec app
-    | Place -> execute_place spec app)
+  match execute_group ?trace [ spec ] with
+  | [ payload ] -> payload
+  | _ -> assert false
 
 (* --- rendering ---------------------------------------------------------- *)
 
-(* Report sections, exposed individually so that the serve daemon can
-   stream exactly the sections the corresponding nvscav subcommand prints
-   (analyze = summary + usage; run = summary, trace line, normalized
-   power, assessment; ...) from decoded payloads, byte-identical to the
-   local printers over a fresh result. *)
+(* Report sections, exposed individually so that a request plan can
+   compose exactly the sections each nvscav report holds (analyze =
+   summary + usage; run = summary, trace line, normalized power,
+   assessment; ...) from payloads, fresh or decoded.  The local
+   subcommands and the serve daemon render through the same plans. *)
 
 let pp_header fmt spec =
   match spec.tech with
@@ -526,25 +535,41 @@ let pp_objects_usage fmt (o : objects_payload) =
     (Table.cell_pct o.untouched_fraction);
   Usage_variance.pp_variance fmt o.variance
 
-let pp_power_trace_line fmt (p : power_payload) =
+let pp_trace_line fmt ~length ~reads ~writes =
   Format.fprintf fmt "main-memory trace: %d accesses (%d reads, %d writes)@."
-    p.trace_length p.trace_reads p.trace_writes
+    length reads writes
 
-let pp_power_stats fmt (p : power_payload) =
+let pp_power_trace_line fmt (p : power_payload) =
+  pp_trace_line fmt ~length:p.trace_length ~reads:p.trace_reads
+    ~writes:p.trace_writes
+
+let pp_row_stats fmt rows =
   List.iter
     (fun r ->
       Format.fprintf fmt
         "%-8s avg power %a  elapsed %a  row-hit %.2f  bandwidth %.2fGB/s@."
         r.tech_name Units.pp_watts r.avg_power_w Units.pp_ns r.elapsed_ns
         r.row_hit_rate r.bandwidth_gbs)
-    p.power_rows
+    rows
 
-let pp_power_normalized fmt (p : power_payload) =
+let pp_power_stats fmt (p : power_payload) = pp_row_stats fmt p.power_rows
+
+let pp_row_normalized fmt rows =
   List.iter
     (fun r ->
       Format.fprintf fmt "%-8s normalized power %.3f@." r.tech_name
         r.normalized)
-    p.power_rows
+    rows
+
+let pp_power_normalized fmt (p : power_payload) =
+  pp_row_normalized fmt p.power_rows
+
+let pp_power_of_trace fmt trace =
+  let rows = power_rows trace in
+  pp_trace_line fmt ~length:(Trace_log.length trace)
+    ~reads:(Trace_log.reads trace) ~writes:(Trace_log.writes trace);
+  pp_row_stats fmt rows;
+  pp_row_normalized fmt rows
 
 let pp_perf_points fmt rows =
   List.iter

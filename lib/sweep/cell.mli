@@ -1,11 +1,12 @@
 (** One cell of an experiment matrix: an (application × analysis kind ×
     configuration) point, its execution, and its serialized form.
 
-    A cell is the sweep engine's unit of scheduling and of caching: every
-    cell runs an isolated {!Nvsc_core.Scavenger} pipeline (no state shared
-    with other cells, so cells may execute on any worker domain in any
-    order), returns a plain-data payload, and owns a content digest that
-    keys the on-disk result cache.  Payload codecs round-trip exactly: a
+    A cell is the sweep engine's unit of caching: it returns a plain-data
+    payload and owns a content digest that keys the on-disk result cache.
+    Its unit of scheduling is a {e group}: the cells that can be derived
+    from one {!Nvsc_core.Scavenger} pass over the same application run
+    (see {!group}).  Groups share no state, so they may execute on any
+    worker domain in any order.  Payload codecs round-trip exactly: a
     decoded payload renders byte-identically to a fresh one. *)
 
 module Json = Nvsc_util.Json
@@ -63,7 +64,6 @@ type objects_payload = {
   cdf : Nvsc_core.Usage_variance.cdf_point list;
   variance : Nvsc_core.Usage_variance.variance;
   untouched_fraction : float;
-  pipeline : Nvsc_appkit.Ctx.pipeline_stats;
 }
 
 type power_row = {
@@ -110,17 +110,34 @@ val payload_to_json : payload -> Json.t
 val payload_of_json : Json.t -> payload
 (** Raises {!Nvsc_util.Json.Parse_error} on a foreign or stale shape. *)
 
-val execute : ?trace:string -> spec -> payload
-(** Run the cell.  Re-entrant and domain-safe: builds a fresh context,
-    touches no global mutable state.  Raises [Invalid_argument] on an
-    unknown application name.
+val group : (int * spec) list -> (int * spec) list list
+(** Partition indexed cells into execution groups, in order of first
+    appearance, members in input order.  Cells share a group when they
+    have the same application, scale, iterations and trace digest and
+    none is [Perf]: one run of that configuration yields all their
+    payloads.  Every [Perf] cell is a group of its own, because figure 12
+    replays the application once per technology through its own model. *)
 
-    With [trace] (a path to an [.nvt] file, see
-    {!Nvsc_memtrace.Trace_codec}), the cell streams the recorded
-    reference stream instead of re-running the application — one recorded
-    trace feeds every analysis kind.  If the spec pins a [trace_digest],
-    the file's digest must match ([Invalid_argument] otherwise); a spec
-    that pins a digest cannot execute without a trace. *)
+val execute_group : ?jobs:int -> ?trace:string -> spec list -> payload list
+(** Run one group (as formed by {!group}) and return its payloads in
+    input order.  A live group makes one {!Nvsc_core.Scavenger.run},
+    with the main-memory trace filtered only if the group holds a
+    [Power] cell; a trace-fed group makes one
+    {!Nvsc_core.Trace_run.replay}.  Each payload is projected from that
+    one result and is equal to what {!execute} returns for the cell
+    alone.  [jobs] (default 1) is handed to the power cells' technology
+    comparison.  Re-entrant and domain-safe: builds a fresh context,
+    touches no global mutable state.
+
+    Raises [Invalid_argument] if the cells do not share one pass, on an
+    unknown application name, and on a trace mismatch: with [trace] (a
+    path to an [.nvt] file, see {!Nvsc_memtrace.Trace_codec}) the cells
+    stream the recorded reference stream instead of re-running the
+    application, and a pinned [trace_digest] must match the file's; a
+    spec that pins a digest cannot execute without a trace. *)
+
+val execute : ?trace:string -> spec -> payload
+(** [execute_group] of the one cell. *)
 
 val render : Format.formatter -> spec -> payload -> unit
 (** The cell's section of the aggregated sweep report (header line plus
@@ -128,11 +145,12 @@ val render : Format.formatter -> spec -> payload -> unit
 
 (** {1 Report sections}
 
-    {!render}'s constituents, exposed individually so the serve daemon
-    can compose exactly the sections each [nvscav] subcommand prints
-    ([analyze] = summary + usage; [run] = summary, trace line, normalized
-    power, assessment; [power]/[perf]/[place] likewise) from decoded
-    payloads.  Each section starts at column 0 and ends with a newline,
+    {!render}'s constituents, exposed individually so a request plan
+    ([Nvsc_serve.Plan]) can compose exactly the sections each [nvscav]
+    report holds ([analyze] = summary + usage; [run] = summary, trace
+    line, normalized power, assessment; [power]/[perf]/[place] likewise)
+    from payloads, fresh or decoded; the local subcommands and the serve
+    daemon render through the same plans.  Each section starts at column 0 and ends with a newline,
     so concatenated sections are byte-identical to one continuous
     render. *)
 
@@ -145,3 +163,8 @@ val pp_power_normalized : Format.formatter -> power_payload -> unit
 val pp_perf_points : Format.formatter -> perf_row list -> unit
 val pp_place_items : Format.formatter -> place_payload -> unit
 val pp_place_assessment : Format.formatter -> place_payload -> unit
+
+val pp_power_of_trace : Format.formatter -> Nvsc_memtrace.Trace_log.t -> unit
+(** The [power] report (trace line, per-technology statistics,
+    normalized power) for a main-memory trace that comes with no run,
+    such as a DRAMSim2 text trace. *)

@@ -11,21 +11,32 @@ type stats = {
   jobs : int;
 }
 
-let run ?jobs ?cache ?trace matrix =
+let miss_groups looked_up =
+  Array.to_list looked_up
+  |> List.mapi (fun i (spec, found) -> (i, spec, found))
+  |> List.filter_map (fun (i, spec, found) ->
+         match found with None -> Some (i, spec) | Some _ -> None)
+  |> Cell.group
+
+(* One pass per group.  A lone group gets the whole width for its
+   technology comparison; several groups spread across the width and
+   compare serially, so pools never nest. *)
+let execute_misses ~jobs ?trace looked_up =
+  let execute ?jobs group =
+    List.combine (List.map fst group)
+      (Cell.execute_group ?jobs ?trace (List.map snd group))
+  in
+  match miss_groups looked_up with
+  | [ group ] -> execute ~jobs group
+  | groups ->
+    List.concat
+      (Array.to_list
+         (Nvsc_team.Pool.map ~jobs (fun g -> execute g) (Array.of_list groups)))
+
+let run_specs ?jobs ?cache ?trace specs =
   Nvsc_obs.Span.with_ "sweep.run" @@ fun () ->
   let jobs =
     match jobs with Some j -> j | None -> Nvsc_team.Pool.default_jobs ()
-  in
-  let specs = Array.of_list (Matrix.cells matrix) in
-  (* Trace-fed sweep: read the trace digest once and stamp it into every
-     spec, so the cache keys on the trace *content* — re-analyzing the
-     same recorded trace hits, a re-recorded (different) trace misses. *)
-  let specs =
-    match trace with
-    | None -> specs
-    | Some path ->
-      let _, digest = Nvsc_core.Trace_run.info path in
-      Array.map (fun s -> { s with Cell.trace_digest = Some digest }) specs
   in
   (* Serial cache pass on the calling domain: the cache never sees
      concurrent access, and hit/miss order is deterministic. *)
@@ -37,26 +48,13 @@ let run ?jobs ?cache ?trace matrix =
         | Some c -> (spec, Cache.find c spec))
       specs
   in
-  let miss_indices =
-    Array.to_list looked_up
-    |> List.mapi (fun i (_, found) -> (i, found))
-    |> List.filter_map (fun (i, found) ->
-           match found with None -> Some i | Some _ -> None)
-    |> Array.of_list
-  in
-  let computed =
-    Nvsc_team.Pool.map ~jobs
-      (fun i -> Cell.execute ?trace (fst looked_up.(i)))
-      miss_indices
-  in
-  let by_index = Hashtbl.create (Array.length miss_indices) in
-  Array.iteri (fun k i -> Hashtbl.add by_index i computed.(k)) miss_indices;
+  let computed = execute_misses ~jobs ?trace looked_up in
   let outcomes =
     Array.mapi
       (fun i (spec, found) ->
         match found with
         | Some payload -> { spec; payload; cached = true }
-        | None -> { spec; payload = Hashtbl.find by_index i; cached = false })
+        | None -> { spec; payload = List.assoc i computed; cached = false })
       looked_up
   in
   (match cache with
@@ -78,6 +76,20 @@ let run ?jobs ?cache ?trace matrix =
       evictions = cache_stats.evictions;
       jobs = max 1 (min jobs (max 1 (Array.length specs)));
     } )
+
+let run ?jobs ?cache ?trace matrix =
+  let specs = Array.of_list (Matrix.cells matrix) in
+  (* Trace-fed sweep: read the trace digest once and stamp it into every
+     spec, so the cache keys on the trace *content* — re-analyzing the
+     same recorded trace hits, a re-recorded (different) trace misses. *)
+  let specs =
+    match trace with
+    | None -> specs
+    | Some path ->
+      let _, digest = Nvsc_core.Trace_run.info path in
+      Array.map (fun s -> { s with Cell.trace_digest = Some digest }) specs
+  in
+  run_specs ?jobs ?cache ?trace specs
 
 let pp_stats fmt s =
   Format.fprintf fmt "sweep: cells=%d hits=%d misses=%d evictions=%d jobs=%d"

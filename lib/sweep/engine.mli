@@ -1,11 +1,12 @@
-(** The sweep engine: executes a {!Matrix.t} on a domain pool with an
-    optional content-addressed result cache.
+(** The sweep engine: executes a {!Matrix.t} (or any list of cells) on a
+    domain pool with an optional content-addressed result cache.
 
     Execution order never leaks into output: cache lookups and stores run
-    serially on the calling domain, only cell execution fans out, and
-    outcomes are collected in matrix order — so a sweep's rendered report
-    is byte-identical regardless of [jobs] and of which cells were cache
-    hits. *)
+    serially on the calling domain, only the cache misses' execution fans
+    out — one task per {!Cell.group}, one application pass per group —
+    and outcomes are collected in cell order, so a sweep's rendered
+    report is byte-identical regardless of [jobs] and of which cells were
+    cache hits. *)
 
 type outcome = {
   spec : Cell.spec;
@@ -29,6 +30,23 @@ val run :
     re-running its application, and the trace's content digest is stamped
     into each spec before lookup — so the cache keys on trace content and
     a warm re-analysis of the same trace reports [misses=0]. *)
+
+val run_specs :
+  ?jobs:int ->
+  ?cache:Cache.t ->
+  ?trace:string ->
+  Cell.spec array ->
+  outcome array * stats
+(** {!run} over explicit cells, in the given order; the specs are used as
+    given (a trace-fed spec should already pin the trace's digest).  When
+    the misses form a single group, the group gets the whole [jobs] width
+    for its technology comparison; otherwise the groups spread across the
+    width and each compares serially. *)
+
+val miss_groups :
+  (Cell.spec * Cell.payload option) array -> (int * Cell.spec) list list
+(** The cells a cache lookup missed ([None]), with their indices, in
+    {!Cell.group}s: one application pass each. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** One-line [sweep: cells=.. hits=.. misses=.. evictions=.. jobs=..]. *)

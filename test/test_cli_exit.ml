@@ -75,7 +75,38 @@ let table =
     ("help ok", [ "analyze"; "--help=plain" ], 0);
   ]
 
+(* DRAMSim2 text traces [power --from-file] must refuse with a
+   positioned message.  A negative address used to decode to a negative
+   rank or bank and either print nonsense (exit 0) or index the
+   controller's arrays out of bounds; a malformed record escaped as an
+   uncaught [Failure] (exit 125). *)
+let bad_text_traces =
+  [
+    ("negative address before a valid one", "-0x100000 READ 0\n0x40 READ 1\n");
+    ("negative address", "-0x20000 READ 0\n");
+    ("malformed text record", "zzz READ 0\n");
+  ]
+
+let with_text_trace_rows f =
+  let rows =
+    List.map
+      (fun (name, contents) ->
+        let path = Filename.temp_file "nvscav-text-trace" ".txt" in
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc contents);
+        (name, [ "power"; "gtc"; "--from-file"; path ], 2))
+      bad_text_traces
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (_, args, _) ->
+          try Sys.remove (List.nth args 3) with Sys_error _ -> ())
+        rows)
+    (fun () -> f rows)
+
 let test_exit_codes () =
+  with_text_trace_rows @@ fun trace_rows ->
   List.iter
     (fun (name, args, expected) ->
       let code, out, err = run_nvscav args in
@@ -91,7 +122,7 @@ let test_exit_codes () =
           (name ^ ": usage error prints nothing on stdout")
           "" out
       end)
-    table
+    (table @ trace_rows)
 
 let suite =
   [ Alcotest.test_case "exit-code table" `Slow test_exit_codes ]

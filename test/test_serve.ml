@@ -400,6 +400,24 @@ let test_warm_cache () =
     warm.Client.hits;
   Alcotest.(check string) "cached output is byte-identical" cold_out warm_out
 
+(* [run] after [analyze] reuses the cached objects cell, and its two
+   missing cells share one application run. *)
+let test_run_after_analyze_shares_cells () =
+  with_server @@ fun ~sock _t ->
+  let c = connect_exn sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let runs = Nvsc_obs.Metrics.counter "scavenger.runs" in
+  let _ = request_exn c analyze_req in
+  let before = Nvsc_obs.Metrics.Counter.get runs in
+  let reply =
+    request_exn c
+      (Protocol.Run { app = "gtc"; scale = 0.1; iterations = 1; tech = "sttram" })
+  in
+  Alcotest.(check int) "objects cell served from the cache" 1 reply.Client.hits;
+  Alcotest.(check int) "power and place cells computed" 2 reply.Client.misses;
+  Alcotest.(check int) "in one scavenger run" 1
+    (Nvsc_obs.Metrics.Counter.get runs - before)
+
 (* Four concurrent clients — two analyzes, a sweep and a stats poll —
    each checked byte-for-byte against the spawned local binary. *)
 let test_concurrent_clients_byte_identical () =
@@ -598,6 +616,8 @@ let suite =
     Alcotest.test_case "server: ping and stats" `Quick test_ping_and_stats;
     Alcotest.test_case "server: repeated request is a full cache hit" `Slow
       test_warm_cache;
+    Alcotest.test_case "server: run after analyze, one run for two misses"
+      `Slow test_run_after_analyze_shares_cells;
     Alcotest.test_case "server: concurrent clients, byte-identical output"
       `Slow test_concurrent_clients_byte_identical;
     Alcotest.test_case "server: malformed frames answered, connection kept"

@@ -359,6 +359,104 @@ let test_experiments_path_matches_legacy () =
   Alcotest.(check string) "warm-cache rerun is byte-identical" cold
     (engine_run ())
 
+(* --- grouped execution ---------------------------------------------------- *)
+
+let runs = Nvsc_obs.Metrics.counter "scavenger.runs"
+
+let payload_json p = Json.to_string (Cell.payload_to_json p)
+
+let count_spans name f =
+  Nvsc_obs.Span.reset ();
+  let v = Nvsc_obs.scoped Nvsc_obs.on f in
+  let n =
+    List.length
+      (List.filter
+         (fun (e : Nvsc_obs.Span.event) -> e.name = name)
+         (Nvsc_obs.Span.events ()))
+  in
+  Nvsc_obs.Span.reset ();
+  (v, n)
+
+(* One pass per group must be exactly as good as one pass per cell: every
+   payload of the group equals the payload of the cell run alone. *)
+let check_group_equals_separate ?trace ~pass specs =
+  let separate, separate_passes =
+    count_spans pass (fun () -> List.map (Cell.execute ?trace) specs)
+  in
+  let before = Nvsc_obs.Metrics.Counter.get runs in
+  let grouped, grouped_passes =
+    count_spans pass (fun () -> Cell.execute_group ?trace specs)
+  in
+  let runs_made = Nvsc_obs.Metrics.Counter.get runs - before in
+  List.iter2
+    (fun (s : Cell.spec) (a, b) ->
+      Alcotest.(check string)
+        (Cell.kind_to_string s.kind ^ " payload: group = alone")
+        (payload_json a) (payload_json b))
+    specs
+    (List.combine separate grouped);
+  Alcotest.(check int) ("one " ^ pass ^ " per cell alone")
+    (List.length specs) separate_passes;
+  Alcotest.(check int) ("one " ^ pass ^ " for the group") 1 grouped_passes;
+  runs_made
+
+let run_kinds = [ Cell.Objects; Cell.Power; Cell.Place ]
+
+let test_group_live () =
+  let specs =
+    List.map
+      (fun kind ->
+        match kind with
+        | Cell.Place -> spec ~app:"gtc" ~kind ~tech:Technology.PCRAM ()
+        | _ -> spec ~app:"gtc" ~kind ())
+      run_kinds
+  in
+  Alcotest.(check int) "exactly one scavenger run" 1
+    (check_group_equals_separate ~pass:"scavenger.run" specs)
+
+let test_group_trace_fed () =
+  let path =
+    Option.value (Sys.getenv_opt "GOLDEN_NVT") ~default:"test/golden/mini.nvt"
+  in
+  let meta, digest = Nvsc_core.Trace_run.info path in
+  let specs =
+    List.map
+      (fun kind ->
+        spec ~app:meta.Nvsc_memtrace.Trace_codec.app ~kind
+          ~scale:meta.scale ~iterations:meta.iterations
+          ?tech:(if kind = Cell.Place then Some Technology.MRAM else None)
+          ~trace_digest:digest ())
+      run_kinds
+  in
+  Alcotest.(check int) "no application run" 0
+    (check_group_equals_separate ~trace:path ~pass:"trace.replay" specs)
+
+let test_group_partition () =
+  let cells =
+    List.mapi
+      (fun i s -> (i, s))
+      [
+        spec ~kind:Cell.Objects ();
+        spec ~kind:Cell.Perf ();
+        spec ~kind:Cell.Power ();
+        spec ~kind:Cell.Objects ~scale:0.2 ();
+        spec ~kind:Cell.Perf ();
+        spec ~kind:Cell.Place ~tech:Technology.MRAM ();
+        spec ~kind:Cell.Objects ~trace_digest:(String.make 32 'a') ();
+        spec ~app:"gtc" ~kind:Cell.Place ();
+      ]
+  in
+  Alcotest.(check (list (list int)))
+    "groups by run configuration, perf alone, first-appearance order"
+    [ [ 0; 2; 5 ]; [ 1 ]; [ 3 ]; [ 4 ]; [ 6 ]; [ 7 ] ]
+    (List.map (List.map fst) (Cell.group cells));
+  Alcotest.(check bool) "cells of different runs rejected" true
+    (match
+       Cell.execute_group [ spec (); spec ~kind:Cell.Power ~iterations:3 () ]
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
@@ -383,4 +481,9 @@ let suite =
       test_engine_cache_cold_then_warm;
     Alcotest.test_case "experiments path matches legacy" `Slow
       test_experiments_path_matches_legacy;
+    Alcotest.test_case "group partition" `Quick test_group_partition;
+    Alcotest.test_case "live group equals separate cells, one run" `Quick
+      test_group_live;
+    Alcotest.test_case "trace-fed group equals separate cells, one replay"
+      `Quick test_group_trace_fed;
   ]

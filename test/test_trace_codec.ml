@@ -571,6 +571,17 @@ let test_trace_file_size_and_errors () =
           ("path in " ^ msg) true (contains msg path);
         Alcotest.(check bool)
           ("line number in " ^ msg) true (contains msg "(line 2)"));
+      (* a negative address would decode to a negative rank or bank *)
+      List.iter
+        (fun addr ->
+          write_file path ("0x40 P_MEM_RD 0\n" ^ addr ^ " READ 1\n");
+          match Trace_file.load path with
+          | _ -> Alcotest.fail ("accepted address " ^ addr)
+          | exception Failure msg ->
+            Alcotest.(check bool)
+              ("negative address named in " ^ msg) true
+              (contains msg "negative address" && contains msg "(line 2)"))
+        [ "-0x100000"; "-0x20000"; "-1"; "0x7fffffffffffffff" ];
       write_file path "0x40 P_MEM_RD 0\n";
       let log = Trace_file.load ~size:16 path in
       Alcotest.(check int)
