@@ -264,8 +264,13 @@ let perf_cmd =
     in
     Arg.(value & flag & info [ "asymmetric" ] ~doc)
   in
-  let run () name scale asymmetric =
+  let run () name scale asymmetric profile =
+    with_trace_errors @@ fun () ->
     with_app name (fun app ->
+        Nvsc_obs.with_profiling
+          ?trace_out:(Cli.profile_trace_out profile)
+          ~enabled:(Cli.profile_enabled profile)
+        @@ fun () ->
         let points =
           Nvsc_cpusim.Sensitivity.run ~asymmetric
             ~replay:(Nvsc_core.Experiment.perf_replay ~scale app)
@@ -276,10 +281,14 @@ let perf_cmd =
   let info =
     Cmd.info "perf"
       ~doc:"Performance sensitivity to memory latency (the figure 12 \
-            experiment for one application)."
+            experiment for one application).  One pass over the \
+            application accounts every technology."
   in
   Cmd.v info
-    Term.(ret (const run $ logs_term $ app_arg $ scale_arg $ asymmetric_arg))
+    Term.(
+      ret
+        (const run $ logs_term $ app_arg $ scale_arg $ asymmetric_arg
+       $ Cli.profile))
 
 (* --- place ------------------------------------------------------------- *)
 

@@ -42,8 +42,7 @@ val perf_replay : string -> Nvsc_cpusim.Perf_model.t -> unit
     performance model — the trace-driven counterpart of
     {!Experiment.perf_replay}, for {!Nvsc_cpusim.Sensitivity.run}'s
     [~replay].  Byte-identical to live perf reports when the trace was
-    recorded with [iterations = 1] at the perf scale.  Re-opens the trace
-    on each call (the sensitivity sweep replays once per technology). *)
+    recorded with [iterations = 1] at the perf scale. *)
 
 val info : string -> Nvsc_memtrace.Trace_codec.meta * string
 (** Header/trailer-only peek: the trace's recording metadata and content

@@ -20,7 +20,27 @@
     - TLB misses add a fixed page-walk penalty.
 
     The memory hierarchy is the paper's Table II cache configuration
-    (via {!Nvsc_cachesim.Hierarchy}). *)
+    (via {!Nvsc_cachesim.Hierarchy}).
+
+    {2 One classifier, one ledger per latency}
+
+    Most of the model ignores memory latency, so one model serves any
+    number of latencies from a single pass over the stream:
+
+    - the {e classifier}, shared, holds the cache hierarchy, the TLB, the
+      stream prefetcher and the miss-cluster state, and counts everything
+      latency cannot change: base cycles, L2 and TLB stalls, hits,
+      accesses and clusters;
+    - each {e ledger} holds what latency does change: its memory-stall
+      cycles and, with posted writes, its own write buffer.
+
+    Ledgers change at three points only — a closed miss cluster (charged
+    at each ledger's latency), a covered miss's bandwidth slot and a
+    posted write (whose buffer is timed by that ledger's own cycle
+    count) — and each applies to every ledger in turn.  Each ledger
+    therefore makes the same float additions, in the same order, as a
+    one-latency model fed the same stream: its report is bit-identical to
+    that model's. *)
 
 type t
 
@@ -33,7 +53,9 @@ val create :
   mem_latency_ns:float ->
   unit ->
   t
-(** Without [mem_write_latency_ns], writes behave like reads at
+(** A model with one ledger.
+
+    Without [mem_write_latency_ns], writes behave like reads at
     [mem_latency_ns] — the paper's §V assumption ("the current simulator
     does not differentiate between read and write latencies"), which makes
     the result a performance lower bound.
@@ -44,7 +66,32 @@ val create :
     by holding a buffer entry for the write duration, and the pipeline
     stalls only when the buffer is full.  This is how hardware actually
     absorbs NVRAM's slow writes, and quantifies how conservative the
-    paper's lower bound is. *)
+    paper's lower bound is.
+
+    @raise Invalid_argument unless every latency is finite and positive
+    and [write_buffer_entries] is positive. *)
+
+type latency = {
+  mem_latency_ns : float;
+  mem_write_latency_ns : float option;
+      (** [Some w] posts writes at [w], as in {!create} *)
+}
+(** One ledger's latencies. *)
+
+val create_ledgers :
+  ?params:Core_params.t ->
+  ?l1d:Nvsc_cachesim.Cache_params.t ->
+  ?l2:Nvsc_cachesim.Cache_params.t ->
+  ?write_buffer_entries:int ->
+  latency list ->
+  t
+(** A model with one ledger per latency, in list order; each ledger has
+    its own write buffer of [write_buffer_entries].  {!reports} gives, for
+    each, exactly what {!create} with that latency would report.
+
+    @raise Invalid_argument on an empty list, on a latency that is not
+    finite and positive, or when only some ledgers post writes (the
+    classifier treats write misses the same on every ledger). *)
 
 val instructions : t -> int -> unit
 (** Account [n] committed non-memory instructions. *)
@@ -76,6 +123,10 @@ type report = {
   tlb_misses : int;
 }
 
-val report : t -> report
+val reports : t -> report list
+(** One report per ledger, in the order the latencies were given.  A
+    cluster still open is charged in the report, not in the model, so
+    accounting may continue afterwards. *)
 
-val mem_latency_ns : t -> float
+val report : t -> report
+(** The first ledger's report — the only one of a model from {!create}. *)

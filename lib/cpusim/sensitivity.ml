@@ -8,31 +8,32 @@ type point = {
   report : Perf_model.report;
 }
 
+let is_ddr3 (t : Technology.t) = t.tech = Technology.DDR3
+
 let run ?params ?(techs = Technology.paper_set) ?(asymmetric = false) ~replay
     () =
-  let raw =
-    List.map
-      (fun (tech : Technology.t) ->
-        Nvsc_obs.Span.with_ ~arg:tech.name "cpusim.sensitivity" @@ fun () ->
-        let model =
-          if asymmetric then
-            Perf_model.create ?params
-              ~mem_write_latency_ns:tech.write_latency_ns
-              ~mem_latency_ns:tech.read_latency_ns ()
-          else
-            Perf_model.create ?params
-              ~mem_latency_ns:tech.perf_sim_latency_ns ()
-        in
-        replay model;
-        (tech, Perf_model.report model))
-      techs
+  if not (List.exists is_ddr3 techs) then
+    invalid_arg "Sensitivity.run: DDR3 baseline required";
+  let latency (tech : Technology.t) =
+    if asymmetric then
+      {
+        Perf_model.mem_latency_ns = tech.read_latency_ns;
+        mem_write_latency_ns = Some tech.write_latency_ns;
+      }
+    else
+      { mem_latency_ns = tech.perf_sim_latency_ns; mem_write_latency_ns = None }
   in
+  let reports =
+    let names = List.map (fun (t : Technology.t) -> t.name) techs in
+    Nvsc_obs.Span.with_ ~arg:(String.concat "," names) "cpusim.sensitivity"
+    @@ fun () ->
+    let model = Perf_model.create_ledgers ?params (List.map latency techs) in
+    replay model;
+    Perf_model.reports model
+  in
+  let raw = List.combine techs reports in
   let base =
-    match
-      List.find_opt (fun ((t : Technology.t), _) -> t.tech = Technology.DDR3) raw
-    with
-    | Some (_, r) -> r.Perf_model.runtime_ns
-    | None -> invalid_arg "Sensitivity.run: DDR3 baseline required"
+    (snd (List.find (fun (t, _) -> is_ddr3 t) raw)).Perf_model.runtime_ns
   in
   List.map
     (fun ((tech : Technology.t), (r : Perf_model.report)) ->

@@ -22,10 +22,13 @@ val run :
   replay:(Perf_model.t -> unit) ->
   unit ->
   point list
-(** [replay model] must drive the identical instruction/reference stream
-    into [model] on every invocation ({!Perf_model.instructions} /
-    {!Perf_model.access}).  [techs] defaults to the paper's four
-    technologies; the list must include DDR3 for normalisation.
+(** [replay model] is called exactly once: it drives the application's
+    instruction/reference stream into [model] ({!Perf_model.instructions} /
+    {!Perf_model.access}), which accounts every technology at once, one
+    ledger each (see {!Perf_model.create_ledgers}).  [techs] defaults to
+    the paper's four technologies; the list must include DDR3 for
+    normalisation, which is checked before [replay] runs.  The pass is
+    one [cpusim.sensitivity] span whose argument lists the technologies.
 
     [asymmetric] (default false) removes the paper's read-=-write
     assumption: reads use each technology's read latency and writes are

@@ -388,8 +388,10 @@ let perf_rows_of_points points =
       })
     points
 
-(* Figure 12 replays the application once per technology through its own
-   performance model, so a perf cell never shares a pass. *)
+(* Figure 12 drives the application (or the trace) once, at the perf
+   scale and one iteration, into a performance model with one cycle ledger
+   per technology; that pass is not a [Scavenger.run], so a perf cell
+   never shares one. *)
 let execute_perf ?trace spec =
   let replay =
     match trace with

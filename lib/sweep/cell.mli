@@ -116,7 +116,8 @@ val group : (int * spec) list -> (int * spec) list list
     have the same application, scale, iterations and trace digest and
     none is [Perf]: one run of that configuration yields all their
     payloads.  Every [Perf] cell is a group of its own, because figure 12
-    replays the application once per technology through its own model. *)
+    drives the application through the performance model (one pass for
+    every technology), not through a [Scavenger.run]. *)
 
 val execute_group : ?jobs:int -> ?trace:string -> spec list -> payload list
 (** Run one group (as formed by {!group}) and return its payloads in

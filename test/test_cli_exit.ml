@@ -73,6 +73,7 @@ let table =
     ("list ok", [ "list" ], 0);
     ("version ok", [ "--version" ], 0);
     ("help ok", [ "analyze"; "--help=plain" ], 0);
+    ("perf profile ok", [ "perf"; "gtc"; "--scale"; "0.05"; "--profile" ], 0);
   ]
 
 (* DRAMSim2 text traces [power --from-file] must refuse with a

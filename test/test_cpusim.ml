@@ -190,18 +190,99 @@ let test_write_buffer_saturates () =
     (run 1000. > 1.5 *. run 10.)
 
 let test_sensitivity_requires_ddr3 () =
+  let calls = ref 0 in
   Alcotest.check_raises "no baseline"
     (Invalid_argument "Sensitivity.run: DDR3 baseline required") (fun () ->
       ignore
         (Sensitivity.run
            ~techs:[ Tech.get Tech.PCRAM ]
-           ~replay:(fun _ -> ())
-           ()))
+           ~replay:(fun _ -> incr calls)
+           ()));
+  Alcotest.(check int) "replay never called" 0 !calls
+
+(* Every technology is accounted from one pass over the stream. *)
+let test_sensitivity_one_pass () =
+  List.iter
+    (fun asymmetric ->
+      let calls = ref 0 in
+      let points =
+        Sensitivity.run ~asymmetric ~techs:Tech.all
+          ~replay:(fun m ->
+            incr calls;
+            Perf_model.instructions m 8;
+            Perf_model.access m (Access.write ~addr:4096 ~size:8))
+          ()
+      in
+      Alcotest.(check int) "one replay" 1 !calls;
+      Alcotest.(check int) "one point per technology" (List.length Tech.all)
+        (List.length points))
+    [ false; true ]
 
 let test_invalid_latency () =
-  Alcotest.check_raises "latency"
-    (Invalid_argument "Perf_model.create: latency") (fun () ->
-      ignore (Perf_model.create ~mem_latency_ns:0. ()))
+  let rejects name what f =
+    Alcotest.check_raises name (Invalid_argument what) (fun () -> ignore (f ()))
+  in
+  List.iter
+    (fun lat ->
+      let name = Printf.sprintf "%h" lat in
+      rejects ("latency " ^ name) "Perf_model.create: latency" (fun () ->
+          Perf_model.create ~mem_latency_ns:lat ());
+      rejects ("write latency " ^ name) "Perf_model.create: write latency"
+        (fun () ->
+          Perf_model.create ~mem_write_latency_ns:lat ~mem_latency_ns:10. ());
+      rejects ("ledger latency " ^ name) "Perf_model.create_ledgers: latency"
+        (fun () ->
+          Perf_model.create_ledgers
+            [
+              { mem_latency_ns = 10.; mem_write_latency_ns = None };
+              { mem_latency_ns = lat; mem_write_latency_ns = None };
+            ]);
+      rejects ("ledger write latency " ^ name)
+        "Perf_model.create_ledgers: write latency" (fun () ->
+          Perf_model.create_ledgers
+            [ { mem_latency_ns = 10.; mem_write_latency_ns = Some lat } ]))
+    [ 0.; -1.; nan; infinity; neg_infinity ];
+  rejects "no ledger" "Perf_model.create_ledgers: no latency" (fun () ->
+      Perf_model.create_ledgers []);
+  rejects "mixed write latencies"
+    "Perf_model.create_ledgers: mixed write latencies" (fun () ->
+      Perf_model.create_ledgers
+        [
+          { mem_latency_ns = 10.; mem_write_latency_ns = Some 10. };
+          { mem_latency_ns = 20.; mem_write_latency_ns = None };
+        ])
+
+(* Paper mode: with the read = write assumption, normalised runtime never
+   falls as the simulated latency rises, and DDR3 is the unit — on any
+   application at any scale. *)
+let test_fig12_monotone_prop =
+  QCheck.Test.make ~name:"figure 12 runtime monotone in latency" ~count:5
+    QCheck.(
+      make
+        ~print:(fun (app, scale) ->
+          let (module A : Nvsc_apps.Workload.APP) = app in
+          Printf.sprintf "%s at scale %g" A.name scale)
+        Gen.(
+          pair (oneofl Nvsc_apps.Apps.all)
+            (map (fun k -> float_of_int k /. 100.) (int_range 2 8))))
+    (fun (app, scale) ->
+      let points =
+        Sensitivity.run ~techs:Tech.all
+          ~replay:(Nvsc_core.Experiment.perf_replay ~scale app)
+          ()
+        |> List.sort (fun (a : Sensitivity.point) b ->
+               Float.compare a.latency_ns b.latency_ns)
+      in
+      let rec monotone = function
+        | (a : Sensitivity.point) :: (b :: _ as rest) ->
+          a.normalized_runtime <= b.normalized_runtime && monotone rest
+        | _ -> true
+      in
+      List.for_all
+        (fun (p : Sensitivity.point) ->
+          p.tech.tech <> Tech.DDR3 || p.normalized_runtime = 1.0)
+        points
+      && monotone points)
 
 let suite =
   [
@@ -223,5 +304,8 @@ let suite =
       test_write_buffer_saturates;
     Alcotest.test_case "sensitivity baseline" `Quick
       test_sensitivity_requires_ddr3;
+    Alcotest.test_case "sensitivity makes one pass" `Quick
+      test_sensitivity_one_pass;
     Alcotest.test_case "latency validation" `Quick test_invalid_latency;
+    QCheck_alcotest.to_alcotest test_fig12_monotone_prop;
   ]

@@ -6,7 +6,8 @@
    identical evictions and identical sink output on identical streams,
    across geometries including direct-mapped, non-power-of-two set counts
    (built by direct record construction — [Cache_params.make] rejects
-   them) and line-straddling accesses. *)
+   them) and line-straddling accesses.  The DRAM controller and the
+   performance model are pinned the same way to their reference models. *)
 
 module Access = Nvsc_memtrace.Access
 module Sink = Nvsc_memtrace.Sink
@@ -20,6 +21,9 @@ module AM = Nvsc_dramsim.Address_mapping
 module Controller = Nvsc_dramsim.Controller
 module OCtl = Nvsc_oracle.Oracle_controller
 module Tech = Nvsc_nvram.Technology
+module Core_params = Nvsc_cpusim.Core_params
+module PM = Nvsc_cpusim.Perf_model
+module OPM = Nvsc_oracle.Oracle_perf_model
 
 (* --- geometries ------------------------------------------------------- *)
 
@@ -526,6 +530,206 @@ let test_dram_submit_allocation_free () =
     Alcotest.failf
       "controller submit path allocated: %.0f minor words / 20k txns" dw
 
+(* --- performance model: one classifier, N ledgers ----------------------- *)
+
+(* One [Perf_model] with N ledgers must report, for each ledger, exactly
+   what the one-latency reference model reports for that latency, bit for
+   bit.  Streams mix the event kinds the ledgers see: unit-stride sweeps
+   (covered misses), a hot set that outgrows L1 but not L2 (L2 hits),
+   scattered far references (TLB misses, demand misses), instruction gaps
+   up to twice the ROB reach (cluster closes) and line-straddling sizes. *)
+
+type perf_event = Instrs of int | Ref of int * int * Access.op
+
+type perf_config = {
+  pm_l1d : Cache_params.t;
+  pm_l2 : Cache_params.t;
+  params : Core_params.t;
+  wb_entries : int;
+  latencies : PM.latency list;
+}
+
+let gen_perf_config =
+  QCheck.Gen.(
+    let* pm_l1d, pm_l2 =
+      oneofl
+        [ (Cache_params.paper_l1d, Cache_params.paper_l2); (tiny_l1, tiny_l2) ]
+    in
+    let* effective_mlp = int_range 1 8 in
+    let* rob_entries = int_range 8 256 in
+    let* tlb_entries = int_range 1 64 in
+    let* issue_width = oneofl [ 1; 3; 4; 6 ] in
+    let* l2_hit_cycles = int_range 2 15 in
+    let* wb_entries = int_range 1 16 in
+    let* posted = bool in
+    let* n = int_range 1 5 in
+    let latency_ns =
+      frequency
+        [
+          ( 1,
+            oneofl
+              (List.map (fun (t : Tech.t) -> t.perf_sim_latency_ns) Tech.all) );
+          (2, float_range 0.5 2000.);
+        ]
+    in
+    let* latencies =
+      list_size (return n)
+        (let* mem_latency_ns = latency_ns in
+         let* w = latency_ns in
+         return
+           {
+             PM.mem_latency_ns;
+             mem_write_latency_ns = (if posted then Some w else None);
+           })
+    in
+    return
+      {
+        pm_l1d;
+        pm_l2;
+        params =
+          Core_params.make ~effective_mlp ~rob_entries ~tlb_entries
+            ~issue_width ~l2_hit_cycles ();
+        wb_entries;
+        latencies;
+      })
+
+let gen_perf_stream (params : Core_params.t) =
+  QCheck.Gen.(
+    let op write_share =
+      map
+        (fun x -> if x < write_share then Access.Write else Access.Read)
+        (float_bound_exclusive 1.)
+    in
+    let segment write_share =
+      frequency
+        [
+          ( 3,
+            (* a unit-stride sweep *)
+            let* start = int_range 0 (1 lsl 20) in
+            let* len = int_range 4 80 in
+            let* gap = int_range 0 12 in
+            let* ops = list_size (return len) (op write_share) in
+            return
+              (List.concat
+                 (List.mapi
+                    (fun i o -> [ Instrs gap; Ref ((start + i) * 64, 8, o) ])
+                    ops)) );
+          ( 3,
+            (* a 64 KiB hot set *)
+            list_size (int_range 4 60)
+              (let* line = int_range 0 1023 in
+               let* o = op write_share in
+               return (Ref ((1 lsl 30) + (line * 64), 8, o))) );
+          ( 2,
+            (* scattered far references, one page each *)
+            list_size (int_range 1 12)
+              (let* page = int_range 0 (1 lsl 18) in
+               let* off = int_range 0 4095 in
+               let* o = op write_share in
+               return (Ref ((page * 4096) + off, 8, o))) );
+          ( 2,
+            (* line straddles *)
+            list_size (int_range 1 10)
+              (let* line = int_range 0 (1 lsl 16) in
+               let* off = int_range 56 63 in
+               let* size = int_range 2 140 in
+               let* o = op write_share in
+               return (Ref ((line * 64) + off, size, o))) );
+          ( 2,
+            map (fun n -> [ Instrs n ]) (int_range 0 (2 * params.rob_entries))
+          );
+        ]
+    in
+    let* write_share = float_range 0. 0.8 in
+    map List.concat (list_size (int_range 5 60) (segment write_share)))
+
+let perf_report_fields (r : PM.report) =
+  let f x = Int64.bits_of_float x in
+  ( [ r.instructions; r.mem_instructions; r.l1_hits; r.l2_hits;
+      r.mem_accesses; r.miss_clusters; r.tlb_misses ],
+    [ f r.cycles; f r.base_cycles; f r.l2_stall_cycles; f r.mem_stall_cycles;
+      f r.tlb_stall_cycles; f r.runtime_ns; f r.ipc ] )
+
+let oracle_report_fields (r : OPM.report) =
+  perf_report_fields
+    {
+      PM.instructions = r.instructions;
+      mem_instructions = r.mem_instructions;
+      cycles = r.cycles;
+      base_cycles = r.base_cycles;
+      l2_stall_cycles = r.l2_stall_cycles;
+      mem_stall_cycles = r.mem_stall_cycles;
+      tlb_stall_cycles = r.tlb_stall_cycles;
+      runtime_ns = r.runtime_ns;
+      ipc = r.ipc;
+      l1_hits = r.l1_hits;
+      l2_hits = r.l2_hits;
+      mem_accesses = r.mem_accesses;
+      miss_clusters = r.miss_clusters;
+      tlb_misses = r.tlb_misses;
+    }
+
+(* The ledger model is fed through its batch consumer (flushed before
+   every instruction count, keeping program order); each oracle one
+   reference at a time. *)
+let perf_ledgers_match c stream =
+  let m =
+    PM.create_ledgers ~params:c.params ~l1d:c.pm_l1d ~l2:c.pm_l2
+      ~write_buffer_entries:c.wb_entries c.latencies
+  in
+  let oracles =
+    List.map
+      (fun (l : PM.latency) ->
+        OPM.create ~params:c.params ~l1d:c.pm_l1d ~l2:c.pm_l2
+          ?mem_write_latency_ns:l.mem_write_latency_ns
+          ~write_buffer_entries:c.wb_entries ~mem_latency_ns:l.mem_latency_ns
+          ())
+      c.latencies
+  in
+  let feed =
+    Sink.create ~capacity:7 (fun b ~first ~n -> PM.consume m b ~first ~n)
+  in
+  List.iter
+    (function
+      | Instrs n ->
+        Sink.flush feed;
+        PM.instructions m n;
+        List.iter (fun o -> OPM.instructions o n) oracles
+      | Ref (addr, size, op) ->
+        Sink.push feed ~addr ~size ~op;
+        List.iter (fun o -> OPM.access_raw o ~addr ~size ~op) oracles)
+    stream;
+  Sink.flush feed;
+  List.map perf_report_fields (PM.reports m)
+  = List.map (fun o -> oracle_report_fields (OPM.report o)) oracles
+
+let perf_differential =
+  QCheck.Test.make ~name:"perf ledgers match one reference model each"
+    ~count:100
+    (QCheck.make
+       ~print:(fun (c, stream) ->
+         Printf.sprintf
+           "%s, width %d, mlp %d, rob %d, tlb %d, l2 %d, wb %d, latencies \
+            [%s]; %d events"
+           c.pm_l1d.Cache_params.name c.params.issue_width
+           c.params.effective_mlp c.params.rob_entries c.params.tlb_entries
+           c.params.l2_hit_cycles c.wb_entries
+           (String.concat "; "
+              (List.map
+                 (fun (l : PM.latency) ->
+                   Printf.sprintf "%h/%s" l.mem_latency_ns
+                     (match l.mem_write_latency_ns with
+                     | Some w -> Printf.sprintf "%h" w
+                     | None -> "-"))
+                 c.latencies))
+           (List.length stream))
+       QCheck.Gen.(
+         let* c = gen_perf_config in
+         let* stream = gen_perf_stream c.params in
+         return (c, stream)))
+    (fun (c, stream) -> perf_ledgers_match c stream)
+
+
 let suite =
   [
     Alcotest.test_case "long LCG streams, all geometries (4x20k refs)" `Quick
@@ -543,4 +747,5 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       (hierarchy_differential_tests
-      @ [ straddle_differential; cache_differential; dram_differential ])
+      @ [ straddle_differential; cache_differential; dram_differential;
+          perf_differential ])
