@@ -33,9 +33,9 @@ val replay : string -> Scavenger.result
     and the cache hierarchy (main-loop phases only, as live), rebuilding
     the full result — metrics come from the trace's final object tables,
     the main-memory trace from the cache filter.  Replay never
-    materializes more than one chunk of references.  Chunks are read
-    through the reader's [Auto] I/O path: mapped where the platform
-    allows, buffered otherwise. *)
+    materializes more than one chunk of references.  Instruction counts
+    are not read, so they do not split the slices fed to the cache
+    filter. *)
 
 val perf_replay : string -> Nvsc_cpusim.Perf_model.t -> unit
 (** Feed the trace's main-loop references and instruction counts to a

@@ -106,34 +106,51 @@ let put_meta buf (m : meta) ~chunk_capacity =
 
 (* --- primitive decoders ------------------------------------------------- *)
 
-(* Decoding works over an in-memory string (one chunk / header / trailer
-   payload at a time — each bounded by the chunk size, not the trace
-   length); any overrun is a truncation of [what] in [path]. *)
-type dec = { s : string; mutable pos : int; d_path : string; what : string }
+(* Decoding works over bytes [0, lim) of an in-memory buffer (one chunk /
+   header / trailer payload at a time — each bounded by the chunk size, not
+   the trace length); any overrun is a truncation of [what] in [path]. *)
+type dec = {
+  b : Bytes.t;
+  lim : int;
+  mutable pos : int;
+  d_path : string;
+  what : string;
+}
 
-let dec s ~path ~what = { s; pos = 0; d_path = path; what }
+let dec b ~lim ~path ~what = { b; lim; pos = 0; d_path = path; what }
+
+let dec_string s ~path ~what =
+  dec (Bytes.unsafe_of_string s) ~lim:(String.length s) ~path ~what
 
 let get_byte d =
-  if d.pos >= String.length d.s then
-    err d.d_path "truncated %s" d.what;
-  let b = Char.code (String.unsafe_get d.s d.pos) in
+  if d.pos >= d.lim then err d.d_path "truncated %s" d.what;
+  let b = Char.code (Bytes.unsafe_get d.b d.pos) in
   d.pos <- d.pos + 1;
   b
 
+(* Every varint the writer emits is non-negative (zigzag first for signed
+   deltas), so a tenth byte or a value that lands on the sign bit is
+   damage — and rejecting it here covers every length and count field. *)
 let get_varint d =
   let rec go shift acc =
     let b = get_byte d in
     let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b < 0x80 then acc else go (shift + 7) acc
+    if b < 0x80 then
+      if acc < 0 then err d.d_path "corrupt %s (varint out of range)" d.what
+      else acc
+    else if shift >= 56 then
+      err d.d_path "corrupt %s (varint out of range)" d.what
+    else go (shift + 7) acc
   in
   go 0 0
 
-let get_str d =
-  let n = get_varint d in
-  if d.pos + n > String.length d.s then err d.d_path "truncated %s" d.what;
-  let s = String.sub d.s d.pos n in
+let get_raw d n =
+  if n > d.lim - d.pos then err d.d_path "truncated %s" d.what;
+  let s = Bytes.sub_string d.b d.pos n in
   d.pos <- d.pos + n;
   s
+
+let get_str d = get_raw d (get_varint d)
 
 let get_f64 d =
   let rec go i acc =
@@ -148,70 +165,12 @@ let get_obj d =
   let kind = kind_of_code d.d_path (get_byte d) in
   let base = get_varint d in
   let size = get_varint d in
+  if size = 0 then err d.d_path "corrupt %s (empty object %d)" d.what id;
   let signature = get_str d in
   let ncall = get_varint d in
   let callstack = List.init ncall (fun _ -> get_str d) in
   let alloc_phase = phase_of_code d.d_path (get_varint d) in
   let live = get_byte d <> 0 in
-  let o =
-    Mem_object.make ~id ~name ~kind ~base ~size ~signature ~callstack
-      ~alloc_phase ()
-  in
-  o.Mem_object.live <- live;
-  o
-
-(* Mmap-backed decoding: the same token grammar read straight out of a
-   [Unix.map_file] view of the trace instead of channel reads into payload
-   strings.  The primitives are duplicated rather than functorised — the
-   per-byte getters sit on the replay hot path, and an indirect call per
-   byte through a functor would cost more than the copies it saves. *)
-type buf =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type bdec = {
-  m : buf;
-  mutable mpos : int;
-  mend : int;
-  m_path : string;
-  m_what : string;
-}
-
-let bdec m ~pos ~len ~path ~what =
-  { m; mpos = pos; mend = pos + len; m_path = path; m_what = what }
-
-let bget_byte d =
-  if d.mpos >= d.mend then err d.m_path "truncated %s" d.m_what;
-  let b = Char.code (Bigarray.Array1.unsafe_get d.m d.mpos) in
-  d.mpos <- d.mpos + 1;
-  b
-
-let bget_varint d =
-  let rec go shift acc =
-    let b = bget_byte d in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b < 0x80 then acc else go (shift + 7) acc
-  in
-  go 0 0
-
-let bget_raw d n =
-  if d.mpos + n > d.mend then err d.m_path "truncated %s" d.m_what;
-  let s = String.init n (fun i -> Bigarray.Array1.unsafe_get d.m (d.mpos + i)) in
-  d.mpos <- d.mpos + n;
-  s
-
-let bget_str d = bget_raw d (bget_varint d)
-
-let bget_obj d =
-  let id = bget_varint d in
-  let name = bget_str d in
-  let kind = kind_of_code d.m_path (bget_byte d) in
-  let base = bget_varint d in
-  let size = bget_varint d in
-  let signature = bget_str d in
-  let ncall = bget_varint d in
-  let callstack = List.init ncall (fun _ -> bget_str d) in
-  let alloc_phase = phase_of_code d.m_path (bget_varint d) in
-  let live = bget_byte d <> 0 in
   let o =
     Mem_object.make ~id ~name ~kind ~base ~size ~signature ~callstack
       ~alloc_phase ()
@@ -506,13 +465,10 @@ end
 
 type chunk_info = { c_offset : int; c_refs : int; c_md5 : string }
 
-type io_mode = Auto | Mmap | Buffered
-
 module Reader = struct
   type t = {
     r_path : string;
     ic : in_channel;
-    map : buf option;  (* [Some _] iff chunks decode from an mmap view *)
     r_version : int;
     r_meta : meta;
     r_chunk_capacity : int;
@@ -527,13 +483,7 @@ module Reader = struct
     trailer_offset : int;
   }
 
-  let map_file path len =
-    let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-    let g = Unix.map_file fd Bigarray.char Bigarray.c_layout false [| len |] in
-    Bigarray.array1_of_genarray g
-
-  let open_ ?(mode = Auto) path =
+  let open_ path =
     let ic = try open_in_bin path with Sys_error m -> raise (Error m) in
     match
       let len = in_channel_length ic in
@@ -547,7 +497,7 @@ module Reader = struct
       if 14 + hlen + 16 > len then err path "truncated file";
       let header_payload = really_read ic path hlen in
       let r_meta, r_chunk_capacity =
-        get_meta (dec header_payload ~path ~what:"header")
+        get_meta (dec_string header_payload ~path ~what:"header")
       in
       seek_in ic (len - 16);
       let eof = really_read ic path 16 in
@@ -573,7 +523,7 @@ module Reader = struct
       let payload = really_read ic path tlen in
       if Digest.string payload <> tmd5 then
         err path "corrupt trailer (digest mismatch)";
-      let d = dec payload ~path ~what:"trailer" in
+      let d = dec_string payload ~path ~what:"trailer" in
       let r_refs = get_varint d in
       let r_reads = get_varint d in
       let r_writes = get_varint d in
@@ -582,25 +532,27 @@ module Reader = struct
       let nstack = get_varint d in
       let r_stack = List.init nstack (fun _ -> get_obj d) in
       let nchunks = get_varint d in
+      (* an index entry takes at least 18 bytes *)
+      if nchunks > (d.lim - d.pos) / 18 then err path "truncated trailer";
       let index =
         Array.init nchunks (fun _ ->
             let c_offset = get_varint d in
             let c_refs = get_varint d in
-            let c_md5 =
-              if d.pos + 16 > String.length d.s then
-                err path "truncated trailer"
-              else begin
-                let s = String.sub d.s d.pos 16 in
-                d.pos <- d.pos + 16;
-                s
-              end
-            in
+            let c_md5 = get_raw d 16 in
             { c_offset; c_refs; c_md5 })
       in
-      let stored_digest =
-        if d.pos + 16 > String.length d.s then err path "truncated trailer"
-        else String.sub d.s d.pos 16
-      in
+      (* A record takes at least three payload bytes, so a chunk's declared
+         count must fit before the next chunk: the decode batch is then
+         bounded by the file, whatever the index says. *)
+      Array.iteri
+        (fun k c ->
+          let next =
+            if k + 1 < nchunks then index.(k + 1).c_offset else trailer_offset
+          in
+          if c.c_refs > (next - c.c_offset - 21) / 3 then
+            err path "corrupt chunk index (entry %d)" k)
+        index;
+      let stored_digest = get_raw d 16 in
       let recomputed =
         Digest.string
           (String.concat ""
@@ -609,19 +561,9 @@ module Reader = struct
       in
       if recomputed <> stored_digest then
         err path "corrupt trace (whole-trace digest mismatch)";
-      let map =
-        match mode with
-        | Buffered -> None
-        | Mmap -> (
-          try Some (map_file path len)
-          with Unix.Unix_error (e, _, _) ->
-            err path "mmap failed: %s" (Unix.error_message e))
-        | Auto -> ( try Some (map_file path len) with _ -> None)
-      in
       {
         r_path = path;
         ic;
-        map;
         r_version = v;
         r_meta;
         r_chunk_capacity;
@@ -651,13 +593,11 @@ module Reader = struct
   let digest r = r.r_digest
   let objects r = r.r_objects
   let stack_objects r = r.r_stack
-  let mmapped r = r.map <> None
   let close r = close_in_noerr r.ic
 end
 
 let stream (r : Reader.t) ?(on_objects = fun _ -> ()) ?(on_phase = fun _ -> ())
-    ?(on_instr = fun _ -> ()) ?(on_persist = fun _ -> ())
-    ?(on_chunk = fun _ -> ()) ~on_refs () =
+    ?on_instr ?(on_persist = fun _ -> ()) ?(on_chunk = fun _ -> ()) ~on_refs () =
   let path = r.Reader.r_path in
   let ic = r.Reader.ic in
   let cap =
@@ -672,8 +612,7 @@ let stream (r : Reader.t) ?(on_objects = fun _ -> ()) ?(on_phase = fun _ -> ())
       len := 0
     end
   in
-  let decode_chunk_string k info payload =
-    let d = dec payload ~path ~what:(Printf.sprintf "chunk %d" k) in
+  let decode_chunk k info d =
     let nrefs = get_varint d in
     if nrefs <> info.c_refs then
       err path "corrupt chunk %d (record count mismatch)" k;
@@ -682,16 +621,24 @@ let stream (r : Reader.t) ?(on_objects = fun _ -> ()) ?(on_phase = fun _ -> ())
     let prev_addr = ref 0 in
     let prev_id = ref 0 in
     let decoded = ref 0 in
-    while d.pos < String.length d.s do
+    while d.pos < d.lim do
       match get_byte d with
       | t when t = tag_phase ->
         deliver ();
         on_phase (phase_of_code path (get_varint d))
-      | t when t = tag_instr ->
-        deliver ();
-        on_instr (get_varint d)
+      | t when t = tag_instr -> (
+        let n = get_varint d in
+        (* a slice ends here only for a caller that counts instructions *)
+        match on_instr with
+        | Some f ->
+          deliver ();
+          f n
+        | None -> ())
       | t when t = tag_refs ->
         let n = get_varint d in
+        (* checked before the run is decoded: [nrefs] sizes the batch *)
+        if n > nrefs - !decoded then
+          err path "corrupt chunk %d (record count mismatch)" k;
         for _ = 1 to n do
           let sz_op = get_varint d in
           let addr = !prev_addr + unzigzag (get_varint d) in
@@ -734,126 +681,30 @@ let stream (r : Reader.t) ?(on_objects = fun _ -> ()) ?(on_phase = fun _ -> ())
     deliver ();
     nrefs
   in
-  (* Same grammar, read in place from the mapped file — no payload copy,
-     no channel buffering on the token path. *)
-  let decode_chunk_map m k info ~pos ~clen =
-    let d = bdec m ~pos ~len:clen ~path ~what:(Printf.sprintf "chunk %d" k) in
-    let nrefs = bget_varint d in
-    if nrefs <> info.c_refs then
-      err path "corrupt chunk %d (record count mismatch)" k;
-    let nobjs = bget_varint d in
-    if nobjs > 0 then on_objects (List.init nobjs (fun _ -> bget_obj d));
-    let prev_addr = ref 0 in
-    let prev_id = ref 0 in
-    let decoded = ref 0 in
-    while d.mpos < d.mend do
-      match bget_byte d with
-      | t when t = tag_phase ->
-        deliver ();
-        on_phase (phase_of_code path (bget_varint d))
-      | t when t = tag_instr ->
-        deliver ();
-        on_instr (bget_varint d)
-      | t when t = tag_refs ->
-        let n = bget_varint d in
-        for _ = 1 to n do
-          let sz_op = bget_varint d in
-          let addr = !prev_addr + unzigzag (bget_varint d) in
-          let obj_id = !prev_id + unzigzag (bget_varint d) in
-          prev_addr := addr;
-          prev_id := obj_id;
-          let i = !len in
-          Sink.Batch.set batch i ~addr ~size:(sz_op lsr 1)
-            ~op:(if sz_op land 1 = 1 then Access.Write else Access.Read);
-          obj_ids.(i) <- obj_id;
-          len := i + 1
-        done;
-        decoded := !decoded + n
-      | t when t = tag_persist ->
-        if r.Reader.r_version < 2 then
-          err path "corrupt chunk %d (persist token in a v1 trace)" k;
-        deliver ();
-        let ev =
-          match bget_byte d with
-          | s when s = psub_epoch_begin || s = psub_epoch_commit ->
-            let checkpoint = bget_byte d <> 0 in
-            let label = bget_str d in
-            if s = psub_epoch_begin then
-              Persist.Epoch_begin { label; checkpoint }
-            else Persist.Epoch_commit { label; checkpoint }
-          | s when s = psub_flush ->
-            let obj_id = bget_varint d in
-            let off = bget_varint d in
-            let len = bget_varint d in
-            Persist.Flush { obj_id; off; len }
-          | s when s = psub_fence -> Persist.Fence
-          | s when s = psub_declare ->
-            Persist.Declare { obj_id = bget_varint d }
-          | s -> err path "corrupt chunk %d (unknown persist event %d)" k s
-        in
-        on_persist ev
-      | t -> err path "corrupt chunk %d (unknown token %d)" k t
-    done;
-    if !decoded <> nrefs then
-      err path "corrupt chunk %d (record count mismatch)" k;
-    deliver ();
-    nrefs
-  in
-  (match r.Reader.map with
-  | None ->
-    seek_in ic r.Reader.data_start;
-    Array.iteri
-      (fun k info ->
-        if pos_in ic <> info.c_offset then
-          err path "corrupt chunk %d (offset mismatch)" k;
-        if really_read ic path 1 <> "C" then err path "corrupt chunk %d" k;
-        let clen = read_u32le ic path in
-        let stored = really_read ic path 16 in
-        if stored <> info.c_md5 then
-          err path "corrupt chunk %d (index digest mismatch)" k;
-        let payload = really_read ic path clen in
-        if Digest.string payload <> stored then
-          err path "corrupt chunk %d (digest mismatch)" k;
-        on_chunk k;
-        let nrefs = decode_chunk_string k info payload in
-        Nvsc_obs.Metrics.Counter.incr m_replay_chunks;
-        Nvsc_obs.Metrics.Counter.add m_replay_refs nrefs)
-      r.Reader.index;
-    if pos_in ic <> r.Reader.trailer_offset then
-      err path "trailing garbage between chunks and trailer"
-  | Some m ->
-    let flen = Bigarray.Array1.dim m in
-    let pos = ref r.Reader.data_start in
-    Array.iteri
-      (fun k info ->
-        if !pos <> info.c_offset then
-          err path "corrupt chunk %d (offset mismatch)" k;
-        if !pos + 21 > flen then err path "truncated file";
-        if Bigarray.Array1.unsafe_get m !pos <> 'C' then
-          err path "corrupt chunk %d" k;
-        let hd = bdec m ~pos:(!pos + 1) ~len:20 ~path ~what:"file" in
-        let clen =
-          let b0 = bget_byte hd in
-          let b1 = bget_byte hd in
-          let b2 = bget_byte hd in
-          let b3 = bget_byte hd in
-          b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)
-        in
-        let stored = bget_raw hd 16 in
-        if stored <> info.c_md5 then
-          err path "corrupt chunk %d (index digest mismatch)" k;
-        let poff = !pos + 21 in
-        if poff + clen > flen then err path "truncated file";
-        (* Integrity still hashes the payload through the channel: the
-           stdlib [Digest] cannot hash a bigarray view. *)
-        seek_in ic poff;
-        if Digest.channel ic clen <> stored then
-          err path "corrupt chunk %d (digest mismatch)" k;
-        on_chunk k;
-        let nrefs = decode_chunk_map m k info ~pos:poff ~clen in
-        pos := poff + clen;
-        Nvsc_obs.Metrics.Counter.incr m_replay_chunks;
-        Nvsc_obs.Metrics.Counter.add m_replay_refs nrefs)
-      r.Reader.index;
-    if !pos <> r.Reader.trailer_offset then
-      err path "trailing garbage between chunks and trailer")
+  (* one payload buffer for the whole stream, grown to the largest chunk *)
+  let payload = ref Bytes.empty in
+  seek_in ic r.Reader.data_start;
+  Array.iteri
+    (fun k info ->
+      if pos_in ic <> info.c_offset then
+        err path "corrupt chunk %d (offset mismatch)" k;
+      if really_read ic path 1 <> "C" then err path "corrupt chunk %d" k;
+      let clen = read_u32le ic path in
+      let stored = really_read ic path 16 in
+      if stored <> info.c_md5 then
+        err path "corrupt chunk %d (index digest mismatch)" k;
+      if clen > r.Reader.trailer_offset - pos_in ic then
+        err path "corrupt chunk %d (length overruns the trailer)" k;
+      if Bytes.length !payload < clen then payload := Bytes.create clen;
+      (try really_input ic !payload 0 clen
+       with End_of_file -> err path "truncated file");
+      if Digest.subbytes !payload 0 clen <> stored then
+        err path "corrupt chunk %d (digest mismatch)" k;
+      on_chunk k;
+      let what = Printf.sprintf "chunk %d" k in
+      let nrefs = decode_chunk k info (dec !payload ~lim:clen ~path ~what) in
+      Nvsc_obs.Metrics.Counter.incr m_replay_chunks;
+      Nvsc_obs.Metrics.Counter.add m_replay_refs nrefs)
+    r.Reader.index;
+  if pos_in ic <> r.Reader.trailer_offset then
+    err path "trailing garbage between chunks and trailer"

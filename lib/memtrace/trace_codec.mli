@@ -147,11 +147,6 @@ module Writer : sig
       {!Reader.open_}. *)
 end
 
-type io_mode =
-  | Auto  (** mmap the file when the platform allows it, else buffered *)
-  | Mmap  (** require the mmap path; {!Error} if mapping fails *)
-  | Buffered  (** channel reads into per-chunk payload strings *)
-
 (** Seekable reader.  {!Reader.open_} reads only the fixed header and the
     trailer (meta, final object tables, chunk index, digests) and verifies
     the whole-trace digest; the chunks stream on demand through
@@ -159,16 +154,8 @@ type io_mode =
 module Reader : sig
   type t
 
-  val open_ : ?mode:io_mode -> string -> t
-  (** Raises {!Error} on a foreign or damaged file.  [mode] (default
-      {!Auto}) selects how {!stream} reads chunk payloads: under the mmap
-      path tokens decode in place from a read-only [Unix.map_file] view of
-      the trace — no payload copies, no channel buffering on the token
-      path — while chunk digests are still verified byte for byte.  Both
-      paths produce identical callbacks on identical files. *)
-
-  val mmapped : t -> bool
-  (** Whether chunk decoding will go through the mmap view. *)
+  val open_ : string -> t
+  (** Raises {!Error} on a foreign or damaged file. *)
 
   val meta : t -> meta
 
@@ -203,14 +190,18 @@ val stream :
   on_refs:(Sink.Batch.t -> obj_ids:int array -> first:int -> n:int -> unit) ->
   unit ->
   unit
-(** Decode the trace in program order, one chunk at a time, verifying each
-    chunk's digest.  References are decoded into one reusable
-    {!Sink.Batch.t} (plus a parallel attribution array) delivered in slices
-    that never span a phase/instruction/persist token — so peak live memory
-    is bounded by the chunk capacity, not the trace length.  Consumers must
-    not retain the batch across callbacks.  [on_persist] receives v2
-    crash-consistency events in stream order (never fires on a v1 trace);
-    [on_chunk] fires with the chunk index before each chunk's records, so
-    consumers can stamp findings with a seekable location.  May be called
-    repeatedly on one reader; each call re-streams from the first chunk.
+(** Decode the trace in program order, one chunk at a time: each chunk's
+    payload is read once through the reader's channel into one reused
+    buffer, its digest verified, then decoded from that buffer.  References
+    are decoded into one reusable {!Sink.Batch.t} (plus a parallel
+    attribution array) delivered in slices that never span a chunk, phase
+    or persist token, nor an instruction token when [on_instr] is given —
+    without it, instruction counts are skipped and do not split slices.
+    Peak live memory is bounded by the chunk size, not the trace length.
+    Consumers must not retain the batch across callbacks.  [on_persist]
+    receives v2 crash-consistency events in stream order (never fires on a
+    v1 trace); [on_chunk] fires with the chunk index before each chunk's
+    records, so consumers can stamp findings with a seekable location.  May
+    be called repeatedly on one reader; each call re-streams from the first
+    chunk.
     Raises {!Error} on a truncated or corrupted chunk. *)

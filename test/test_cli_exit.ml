@@ -88,42 +88,72 @@ let bad_text_traces =
     ("malformed text record", "zzz READ 0\n");
   ]
 
-let with_text_trace_rows f =
-  let rows =
-    List.map
-      (fun (name, contents) ->
-        let path = Filename.temp_file "nvscav-text-trace" ".txt" in
-        Out_channel.with_open_bin path (fun oc ->
-            Out_channel.output_string oc contents);
-        (name, [ "power"; "gtc"; "--from-file"; path ], 2))
-      bad_text_traces
+(* [.nvt] traces for [replay], forged behind sealed digests, must fail
+   with a [Trace_codec] error.  A REFS run longer than its chunk's count
+   wrote past the decode batch, and a name length that overflowed to a
+   negative int reached [Bytes.create]; both exited 125. *)
+let bad_nvt_traces =
+  [
+    ("nvt REFS run past its count", Nvt_forge.over_long_run);
+    ("nvt negative name length", Nvt_forge.negative_length);
+  ]
+
+(* Rows over temporary copies of the bad files, each with what its
+   stderr must contain: the file's name, and for an [.nvt] the codec. *)
+let with_bad_file_rows f =
+  let paths = ref [] in
+  let file suffix contents =
+    let path = Filename.temp_file "nvscav-bad-file" suffix in
+    paths := path :: !paths;
+    Nvt_forge.write_file path contents;
+    path
   in
   Fun.protect
     ~finally:(fun () ->
-      List.iter
-        (fun (_, args, _) ->
-          try Sys.remove (List.nth args 3) with Sys_error _ -> ())
-        rows)
-    (fun () -> f rows)
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) !paths)
+    (fun () ->
+      f
+        (List.map
+           (fun (name, contents) ->
+             let path = file ".txt" contents in
+             ([ path ], (name, [ "power"; "gtc"; "--from-file"; path ], 2)))
+           bad_text_traces
+        @ List.map
+            (fun (name, forge) ->
+              let path = file ".nvt" (forge ()) in
+              ([ path; "Trace_codec" ], (name, [ "replay"; path ], 2)))
+            bad_nvt_traces))
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let check_row ?(stderr_has = []) (name, args, expected) =
+  let code, out, err = run_nvscav args in
+  Alcotest.(check int)
+    (Printf.sprintf "%s: exit code of `nvscav %s`" name
+       (String.concat " " args))
+    expected code;
+  if expected = 2 then begin
+    Alcotest.(check bool)
+      (name ^ ": usage error leaves a diagnostic on stderr")
+      true (String.length err > 0);
+    Alcotest.(check string)
+      (name ^ ": usage error prints nothing on stdout")
+      "" out
+  end;
+  List.iter
+    (fun sub ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S in %S" name sub err)
+        true (contains err sub))
+    stderr_has
 
 let test_exit_codes () =
-  with_text_trace_rows @@ fun trace_rows ->
-  List.iter
-    (fun (name, args, expected) ->
-      let code, out, err = run_nvscav args in
-      Alcotest.(check int)
-        (Printf.sprintf "%s: exit code of `nvscav %s`" name
-           (String.concat " " args))
-        expected code;
-      if expected = 2 then begin
-        Alcotest.(check bool)
-          (name ^ ": usage error leaves a diagnostic on stderr")
-          true (String.length err > 0);
-        Alcotest.(check string)
-          (name ^ ": usage error prints nothing on stdout")
-          "" out
-      end)
-    (table @ trace_rows)
+  List.iter check_row table;
+  with_bad_file_rows
+    (List.iter (fun (stderr_has, row) -> check_row ~stderr_has row))
 
 let suite =
   [ Alcotest.test_case "exit-code table" `Slow test_exit_codes ]

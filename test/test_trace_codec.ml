@@ -194,7 +194,7 @@ let gen_events =
     in
     list_size (int_bound 400) gen_event)
 
-let roundtrip_ok ~chunk_capacity ~mode events =
+let roundtrip_ok ~chunk_capacity events =
   with_tmp @@ fun path ->
   let w = Trace_codec.Writer.create ~chunk_capacity ~path ~meta:(meta ()) () in
   List.iter
@@ -214,7 +214,7 @@ let roundtrip_ok ~chunk_capacity ~mode events =
       (List.filter (function Ref (_, _, Access.Write, _) -> true | _ -> false)
          events)
   in
-  let r = Trace_codec.Reader.open_ ~mode path in
+  let r = Trace_codec.Reader.open_ path in
   Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
   let got = ref [] in
   Trace_codec.stream r
@@ -243,11 +243,7 @@ let codec_roundtrip =
     ~name:"codec round-trips any event stream at chunk capacities 1/7/65536"
     ~count:30 (QCheck.make gen_events) (fun events ->
       List.for_all
-        (fun chunk_capacity ->
-          (* both chunk I/O paths must decode every stream identically *)
-          List.for_all
-            (fun mode -> roundtrip_ok ~chunk_capacity ~mode events)
-            [ Trace_codec.Buffered; Trace_codec.Mmap ])
+        (fun chunk_capacity -> roundtrip_ok ~chunk_capacity events)
         [ 1; 7; 65536 ])
 
 let test_empty_trace () =
@@ -306,13 +302,8 @@ let test_streaming_constant_memory () =
 
 (* --- damage rejection ----------------------------------------------------- *)
 
-let u32le s off =
-  Char.code s.[off]
-  lor (Char.code s.[off + 1] lsl 8)
-  lor (Char.code s.[off + 2] lsl 16)
-  lor (Char.code s.[off + 3] lsl 24)
-
-let u64le s off = u32le s off lor (u32le s (off + 4) lsl 32)
+let u32le = Nvt_forge.u32le
+let u64le = Nvt_forge.u64le
 
 let flip s i =
   let b = Bytes.of_string s in
@@ -370,66 +361,177 @@ let test_rejects_damage () =
   expect_error ~substr:bad (fun () ->
       Trace_codec.stream r
         ~on_refs:(fun _ ~obj_ids:_ ~first:_ ~n:_ -> ())
+        ());
+  (* a chunk length (outside every digest) past the trailer is refused
+     before anything is read or allocated for it *)
+  write_file bad (flip good (14 + hlen + 4));
+  let r = Trace_codec.Reader.open_ bad in
+  Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
+  expect_error ~substr:"corrupt chunk 0 (length overruns the trailer)"
+    (fun () ->
+      Trace_codec.stream r
+        ~on_refs:(fun _ ~obj_ids:_ ~first:_ ~n:_ -> ())
         ())
 
-(* --- mmap reader ---------------------------------------------------------- *)
-
-let stream_events ~mode path =
-  let r = Trace_codec.Reader.open_ ~mode path in
-  Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
-  let got = ref [] in
+let stream_all r =
   Trace_codec.stream r
-    ~on_phase:(fun p -> got := Phase p :: !got)
-    ~on_instr:(fun n -> got := Instr n :: !got)
-    ~on_persist:(fun p -> got := P p :: !got)
-    ~on_refs:(fun batch ~obj_ids ~first ~n ->
-      for i = first to first + n - 1 do
-        got :=
-          Ref
-            ( Sink.Batch.addr batch i,
-              Sink.Batch.size batch i,
-              Sink.Batch.op batch i,
-              obj_ids.(i) )
-          :: !got
-      done)
-    ();
-  (Trace_codec.Reader.mmapped r, List.rev !got)
+    ~on_objects:(fun _ -> ())
+    ~on_instr:(fun _ -> ())
+    ~on_persist:(fun _ -> ())
+    ~on_refs:(fun _ ~obj_ids:_ ~first:_ ~n:_ -> ())
+    ()
 
-let test_mmap_reader_modes () =
+let open_and_stream path =
+  let r = Trace_codec.Reader.open_ path in
+  Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
+  stream_all r
+
+(* Damage behind sealed digests: only structural decoding can catch it. *)
+let test_rejects_forged_damage () =
+  List.iter
+    (fun (substr, file) ->
+      with_tmp @@ fun bad ->
+      write_file bad file;
+      expect_error ~substr (fun () -> open_and_stream bad);
+      expect_error ~substr:bad (fun () -> open_and_stream bad))
+    [
+      (* a REFS run longer than its chunk's declared count *)
+      ("corrupt chunk 0 (record count mismatch)", Nvt_forge.over_long_run ());
+      (* a 9-byte varint that lands on the sign bit, as a name length *)
+      ("corrupt chunk 0 (varint out of range)", Nvt_forge.negative_length ());
+      ("corrupt chunk 0 (empty object 7)", Nvt_forge.empty_object ());
+      (* declared counts that would size allocations past the file *)
+      ("corrupt chunk index (entry 0)", Nvt_forge.over_declared_index ());
+      ("truncated trailer", Nvt_forge.over_declared_chunks ());
+    ]
+
+(* A trace with every token kind and per-chunk object tables: the seed
+   of the mutation fuzz. *)
+let fuzz_seed =
+  lazy
+    (with_tmp @@ fun path ->
+     let objs =
+       Array.init 4 (fun id ->
+           Mem_object.make ~id ~name:(Printf.sprintf "obj%d" id)
+             ~kind:Nvsc_memtrace.Layout.Heap ~base:(id * 4096) ~size:4096
+             ~callstack:[ "main"; "solve" ] ())
+     in
+     let w =
+       Trace_codec.Writer.create ~chunk_capacity:16
+         ~resolve:(fun id -> if id < 4 then Some objs.(id) else None)
+         ~path ~meta:(meta ()) ()
+     in
+     Trace_codec.Writer.add_phase w (Mem_object.Main 1);
+     for i = 0 to 47 do
+       if i mod 5 = 0 then Trace_codec.Writer.add_instr w (i + 1);
+       if i mod 11 = 0 then
+         Trace_codec.Writer.add_persist w
+           (Persist.Epoch_begin { label = "step"; checkpoint = true });
+       if i mod 13 = 0 then
+         Trace_codec.Writer.add_persist w
+           (Persist.Flush { obj_id = i mod 4; off = 64; len = 128 });
+       Trace_codec.Writer.add_ref w
+         ~addr:(((i mod 4) * 4096) + (i * 8))
+         ~size:8
+         ~op:(if i land 1 = 0 then Access.Read else Access.Write)
+         ~obj_id:(i mod 5)
+     done;
+     ignore (Trace_codec.Writer.finish w ());
+     read_file path)
+
+(* A mutation: overwrite one payload byte, or splice a varint of any
+   63-bit value (negative ones included) over it. *)
+type mutation = Byte of int * int | Varint of int * int
+
+let gen_mutations =
+  QCheck.Gen.(
+    let value =
+      frequency
+        [
+          (3, int_bound 300);
+          (1, map (fun n -> n + 40_000) (int_bound 100_000));
+          (1, map (fun n -> min_int + n) (int_bound 1000));
+          (1, int);
+        ]
+    in
+    list_size (int_range 1 3)
+      (oneof
+         [
+           map2 (fun p b -> Byte (p, b)) nat (int_bound 255);
+           map2 (fun p v -> Varint (p, v)) nat value;
+         ]))
+
+let mutate payload = function
+  | Byte (p, b) ->
+    let p = p mod String.length payload in
+    let s = Bytes.of_string payload in
+    Bytes.set s p (Char.chr b);
+    Bytes.to_string s
+  | Varint (p, v) ->
+    let p = p mod String.length payload in
+    String.concat ""
+      [
+        String.sub payload 0 p;
+        Nvt_forge.varint v;
+        String.sub payload (p + 1) (String.length payload - p - 1);
+      ]
+
+(* Mutate chunk payloads and re-seal every digest: streaming must end in
+   success or in a [Trace_codec.Error], never in another exception. *)
+let mutation_fuzz =
+  QCheck.Test.make
+    ~name:"mutated chunks behind sealed digests fail only with Error"
+    ~count:400
+    QCheck.(pair (make Gen.(int_bound 1000)) (make gen_mutations))
+    (fun (which, mutations) ->
+      let seed = Lazy.force fuzz_seed in
+      let chunks = Array.of_list (Nvt_forge.chunks seed) in
+      let k = which mod Array.length chunks in
+      let refs, payload = chunks.(k) in
+      chunks.(k) <- (refs, List.fold_left mutate payload mutations);
+      with_tmp @@ fun bad ->
+      write_file bad
+        (Nvt_forge.build ~header:(Nvt_forge.header seed)
+           (Array.to_list chunks));
+      match open_and_stream bad with
+      | () | (exception Trace_codec.Error _) -> true)
+
+(* --- slices --------------------------------------------------------------- *)
+
+let test_instr_splits_only_when_read () =
   with_tmp @@ fun path ->
   let w =
-    Trace_codec.Writer.create ~chunk_capacity:8 ~path ~meta:(meta ()) ()
+    Trace_codec.Writer.create ~chunk_capacity:64 ~path ~meta:(meta ()) ()
   in
-  Trace_codec.Writer.add_phase w (Mem_object.Main 1);
   for i = 0 to 99 do
-    if i mod 17 = 0 then Trace_codec.Writer.add_instr w (i + 1);
-    if i = 40 then
-      Trace_codec.Writer.add_persist w
-        (Persist.Epoch_begin { label = "mm"; checkpoint = false });
-    Trace_codec.Writer.add_ref w ~addr:(i * 64) ~size:8
-      ~op:(if i land 1 = 0 then Access.Read else Access.Write)
+    Trace_codec.Writer.add_instr w (i + 1);
+    Trace_codec.Writer.add_ref w ~addr:(i * 64) ~size:8 ~op:Access.Read
       ~obj_id:(i mod 3)
   done;
   ignore (Trace_codec.Writer.finish w ());
-  let mm_b, ev_b = stream_events ~mode:Trace_codec.Buffered path in
-  let mm_m, ev_m = stream_events ~mode:Trace_codec.Mmap path in
-  let mm_a, ev_a = stream_events ~mode:Trace_codec.Auto path in
-  Alcotest.(check bool) "buffered is not mapped" false mm_b;
-  Alcotest.(check bool) "mmap is mapped" true mm_m;
-  Alcotest.(check bool) "auto maps on this platform" true mm_a;
-  Alcotest.(check int) "events decoded" 108 (List.length ev_b);
-  Alcotest.(check bool) "mmap decodes identically" true (ev_m = ev_b);
-  Alcotest.(check bool) "auto decodes identically" true (ev_a = ev_b);
-  (* a flipped chunk byte fails the per-chunk digest on both paths *)
-  let good = read_file path in
-  with_tmp @@ fun bad ->
-  let hlen = u32le good 10 in
-  write_file bad (flip good (14 + hlen + 1 + 4 + 16 + 3));
-  List.iter
-    (fun mode ->
-      expect_error ~substr:"corrupt chunk" (fun () ->
-          ignore (stream_events ~mode bad)))
-    [ Trace_codec.Buffered; Trace_codec.Mmap ]
+  let r = Trace_codec.Reader.open_ path in
+  Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
+  let refs_and_slices ?on_instr () =
+    let refs = ref [] and slices = ref 0 in
+    Trace_codec.stream r ?on_instr
+      ~on_refs:(fun batch ~obj_ids ~first ~n ->
+        incr slices;
+        for i = first to first + n - 1 do
+          refs := (Sink.Batch.addr batch i, obj_ids.(i)) :: !refs
+        done)
+      ();
+    (List.rev !refs, !slices)
+  in
+  let instrs = ref 0 in
+  let read_refs, read_slices =
+    refs_and_slices ~on_instr:(fun n -> instrs := !instrs + n) ()
+  in
+  let skip_refs, skip_slices = refs_and_slices () in
+  Alcotest.(check int) "instructions read" 5050 !instrs;
+  Alcotest.(check int) "a slice per instruction token" 100 read_slices;
+  Alcotest.(check int) "a slice per chunk without on_instr" 2 skip_slices;
+  Alcotest.(check bool) "same references" true (read_refs = skip_refs);
+  Alcotest.(check int) "all references" 100 (List.length skip_refs)
 
 (* --- version compatibility ------------------------------------------------ *)
 
@@ -695,8 +797,10 @@ let suite =
       test_streaming_constant_memory;
     Alcotest.test_case "damaged files are rejected by name" `Quick
       test_rejects_damage;
-    Alcotest.test_case "mmap and buffered readers decode identically" `Quick
-      test_mmap_reader_modes;
+    Alcotest.test_case "forged damage behind sealed digests is rejected"
+      `Quick test_rejects_forged_damage;
+    Alcotest.test_case "instruction tokens split slices only when read"
+      `Quick test_instr_splits_only_when_read;
     Alcotest.test_case "v1 traces write and read back" `Quick
       test_v1_writer_reader_compat;
     Alcotest.test_case "persist token in a v1 trace is corrupt" `Quick
@@ -710,4 +814,5 @@ let suite =
     Alcotest.test_case "golden fixture decodes and re-encodes byte-identically"
       `Quick test_golden_fixture;
     QCheck_alcotest.to_alcotest codec_roundtrip;
+    QCheck_alcotest.to_alcotest mutation_fuzz;
   ]
