@@ -50,6 +50,13 @@ let with_trace_errors f =
 
 let fmt = Format.std_formatter
 
+(* The [--profile] driver every subcommand shares. *)
+let with_profile profile f =
+  Nvsc_obs.with_profiling
+    ?trace_out:(Cli.profile_trace_out profile)
+    ~enabled:(Cli.profile_enabled profile)
+    f
+
 let tech_arg =
   let doc =
     "NVRAM technology for the hybrid's NVRAM half (the place cell of \
@@ -82,10 +89,7 @@ let run_plan ?(jobs = 1) ?make_cache ?(profile = Cli.Profile_off)
   | Ok (plan : Serve.Plan.t) ->
     with_trace_errors @@ fun () ->
     let cache = Option.map (fun make -> make ()) make_cache in
-    Nvsc_obs.with_profiling
-      ?trace_out:(Cli.profile_trace_out profile)
-      ~enabled:(Cli.profile_enabled profile)
-    @@ fun () ->
+    with_profile profile @@ fun () ->
     let outcomes, stats =
       Engine.run_specs ~jobs ?cache ?trace:plan.trace plan.specs
     in
@@ -228,15 +232,16 @@ let power_cmd =
     in
     Arg.(value & opt (some string) None & info [ "from-file" ] ~docv:"FILE" ~doc)
   in
-  let run () app scale iterations from_file =
+  let run () app scale iterations from_file profile =
     match from_file with
-    | None -> run_plan (Serve.Plan.power ~app ~scale ~iterations)
+    | None -> run_plan ~profile (Serve.Plan.power ~app ~scale ~iterations)
     | Some path -> (
       (* a DRAMSim2 text trace comes with no application run to plan *)
       match find_app app with
       | Error msg -> `Error (false, msg)
       | Ok _ -> (
         with_trace_errors @@ fun () ->
+        with_profile profile @@ fun () ->
         match Nvsc_memtrace.Trace_file.load path with
         | trace ->
           Nvsc_sweep.Cell.pp_power_of_trace fmt trace;
@@ -252,7 +257,7 @@ let power_cmd =
     Term.(
       ret
         (const run $ logs_term $ app_arg $ scale_arg $ iterations_arg
-       $ from_file_arg))
+       $ from_file_arg $ Cli.profile))
 
 (* --- perf -------------------------------------------------------------- *)
 
@@ -267,10 +272,7 @@ let perf_cmd =
   let run () name scale asymmetric profile =
     with_trace_errors @@ fun () ->
     with_app name (fun app ->
-        Nvsc_obs.with_profiling
-          ?trace_out:(Cli.profile_trace_out profile)
-          ~enabled:(Cli.profile_enabled profile)
-        @@ fun () ->
+        with_profile profile @@ fun () ->
         let points =
           Nvsc_cpusim.Sensitivity.run ~asymmetric
             ~replay:(Nvsc_core.Experiment.perf_replay ~scale app)
@@ -293,8 +295,8 @@ let perf_cmd =
 (* --- place ------------------------------------------------------------- *)
 
 let place_cmd =
-  let run () app scale iterations tech =
-    run_plan (Serve.Plan.place ~app ~scale ~iterations ~tech)
+  let run () app scale iterations tech profile =
+    run_plan ~profile (Serve.Plan.place ~app ~scale ~iterations ~tech)
   in
   let info =
     Cmd.info "place"
@@ -305,7 +307,7 @@ let place_cmd =
     Term.(
       ret
         (const run $ logs_term $ app_arg $ scale_arg $ iterations_arg
-       $ tech_arg))
+       $ tech_arg $ Cli.profile))
 
 (* --- endurance ---------------------------------------------------------- *)
 
@@ -491,48 +493,54 @@ let lint_cmd =
     in
     Arg.(value & flag & info [ "persist" ] ~doc)
   in
-  let run () name scale iterations check_init persist =
+  let run () name scale iterations check_init persist profile =
     with_app name (fun app ->
         let module San = Nvsc_sanitizer.Diagnostic in
-        let static = Nvsc_sanitizer.Config_lint.all ~app () in
-        let static =
-          if persist then
-            San.merge static
-              (Nvsc_sanitizer.Config_lint.persist ~scale ~iterations app)
-          else static
+        (* exit only once the profile is written *)
+        let clean =
+          with_profile profile @@ fun () ->
+          let static = Nvsc_sanitizer.Config_lint.all ~app () in
+          let static =
+            if persist then
+              San.merge static
+                (Nvsc_sanitizer.Config_lint.persist ~scale ~iterations app)
+            else static
+          in
+          let r =
+            Nvsc_core.Scavenger.run
+              Nvsc_core.Scavenger.Config.(
+                scavenger_config ~scale ~iterations
+                |> with_sanitize ~check_init true
+                |> with_persist persist)
+              app
+          in
+          let dynamic = Option.value r.sanitizer ~default:[] in
+          let dynamic =
+            San.merge dynamic (Option.value r.persist_report ~default:[])
+          in
+          let report = San.merge static dynamic in
+          Format.fprintf fmt "nvscav lint %s (scale %g, %d iterations)@." name
+            scale iterations;
+          San.pp_report fmt report;
+          (match r.persist_stats with
+          | Some s ->
+            Format.fprintf fmt
+              "persist: %d epoch(s), %d flush(es) covering %d line(s), %d \
+               fence(s) over %d checked store(s)@."
+              s.Nvsc_sanitizer.Persist_check.epochs s.flushes s.flushed_lines
+              s.fences s.stores_checked;
+            List.iter
+              (fun (tech : Nvsc_nvram.Technology.t) ->
+                if Nvsc_nvram.Technology.is_nvram tech then
+                  Format.fprintf fmt "persist cost: %a@."
+                    Nvsc_nvram.Persist_cost.pp
+                    (Nvsc_nvram.Persist_cost.charge ~tech
+                       ~flushed_lines:s.flushed_lines ~fences:s.fences))
+              Nvsc_nvram.Technology.paper_set
+          | None -> ());
+          San.is_clean report
         in
-        let r =
-          Nvsc_core.Scavenger.run
-            Nvsc_core.Scavenger.Config.(
-              scavenger_config ~scale ~iterations
-              |> with_sanitize ~check_init true
-              |> with_persist persist)
-            app
-        in
-        let dynamic = Option.value r.sanitizer ~default:[] in
-        let dynamic =
-          San.merge dynamic (Option.value r.persist_report ~default:[])
-        in
-        let report = San.merge static dynamic in
-        Format.fprintf fmt "nvscav lint %s (scale %g, %d iterations)@." name
-          scale iterations;
-        San.pp_report fmt report;
-        (match r.persist_stats with
-        | Some s ->
-          Format.fprintf fmt
-            "persist: %d epoch(s), %d flush(es) covering %d line(s), %d \
-             fence(s) over %d checked store(s)@."
-            s.Nvsc_sanitizer.Persist_check.epochs s.flushes s.flushed_lines
-            s.fences s.stores_checked;
-          List.iter
-            (fun (tech : Nvsc_nvram.Technology.t) ->
-              if Nvsc_nvram.Technology.is_nvram tech then
-                Format.fprintf fmt "persist cost: %a@." Nvsc_nvram.Persist_cost.pp
-                  (Nvsc_nvram.Persist_cost.charge ~tech
-                     ~flushed_lines:s.flushed_lines ~fences:s.fences))
-            Nvsc_nvram.Technology.paper_set
-        | None -> ());
-        if not (San.is_clean report) then exit 1)
+        if not clean then exit 1)
   in
   let info =
     Cmd.info "lint"
@@ -549,7 +557,7 @@ let lint_cmd =
     Term.(
       ret
         (const run $ logs_term $ app_arg $ scale_arg $ iterations_arg
-       $ check_init_arg $ persist_arg))
+       $ check_init_arg $ persist_arg $ Cli.profile))
 
 (* --- sweep --------------------------------------------------------------- *)
 
@@ -681,10 +689,7 @@ let record_cmd =
   let run () name scale iterations out chunk_capacity profile =
     with_trace_errors @@ fun () ->
     with_app name (fun app ->
-        Nvsc_obs.with_profiling
-          ?trace_out:(Cli.profile_trace_out profile)
-          ~enabled:(Cli.profile_enabled profile)
-        @@ fun () ->
+        with_profile profile @@ fun () ->
         let s =
           Nvsc_core.Trace_run.record ?chunk_capacity ~scale ~iterations
             ~path:out app
@@ -844,10 +849,7 @@ let serve_cmd =
         [ Sys.sigint; Sys.sigterm ];
       Format.eprintf "nvscav serve: listening on %s@."
         (String.concat ", " (Serve.Server.endpoints t));
-      Nvsc_obs.with_profiling
-        ?trace_out:(Cli.profile_trace_out profile)
-        ~enabled:(Cli.profile_enabled profile)
-        (fun () -> Serve.Server.await t);
+      with_profile profile (fun () -> Serve.Server.await t);
       Format.eprintf "nvscav serve: stopped@.";
       `Ok ()
   in

@@ -15,12 +15,68 @@ type fast_tally = {
   other_writes : int;
 }
 
-type mutable_tally = {
-  mutable sr : int;
-  mutable sw : int;
-  mutable or_ : int;
-  mutable ow : int;
-}
+let zero_tally =
+  { stack_reads = 0; stack_writes = 0; other_reads = 0; other_writes = 0 }
+
+(* [addr] in the stack window: the region test of the fast stack method. *)
+let[@inline] in_stack_window addr =
+  addr > Layout.stack_limit && addr <= Layout.stack_top
+
+module Tally = struct
+  (* Region tallies of the unattributed references only: four counts per
+     iteration (stack reads, stack writes, other reads, other writes) in
+     one flat array.  Attributed references are tallied by the counters:
+     a stack-window address only ever attributes to a routine object and
+     a heap or global address only to a registry object, so the fast
+     tallies are derived exactly from the counters plus these. *)
+  type t = { mutable counts : int array; mutable unattributed : int }
+
+  let create () = { counts = Array.make 16 0; unattributed = 0 }
+  let unattributed t = t.unattributed
+
+  let get t ~iter k =
+    let i = (4 * iter) + k in
+    if iter < 0 || i >= Array.length t.counts then 0 else t.counts.(i)
+
+  let add_unattributed t counters ~addr ~op =
+    let i =
+      (4 * Counters.iteration counters)
+      + (if in_stack_window addr then 0 else 2)
+      + (match op with Access.Read -> 0 | Access.Write -> 1)
+    in
+    let n = Array.length t.counts in
+    if i >= n then begin
+      let c = Array.make (Stdlib.max (2 * n) (i + 4)) 0 in
+      Array.blit t.counts 0 c 0 n;
+      t.counts <- c
+    end;
+    t.counts.(i) <- t.counts.(i) + 1;
+    t.unattributed <- t.unattributed + 1
+
+  let[@inline] account t counters ~addr ~obj_id ~op =
+    if obj_id >= 0 then Counters.record counters ~obj_id ~op
+    else add_unattributed t counters ~addr ~op
+
+  let fast_tally t counters ~stack_ids ~iter =
+    if iter < 0 then zero_tally
+    else begin
+      let sr, sw =
+        List.fold_left
+          (fun (r, w) obj_id ->
+            ( r + Counters.reads counters ~obj_id ~iter,
+              w + Counters.writes counters ~obj_id ~iter ))
+          (0, 0) stack_ids
+      in
+      {
+        stack_reads = sr + get t ~iter 0;
+        stack_writes = sw + get t ~iter 1;
+        other_reads =
+          Counters.iteration_reads counters ~iter - sr + get t ~iter 2;
+        other_writes =
+          Counters.iteration_writes counters ~iter - sw + get t ~iter 3;
+      }
+    end
+end
 
 type frame = {
   routine : string;
@@ -52,6 +108,7 @@ type t = {
   rng : Rng.t;
   registry : Object_registry.t;
   counters : Counters.t;
+  tally : Tally.t;
   shadow : Shadow_stack.t;
   mutable sinks : Sink.t array;
   mutable attr_sinks : attributed_sink array;
@@ -67,11 +124,16 @@ type t = {
      including the boundary instruction tail — the lossless program-order
      stream the NVT writer serializes. *)
   mutable record_sink : record_sink option;
-  (* true iff some consumer reads the emission buffers (a reference sink,
-     an attributed sink, or an instruction sink).  When false — the
-     common no-trace configuration — [emit_observed] skips the four
-     per-reference buffer stores and only keeps the flush accounting. *)
+  (* true iff some consumer reads the emission batch (any sink or the
+     recorder).  When false — [analyze] and every other run without a
+     trace — [emit_observed] skips every per-reference buffer store and
+     only keeps the flush accounting. *)
   mutable recording : bool;
+  (* true iff some consumer also reads [obj_ids] or [instr_before] (an
+     attributed sink, an instruction sink or the recorder).  When false —
+     [run], whose only consumer is the cache-hierarchy sink — emission
+     stores the address and op and nothing else. *)
+  mutable attributing : bool;
   redzone_bytes : int; (* unregistered gap after each allocation *)
   (* the emission batch: references accumulate here and flush to the sinks
      when the batch fills or at a phase boundary (paper §III-D).  The
@@ -91,7 +153,6 @@ type t = {
   mutable capacity_flushes : int;
   mutable boundary_flushes : int;
   mutable phase : Mem_object.phase;
-  mutable cur_tally : mutable_tally;
   mutable heap_brk : int;
   mutable global_brk : int;
   mutable next_id : int;
@@ -133,9 +194,7 @@ type t = {
   mutable memo_frame_hi : int; (* exclusive *)
   mutable memo_frame_id : int;
   heap_instances : (string, int) Hashtbl.t; (* live-collision counters *)
-  mutable tallies : mutable_tally array; (* per iteration *)
   mutable total_refs : int;
-  mutable unattributed : int;
   mutable sampling : sampling option;
   mutable sampled_out : int;
 }
@@ -178,7 +237,6 @@ let create ?(seed = 42) ?(batch_capacity = Sink.default_capacity)
     ?(redzone_words = 0) () =
   if batch_capacity <= 0 then invalid_arg "Ctx.create: batch_capacity";
   if redzone_words < 0 then invalid_arg "Ctx.create: redzone_words";
-  let tallies = Array.init 4 (fun _ -> { sr = 0; sw = 0; or_ = 0; ow = 0 }) in
   let bufs = acquire_buffers batch_capacity in
   let batch = bufs.b_batch in
   (* the context only emits word-sized references: prefill once (a pooled
@@ -188,6 +246,7 @@ let create ?(seed = 42) ?(batch_capacity = Sink.default_capacity)
     rng = Rng.of_int seed;
     registry = Object_registry.create ();
     counters = Counters.create ();
+    tally = Tally.create ();
     shadow = Shadow_stack.create ();
     sinks = [||];
     attr_sinks = [||];
@@ -195,6 +254,7 @@ let create ?(seed = 42) ?(batch_capacity = Sink.default_capacity)
     event_sinks = [||];
     record_sink = None;
     recording = false;
+    attributing = false;
     redzone_bytes = redzone_words * Layout.word;
     batch;
     obj_ids = bufs.b_obj_ids;
@@ -206,7 +266,6 @@ let create ?(seed = 42) ?(batch_capacity = Sink.default_capacity)
     capacity_flushes = 0;
     boundary_flushes = 0;
     phase = Mem_object.Pre;
-    cur_tally = tallies.(0);
     heap_brk = Layout.heap_base;
     global_brk = Layout.global_base;
     next_id = 0;
@@ -229,9 +288,7 @@ let create ?(seed = 42) ?(batch_capacity = Sink.default_capacity)
     memo_frame_hi = 0;
     memo_frame_id = -1;
     heap_instances = Hashtbl.create 64;
-    tallies;
     total_refs = 0;
-    unattributed = 0;
     sampling = None;
     sampled_out = 0;
   }
@@ -289,11 +346,11 @@ let flush_batch t ~boundary =
 let flush_refs t = flush_batch t ~boundary:true
 
 let recompute_recording t =
-  t.recording <-
-    Array.length t.sinks > 0
-    || Array.length t.attr_sinks > 0
+  t.attributing <-
+    Array.length t.attr_sinks > 0
     || t.instr_sink <> None
-    || t.record_sink <> None
+    || t.record_sink <> None;
+  t.recording <- t.attributing || Array.length t.sinks > 0
 
 (* Subscription flushes buffered references first: references emitted
    before the subscription are delivered to the previously-subscribed
@@ -344,7 +401,8 @@ let clear_sinks t =
   t.instr_sink <- None;
   t.event_sinks <- [||];
   t.record_sink <- None;
-  t.recording <- false
+  t.recording <- false;
+  t.attributing <- false
 
 let release t =
   flush_refs t;
@@ -372,18 +430,6 @@ let iteration_of_phase = function
     if i < 1 then invalid_arg "Ctx: main-loop iterations are 1-based";
     i
 
-let tally t iter =
-  let n = Array.length t.tallies in
-  if iter >= n then begin
-    let n' = Stdlib.max (iter + 1) (2 * n) in
-    let t' =
-      Array.init n' (fun i ->
-          if i < n then t.tallies.(i) else { sr = 0; sw = 0; or_ = 0; ow = 0 })
-    in
-    t.tallies <- t'
-  end;
-  t.tallies.(iter)
-
 let set_phase t phase =
   let iter = iteration_of_phase phase in
   (* flush before the phase changes: buffered references were emitted in
@@ -391,7 +437,6 @@ let set_phase t phase =
   flush_batch t ~boundary:true;
   t.phase <- phase;
   Counters.set_iteration t.counters iter;
-  t.cur_tally <- tally t iter;
   notify t (Phase_change phase)
 
 let phase t = t.phase
@@ -679,40 +724,26 @@ let[@inline] attribute_obj_id t addr =
 
 let emit_observed t addr op =
   t.total_refs <- t.total_refs + 1;
-  let tal = t.cur_tally in
   (* Region test inlined as two range checks instead of [Layout.classify]:
      global [global_base, global_limit) and heap [heap_base, heap_limit)
      are contiguous and emission treats them identically, so one compare
      pair covers both. *)
   let obj_id =
-    if addr >= Layout.global_base && addr < Layout.heap_limit then begin
-      (match op with
-      | Access.Read -> tal.or_ <- tal.or_ + 1
-      | Access.Write -> tal.ow <- tal.ow + 1);
+    if addr >= Layout.global_base && addr < Layout.heap_limit then
       attribute_obj_id t addr
-    end
-    else if addr > Layout.stack_limit && addr <= Layout.stack_top then begin
-      (match op with
-      | Access.Read -> tal.sr <- tal.sr + 1
-      | Access.Write -> tal.sw <- tal.sw + 1);
-      attribute_stack_id t addr
-    end
-    else begin
-      (match op with
-      | Access.Read -> tal.or_ <- tal.or_ + 1
-      | Access.Write -> tal.ow <- tal.ow + 1);
-      -1
-    end
+    else if in_stack_window addr then attribute_stack_id t addr
+    else -1
   in
-  if obj_id >= 0 then Counters.record t.counters ~obj_id ~op
-  else t.unattributed <- t.unattributed + 1;
+  Tally.account t.tally t.counters ~addr ~obj_id ~op;
   if t.recording then begin
     let i = t.batch_len in
     (* i < batch_capacity = length of all three arrays, by construction *)
     Sink.Batch.set_addr_op t.batch i ~addr ~op;
-    Array.unsafe_set t.obj_ids i obj_id;
-    Array.unsafe_set t.instr_before i t.pending_instr;
-    t.pending_instr <- 0;
+    if t.attributing then begin
+      Array.unsafe_set t.obj_ids i obj_id;
+      Array.unsafe_set t.instr_before i t.pending_instr;
+      t.pending_instr <- 0
+    end;
     t.batch_len <- i + 1;
     if t.batch_len = t.batch_capacity then flush_batch t ~boundary:false
   end
@@ -790,33 +821,32 @@ let stack_objects t =
 
 let attribute_addr = attribute
 
+let stack_ids t =
+  Hashtbl.fold
+    (fun _ (o : Mem_object.t) acc -> o.id :: acc)
+    t.routine_objects []
+
 let fast_tally t ~iter =
-  if iter < 0 || iter >= Array.length t.tallies then
-    { stack_reads = 0; stack_writes = 0; other_reads = 0; other_writes = 0 }
-  else begin
-    let tal = t.tallies.(iter) in
-    {
-      stack_reads = tal.sr;
-      stack_writes = tal.sw;
-      other_reads = tal.or_;
-      other_writes = tal.ow;
-    }
-  end
+  Tally.fast_tally t.tally t.counters ~stack_ids:(stack_ids t) ~iter
 
 let fast_tally_totals t =
-  Array.fold_left
-    (fun acc tal ->
+  let stack_ids = stack_ids t in
+  let acc = ref zero_tally in
+  for iter = 0 to Counters.max_iteration t.counters do
+    let f = Tally.fast_tally t.tally t.counters ~stack_ids ~iter
+    and a = !acc in
+    acc :=
       {
-        stack_reads = acc.stack_reads + tal.sr;
-        stack_writes = acc.stack_writes + tal.sw;
-        other_reads = acc.other_reads + tal.or_;
-        other_writes = acc.other_writes + tal.ow;
-      })
-    { stack_reads = 0; stack_writes = 0; other_reads = 0; other_writes = 0 }
-    t.tallies
+        stack_reads = a.stack_reads + f.stack_reads;
+        stack_writes = a.stack_writes + f.stack_writes;
+        other_reads = a.other_reads + f.other_reads;
+        other_writes = a.other_writes + f.other_writes;
+      }
+  done;
+  !acc
 
 let total_references t = t.total_refs
-let unattributed t = t.unattributed
+let unattributed t = Tally.unattributed t.tally
 
 (* --- pipeline self-observability --------------------------------------- *)
 

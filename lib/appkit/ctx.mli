@@ -11,9 +11,10 @@
     References do not leave the context one at a time: they accumulate in a
     flat {!Nvsc_memtrace.Sink.Batch.t} and are delivered to the subscribed
     sinks a batch at a time — when the batch fills, or at a phase boundary
-    (the paper's §III-D batching of raw references).  Attribution, the fast
-    stack tallies and the per-object counters still happen at emission
-    time, so analysis results are independent of the batch capacity. *)
+    (the paper's §III-D batching of raw references).  Attribution and the
+    per-object counters still happen at emission time, and the fast stack
+    tallies are derived from the counters, so analysis results are
+    independent of the batch capacity. *)
 
 type t
 
@@ -263,6 +264,45 @@ type fast_tally = {
 
 val fast_tally : t -> iter:int -> fast_tally
 val fast_tally_totals : t -> fast_tally
+
+(** The per-reference accounting kernel, shared by live emission and
+    {!Nvsc_core.Trace_run.replay}.  An attributed reference increments its
+    object's counter; only an unattributed one is tallied by region.  The
+    fast tallies are then derived exactly: a stack-window address only
+    ever attributes to a routine (stack) object and a heap or global
+    address only to a registry object, so
+
+    - stack = the iteration's counts over the stack objects + unattributed
+      stack-window references;
+    - other = all attributed counts − the stack part + unattributed other
+      references. *)
+module Tally : sig
+  type t
+
+  val create : unit -> t
+
+  val account :
+    t ->
+    Nvsc_memtrace.Counters.t ->
+    addr:int ->
+    obj_id:int ->
+    op:Nvsc_memtrace.Access.op ->
+    unit
+  (** Charge one reference to the counters' current iteration: to object
+      [obj_id] when [obj_id >= 0], else to the unattributed stack or other
+      tally by [addr]. *)
+
+  val fast_tally :
+    t ->
+    Nvsc_memtrace.Counters.t ->
+    stack_ids:int list ->
+    iter:int ->
+    fast_tally
+  (** [stack_ids]: the ids of every stack (routine frame) object. *)
+
+  val unattributed : t -> int
+  (** Unattributed references so far. *)
+end
 
 val total_references : t -> int
 val unattributed : t -> int

@@ -46,8 +46,11 @@ let base t = t.base
 
 let[@inline] addr_of t i = t.base + (i * Layout.word)
 
-(* Inlined so the float result/argument flows unboxed at the call site
-   (a non-inlined float return boxes on every instrumented access). *)
+(* Inlined so the float result/argument flows unboxed at the call site:
+   a non-inlined float return boxes on every instrumented access.  That
+   holds only where cross-module inlining works, i.e. not under dune's
+   dev profile, which compiles every module -opaque; the root
+   dune-workspace builds release (see DESIGN.md, "Build profile"). *)
 let[@inline] get t i =
   Ctx.read_addr t.ctx ~addr:(addr_of t i);
   t.data.(i)

@@ -1,5 +1,4 @@
 module Ctx = Nvsc_appkit.Ctx
-module Layout = Nvsc_memtrace.Layout
 module Mem_object = Nvsc_memtrace.Mem_object
 module Object_registry = Nvsc_memtrace.Object_registry
 module Counters = Nvsc_memtrace.Counters
@@ -8,7 +7,6 @@ module Trace_codec = Nvsc_memtrace.Trace_codec
 module Trace_log = Nvsc_memtrace.Trace_log
 module Hierarchy = Nvsc_cachesim.Hierarchy
 module Cache = Nvsc_cachesim.Cache
-module Access = Nvsc_memtrace.Access
 module Span = Nvsc_obs.Span
 
 let record ?batch_capacity ?chunk_capacity ~scale ~iterations ~path
@@ -69,13 +67,6 @@ let record ?batch_capacity ?chunk_capacity ~scale ~iterations ~path
 
 (* --- replay ------------------------------------------------------------- *)
 
-type tally = {
-  mutable sr : int;
-  mutable sw : int;
-  mutable or_ : int;
-  mutable ow : int;
-}
-
 let iteration_of_phase = function
   | Mem_object.Pre | Mem_object.Post -> 0
   | Mem_object.Main i -> i
@@ -87,12 +78,8 @@ let replay path =
   let meta = Trace_codec.Reader.meta r in
   let iterations = meta.Trace_codec.iterations in
   let counters = Counters.create () in
-  let tallies =
-    Array.init (iterations + 1) (fun _ -> { sr = 0; sw = 0; or_ = 0; ow = 0 })
-  in
-  let cur_tally = ref tallies.(0) in
+  let tally = Ctx.Tally.create () in
   let in_main = ref false in
-  let unattributed = ref 0 in
   let batches = ref 0 in
   let trace = Trace_log.create () in
   let hierarchy =
@@ -102,36 +89,20 @@ let replay path =
     ~on_phase:(fun p ->
       let iter = iteration_of_phase p in
       Counters.set_iteration counters iter;
-      if iter >= 0 && iter <= iterations then cur_tally := tallies.(iter);
       in_main := match p with Mem_object.Main _ -> true | _ -> false)
     ~on_refs:(fun batch ~obj_ids ~first ~n ->
       incr batches;
-      let tal = !cur_tally in
+      (* the live emission's accounting, on the recorded attribution *)
       for i = first to first + n - 1 do
-        let addr = Sink.Batch.addr batch i in
-        let op = Sink.Batch.op batch i in
-        (* same classification as live emission: globals and heap are
-           contiguous, everything outside the stack window tallies as
-           "other" *)
-        if addr > Layout.stack_limit && addr <= Layout.stack_top then
-          match op with
-          | Access.Read -> tal.sr <- tal.sr + 1
-          | Access.Write -> tal.sw <- tal.sw + 1
-        else begin
-          match op with
-          | Access.Read -> tal.or_ <- tal.or_ + 1
-          | Access.Write -> tal.ow <- tal.ow + 1
-        end;
-        let obj_id = obj_ids.(i) in
-        if obj_id >= 0 then Counters.record counters ~obj_id ~op
-        else incr unattributed
+        Ctx.Tally.account tally counters ~addr:(Sink.Batch.addr batch i)
+          ~obj_id:obj_ids.(i) ~op:(Sink.Batch.op batch i)
       done;
       if !in_main then Hierarchy.consume hierarchy batch ~first ~n)
     ();
   Hierarchy.drain hierarchy;
-  let objects =
-    Trace_codec.Reader.objects r @ Trace_codec.Reader.stack_objects r
-  in
+  let stack_objects = Trace_codec.Reader.stack_objects r in
+  let objects = Trace_codec.Reader.objects r @ stack_objects in
+  let stack_ids = List.map (fun (o : Mem_object.t) -> o.id) stack_objects in
   let metrics = Object_metrics.collect_of ~counters ~objects ~iterations in
   let footprint_bytes =
     List.fold_left (fun acc m -> acc + Object_metrics.size_bytes m) 0 metrics
@@ -147,19 +118,12 @@ let replay path =
     total_main_refs = Object_metrics.total_main_refs_of counters ~iterations;
     metrics;
     fast_tallies =
-      Array.map
-        (fun t ->
-          {
-            Ctx.stack_reads = t.sr;
-            stack_writes = t.sw;
-            other_reads = t.or_;
-            other_writes = t.ow;
-          })
-        tallies;
+      Array.init (iterations + 1) (fun iter ->
+          Ctx.Tally.fast_tally tally counters ~stack_ids ~iter);
     mem_trace = Some trace;
     l1_miss_rate = Cache.miss_rate (Hierarchy.l1d hierarchy);
     l2_miss_rate = Cache.miss_rate (Hierarchy.l2 hierarchy);
-    unattributed = !unattributed;
+    unattributed = Ctx.Tally.unattributed tally;
     pipeline =
       (* replay has no emission batch: one "batch" per delivered slice,
          all boundary flushes *)

@@ -1,168 +1,165 @@
-type per_object = {
-  mutable reads : int array; (* indexed by iteration *)
-  mutable writes : int array;
-  mutable total_reads : int;
-  mutable total_writes : int;
-}
-
-(* Object ids are small dense ints (allocation order), so the table is a
-   flat array indexed by id: the per-reference path is a load and a match,
-   with no hashing and no option allocation — a hash lookup here cost more
-   than the rest of the record path combined when successive references
-   alternate between objects (array sweeps with a stack temporary). *)
+(* One flat plane per iteration and per direction, indexed by object id:
+   [reads.(iter).(id)], [writes.(iter).(id)].  Object ids are small dense
+   ints (allocation order), so a plane is a plain int array.  The current
+   iteration's planes are cached in [cur_reads]/[cur_writes], so the
+   per-reference path is one bounds test and one increment: no option
+   match, no per-object record, no running totals.  Totals are computed
+   when queried, which happens once per object per run. *)
 type t = {
-  mutable slots : per_object option array; (* indexed by object id *)
+  mutable reads : int array array; (* indexed by iteration, then id *)
+  mutable writes : int array array;
+  mutable cur_reads : int array; (* = reads.(iter) *)
+  mutable cur_writes : int array; (* = writes.(iter), same length *)
+  mutable width : int; (* plane length for newly created planes *)
   mutable iter : int;
   mutable max_iter : int;
-  mutable grand_total : int;
 }
 
-let fresh_po () =
-  { reads = Array.make 4 0; writes = Array.make 4 0;
-    total_reads = 0; total_writes = 0 }
-
 let create () =
-  { slots = Array.make 64 None; iter = 0; max_iter = 0; grand_total = 0 }
+  let width = 64 in
+  let r = Array.make width 0 and w = Array.make width 0 in
+  {
+    reads = [| r |];
+    writes = [| w |];
+    cur_reads = r;
+    cur_writes = w;
+    width;
+    iter = 0;
+    max_iter = 0;
+  }
+
+let grow_outer a n =
+  let a' = Array.make n [||] in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
 
 let set_iteration t i =
   if i < 0 then invalid_arg "Counters.set_iteration: negative iteration";
+  let n = Array.length t.reads in
+  if i >= n then begin
+    let n' = Stdlib.max (i + 1) (2 * n) in
+    t.reads <- grow_outer t.reads n';
+    t.writes <- grow_outer t.writes n'
+  end;
+  if Array.length t.reads.(i) = 0 then begin
+    t.reads.(i) <- Array.make t.width 0;
+    t.writes.(i) <- Array.make t.width 0
+  end;
   t.iter <- i;
+  t.cur_reads <- t.reads.(i);
+  t.cur_writes <- t.writes.(i);
   if i > t.max_iter then t.max_iter <- i
 
 let iteration t = t.iter
 
-let ensure_capacity po iter =
-  let cap = Array.length po.reads in
-  if iter >= cap then begin
-    let cap' = Stdlib.max (iter + 1) (2 * cap) in
-    let grow a =
-      let a' = Array.make cap' 0 in
-      Array.blit a 0 a' 0 cap;
-      a'
-    in
-    po.reads <- grow po.reads;
-    po.writes <- grow po.writes
-  end
+let widen plane width =
+  let p = Array.make width 0 in
+  Array.blit plane 0 p 0 (Array.length plane);
+  p
 
-(* Slow path: negative-id rejection, table growth and slot creation. *)
-let get_or_create t obj_id =
+(* Slow path: negative-id rejection, then growth of the current planes
+   (and of the width later planes are created with) to cover [obj_id]. *)
+let add_slow t obj_id op n =
   if obj_id < 0 then invalid_arg "Counters: negative object id";
-  let cap = Array.length t.slots in
-  if obj_id >= cap then begin
-    let cap' = ref (2 * cap) in
-    while obj_id >= !cap' do
-      cap' := 2 * !cap'
+  if obj_id >= t.width then begin
+    let w = ref (2 * t.width) in
+    while obj_id >= !w do
+      w := 2 * !w
     done;
-    let slots = Array.make !cap' None in
-    Array.blit t.slots 0 slots 0 cap;
-    t.slots <- slots
+    t.width <- !w
   end;
-  match Array.unsafe_get t.slots obj_id with
-  | Some po -> po
-  | None ->
-    let po = fresh_po () in
-    Array.unsafe_set t.slots obj_id (Some po);
-    po
+  if obj_id >= Array.length t.cur_reads then begin
+    t.cur_reads <- widen t.cur_reads t.width;
+    t.cur_writes <- widen t.cur_writes t.width;
+    t.reads.(t.iter) <- t.cur_reads;
+    t.writes.(t.iter) <- t.cur_writes
+  end;
+  let plane =
+    match op with Access.Read -> t.cur_reads | Access.Write -> t.cur_writes
+  in
+  plane.(obj_id) <- plane.(obj_id) + n
 
-let[@inline] find t obj_id =
-  if obj_id >= 0 && obj_id < Array.length t.slots then
-    Array.unsafe_get t.slots obj_id
-  else None
+(* The per-reference hot path (one call per emitted access). *)
+let[@inline] record t ~obj_id ~op =
+  let plane =
+    match op with Access.Read -> t.cur_reads | Access.Write -> t.cur_writes
+  in
+  if obj_id >= 0 && obj_id < Array.length plane then
+    Array.unsafe_set plane obj_id (Array.unsafe_get plane obj_id + 1)
+  else add_slow t obj_id op 1
 
 let record_n t ~obj_id ~op ~n =
   if n < 0 then invalid_arg "Counters.record_n: negative count";
   if n > 0 then begin
-    let po = get_or_create t obj_id in
-    let iter = t.iter in
-    ensure_capacity po iter;
-    (match op with
-    | Access.Read ->
-      let r = po.reads in
-      Array.unsafe_set r iter (Array.unsafe_get r iter + n);
-      po.total_reads <- po.total_reads + n
-    | Access.Write ->
-      let w = po.writes in
-      Array.unsafe_set w iter (Array.unsafe_get w iter + n);
-      po.total_writes <- po.total_writes + n);
-    t.grand_total <- t.grand_total + n
+    let plane =
+      match op with Access.Read -> t.cur_reads | Access.Write -> t.cur_writes
+    in
+    if obj_id >= 0 && obj_id < Array.length plane then
+      plane.(obj_id) <- plane.(obj_id) + n
+    else add_slow t obj_id op n
   end
 
-(* The per-reference hot path (one call per emitted access): resident ids
-   resolve with one load, and after [ensure_capacity] the iteration index
-   is within both arrays, so the accumulations are unchecked. *)
-let[@inline] record t ~obj_id ~op =
-  let po =
-    if obj_id >= 0 && obj_id < Array.length t.slots then
-      match Array.unsafe_get t.slots obj_id with
-      | Some po -> po
-      | None -> get_or_create t obj_id
-    else get_or_create t obj_id
-  in
-  let iter = t.iter in
-  if iter >= Array.length po.reads then ensure_capacity po iter;
-  (match op with
-  | Access.Read ->
-    let r = po.reads in
-    Array.unsafe_set r iter (Array.unsafe_get r iter + 1);
-    po.total_reads <- po.total_reads + 1
-  | Access.Write ->
-    let w = po.writes in
-    Array.unsafe_set w iter (Array.unsafe_get w iter + 1);
-    po.total_writes <- po.total_writes + 1);
-  t.grand_total <- t.grand_total + 1
+let count_in planes ~obj_id ~iter =
+  if iter < 0 || iter >= Array.length planes then 0
+  else begin
+    let p = planes.(iter) in
+    if obj_id >= 0 && obj_id < Array.length p then p.(obj_id) else 0
+  end
 
-let count_at a iter = if iter < Array.length a then a.(iter) else 0
+let reads t ~obj_id ~iter = count_in t.reads ~obj_id ~iter
+let writes t ~obj_id ~iter = count_in t.writes ~obj_id ~iter
 
-let reads t ~obj_id ~iter =
-  match find t obj_id with
-  | None -> 0
-  | Some po -> count_at po.reads iter
+let sum_over_iterations planes ~obj_id =
+  let s = ref 0 in
+  for iter = 0 to Array.length planes - 1 do
+    s := !s + count_in planes ~obj_id ~iter
+  done;
+  !s
 
-let writes t ~obj_id ~iter =
-  match find t obj_id with
-  | None -> 0
-  | Some po -> count_at po.writes iter
+let total_reads t ~obj_id = sum_over_iterations t.reads ~obj_id
+let total_writes t ~obj_id = sum_over_iterations t.writes ~obj_id
 
-let total_reads t ~obj_id =
-  match find t obj_id with None -> 0 | Some po -> po.total_reads
+let sum_plane planes ~iter =
+  if iter < 0 || iter >= Array.length planes then 0
+  else Array.fold_left ( + ) 0 planes.(iter)
 
-let total_writes t ~obj_id =
-  match find t obj_id with None -> 0 | Some po -> po.total_writes
+let iteration_reads t ~iter = sum_plane t.reads ~iter
+let iteration_writes t ~iter = sum_plane t.writes ~iter
 
-let grand_total t = t.grand_total
+let grand_total t =
+  let s = ref 0 in
+  for iter = 0 to Array.length t.reads - 1 do
+    s := !s + sum_plane t.reads ~iter + sum_plane t.writes ~iter
+  done;
+  !s
+
+let touched t ~obj_id ~iter =
+  reads t ~obj_id ~iter > 0 || writes t ~obj_id ~iter > 0
 
 let iterations_touched t ~obj_id =
-  match find t obj_id with
-  | None -> []
-  | Some po ->
-    (* descending scan builds the ascending list directly: the only
-       allocations are the list cells themselves *)
-    let rec build i acc =
-      if i < 0 then acc
-      else
-        build (i - 1)
-          (if po.reads.(i) > 0 || po.writes.(i) > 0 then i :: acc else acc)
-    in
-    build (Array.length po.reads - 1) []
+  let rec build i acc =
+    if i < 0 then acc
+    else build (i - 1) (if touched t ~obj_id ~iter:i then i :: acc else acc)
+  in
+  build (Array.length t.reads - 1) []
 
 let touched_in_main_loop t ~obj_id =
-  match find t obj_id with
-  | None -> false
-  | Some po ->
-    let n = Array.length po.reads in
-    let rec scan i =
-      i < n && (po.reads.(i) > 0 || po.writes.(i) > 0 || scan (i + 1))
-    in
-    scan 1
+  let n = Array.length t.reads in
+  let rec scan i = i < n && (touched t ~obj_id ~iter:i || scan (i + 1)) in
+  scan 1
 
 let max_iteration t = t.max_iter
 
 let tracked_objects t =
-  (* slot order is already ascending; the [Int.compare] sort keeps the
-     contract explicit and representation-independent (monomorphic, no
-     generic-compare dispatch) *)
-  let acc = ref [] in
-  for id = Array.length t.slots - 1 downto 0 do
-    match t.slots.(id) with Some _ -> acc := id :: !acc | None -> ()
-  done;
-  List.sort Int.compare !acc
+  let width =
+    Array.fold_left (fun m p -> Stdlib.max m (Array.length p)) 0 t.reads
+  in
+  let rec build id acc =
+    if id < 0 then acc
+    else
+      build (id - 1)
+        (if total_reads t ~obj_id:id > 0 || total_writes t ~obj_id:id > 0 then
+           id :: acc
+         else acc)
+  in
+  build (width - 1) []

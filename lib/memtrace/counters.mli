@@ -5,7 +5,13 @@
     compares across time steps (§II, §VII-C).  This module stores read and
     write counts per (object, iteration) pair.  Iteration 0 stands for the
     pre-computing and post-processing phases combined, matching the 0 label
-    in the paper's figure 7; main-loop iterations are numbered from 1. *)
+    in the paper's figure 7; main-loop iterations are numbered from 1.
+
+    Storage is one flat plane per iteration and direction, indexed by
+    object id, and the current iteration's planes are cached, so
+    {!record} is one bounds test and one increment.  Totals
+    ({!total_reads}, {!grand_total}, {!tracked_objects}, ...) are summed
+    over the planes when queried. *)
 
 type t
 
@@ -18,14 +24,23 @@ val set_iteration : t -> int -> unit
 val iteration : t -> int
 
 val record : t -> obj_id:int -> op:Access.op -> unit
+(** Charge one access to [obj_id] in the current iteration.  Raises
+    [Invalid_argument] on a negative id. *)
 
 val record_n : t -> obj_id:int -> op:Access.op -> n:int -> unit
-(** Batched variant used by the trace-buffer flush path. *)
+(** [n] accesses at once; [n = 0] records nothing.  Raises
+    [Invalid_argument] on a negative [n]. *)
 
 val reads : t -> obj_id:int -> iter:int -> int
-(** 0 when the object or iteration was never touched. *)
+(** 0 when the object or iteration was never touched (negative ids and
+    iterations included). *)
 
 val writes : t -> obj_id:int -> iter:int -> int
+
+val iteration_reads : t -> iter:int -> int
+(** All reads charged to iteration [iter], over every object. *)
+
+val iteration_writes : t -> iter:int -> int
 
 val total_reads : t -> obj_id:int -> int
 val total_writes : t -> obj_id:int -> int

@@ -305,6 +305,110 @@ let test_batch_capacity_invariance () =
         true (r = reference))
     [ 1; 7 ]
 
+(* Emission allocates nothing: with cross-module inlining (the release
+   build dune-workspace selects) [Farray.get] returns its float unboxed
+   and [Farray.set] takes it unboxed, and the emission path itself
+   allocates nowhere.  Under [--profile dev] every module is compiled
+   [-opaque], each pair boxes two floats (4 words), and this test fails —
+   by design: it pins the shipped build mode. *)
+let test_emission_allocates_nothing () =
+  let ctx = Ctx.create () in
+  let seen = ref 0 in
+  Ctx.add_sink ctx
+    (Nvsc_memtrace.Sink.create ~name:"count" (fun _ ~first:_ ~n ->
+         seen := !seen + n));
+  let a = Farray.global ctx ~name:"a" 1024 in
+  Ctx.set_phase ctx (Mem_object.Main 1);
+  let pairs = 1_000_000 in
+  let before = Gc.minor_words () in
+  for k = 0 to pairs - 1 do
+    let i = k land 1023 in
+    Farray.set a i (Farray.get a i +. 1.)
+  done;
+  let words = Gc.minor_words () -. before in
+  Ctx.flush_refs ctx;
+  Alcotest.(check int) "every reference delivered" (2 * pairs) !seen;
+  let per_pair = words /. float_of_int pairs in
+  if per_pair >= 0.01 then
+    Alcotest.failf
+      "%.3f minor words per get+set pair (limit 0.01); was this built \
+       with --profile dev?"
+      per_pair
+
+(* The fast tallies are derived from the counters (see [Ctx.Tally]); this
+   reference classifies every delivered reference by address instead, as
+   the paper's fast stack method does, and charges it to the phase it was
+   delivered under.  All six apps, plain, sampled, and with redzones plus
+   stray references (a redzone word, a stack-window address outside every
+   frame, an unmapped address) so the unattributed path is exercised. *)
+let test_fast_tally_matches_reference () =
+  let iterations = 2 in
+  let check (module A : Nvsc_apps.Workload.APP) mode =
+    let label = Printf.sprintf "%s/%s" A.name mode in
+    let ctx =
+      Ctx.create ~redzone_words:(if mode = "redzones" then 2 else 0) ()
+    in
+    if mode = "sampled" then Ctx.set_sampling ctx ~period:7 ~sample_length:3;
+    let tallies = Array.make_matrix (iterations + 1) 4 0 in
+    let unattributed = ref 0 in
+    Ctx.add_attributed_sink ctx (fun b obj_ids ~first ~n ->
+        let iter =
+          match Ctx.phase ctx with
+          | Mem_object.Main i -> i
+          | Mem_object.Pre | Mem_object.Post -> 0
+        in
+        for i = first to first + n - 1 do
+          let addr = Nvsc_memtrace.Sink.Batch.addr b i in
+          let k =
+            (if Layout.classify addr = Some Layout.Stack then 0 else 2)
+            +
+            match Nvsc_memtrace.Sink.Batch.op b i with
+            | Access.Read -> 0
+            | Access.Write -> 1
+          in
+          tallies.(iter).(k) <- tallies.(iter).(k) + 1;
+          if obj_ids.(i) < 0 then incr unattributed
+        done);
+    A.run ~scale:0.05 ctx ~iterations;
+    if mode = "redzones" then begin
+      Ctx.set_phase ctx (Mem_object.Main 1);
+      let o =
+        List.hd (Nvsc_memtrace.Object_registry.objects (Ctx.registry ctx))
+      in
+      let redzone = o.Mem_object.base + o.Mem_object.size in
+      let stray = Layout.stack_top - Layout.word in
+      (* 1, 2, 3 and 4 strays of the four kinds, so a tally charged to
+         the wrong region or direction cannot go unnoticed *)
+      Ctx.read_addr ctx ~addr:stray;
+      for _ = 1 to 2 do Ctx.write_addr ctx ~addr:stray done;
+      for _ = 1 to 3 do Ctx.read_addr ctx ~addr:redzone done;
+      for _ = 1 to 4 do Ctx.write_addr ctx ~addr:0 done;
+      Ctx.set_phase ctx Mem_object.Post
+    end;
+    Ctx.flush_refs ctx;
+    Alcotest.(check int) (label ^ ": unattributed") !unattributed
+      (Ctx.unattributed ctx);
+    if mode = "redzones" then
+      Alcotest.(check bool) (label ^ ": strays unattributed") true
+        (!unattributed >= 10);
+    let tuple (t : Ctx.fast_tally) =
+      [ t.stack_reads; t.stack_writes; t.other_reads; t.other_writes ]
+    in
+    for iter = 0 to iterations do
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: iteration %d" label iter)
+        (Array.to_list tallies.(iter))
+        (tuple (Ctx.fast_tally ctx ~iter))
+    done;
+    Alcotest.(check (list int)) (label ^ ": totals")
+      (List.init 4 (fun k ->
+           Array.fold_left (fun acc row -> acc + row.(k)) 0 tallies))
+      (tuple (Ctx.fast_tally_totals ctx))
+  in
+  List.iter
+    (fun app -> List.iter (check app) [ "plain"; "sampled"; "redzones" ])
+    Nvsc_apps.Apps.extended
+
 let suite =
   [
     Alcotest.test_case "global allocation" `Quick test_global_allocation;
@@ -320,6 +424,10 @@ let suite =
     Alcotest.test_case "frame pop on exception" `Quick
       test_frame_pop_on_exception;
     Alcotest.test_case "fast tally" `Quick test_fast_tally;
+    Alcotest.test_case "fast tally matches address classification" `Quick
+      test_fast_tally_matches_reference;
+    Alcotest.test_case "emission allocates nothing" `Quick
+      test_emission_allocates_nothing;
     Alcotest.test_case "sink stream" `Quick test_sink_stream;
     Alcotest.test_case "instruction sink" `Quick test_instr_sink;
     Alcotest.test_case "batched delivery program order" `Quick

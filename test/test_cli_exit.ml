@@ -74,6 +74,15 @@ let table =
     ("version ok", [ "--version" ], 0);
     ("help ok", [ "analyze"; "--help=plain" ], 0);
     ("perf profile ok", [ "perf"; "gtc"; "--scale"; "0.05"; "--profile" ], 0);
+    ( "power profile ok",
+      [ "power"; "cam"; "--scale"; "0.05"; "--iterations"; "1"; "--profile" ],
+      0 );
+    ( "place profile ok",
+      [ "place"; "cam"; "--scale"; "0.05"; "--iterations"; "1"; "--profile" ],
+      0 );
+    ( "lint profile ok",
+      [ "lint"; "cam"; "--scale"; "0.05"; "--iterations"; "1"; "--profile" ],
+      0 );
   ]
 
 (* DRAMSim2 text traces [power --from-file] must refuse with a
