@@ -14,9 +14,17 @@ module Access = Nvsc_memtrace.Access
 
 let quick = { E.scale = 0.15; iterations = 3; perf_scale = 0.15 }
 
-(* Shared inputs, computed once: the benches measure regeneration cost, not
-   workload execution cost (benched separately below). *)
-let bundle = lazy (E.collect ~config:quick ())
+(* Shared inputs, computed once: one traced run per paper application.
+   The benches measure regeneration cost, not workload execution cost
+   (benched separately below). *)
+let profiles =
+  lazy
+    (List.map
+       (Nvsc_core.Extensions.profile ~scale:quick.scale
+          ~iterations:quick.iterations)
+       Nvsc_apps.Apps.all)
+
+let each f () = ignore (List.map f (Lazy.force profiles))
 
 let null_fmt = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
 
@@ -50,7 +58,18 @@ let bench_scavenger_armed name =
 
 let bench_table1 =
   Test.make ~name:"table1:app-characteristics"
-    (Staged.stage (fun () -> E.table1 null_fmt (Lazy.force bundle)))
+    (Staged.stage (fun () ->
+         E.pp_table1_rows null_fmt
+           (List.map
+              (fun (r : Nvsc_core.Scavenger.result) ->
+                {
+                  E.app_name = r.app_name;
+                  input_description = r.input_description;
+                  description = r.description;
+                  footprint_bytes = r.footprint_bytes;
+                  paper_footprint_mb = r.paper_footprint_mb;
+                })
+              (Lazy.force profiles))))
 
 let bench_table2 =
   Test.make ~name:"table2:cache-config"
@@ -66,27 +85,39 @@ let bench_table4 =
 
 let bench_table5 =
   Test.make ~name:"table5:stack-analysis"
-    (Staged.stage (fun () -> ignore (E.table5_data (Lazy.force bundle))))
+    (Staged.stage (each Nvsc_core.Stack_analysis.summarize))
 
 let bench_fig2 =
   Test.make ~name:"fig2:cam-frame-distribution"
-    (Staged.stage (fun () -> ignore (E.fig2_data (Lazy.force bundle))))
+    (Staged.stage (fun () ->
+         ignore
+           (Nvsc_core.Stack_analysis.distribution
+              (List.find
+                 (fun (r : Nvsc_core.Scavenger.result) -> r.app_name = "cam")
+                 (Lazy.force profiles)))))
 
 let bench_fig3_6 =
   Test.make ~name:"fig3-6:object-metrics"
-    (Staged.stage (fun () -> ignore (E.fig3_6_data (Lazy.force bundle))))
+    (Staged.stage (each Nvsc_core.Object_analysis.analyze))
 
 let bench_fig7 =
   Test.make ~name:"fig7:usage-cdf"
-    (Staged.stage (fun () -> ignore (E.fig7_data (Lazy.force bundle))))
+    (Staged.stage (each Nvsc_core.Usage_variance.usage_cdf))
 
 let bench_fig8_11 =
   Test.make ~name:"fig8-11:metric-variance"
-    (Staged.stage (fun () -> ignore (E.fig8_11_data (Lazy.force bundle))))
+    (Staged.stage (each Nvsc_core.Usage_variance.variance))
 
 let bench_table6 =
   Test.make ~name:"table6:power-simulation"
-    (Staged.stage (fun () -> ignore (E.table6_data (Lazy.force bundle))))
+    (Staged.stage
+       (each (fun (r : Nvsc_core.Scavenger.result) ->
+            let trace = Option.get r.mem_trace in
+            Nvsc_dramsim.Memory_system.normalized_power
+              (Nvsc_dramsim.Memory_system.compare_technologies
+                 ~techs:Tech.paper_set
+                 ~replay:(Nvsc_memtrace.Trace_log.replay_batch trace)
+                 ()))))
 
 let bench_fig12 =
   Test.make ~name:"fig12:latency-sensitivity"
@@ -289,15 +320,6 @@ let bench_dram_cache =
          Array.iter (Nvsc_placement.Dram_cache.access dc) (Lazy.force trace_10k);
          Nvsc_placement.Dram_cache.drain dc))
 
-let bench_sampler =
-  Test.make ~name:"substrate:sampler-10k"
-    (Staged.stage (fun () ->
-         let s =
-           Nvsc_memtrace.Sampler.create ~period:100 ~sample_length:10
-             ~sink:ignore
-         in
-         Array.iter (Nvsc_memtrace.Sampler.push s) (Lazy.force trace_10k)))
-
 let bench_trace_file =
   Test.make ~name:"substrate:trace-file-roundtrip-10k"
     (Staged.stage (fun () ->
@@ -475,7 +497,6 @@ let tests =
       bench_sweep 2;
       bench_sweep 4;
       bench_serve_warm;
-      bench_sampler;
       bench_trace_file;
       Test.make ~name:"ablation:scheduler-fr-fcfs-10k"
         (Staged.stage (fun () ->
@@ -490,7 +511,7 @@ let tests =
 
 let () =
   (* force shared fixtures outside the measured region *)
-  ignore (Lazy.force bundle);
+  ignore (Lazy.force profiles);
   ignore (Lazy.force trace_10k);
   ignore (Lazy.force log_100k);
   ignore (Lazy.force lookup_pattern);

@@ -2,9 +2,11 @@
 
    The evaluation cells (objects, power and perf per application) run
    through the sweep engine on a pool of [--jobs N] worker domains,
-   memoized in [--cache DIR] when given; the output is byte-identical to
-   the legacy serial run for every N and for warm-cache reruns.  Cache
-   statistics (and the [--profile] summary) go to standard error.
+   memoized in [--cache DIR] when given; the output is byte-identical for
+   every N and for warm-cache reruns.  [--jobs] and [--cache] apply to
+   those cells only: the extension studies that follow run serially and
+   uncached, from one traced profile per application.  Cache statistics
+   (and the [--profile] summary) go to standard error.
 
    The pre-cmdliner interface took bare words ([experiments quick no-ext
    markdown]); those are still accepted as positional arguments. *)

@@ -367,8 +367,8 @@ let sample_cmd =
   let run () name scale iterations period sample_length =
     with_app name (fun app ->
         Nvsc_core.Extensions.pp_sampling fmt
-          (Nvsc_core.Extensions.sampling_ablation ~scale ~iterations ~period
-             ~sample_length app))
+          (Nvsc_core.Extensions.sampling_ablation ~period ~sample_length
+             (Nvsc_core.Extensions.profile ~scale ~iterations app)))
   in
   let info =
     Cmd.info "sample"
@@ -394,8 +394,8 @@ let hybrid_cmd =
     | Some tech ->
       with_app name (fun app ->
           Nvsc_core.Extensions.pp_hybrid_simulation fmt
-            (Nvsc_core.Extensions.hybrid_simulation ~scale ~iterations ~tech
-               app))
+            (Nvsc_core.Extensions.hybrid_simulation ~tech
+               (Nvsc_core.Extensions.profile ~scale ~iterations app)))
   in
   let info =
     Cmd.info "hybrid"
@@ -420,8 +420,8 @@ let fine_cmd =
   let run () name scale iterations window =
     with_app name (fun app ->
         Nvsc_core.Extensions.pp_fine_grained fmt
-          (Nvsc_core.Extensions.fine_grained_placement ~scale ~iterations
-             ~window_refs:window app))
+          (Nvsc_core.Extensions.fine_grained_placement ~window_refs:window
+             (Nvsc_core.Extensions.profile ~scale ~iterations app)))
   in
   let info =
     Cmd.info "fine"

@@ -37,10 +37,8 @@ let () =
         (Nvsc_util.Table.cell_pct
            rep.Nvsc_core.Object_analysis.nvram_friendly_fraction);
       (* the placement consequence *)
-      let p =
-        Nvsc_core.Extensions.placement_summary ~scale:0.5 ~iterations:8 app
-      in
-      Nvsc_core.Extensions.pp_placement Format.std_formatter p;
+      Nvsc_core.Extensions.pp_placement Format.std_formatter
+        (Nvsc_core.Extensions.placement_summary r);
       Format.printf "@.")
     [ "minife"; "minimd" ];
 

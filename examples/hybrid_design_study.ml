@@ -18,7 +18,8 @@ let () =
   List.iter
     (fun app ->
       Nvsc_core.Extensions.pp_hybrid Format.std_formatter
-        (Nvsc_core.Extensions.hybrid_design ~scale:0.5 ~iterations:5 app))
+        (Nvsc_core.Extensions.hybrid_design
+           (Nvsc_core.Extensions.profile ~scale:0.5 ~iterations:5 app)))
     Nvsc_apps.Apps.all;
 
   Format.printf "@.== locality sweep ==@.";

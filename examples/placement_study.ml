@@ -11,18 +11,8 @@
    Run with: dune exec examples/placement_study.exe *)
 
 module HM = Nvsc_placement.Hybrid_memory
-module Item = Nvsc_placement.Item
 module OM = Nvsc_core.Object_metrics
-
-let item_of_metric (m : OM.t) =
-  {
-    Item.id = m.obj.Nvsc_memtrace.Mem_object.id;
-    name = m.obj.Nvsc_memtrace.Mem_object.name;
-    size_bytes = OM.size_bytes m;
-    reads = m.reads;
-    writes = m.writes;
-    ref_share = m.ref_share;
-  }
+module PP = Nvsc_core.Profile_placement
 
 let () =
   let result =
@@ -32,16 +22,12 @@ let () =
       (Option.get (Nvsc_apps.Apps.find "nek5000"))
   in
   let metrics = Nvsc_core.Scavenger.global_and_heap_metrics result in
-  let items = List.map item_of_metric metrics in
+  let items = PP.items result in
   let tech = Nvsc_nvram.Technology.get Nvsc_nvram.Technology.STTRAM in
   let capacity = 2 * result.footprint_bytes in
 
   (* --- static placement ------------------------------------------------ *)
-  let static =
-    Nvsc_placement.Static_policy.plan
-      ~hybrid:(HM.create ~dram_bytes:capacity ~nvram_bytes:capacity ~tech)
-      items
-  in
+  let static = PP.static_plan ~tech result items in
   Format.printf "static placement of %s:@." result.app_name;
   Format.printf "  objects in NVRAM: %d / %d@."
     (List.length (HM.items_in static HM.Nvram))
@@ -56,14 +42,14 @@ let () =
   let policy = Nvsc_placement.Dynamic_policy.create ~hybrid () in
   for iter = 1 to result.iterations do
     let epoch =
-      List.map
-        (fun (m : OM.t) ->
+      List.map2
+        (fun (m : OM.t) item ->
           {
-            Nvsc_placement.Dynamic_policy.item = item_of_metric m;
+            Nvsc_placement.Dynamic_policy.item;
             reads = m.per_iter_reads.(iter - 1);
             writes = m.per_iter_writes.(iter - 1);
           })
-        metrics
+        metrics items
     in
     Nvsc_placement.Dynamic_policy.observe_epoch policy epoch
   done;

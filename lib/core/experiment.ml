@@ -1,6 +1,5 @@
 module Ctx = Nvsc_appkit.Ctx
 module Mem_object = Nvsc_memtrace.Mem_object
-module Trace_log = Nvsc_memtrace.Trace_log
 module Technology = Nvsc_nvram.Technology
 module Table = Nvsc_util.Table
 module Cache_params = Nvsc_cachesim.Cache_params
@@ -12,66 +11,6 @@ type config = { scale : float; iterations : int; perf_scale : float }
    this size the working sets sit at the paper's cache pressure. *)
 let default_config = { scale = 1.0; iterations = 10; perf_scale = 0.5 }
 let quick_config = { scale = 0.25; iterations = 4; perf_scale = 0.25 }
-
-type bundle = { config : config; results : Scavenger.result list }
-
-let collect ?(config = default_config) () =
-  {
-    config;
-    results =
-      List.map
-        (fun app ->
-          Scavenger.run
-            Scavenger.Config.(
-              default |> with_scale config.scale
-              |> with_iterations config.iterations |> with_trace true)
-            app)
-        Nvsc_apps.Apps.all;
-  }
-
-let result bundle name =
-  List.find
-    (fun (r : Scavenger.result) -> r.app_name = name)
-    bundle.results
-
-(* --- data forms -------------------------------------------------------- *)
-
-let table5_data bundle = List.map Stack_analysis.summarize bundle.results
-
-let fig2_data bundle = Stack_analysis.distribution (result bundle "cam")
-
-let fig3_6_data bundle = List.map Object_analysis.analyze bundle.results
-
-let fig7_data bundle =
-  List.filter_map
-    (fun (r : Scavenger.result) ->
-      (* the paper omits GTC: its objects are either touched in every
-         iteration or short-term heap *)
-      if r.app_name = "gtc" then None
-      else Some (r.app_name, Usage_variance.usage_cdf r))
-    bundle.results
-
-let fig8_11_data bundle =
-  List.map
-    (fun (r : Scavenger.result) -> (r.app_name, Usage_variance.variance r))
-    bundle.results
-
-let table6_data bundle =
-  List.map
-    (fun (r : Scavenger.result) ->
-      let trace =
-        match r.mem_trace with
-        | Some t -> t
-        | None -> invalid_arg "Experiment.table6: bundle lacks traces"
-      in
-      let results =
-        Nvsc_dramsim.Memory_system.compare_technologies
-          ~techs:Technology.paper_set
-          ~replay:(fun sink -> Trace_log.replay_batch trace sink)
-          ()
-      in
-      (r.app_name, Nvsc_dramsim.Memory_system.normalized_power results))
-    bundle.results
 
 let perf_replay ?(scale = 0.5) (module A : Nvsc_apps.Workload.APP) model =
   let ctx = Ctx.create () in
@@ -98,7 +37,7 @@ let fig12_data ?(config = default_config) ?asymmetric () =
           () ))
     Nvsc_apps.Apps.all
 
-(* --- data-level forms (shared with the sweep engine) -------------------- *)
+(* --- data forms ------------------------------------------------------ *)
 
 type table1_row = {
   app_name : string;
@@ -107,18 +46,6 @@ type table1_row = {
   footprint_bytes : int;
   paper_footprint_mb : float;
 }
-
-let table1_rows bundle =
-  List.map
-    (fun (r : Scavenger.result) ->
-      {
-        app_name = r.app_name;
-        input_description = r.input_description;
-        description = r.description;
-        footprint_bytes = r.footprint_bytes;
-        paper_footprint_mb = r.paper_footprint_mb;
-      })
-    bundle.results
 
 type fig12_cell = {
   tech : Technology.t;
@@ -165,8 +92,6 @@ let pp_table1_rows fmt rows =
         ])
     rows;
   Table.pp fmt table
-
-let table1 fmt bundle = pp_table1_rows fmt (table1_rows bundle)
 
 let table2 fmt () =
   let table =
@@ -225,13 +150,6 @@ let table4 fmt () =
     Technology.paper_set;
   Table.pp fmt table
 
-let table5 fmt bundle = Stack_analysis.pp_summary_table fmt (table5_data bundle)
-
-let fig2 fmt bundle = Stack_analysis.pp_distribution fmt (fig2_data bundle)
-
-let fig3_6 fmt bundle =
-  List.iter (Object_analysis.pp_report fmt) (fig3_6_data bundle)
-
 let pp_fig7_data fmt data =
   List.iter
     (fun (app, points) ->
@@ -255,8 +173,6 @@ let pp_fig7_data fmt data =
        ~title:"Figure 7: cumulative MB vs iterations used"
        ~x_label:"iterations used" ~y_label:"cumulative MB" series)
 
-let fig7 fmt bundle = pp_fig7_data fmt (fig7_data bundle)
-
 let pp_fig8_11_data fmt data =
   List.iter
     (fun (app, v) ->
@@ -264,8 +180,6 @@ let pp_fig8_11_data fmt data =
         "== Figures 8-11: per-iteration metric variance: %s ==@." app;
       Usage_variance.pp_variance fmt v)
     data
-
-let fig8_11 fmt bundle = pp_fig8_11_data fmt (fig8_11_data bundle)
 
 let pp_table6_data fmt data =
   let table =
@@ -288,8 +202,6 @@ let pp_table6_data fmt data =
            ~title:(Printf.sprintf "Table VI: normalized power, %s" app)
            (List.map (fun ((t : Technology.t), p) -> (t.name, p)) powers)))
     data
-
-let table6 fmt bundle = pp_table6_data fmt (table6_data bundle)
 
 let pp_fig12_data fmt data =
   let table =
@@ -321,9 +233,7 @@ let pp_fig12_data fmt data =
        ~title:"Figure 12: normalized runtime vs memory latency"
        ~x_label:"memory latency (ns)" ~y_label:"normalized runtime" series)
 
-let fig12 fmt ?config () = pp_fig12_data fmt (fig12_cells (fig12_data ?config ()))
-
-(* --- bundle-free evaluation data ---------------------------------------- *)
+(* --- evaluation data ------------------------------------------------------ *)
 
 type data = {
   data_config : config;
@@ -339,32 +249,6 @@ type data = {
   pipelines : (string * Nvsc_appkit.Ctx.pipeline_stats) list;
 }
 
-let data_of_bundle bundle =
-  {
-    data_config = bundle.config;
-    rows = table1_rows bundle;
-    summaries = table5_data bundle;
-    cam_distribution =
-      (if List.exists (fun (r : Scavenger.result) -> r.app_name = "cam")
-            bundle.results
-       then Some (fig2_data bundle)
-       else None);
-    reports = fig3_6_data bundle;
-    cdfs = fig7_data bundle;
-    untouched =
-      List.map
-        (fun (r : Scavenger.result) ->
-          (r.app_name, Usage_variance.untouched_in_main_fraction r))
-        bundle.results;
-    variances = fig8_11_data bundle;
-    powers = table6_data bundle;
-    perf = fig12_cells (fig12_data ~config:bundle.config ());
-    pipelines =
-      List.map
-        (fun (r : Scavenger.result) -> (r.app_name, r.pipeline))
-        bundle.results;
-  }
-
 let run_all_of_data fmt data =
   pp_table1_rows fmt data.rows;
   table2 fmt ();
@@ -377,6 +261,3 @@ let run_all_of_data fmt data =
   pp_fig8_11_data fmt data.variances;
   pp_table6_data fmt data.powers;
   pp_fig12_data fmt data.perf
-
-let run_all fmt ?(config = default_config) () =
-  run_all_of_data fmt (data_of_bundle (collect ~config ()))

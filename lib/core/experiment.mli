@@ -1,14 +1,13 @@
-(** Regeneration of every table and figure in the paper's evaluation.
+(** The paper's evaluation: its configuration, the structured data every
+    table and figure is drawn from, and the printers that draw them.
 
-    [collect] runs the four mini-applications once through the full
-    NV-Scavenger pipeline (with cache-filtered memory traces); the
-    table/figure functions then derive their data from that bundle, except
-    figure 12 which re-runs the applications against the performance model
-    (one run per memory technology, as the paper does).
-
-    Each experiment has a [..._data] form returning structured values (used
-    by the test suite's shape checks) and a printing form used by the
-    [experiments] binary and EXPERIMENTS.md. *)
+    The data is produced by the sweep engine
+    ({!Nvsc_sweep.Engine.experiments_data}): one objects, power and perf
+    cell per application, possibly decoded from a cache.  {!run_all_of_data}
+    prints every table and figure from it; {!Report.markdown_of_data}
+    renders the same data as Markdown.  Figure 12 replays one main-loop
+    iteration into the performance model ({!perf_replay}), one pass for
+    every memory technology. *)
 
 type config = {
   scale : float;  (** data-size multiplier for the scavenger runs *)
@@ -22,24 +21,6 @@ val default_config : config
 
 val quick_config : config
 (** Reduced sizes for fast test runs. *)
-
-type bundle = { config : config; results : Scavenger.result list }
-
-val collect : ?config:config -> unit -> bundle
-val result : bundle -> string -> Scavenger.result
-(** Lookup by app name; raises [Not_found]. *)
-
-(** {1 Data forms} *)
-
-val table5_data : bundle -> Stack_analysis.summary list
-val fig2_data : bundle -> Stack_analysis.distribution
-val fig3_6_data : bundle -> Object_analysis.report list
-val fig7_data : bundle -> (string * Usage_variance.cdf_point list) list
-val fig8_11_data : bundle -> (string * Usage_variance.variance) list
-
-val table6_data :
-  bundle -> (string * (Nvsc_nvram.Technology.t * float) list) list
-(** Per app, normalised average power per technology. *)
 
 val perf_replay :
   ?scale:float ->
@@ -59,12 +40,7 @@ val fig12_data :
     performance model to distinct read/write latencies with posted writes
     (see {!Nvsc_cpusim.Sensitivity.run}). *)
 
-(** {1 Bundle-free data forms}
-
-    The sweep engine recomputes or decodes these per-cell payloads and
-    renders the same tables without ever materialising a [bundle]; the
-    bundle path below delegates to the same printers, so the two paths are
-    byte-identical. *)
+(** {1 Data forms} *)
 
 type table1_row = {
   app_name : string;
@@ -73,8 +49,6 @@ type table1_row = {
   footprint_bytes : int;
   paper_footprint_mb : float;
 }
-
-val table1_rows : bundle -> table1_row list
 
 type fig12_cell = {
   tech : Nvsc_nvram.Technology.t;
@@ -95,20 +69,21 @@ type data = {
   cam_distribution : Stack_analysis.distribution option;
   reports : Object_analysis.report list;
   cdfs : (string * Usage_variance.cdf_point list) list;
+      (** figure 7; the paper omits GTC *)
   untouched : (string * float) list;
   variances : (string * Usage_variance.variance) list;
   powers : (string * (Nvsc_nvram.Technology.t * float) list) list;
+      (** Table VI: per app, normalised average power per technology *)
   perf : (string * fig12_cell list) list;
   pipelines : (string * Nvsc_appkit.Ctx.pipeline_stats) list;
 }
 
-val data_of_bundle : bundle -> data
-(** Derives every data form from the bundle; figure 12 is re-run at the
-    bundle's configuration (as {!run_all} does). *)
-
 (** {1 Printing forms} *)
 
 val pp_table1_rows : Format.formatter -> table1_row list -> unit
+val table2 : Format.formatter -> unit -> unit
+val table3 : Format.formatter -> unit -> unit
+val table4 : Format.formatter -> unit -> unit
 
 val pp_fig7_data :
   Format.formatter -> (string * Usage_variance.cdf_point list) list -> unit
@@ -125,20 +100,4 @@ val pp_fig12_data :
   Format.formatter -> (string * fig12_cell list) list -> unit
 
 val run_all_of_data : Format.formatter -> data -> unit
-(** Print every table and figure from precomputed data (the sweep-engine
-    path). *)
-
-val table1 : Format.formatter -> bundle -> unit
-val table2 : Format.formatter -> unit -> unit
-val table3 : Format.formatter -> unit -> unit
-val table4 : Format.formatter -> unit -> unit
-val table5 : Format.formatter -> bundle -> unit
-val fig2 : Format.formatter -> bundle -> unit
-val fig3_6 : Format.formatter -> bundle -> unit
-val fig7 : Format.formatter -> bundle -> unit
-val fig8_11 : Format.formatter -> bundle -> unit
-val table6 : Format.formatter -> bundle -> unit
-val fig12 : Format.formatter -> ?config:config -> unit -> unit
-
-val run_all : Format.formatter -> ?config:config -> unit -> unit
-(** Collect a bundle and print every table and figure. *)
+(** Print every table and figure, in the paper's order. *)

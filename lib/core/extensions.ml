@@ -5,6 +5,31 @@ module Suitability = Nvsc_nvram.Suitability
 module HM = Nvsc_placement.Hybrid_memory
 module Item = Nvsc_placement.Item
 
+let profile ~scale ~iterations app =
+  Scavenger.run
+    Scavenger.Config.(
+      default |> with_scale scale |> with_iterations iterations
+      |> with_trace true)
+    app
+
+let trace_of study (r : Scavenger.result) =
+  match r.mem_trace with
+  | Some t -> t
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Extensions.%s: %s profile lacks a trace" study
+         r.app_name)
+
+(* The application a profile was taken of, for the studies that run it a
+   second time. *)
+let app_of study (r : Scavenger.result) =
+  match Nvsc_apps.Apps.find r.app_name with
+  | Some app -> app
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Extensions.%s: unknown application %S" study
+         r.app_name)
+
 (* --- sampling ablation -------------------------------------------------- *)
 
 type sampling_ablation = {
@@ -20,17 +45,15 @@ let verdict_of (m : Object_metrics.t) =
   Suitability.classify ~category:Technology.Cat2_long_write
     (Object_metrics.suitability_metrics m)
 
-let sampling_ablation ?(scale = 0.5) ?(iterations = 5) ?(period = 10_000)
-    ?(sample_length = 100) (module A : Nvsc_apps.Workload.APP) =
-  let cfg =
-    Scavenger.Config.(
-      default |> with_scale scale |> with_iterations iterations)
-  in
-  let full = Scavenger.run cfg (module A) in
+let sampling_ablation ?(period = 10_000) ?(sample_length = 100)
+    (full : Scavenger.result) =
   let sampled =
     Scavenger.run
-      (Scavenger.Config.with_sampling ~period ~sample_length cfg)
-      (module A)
+      Scavenger.Config.(
+        default |> with_scale full.scale
+        |> with_iterations full.iterations
+        |> with_sampling ~period ~sample_length)
+      (app_of "sampling_ablation" full)
   in
   (* objects correspond by name across the two deterministic runs *)
   let sampled_by_name = Hashtbl.create 64 in
@@ -77,30 +100,9 @@ type hybrid_design = {
   latency_advantage : float;
 }
 
-let items_of_result (r : Scavenger.result) =
-  List.map
-    (fun (m : Object_metrics.t) ->
-      {
-        Item.id = m.obj.Mem_object.id;
-        name = m.obj.Mem_object.name;
-        size_bytes = Object_metrics.size_bytes m;
-        reads = m.reads;
-        writes = m.writes;
-        ref_share = m.ref_share;
-      })
-    (Scavenger.global_and_heap_metrics r)
-
-let hybrid_design ?(scale = 0.5) ?(iterations = 5)
-    ?(tech = Technology.get Technology.PCRAM) (module A : Nvsc_apps.Workload.APP)
-    =
-  let r =
-    Scavenger.run
-      Scavenger.Config.(
-        default |> with_scale scale |> with_iterations iterations
-        |> with_trace true)
-      (module A)
-  in
-  let trace = Option.get r.Scavenger.mem_trace in
+let hybrid_design ?(tech = Technology.get Technology.PCRAM)
+    (r : Scavenger.result) =
+  let trace = trace_of "hybrid_design" r in
   (* hierarchical: a small DRAM page cache (1/4 of the footprint) in front
      of NVRAM *)
   let dram_pages = Stdlib.max 16 (r.Scavenger.footprint_bytes / 4 / 4096) in
@@ -115,7 +117,9 @@ let hybrid_design ?(scale = 0.5) ?(iterations = 5)
     HM.create ~dram_bytes:dram_budget
       ~nvram_bytes:(4 * r.Scavenger.footprint_bytes) ~tech
   in
-  let hybrid = Nvsc_placement.Static_policy.plan ~hybrid (items_of_result r) in
+  let hybrid =
+    Nvsc_placement.Static_policy.plan ~hybrid (Profile_placement.items r)
+  in
   let assessment = HM.assess hybrid in
   let horizontal_latency =
     let a = assessment in
@@ -193,54 +197,25 @@ type placement_summary = {
   migrated_bytes : int;
 }
 
-let placement_summary ?(scale = 0.5) ?(iterations = 5)
-    ?(tech = Technology.get Technology.STTRAM)
-    (module A : Nvsc_apps.Workload.APP) =
-  let r =
-    Scavenger.run
-      Scavenger.Config.(
-        default |> with_scale scale |> with_iterations iterations)
-      (module A)
-  in
+let placement_summary ?(tech = Technology.get Technology.STTRAM)
+    (r : Scavenger.result) =
   let metrics = Scavenger.global_and_heap_metrics r in
-  let items = items_of_result r in
-  let capacity = 2 * r.Scavenger.footprint_bytes in
-  let static =
-    Nvsc_placement.Static_policy.plan
-      ~hybrid:(HM.create ~dram_bytes:capacity ~nvram_bytes:capacity ~tech)
-      items
-  in
-  let sa = HM.assess static in
+  let items = Profile_placement.items r in
+  let sa = HM.assess (Profile_placement.static_plan ~tech r items) in
   (* dynamic: start everything in NVRAM, feed per-iteration counters *)
-  let hybrid = HM.create ~dram_bytes:capacity ~nvram_bytes:capacity ~tech in
-  List.iter (fun item -> HM.place hybrid item HM.Nvram) items;
-  let demote_popular_reads =
-    match tech.Technology.category with
-    | Technology.Cat2_long_write | Technology.Cat3_dram_like -> true
-    | Technology.Cat1_long_read_write | Technology.Volatile -> false
-  in
-  let policy =
-    Nvsc_placement.Dynamic_policy.create ~demote_popular_reads ~hybrid ()
-  in
-  let item_by_id =
-    List.fold_left
-      (fun acc (i : Item.t) -> (i.id, i) :: acc)
-      [] items
-  in
+  let policy = Profile_placement.dynamic_start ~tech r items in
+  let hybrid = Nvsc_placement.Dynamic_policy.hybrid policy in
   for iter = 1 to r.Scavenger.iterations do
+    (* the items are the metrics', one for one and in order *)
     let epoch =
-      List.filter_map
-        (fun (m : Object_metrics.t) ->
-          match List.assoc_opt m.obj.Mem_object.id item_by_id with
-          | None -> None
-          | Some item ->
-            Some
-              {
-                Nvsc_placement.Dynamic_policy.item;
-                reads = m.per_iter_reads.(iter - 1);
-                writes = m.per_iter_writes.(iter - 1);
-              })
-        metrics
+      List.map2
+        (fun (m : Object_metrics.t) item ->
+          {
+            Nvsc_placement.Dynamic_policy.item;
+            reads = m.per_iter_reads.(iter - 1);
+            writes = m.per_iter_writes.(iter - 1);
+          })
+        metrics items
     in
     Nvsc_placement.Dynamic_policy.observe_epoch policy epoch
   done;
@@ -267,34 +242,21 @@ type fine_grained = {
   final_nvram_fraction : float;
 }
 
-let fine_grained_placement ?(scale = 0.5) ?(iterations = 5)
-    ?(window_refs = 100_000) ?(tech = Technology.get Technology.STTRAM)
-    (module A : Nvsc_apps.Workload.APP) =
-  (* profile pass: learn the object population (ids are deterministic) *)
-  let profile =
-    Scavenger.run
-      Scavenger.Config.(
-        default |> with_scale scale |> with_iterations iterations)
-      (module A)
+let fine_grained_placement ?(window_refs = 100_000)
+    ?(tech = Technology.get Technology.STTRAM) (profile : Scavenger.result) =
+  let (module A : Nvsc_apps.Workload.APP) =
+    app_of "fine_grained_placement" profile
   in
-  let items = items_of_result profile in
+  (* the profile gives the object population (ids are deterministic) *)
+  let items = Profile_placement.items profile in
   let total_bytes =
     List.fold_left (fun acc (i : Item.t) -> acc + i.size_bytes) 0 items
   in
   let item_by_id = Hashtbl.create 64 in
   List.iter (fun (i : Item.t) -> Hashtbl.replace item_by_id i.id i) items;
   (* online pass: the monitor drives the policy as the app runs *)
-  let capacity = 2 * profile.Scavenger.footprint_bytes in
-  let hybrid = HM.create ~dram_bytes:capacity ~nvram_bytes:capacity ~tech in
-  List.iter (fun item -> HM.place hybrid item HM.Nvram) items;
-  let demote_popular_reads =
-    match tech.Technology.category with
-    | Technology.Cat2_long_write | Technology.Cat3_dram_like -> true
-    | Technology.Cat1_long_read_write | Technology.Volatile -> false
-  in
-  let policy =
-    Nvsc_placement.Dynamic_policy.create ~demote_popular_reads ~hybrid ()
-  in
+  let policy = Profile_placement.dynamic_start ~tech profile items in
+  let hybrid = Nvsc_placement.Dynamic_policy.hybrid policy in
   let residency_sum = ref 0. in
   let samples = ref 0 in
   let on_window counts =
@@ -314,10 +276,10 @@ let fine_grained_placement ?(scale = 0.5) ?(iterations = 5)
   in
   let ctx = Nvsc_appkit.Ctx.create () in
   let monitor = Fine_monitor.attach ctx ~window_refs ~on_window in
-  A.run ~scale ctx ~iterations;
+  A.run ~scale:profile.scale ctx ~iterations:profile.iterations;
   Fine_monitor.flush monitor;
   {
-    app_name = A.name;
+    app_name = profile.app_name;
     window_refs;
     windows = Fine_monitor.windows monitor;
     migrations = HM.migrations hybrid;
@@ -369,26 +331,15 @@ let interval_table hybrid metrics =
     | Some () -> Nvsc_dramsim.Hybrid_system.Nvram_side
     | None -> Nvsc_dramsim.Hybrid_system.Dram_side
 
-let hybrid_simulation ?(scale = 0.5) ?(iterations = 5)
-    ?(tech = Technology.get Technology.STTRAM)
-    (module A : Nvsc_apps.Workload.APP) =
-  let r =
-    Scavenger.run
-      Scavenger.Config.(
-        default |> with_scale scale |> with_iterations iterations
-        |> with_trace true)
-      (module A)
-  in
-  let trace = Option.get r.Scavenger.mem_trace in
-  let metrics = Scavenger.global_and_heap_metrics r in
-  let items = items_of_result r in
-  let capacity = 2 * r.Scavenger.footprint_bytes in
+let hybrid_simulation ?(tech = Technology.get Technology.STTRAM)
+    (r : Scavenger.result) =
+  let trace = trace_of "hybrid_simulation" r in
   let hybrid =
-    Nvsc_placement.Static_policy.plan
-      ~hybrid:(HM.create ~dram_bytes:capacity ~nvram_bytes:capacity ~tech)
-      items
+    Profile_placement.static_plan ~tech r (Profile_placement.items r)
   in
-  let placement = interval_table hybrid metrics in
+  let placement =
+    interval_table hybrid (Scavenger.global_and_heap_metrics r)
+  in
   let replay sink = Trace_log.replay_batch trace sink in
   let designs =
     Nvsc_dramsim.Hybrid_system.compare_designs ~nvram:tech ~placement ~replay ()
@@ -422,16 +373,8 @@ let pp_hybrid_simulation fmt (h : hybrid_simulation) =
 
 (* --- Table VI robustness --------------------------------------------------- *)
 
-let power_sensitivity ?(scale = 0.5) ?(iterations = 5)
-    (module A : Nvsc_apps.Workload.APP) =
-  let r =
-    Scavenger.run
-      Scavenger.Config.(
-        default |> with_scale scale |> with_iterations iterations
-        |> with_trace true)
-      (module A)
-  in
-  let trace = Option.get r.Scavenger.mem_trace in
+let power_sensitivity (r : Scavenger.result) =
+  let trace = trace_of "power_sensitivity" r in
   let replay sink = Trace_log.replay_batch trace sink in
   let configs =
     [
@@ -497,16 +440,19 @@ let pp_placement fmt (p : placement_summary) =
     p.migrated_bytes
 
 let run_all fmt ?(scale = 0.5) ?(iterations = 5) () =
+  (* one traced run per application feeds every study on it *)
+  let profiles =
+    List.map (profile ~scale ~iterations) Nvsc_apps.Apps.all
+  in
+  let profile_of name =
+    List.find (fun (r : Scavenger.result) -> r.app_name = name) profiles
+  in
   Format.fprintf fmt
     "== Extension: sampling ablation (the design §III-D rejects) ==@.";
-  List.iter
-    (fun app -> pp_sampling fmt (sampling_ablation ~scale ~iterations app))
-    Nvsc_apps.Apps.all;
+  List.iter (fun r -> pp_sampling fmt (sampling_ablation r)) profiles;
   Format.fprintf fmt
     "@.== Extension: hybrid organisation (horizontal vs DRAM-cache, §II) ==@.";
-  List.iter
-    (fun app -> pp_hybrid fmt (hybrid_design ~scale ~iterations app))
-    Nvsc_apps.Apps.all;
+  List.iter (fun r -> pp_hybrid fmt (hybrid_design r)) profiles;
   Format.fprintf fmt
     "@.== Extension: DRAM-cache locality crossover (PCRAM backing) ==@.";
   List.iter
@@ -520,16 +466,11 @@ let run_all fmt ?(scale = 0.5) ?(iterations = 5) () =
          else "DRAM cache loses (the paper's poor-locality case)"))
     (dram_cache_crossover ~hot_fractions:[ 0.99; 0.95; 0.9; 0.7; 0.5; 0.2 ] ());
   Format.fprintf fmt "@.== Extension: placement policies (§VII-C) ==@.";
-  List.iter
-    (fun app -> pp_placement fmt (placement_summary ~scale ~iterations app))
-    Nvsc_apps.Apps.all;
+  List.iter (fun r -> pp_placement fmt (placement_summary r)) profiles;
   Format.fprintf fmt
     "@.== Extension: hybrid memory-system simulation (the run §V could \
      not do; STTRAM half) ==@.";
-  List.iter
-    (fun app ->
-      pp_hybrid_simulation fmt (hybrid_simulation ~scale ~iterations app))
-    Nvsc_apps.Apps.all;
+  List.iter (fun r -> pp_hybrid_simulation fmt (hybrid_simulation r)) profiles;
   Format.fprintf fmt
     "@.== Extension: Table VI robustness to controller choices (cam) ==@.";
   List.iter
@@ -539,23 +480,15 @@ let run_all fmt ?(scale = 0.5) ?(iterations = 5) () =
         (fun ((t : Technology.t), p) -> Format.fprintf fmt " %s=%.3f" t.name p)
         powers;
       Format.pp_print_newline fmt ())
-    (power_sensitivity ~scale ~iterations
-       (Option.get (Nvsc_apps.Apps.find "cam")));
+    (power_sensitivity (profile_of "cam"));
   Format.fprintf fmt
     "@.== Extension: main-memory traffic attribution (cam) ==@.";
   Traffic_attribution.pp_report fmt
-    (Traffic_attribution.analyze
-       (Scavenger.run
-          Scavenger.Config.(
-            default |> with_scale scale |> with_iterations iterations
-            |> with_trace true)
-          (Option.get (Nvsc_apps.Apps.find "cam"))));
+    (Traffic_attribution.analyze (profile_of "cam"));
   Format.fprintf fmt
     "@.== Extension: fine-grained dynamic placement (§VII-C's monitor, \
      nek5000) ==@.";
-  pp_fine_grained fmt
-    (fine_grained_placement ~scale ~iterations
-       (Option.get (Nvsc_apps.Apps.find "nek5000")));
+  pp_fine_grained fmt (fine_grained_placement (profile_of "nek5000"));
   Format.fprintf fmt
     "@.== Extension: multi-task representativeness (4 ranks, 20%% \
      imbalance) ==@.";
@@ -589,13 +522,6 @@ let run_all fmt ?(scale = 0.5) ?(iterations = 5) () =
         (get sym_points "STTRAM") (get asym_points "STTRAM"))
     sym asym;
   Format.fprintf fmt "@.== Extension: row-buffer policy ablation ==@.";
-  let r =
-    Scavenger.run
-      Scavenger.Config.(
-        default |> with_scale scale |> with_iterations iterations
-        |> with_trace true)
-      (Option.get (Nvsc_apps.Apps.find "s3d"))
-  in
   List.iter
     (fun (policy, (s : Nvsc_dramsim.Controller.stats)) ->
       Format.fprintf fmt
@@ -605,5 +531,5 @@ let run_all fmt ?(scale = 0.5) ?(iterations = 5) () =
         | Nvsc_dramsim.Controller.Closed_page -> "closed-page")
         s.row_hit_rate s.avg_latency_ns Nvsc_util.Units.pp_watts s.avg_power_w)
     (row_policy_ablation
-       (Option.get r.Scavenger.mem_trace)
+       (trace_of "run_all" (profile_of "s3d"))
        ~tech:(Technology.get Technology.DDR3))

@@ -11,7 +11,24 @@
       policies to an application profile (§VII-C's dynamic-placement
       discussion);
     - {!row_policy_ablation} quantifies the controller's open- vs
-      closed-page policy on an application trace. *)
+      closed-page policy on an application trace.
+
+    Every application-driven study reads one traced run of the
+    application, its {!profile}: studies on the same (application, scale,
+    iterations) share it instead of re-running the application.  The two
+    studies that need a second pass ({!sampling_ablation},
+    {!fine_grained_placement}) make it at the profile's own scale and
+    iteration count. *)
+
+val profile :
+  scale:float ->
+  iterations:int ->
+  (module Nvsc_apps.Workload.APP) ->
+  Scavenger.result
+(** The traced NV-Scavenger run (main-memory trace retained) every study
+    below takes.  The studies that need the trace ({!hybrid_design},
+    {!hybrid_simulation}, {!power_sensitivity}) raise [Invalid_argument]
+    on an untraced result; the others accept any run. *)
 
 (** {1 Sampling ablation} *)
 
@@ -28,14 +45,12 @@ type sampling_ablation = {
 }
 
 val sampling_ablation :
-  ?scale:float ->
-  ?iterations:int ->
-  ?period:int ->
-  ?sample_length:int ->
-  (module Nvsc_apps.Workload.APP) ->
-  sampling_ablation
-(** Defaults: period 10000, sample_length 100 (a 1 % sample in sparse
-    windows, as a SimPoint-style phase sampler would take). *)
+  ?period:int -> ?sample_length:int -> Scavenger.result -> sampling_ablation
+(** Compare the fully instrumented profile against a sampled run of the
+    same application ({!Nvsc_apps.Apps.find} by the profile's name, else
+    [Invalid_argument]) at the profile's scale and iterations.  Defaults:
+    period 10000, sample_length 100 (a 1 % sample in sparse windows, as a
+    SimPoint-style phase sampler would take). *)
 
 (** {1 Hybrid organisation comparison} *)
 
@@ -54,12 +69,11 @@ type hybrid_design = {
 }
 
 val hybrid_design :
-  ?scale:float ->
-  ?iterations:int ->
-  ?tech:Nvsc_nvram.Technology.t ->
-  (module Nvsc_apps.Workload.APP) ->
-  hybrid_design
-(** [tech] defaults to PCRAM (the hierarchical design's usual backing). *)
+  ?tech:Nvsc_nvram.Technology.t -> Scavenger.result -> hybrid_design
+(** Replays the profile's trace through a DRAM page cache of a quarter of
+    the footprint and sets it against a static placement with the same
+    DRAM budget.  [tech] defaults to PCRAM (the hierarchical design's
+    usual backing). *)
 
 (** One point of the locality sweep: at what locality does the DRAM page
     cache stop paying for its page fills? *)
@@ -97,12 +111,10 @@ type placement_summary = {
 }
 
 val placement_summary :
-  ?scale:float ->
-  ?iterations:int ->
-  ?tech:Nvsc_nvram.Technology.t ->
-  (module Nvsc_apps.Workload.APP) ->
-  placement_summary
-(** [tech] defaults to STTRAM (category 2, the paper's most promising). *)
+  ?tech:Nvsc_nvram.Technology.t -> Scavenger.result -> placement_summary
+(** The {!Profile_placement} static plan, and the dynamic policy fed the
+    profile's per-iteration counters.  [tech] defaults to STTRAM
+    (category 2, the paper's most promising). *)
 
 (** {1 Fine-grained dynamic placement} *)
 
@@ -117,15 +129,15 @@ type fine_grained = {
 }
 
 val fine_grained_placement :
-  ?scale:float ->
-  ?iterations:int ->
   ?window_refs:int ->
   ?tech:Nvsc_nvram.Technology.t ->
-  (module Nvsc_apps.Workload.APP) ->
+  Scavenger.result ->
   fine_grained
-(** §VII-C's proposal realised: run the application with a
-    {!Fine_monitor} driving the dynamic policy *online*, at sub-iteration
-    granularity ([window_refs] references per decision, default 100k).
+(** §VII-C's proposal realised: re-run the profiled application (found
+    as in {!sampling_ablation}, at the profile's scale and iterations)
+    with a {!Fine_monitor} driving the dynamic policy *online*, at
+    sub-iteration granularity ([window_refs] references per decision,
+    default 100k).  The profile supplies the object population.
     Everything starts in NVRAM; the policy pulls write-bursting objects
     back to DRAM as each window closes.  [tech] defaults to STTRAM. *)
 
@@ -144,29 +156,21 @@ type hybrid_simulation = {
 }
 
 val hybrid_simulation :
-  ?scale:float ->
-  ?iterations:int ->
-  ?tech:Nvsc_nvram.Technology.t ->
-  (module Nvsc_apps.Workload.APP) ->
-  hybrid_simulation
+  ?tech:Nvsc_nvram.Technology.t -> Scavenger.result -> hybrid_simulation
 (** The simulation the paper's §V says it could not run ("we do not
     simulate a hybrid memory system due to the limitations of the
-    simulator"): profile the application, place its objects statically
-    across a DRAM half and an NVRAM half
-    ({!Nvsc_placement.Static_policy}), then replay the cache-filtered
-    trace through {!Nvsc_dramsim.Hybrid_system} with accesses routed by
-    object residence.  [tech] defaults to STTRAM. *)
+    simulator"): place the profile's objects statically across a DRAM
+    half and an NVRAM half ({!Profile_placement.static_plan}), then replay
+    its cache-filtered trace through {!Nvsc_dramsim.Hybrid_system} with
+    accesses routed by object residence.  [tech] defaults to STTRAM. *)
 
 val pp_hybrid_simulation : Format.formatter -> hybrid_simulation -> unit
 
 (** {1 Table VI robustness} *)
 
 val power_sensitivity :
-  ?scale:float ->
-  ?iterations:int ->
-  (module Nvsc_apps.Workload.APP) ->
-  (string * (Nvsc_nvram.Technology.t * float) list) list
-(** Re-run the Table VI experiment for one application under different
+  Scavenger.result -> (string * (Nvsc_nvram.Technology.t * float) list) list
+(** Replay the Table VI experiment on the profile's trace under different
     controller configurations — FR-FCFS scheduling, line-interleaved
     address mapping, closed-page row policy — to check that the paper's
     headline (>= 27 % saving; PCRAM <= STTRAM <= MRAM) is not an artifact
@@ -188,4 +192,7 @@ val pp_hybrid : Format.formatter -> hybrid_design -> unit
 val pp_placement : Format.formatter -> placement_summary -> unit
 
 val run_all : Format.formatter -> ?scale:float -> ?iterations:int -> unit -> unit
-(** Run every extension over all four applications and print. *)
+(** Profile each of the four applications once (default scale 0.5, 5
+    iterations), run every extension from those profiles and print.  The
+    multi-task study and figure 12's asymmetric variant make their own
+    runs. *)

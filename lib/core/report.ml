@@ -222,9 +222,3 @@ let markdown_of_data (data : Experiment.data) =
     data.pipelines;
   add_table buf t;
   Buffer.contents buf
-
-let markdown_of_bundle bundle =
-  markdown_of_data (Experiment.data_of_bundle bundle)
-
-let markdown ?config () =
-  markdown_of_bundle (Experiment.collect ?config ())

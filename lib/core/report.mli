@@ -2,17 +2,9 @@
 
     Renders a self-contained, regenerable markdown report of the whole
     evaluation — the machine-written counterpart of EXPERIMENTS.md — from
-    one experiment bundle: Table I/V/VI, figure 12, and the per-app
+    the evaluation data: Table I/V/VI, figure 12, and the per-app
     aggregates of figures 3–11, each annotated with the paper's value
     where the paper states one. *)
-
-val markdown : ?config:Experiment.config -> unit -> string
-(** Runs the experiments (like {!Experiment.run_all}) and renders
-    markdown. *)
-
-val markdown_of_bundle : Experiment.bundle -> string
-(** Render from an existing bundle (figure 12 is re-run from the bundle's
-    configuration). *)
 
 val markdown_of_data : Experiment.data -> string
 (** Render from precomputed evaluation data — the sweep-engine path: no

@@ -406,24 +406,9 @@ let place_payload_of_result spec (r : Scavenger.result) =
   let tech =
     Technology.get (Option.value spec.tech ~default:Technology.STTRAM)
   in
-  let items =
-    List.map
-      (fun (m : Nvsc_core.Object_metrics.t) ->
-        {
-          Nvsc_placement.Item.id = m.obj.Nvsc_memtrace.Mem_object.id;
-          name = m.obj.Nvsc_memtrace.Mem_object.name;
-          size_bytes = Nvsc_core.Object_metrics.size_bytes m;
-          reads = m.reads;
-          writes = m.writes;
-          ref_share = m.ref_share;
-        })
-      (Scavenger.global_and_heap_metrics r)
-  in
   let hybrid =
-    Nvsc_placement.Hybrid_memory.create ~dram_bytes:(2 * r.footprint_bytes)
-      ~nvram_bytes:(2 * r.footprint_bytes) ~tech
+    Nvsc_core.Profile_placement.(static_plan ~tech r (items r))
   in
-  let hybrid = Nvsc_placement.Static_policy.plan ~hybrid items in
   {
     place_tech_name = tech.name;
     place_footprint_bytes = r.footprint_bytes;

@@ -57,11 +57,11 @@ val pp_outcomes : Format.formatter -> outcome array -> unit
 (** {1 The experiments pipeline}
 
     [bin/experiments.exe] regenerates EXPERIMENTS.md through these two
-    functions: the matrix mirrors the legacy serial run (objects, power
-    and perf cells for each paper application, with figure 12 at the
-    config's [perf_scale]), and [experiments_data] reassembles the cell
-    payloads into an {!Nvsc_core.Experiment.data} that renders
-    byte-identically to the bundle path. *)
+    functions: the matrix holds objects, power and perf cells for each
+    paper application (figure 12 at the config's [perf_scale]), and
+    [experiments_data] reassembles the cell payloads into the
+    {!Nvsc_core.Experiment.data} every table and figure is printed
+    from. *)
 
 val experiments_matrix : config:Nvsc_core.Experiment.config -> Matrix.t
 

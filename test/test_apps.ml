@@ -29,6 +29,20 @@ let test_each_app_runs_cleanly () =
         (Nvsc_memtrace.Shadow_stack.depth (Ctx.shadow ctx)))
     Nvsc_apps.Apps.all
 
+(* The whole traced pipeline, not just the context: every reference the
+   scavenger sees resolves to an object. *)
+let test_traced_pipeline_attributed () =
+  List.iter
+    (fun (module A : Nvsc_apps.Workload.APP) ->
+      let r =
+        Nvsc_core.Scavenger.run
+          Nvsc_core.Scavenger.Config.(
+            default |> with_scale 0.1 |> with_iterations 2 |> with_trace true)
+          (module A)
+      in
+      Alcotest.(check int) (A.name ^ " fully attributed") 0 r.unattributed)
+    Nvsc_apps.Apps.all
+
 let test_determinism () =
   List.iter
     (fun (module A : Nvsc_apps.Workload.APP) ->
@@ -106,6 +120,8 @@ let suite =
   [
     Alcotest.test_case "registry" `Quick test_registry;
     Alcotest.test_case "apps run cleanly" `Slow test_each_app_runs_cleanly;
+    Alcotest.test_case "traced pipeline fully attributed" `Slow
+      test_traced_pipeline_attributed;
     Alcotest.test_case "determinism" `Slow test_determinism;
     Alcotest.test_case "iterations scale references" `Slow
       test_iterations_scale_refs;

@@ -1,8 +1,7 @@
-(* Tests of the extension substrates: the sampler, the trace-file format,
-   the DRAM page cache, the checkpoint model, the row-buffer policy, and
-   the ASCII plot rendering. *)
+(* Tests of the extension substrates: the context's periodic sampling, the
+   trace-file format, the DRAM page cache, the checkpoint model, the
+   row-buffer policy, and the ASCII plot rendering. *)
 
-module Sampler = Nvsc_memtrace.Sampler
 module Trace_file = Nvsc_memtrace.Trace_file
 module Trace_log = Nvsc_memtrace.Trace_log
 module Access = Nvsc_memtrace.Access
@@ -11,27 +10,6 @@ module CP = Nvsc_placement.Checkpoint
 module Tech = Nvsc_nvram.Technology
 
 (* --- sampler ------------------------------------------------------------ *)
-
-let test_sampler_window () =
-  let forwarded = ref [] in
-  let s =
-    Sampler.create ~period:5 ~sample_length:2 ~sink:(fun a ->
-        forwarded := a.Access.addr :: !forwarded)
-  in
-  for i = 0 to 9 do
-    Sampler.push s (Access.read ~addr:i ~size:8)
-  done;
-  Alcotest.(check (list int)) "first 2 of each 5" [ 0; 1; 5; 6 ]
-    (List.rev !forwarded);
-  Alcotest.(check int) "seen" 10 (Sampler.seen s);
-  Alcotest.(check int) "forwarded" 4 (Sampler.forwarded s);
-  Alcotest.(check int) "dropped" 6 (Sampler.dropped s);
-  Alcotest.(check (float 1e-9)) "ratio" 0.4 (Sampler.sampling_ratio s)
-
-let test_sampler_validation () =
-  Alcotest.check_raises "bad"
-    (Invalid_argument "Sampler.create: need 0 < sample_length <= period")
-    (fun () -> ignore (Sampler.create ~period:5 ~sample_length:6 ~sink:ignore))
 
 let test_ctx_sampling () =
   let ctx = Nvsc_appkit.Ctx.create () in
@@ -205,11 +183,19 @@ let test_plot_bars () =
 
 (* --- extension analyses (smoke, reduced scale) ----------------------------- *)
 
+(* one traced profile per application feeds every study on it *)
+let profile name =
+  lazy
+    (Nvsc_core.Extensions.profile ~scale:0.25 ~iterations:3
+       (Option.get (Nvsc_apps.Apps.find name)))
+
+let nek_profile = profile "nek5000"
+let cam_profile = profile "cam"
+
 let test_sampling_ablation_detects_loss () =
   let a =
-    Nvsc_core.Extensions.sampling_ablation ~scale:0.25 ~iterations:3
-      ~period:10_000 ~sample_length:100
-      (Option.get (Nvsc_apps.Apps.find "nek5000"))
+    Nvsc_core.Extensions.sampling_ablation ~period:10_000 ~sample_length:100
+      (Lazy.force nek_profile)
   in
   Alcotest.(check bool) "objects lost or misclassified" true
     (a.Nvsc_core.Extensions.lost_objects > 0
@@ -248,9 +234,8 @@ let test_fine_monitor_windows () =
 
 let test_fine_grained_placement () =
   let f =
-    Nvsc_core.Extensions.fine_grained_placement ~scale:0.25 ~iterations:3
-      ~window_refs:50_000
-      (Option.get (Nvsc_apps.Apps.find "nek5000"))
+    Nvsc_core.Extensions.fine_grained_placement ~window_refs:50_000
+      (Lazy.force nek_profile)
   in
   Alcotest.(check bool) "sub-iteration decision points" true
     (f.Nvsc_core.Extensions.windows > 3);
@@ -265,8 +250,7 @@ let test_hybrid_simulation_bounds () =
      between the all-DRAM and all-NVRAM bounds, and the static plan must
      keep writes off the NVRAM side *)
   let h =
-    Nvsc_core.Extensions.hybrid_simulation ~scale:0.25 ~iterations:3
-      (Option.get (Nvsc_apps.Apps.find "cam"))
+    Nvsc_core.Extensions.hybrid_simulation (Lazy.force cam_profile)
   in
   let power name =
     let _, p, _ = List.find (fun (n, _, _) -> n = name) h.designs in
@@ -284,8 +268,7 @@ let test_hybrid_simulation_bounds () =
 let test_power_sensitivity_robust () =
   (* the headline conclusion must survive controller design choices *)
   let grid =
-    Nvsc_core.Extensions.power_sensitivity ~scale:0.25 ~iterations:3
-      (Option.get (Nvsc_apps.Apps.find "cam"))
+    Nvsc_core.Extensions.power_sensitivity (Lazy.force cam_profile)
   in
   Alcotest.(check int) "four configurations" 4 (List.length grid);
   List.iter
@@ -317,8 +300,7 @@ let test_power_sensitivity_robust () =
 
 let test_placement_summary_shape () =
   let p =
-    Nvsc_core.Extensions.placement_summary ~scale:0.25 ~iterations:3
-      (Option.get (Nvsc_apps.Apps.find "nek5000"))
+    Nvsc_core.Extensions.placement_summary (Lazy.force nek_profile)
   in
   Alcotest.(check bool) "dynamic places more" true
     (p.Nvsc_core.Extensions.dynamic_nvram_fraction
@@ -329,8 +311,6 @@ let test_placement_summary_shape () =
 
 let suite =
   [
-    Alcotest.test_case "sampler window" `Quick test_sampler_window;
-    Alcotest.test_case "sampler validation" `Quick test_sampler_validation;
     Alcotest.test_case "ctx sampling" `Quick test_ctx_sampling;
     Alcotest.test_case "trace file roundtrip" `Quick test_trace_file_roundtrip;
     Alcotest.test_case "trace file parsing" `Quick test_trace_file_parsing;

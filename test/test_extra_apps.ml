@@ -85,8 +85,9 @@ let test_dynamic_policy_exploits_minimd () =
      demoted back once the write burst ends; with the run ending on
      read-only epochs, the dynamic policy leaves it in NVRAM *)
   let p =
-    Nvsc_core.Extensions.placement_summary ~scale:0.5 ~iterations:8
-      (Option.get (Nvsc_apps.Apps.find "minimd"))
+    Nvsc_core.Extensions.placement_summary
+      (Nvsc_core.Extensions.profile ~scale:0.5 ~iterations:8
+         (Option.get (Nvsc_apps.Apps.find "minimd")))
   in
   Alcotest.(check bool) "dynamic uses NVRAM" true
     (p.Nvsc_core.Extensions.dynamic_nvram_fraction > 0.2);
@@ -95,8 +96,7 @@ let test_dynamic_policy_exploits_minimd () =
 
 let test_minife_static_plan_wins () =
   let p =
-    Nvsc_core.Extensions.placement_summary ~scale:0.5 ~iterations:6
-      (Option.get (Nvsc_apps.Apps.find "minife"))
+    Nvsc_core.Extensions.placement_summary (run "minife")
   in
   (* the CSR arrays make even a static plan place a big NVRAM share *)
   Alcotest.(check bool) "static NVRAM share > 40%" true

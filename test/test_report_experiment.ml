@@ -1,53 +1,74 @@
 (* The experiment harness and markdown report layer, exercised on the quick
-   configuration so data-form coverage is checked without a full-scale run. *)
+   configuration's sweep-engine data so data-form coverage is checked
+   without a full-scale run. *)
 
 module E = Nvsc_core.Experiment
+module Engine = Nvsc_sweep.Engine
 module Table = Nvsc_util.Table
 
-let bundle = lazy (E.collect ~config:E.quick_config ())
+let data =
+  lazy
+    (let config = E.quick_config in
+     let outcomes, _ =
+       Engine.run ~jobs:1 (Engine.experiments_matrix ~config)
+     in
+     Engine.experiments_data ~config outcomes)
 
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
+(* Every application's objects, power, perf and pipeline cells made it into
+   the evaluation data, and per-app lookup by name works. *)
 let test_bundle_coverage () =
-  let b = Lazy.force bundle in
-  Alcotest.(check int) "four apps" 4 (List.length b.E.results);
+  let d = Lazy.force data in
+  let apps = [ "nek5000"; "cam"; "gtc"; "s3d" ] in
+  Alcotest.(check (list string)) "four apps, paper order" apps
+    (List.map (fun (r : E.table1_row) -> r.app_name) d.rows);
   List.iter
-    (fun (r : Nvsc_core.Scavenger.result) ->
-      Alcotest.(check bool) (r.app_name ^ " has metrics") true
-        (r.metrics <> []);
-      Alcotest.(check bool) (r.app_name ^ " has trace") true
-        (r.mem_trace <> None))
-    b.E.results;
+    (fun (r : Nvsc_core.Object_analysis.report) ->
+      Alcotest.(check bool) (r.app_name ^ " has objects") true (r.rows <> []))
+    d.reports;
+  let names l = List.map fst l in
+  Alcotest.(check (list string)) "power per app" apps (names d.powers);
+  Alcotest.(check (list string)) "perf per app" apps (names d.perf);
+  Alcotest.(check (list string)) "pipeline counters per app" apps
+    (names d.pipelines);
+  List.iter
+    (fun (app, (p : Nvsc_appkit.Ctx.pipeline_stats)) ->
+      Alcotest.(check bool) (app ^ " emitted references") true (p.refs > 0))
+    d.pipelines;
   Alcotest.(check bool) "lookup works" true
-    ((E.result b "gtc").app_name = "gtc");
+    (List.assoc "gtc" d.powers <> []);
   Alcotest.(check bool) "lookup missing raises" true
     (try
-       ignore (E.result b "hpl");
+       ignore (List.assoc "hpl" d.powers);
        false
      with Not_found -> true)
 
 let test_data_forms () =
-  let b = Lazy.force bundle in
-  Alcotest.(check int) "table5 rows" 4 (List.length (E.table5_data b));
-  Alcotest.(check bool) "fig2 frames" true ((E.fig2_data b).frames <> []);
-  Alcotest.(check int) "fig3-6 reports" 4 (List.length (E.fig3_6_data b));
-  Alcotest.(check int) "fig7 omits gtc" 3 (List.length (E.fig7_data b));
-  Alcotest.(check int) "fig8-11 all apps" 4 (List.length (E.fig8_11_data b));
-  let t6 = E.table6_data b in
-  Alcotest.(check int) "table6 rows" 4 (List.length t6);
+  let d = Lazy.force data in
+  Alcotest.(check int) "table5 rows" 4 (List.length d.summaries);
+  Alcotest.(check bool) "fig2 frames" true
+    ((Option.get d.cam_distribution).frames <> []);
+  Alcotest.(check int) "fig3-6 reports" 4 (List.length d.reports);
+  Alcotest.(check int) "fig7 omits gtc" 3 (List.length d.cdfs);
+  Alcotest.(check int) "fig8-11 all apps" 4 (List.length d.variances);
+  Alcotest.(check int) "table6 rows" 4 (List.length d.powers);
   List.iter
     (fun (_, powers) ->
       Alcotest.(check int) "four technologies" 4 (List.length powers))
-    t6
+    d.powers;
+  Alcotest.(check int) "fig12 rows" 4 (List.length d.perf);
+  Alcotest.(check int) "pipeline counters per app" 4
+    (List.length d.pipelines)
 
 let test_printers_produce_output () =
-  let b = Lazy.force bundle in
+  let d = Lazy.force data in
   let render f = Format.asprintf "%a" (fun fmt () -> f fmt) () in
   Alcotest.(check bool) "table1" true
-    (contains ~needle:"Table I" (render (fun fmt -> E.table1 fmt b)));
+    (contains ~needle:"Table I" (render (fun fmt -> E.pp_table1_rows fmt d.rows)));
   Alcotest.(check bool) "table2" true
     (contains ~needle:"no-write-allocate" (render (fun fmt -> E.table2 fmt ())));
   Alcotest.(check bool) "table3" true
@@ -55,14 +76,18 @@ let test_printers_produce_output () =
   Alcotest.(check bool) "table4" true
     (contains ~needle:"PCRAM" (render (fun fmt -> E.table4 fmt ())));
   Alcotest.(check bool) "table5" true
-    (contains ~needle:"Stack data analysis" (render (fun fmt -> E.table5 fmt b)));
+    (contains ~needle:"Stack data analysis"
+       (render (fun fmt ->
+            Nvsc_core.Stack_analysis.pp_summary_table fmt d.summaries)));
   Alcotest.(check bool) "fig7 includes plot" true
-    (contains ~needle:"cumulative MB" (render (fun fmt -> E.fig7 fmt b)));
+    (contains ~needle:"cumulative MB"
+       (render (fun fmt -> E.pp_fig7_data fmt d.cdfs)));
   Alcotest.(check bool) "table6 includes bars" true
-    (contains ~needle:"normalized power" (render (fun fmt -> E.table6 fmt b)))
+    (contains ~needle:"normalized power"
+       (render (fun fmt -> E.pp_table6_data fmt d.powers)))
 
 let test_markdown_report () =
-  let md = Nvsc_core.Report.markdown_of_bundle (Lazy.force bundle) in
+  let md = Nvsc_core.Report.markdown_of_data (Lazy.force data) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("contains " ^ needle) true (contains ~needle md))

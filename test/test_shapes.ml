@@ -1,19 +1,26 @@
 (* Paper-shape acceptance checks (the criteria recorded in DESIGN.md).
 
    These run the full pipeline — apps, scavenger, cache filter, power
-   simulator, performance model — at the default scale and assert the
+   simulator, performance model — at the default scale, through the same
+   sweep-engine path [experiments.exe] prints from, and assert the
    qualitative results of every table and figure: who wins, by roughly what
    factor, and where the crossovers fall.  Bands are deliberately generous;
    exact values live in EXPERIMENTS.md. *)
 
 module E = Nvsc_core.Experiment
+module Engine = Nvsc_sweep.Engine
 module Tech = Nvsc_nvram.Technology
 
-let bundle =
+(* the evaluation's cell outcomes and the data the tables are drawn from *)
+let run =
   lazy
-    (E.collect
-       ~config:{ E.scale = 1.0; iterations = 10; perf_scale = 0.5 }
-       ())
+    (let config = E.default_config in
+     let outcomes, _ =
+       Engine.run ~jobs:1 (Engine.experiments_matrix ~config)
+     in
+     (outcomes, Engine.experiments_data ~config outcomes))
+
+let data () = snd (Lazy.force run)
 
 let in_band name lo hi v =
   Alcotest.(check bool)
@@ -24,7 +31,7 @@ let in_band name lo hi v =
 let summary app =
   List.find
     (fun (s : Nvsc_core.Stack_analysis.summary) -> s.app_name = app)
-    (E.table5_data (Lazy.force bundle))
+    (data ()).summaries
 
 (* --- Table V ----------------------------------------------------------- *)
 
@@ -67,7 +74,7 @@ let test_table5_stack_ratios () =
 let test_fig2_distribution () =
   (* paper: 43.3% of CAM stack objects ratio>10 carrying 68.9% of refs;
      3.2% ratio>50 carrying 8.9% *)
-  let d = E.fig2_data (Lazy.force bundle) in
+  let d = Option.get (data ()).cam_distribution in
   in_band "objects >10" 0.30 0.55 d.pct_objects_ratio_gt_10;
   in_band "refs >10" 0.55 0.85 d.refs_share_ratio_gt_10;
   Alcotest.(check bool) "some frames above 50" true
@@ -80,7 +87,7 @@ let test_fig2_distribution () =
 let report app =
   List.find
     (fun (r : Nvsc_core.Object_analysis.report) -> r.app_name = app)
-    (E.fig3_6_data (Lazy.force bundle))
+    (data ()).reports
 
 let test_fig3_6_read_only () =
   (* paper: read-only data common in all apps; nek 7.1%, cam 15.5% *)
@@ -112,9 +119,7 @@ let test_fig3_6_ratio_groups () =
 let test_footprint_ordering () =
   (* paper Table I: nek 824 > cam 608 > s3d 512 > gtc 218 MB *)
   let fp app =
-    (List.find
-       (fun (r : Nvsc_core.Scavenger.result) -> r.app_name = app)
-       (Lazy.force bundle).E.results)
+    (List.find (fun (r : E.table1_row) -> r.app_name = app) (data ()).rows)
       .footprint_bytes
   in
   Alcotest.(check bool) "nek > cam" true (fp "nek5000" > fp "cam");
@@ -124,10 +129,8 @@ let test_footprint_ordering () =
 (* --- Figure 7 ---------------------------------------------------------- *)
 
 let test_fig7_untouched () =
-  let b = Lazy.force bundle in
-  let untouched app =
-    Nvsc_core.Usage_variance.untouched_in_main_fraction (E.result b app)
-  in
+  let d = data () in
+  let untouched app = List.assoc app d.untouched in
   (* paper: nek ~24.3%, cam ~11.5%, s3d small; gtc omitted (flat) *)
   in_band "nek untouched" 0.18 0.30 (untouched "nek5000");
   in_band "cam untouched" 0.07 0.16 (untouched "cam");
@@ -135,16 +138,15 @@ let test_fig7_untouched () =
   Alcotest.(check (float 1e-9)) "gtc flat" 0. (untouched "gtc");
   (* gtc is excluded from the figure, as in the paper *)
   Alcotest.(check bool) "gtc omitted" true
-    (not (List.mem_assoc "gtc" (E.fig7_data b)))
+    (not (List.mem_assoc "gtc" d.cdfs))
 
 let test_fig7_uneven_usage () =
   (* "some memory objects in Nek5000 and CAM are unevenly touched... used
      within a few computation iterations": the CDF must rise strictly
      between x=0 and x=n for both apps *)
-  let b = Lazy.force bundle in
   List.iter
     (fun app ->
-      let points = List.assoc app (E.fig7_data b) in
+      let points = List.assoc app (data ()).cdfs in
       let at x =
         (List.find
            (fun (p : Nvsc_core.Usage_variance.cdf_point) ->
@@ -166,23 +168,23 @@ let test_fig7_cdf_monotone () =
           check p.cumulative_bytes rest
       in
       check 0 points)
-    (E.fig7_data (Lazy.force bundle))
+    (data ()).cdfs
 
 (* --- Figures 8-11 ------------------------------------------------------ *)
 
 let test_fig8_11_stability () =
-  let b = Lazy.force bundle in
+  let variances = (data ()).variances in
   List.iter
     (fun (app, v) ->
       Alcotest.(check bool)
         (app ^ " >60% of objects in [1,2)")
         true
         (Nvsc_core.Usage_variance.stable_fraction v > 0.6))
-    (E.fig8_11_data b);
+    variances;
   (* S3D and GTC: reference rates essentially unchanged across iterations *)
   List.iter
     (fun app ->
-      let v = List.assoc app (E.fig8_11_data b) in
+      let v = List.assoc app variances in
       Alcotest.(check bool) (app ^ " rates unchanged") true
         (v.Nvsc_core.Usage_variance.rate_unchanged.(v.iterations - 1) > 0.9))
     [ "gtc"; "s3d" ]
@@ -190,7 +192,6 @@ let test_fig8_11_stability () =
 (* --- Table VI ---------------------------------------------------------- *)
 
 let test_table6_power () =
-  let data = E.table6_data (Lazy.force bundle) in
   List.iter
     (fun (app, powers) ->
       let get tech =
@@ -208,19 +209,15 @@ let test_table6_power () =
          *less* loaded, hence lower average power *)
       Alcotest.(check bool) (app ^ " PCRAM <= STTRAM") true (p <= s +. 1e-9);
       Alcotest.(check bool) (app ^ " STTRAM <= MRAM") true (s <= m +. 1e-9))
-    data
+    (data ()).powers
 
 (* --- Figure 12 --------------------------------------------------------- *)
-
-let fig12 = lazy (E.fig12_data ~config:{ E.default_config with E.perf_scale = 0.5 } ())
 
 let test_fig12_sensitivity () =
   List.iter
     (fun (app, points) ->
       let get name =
-        (List.find
-           (fun (p : Nvsc_cpusim.Sensitivity.point) -> p.tech.Tech.name = name)
-           points)
+        (List.find (fun (p : E.fig12_cell) -> p.tech.Tech.name = name) points)
           .normalized_runtime
       in
       Alcotest.(check (float 1e-9)) (app ^ " DDR3 = 1") 1.0 (get "DDR3");
@@ -232,7 +229,7 @@ let test_fig12_sensitivity () =
       in_band (app ^ " PCRAM") 1.0 1.45 (get "PCRAM");
       Alcotest.(check bool) (app ^ " PCRAM worst") true
         (get "PCRAM" >= get "STTRAM" && get "STTRAM" >= get "MRAM" -. 1e-9))
-    (Lazy.force fig12)
+    (data ()).perf
 
 let test_fig12_pcram_can_hurt () =
   (* "the performance loss can be as high as 25%": at least one app shows
@@ -241,30 +238,36 @@ let test_fig12_pcram_can_hurt () =
     List.fold_left
       (fun acc (_, points) ->
         let p =
-          (List.find
-             (fun (p : Nvsc_cpusim.Sensitivity.point) ->
-               p.tech.Tech.name = "PCRAM")
+          (List.find (fun (p : E.fig12_cell) -> p.tech.Tech.name = "PCRAM")
              points)
             .normalized_runtime
         in
         Float.max acc p)
-      0. (Lazy.force fig12)
+      0. (data ()).perf
   in
   in_band "worst PCRAM penalty" 1.15 1.45 worst
 
 (* --- cross-cutting ----------------------------------------------------- *)
 
+(* Full attribution is checked per app at small scale in test_apps.ml: the
+   cell payloads do not carry the unattributed count. *)
 let test_pipeline_hygiene () =
+  let outcomes, _ = Lazy.force run in
+  let powers =
+    Array.to_list outcomes
+    |> List.filter_map (fun (o : Engine.outcome) ->
+           match o.payload with
+           | Nvsc_sweep.Cell.Power_result p -> Some (o.spec.app, p)
+           | _ -> None)
+  in
+  Alcotest.(check int) "a power cell per app" 4 (List.length powers);
   List.iter
-    (fun (r : Nvsc_core.Scavenger.result) ->
-      Alcotest.(check int) (r.app_name ^ " fully attributed") 0 r.unattributed;
-      Alcotest.(check bool) (r.app_name ^ " trace collected") true
-        (match r.mem_trace with
-        | Some t -> Nvsc_memtrace.Trace_log.length t > 0
-        | None -> false);
-      Alcotest.(check bool) (r.app_name ^ " caches filter traffic") true
-        (r.l2_miss_rate < 0.9))
-    (Lazy.force bundle).E.results
+    (fun (app, (p : Nvsc_sweep.Cell.power_payload)) ->
+      Alcotest.(check bool) (app ^ " trace collected") true
+        (p.trace_length > 0);
+      Alcotest.(check bool) (app ^ " caches filter traffic") true
+        (p.l2_miss_rate < 0.9))
+    powers
 
 let suite =
   [
