@@ -70,8 +70,8 @@ let run () quick no_ext markdown jobs cache_dir profile words =
         let scale = if quick then 0.25 else 0.5 in
         let iterations = if quick then 3 else 5 in
         Format.print_newline ();
-        Nvsc_core.Extensions.run_all Format.std_formatter ~scale ~iterations
-          ()
+        Nvsc_core.Extensions.run_all Format.std_formatter ~config ~scale
+          ~iterations ()
       end;
       Format.print_flush ();
       `Ok ()

@@ -170,7 +170,10 @@ let ax_e ctx s ~(u : Farray.t) ~(w : Farray.t) ~elem =
         for k = 0 to nx - 1 do
           acc := !acc +. (Farray.get dxs ((k * nx) + col) *. Farray.get wl ((k * nx) + col))
         done;
-        W.rmw wl p (fun v -> v +. !acc);
+        (* get-then-set rather than [W.rmw]: a closure over [acc] would
+           box a float on every update *)
+        let v = Farray.get wl p in
+        Farray.set wl p (v +. !acc);
         Ctx.flops ctx (2 * nx)
       done;
       (* apply mass with the staged Jacobian and write back *)
@@ -208,13 +211,15 @@ let iterate ctx s ~iter =
   (* pressure correction touches pr and the read-only aux matrices *)
   for i = 0 to s.field - 1 do
     let b = Farray.get s.binvm1 i in
-    W.rmw s.pr i (fun v -> v +. (0.1 *. b));
+    let v = Farray.get s.pr i in
+    Farray.set s.pr i (v +. (0.1 *. b));
     Ctx.flops ctx 2
   done;
   (* energy equation: temperature update against lagged mass matrix *)
   for i = 0 to s.field - 1 do
     let m = Farray.get s.bm1lag i in
-    W.rmw s.temp i (fun v -> v +. (1e-4 *. m *. Farray.get scratch i));
+    let v = Farray.get s.temp i in
+    Farray.set s.temp i (v +. (1e-4 *. m *. Farray.get scratch i));
     Ctx.flops ctx 3
   done;
   (* sparse preconditioner refresh: the > 50-ratio behaviour *)
@@ -243,7 +248,8 @@ let iterate ctx s ~iter =
   W.read_every s.vtrans ~stride:4;
   let j = ref 0 in
   while !j < s.field do
-    W.rmw s.vtrans !j (fun v -> v *. 0.9999);
+    let v = Farray.get s.vtrans !j in
+    Farray.set s.vtrans !j (v *. 0.9999);
     j := !j + 8
   done;
   (* the scratch common block really is scratch: rewritten then consumed *)

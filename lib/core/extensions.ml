@@ -439,7 +439,8 @@ let pp_placement fmt (p : placement_summary) =
     p.dynamic_slowdown_bound p.migrations Nvsc_util.Units.pp_bytes
     p.migrated_bytes
 
-let run_all fmt ?(scale = 0.5) ?(iterations = 5) () =
+let run_all fmt ?(config = Experiment.default_config) ?(scale = 0.5)
+    ?(iterations = 5) () =
   (* one traced run per application feeds every study on it *)
   let profiles =
     List.map (profile ~scale ~iterations) Nvsc_apps.Apps.all
@@ -503,10 +504,8 @@ let run_all fmt ?(scale = 0.5) ?(iterations = 5) () =
   Format.fprintf fmt
     "the paper's read=write assumption is a performance lower bound (§V); \
      with posted writes:@.";
-  let sym = Experiment.fig12_data ~config:Experiment.quick_config () in
-  let asym =
-    Experiment.fig12_data ~config:Experiment.quick_config ~asymmetric:true ()
-  in
+  let sym = Experiment.fig12_data ~config () in
+  let asym = Experiment.fig12_data ~config ~asymmetric:true () in
   List.iter2
     (fun (app, sym_points) (_, asym_points) ->
       let get points name =

@@ -8,6 +8,7 @@ module Trace_log = Nvsc_memtrace.Trace_log
 module Hierarchy = Nvsc_cachesim.Hierarchy
 module Cache = Nvsc_cachesim.Cache
 module Span = Nvsc_obs.Span
+module Access = Nvsc_memtrace.Access
 
 let record ?batch_capacity ?chunk_capacity ~scale ~iterations ~path
     (module A : Nvsc_apps.Workload.APP) =
@@ -44,12 +45,19 @@ let record ?batch_capacity ?chunk_capacity ~scale ~iterations ~path
       | Ctx.Persist p -> Trace_codec.Writer.add_persist w p);
     Ctx.set_record_sink ctx
       (fun batch ~obj_ids ~instr_before ~instr_tail ~first ~n ->
+        Sink.Batch.check_slice batch ~first ~n;
+        let addrs = Sink.Batch.addrs batch
+        and sizes = Sink.Batch.sizes batch
+        and ops = Sink.Batch.ops batch in
         for i = first to first + n - 1 do
           let k = instr_before.(i) in
           if k > 0 then Trace_codec.Writer.add_instr w k;
-          Trace_codec.Writer.add_ref w ~addr:(Sink.Batch.addr batch i)
-            ~size:(Sink.Batch.size batch i)
-            ~op:(Sink.Batch.op batch i)
+          Trace_codec.Writer.add_ref w
+            ~addr:(Bigarray.Array1.unsafe_get addrs i)
+            ~size:(Bigarray.Array1.unsafe_get sizes i)
+            ~op:
+              (if Bigarray.Array1.unsafe_get ops i <> '\000' then Access.Write
+               else Access.Read)
             ~obj_id:obj_ids.(i)
         done;
         if instr_tail > 0 then Trace_codec.Writer.add_instr w instr_tail);
@@ -92,10 +100,17 @@ let replay path =
       in_main := match p with Mem_object.Main _ -> true | _ -> false)
     ~on_refs:(fun batch ~obj_ids ~first ~n ->
       incr batches;
-      (* the live emission's accounting, on the recorded attribution *)
+      (* the live emission's accounting, on the recorded attribution, over
+         the hoisted planes: [stream] hands over slices within capacity *)
+      Sink.Batch.check_slice batch ~first ~n;
+      let addrs = Sink.Batch.addrs batch and ops = Sink.Batch.ops batch in
       for i = first to first + n - 1 do
-        Ctx.Tally.account tally counters ~addr:(Sink.Batch.addr batch i)
-          ~obj_id:obj_ids.(i) ~op:(Sink.Batch.op batch i)
+        Ctx.Tally.account tally counters
+          ~addr:(Bigarray.Array1.unsafe_get addrs i)
+          ~obj_id:(Array.unsafe_get obj_ids i)
+          ~op:
+            (if Bigarray.Array1.unsafe_get ops i <> '\000' then Access.Write
+             else Access.Read)
       done;
       if !in_main then Hierarchy.consume hierarchy batch ~first ~n)
     ();

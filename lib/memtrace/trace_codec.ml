@@ -39,17 +39,21 @@ let m_replay_chunks = Nvsc_obs.Metrics.counter "nvt.replay.chunks"
 
 (* --- primitive encoders ------------------------------------------------- *)
 
-let put_varint buf n =
-  (* unsigned LEB128; negative values must go through [zigzag] first *)
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.unsafe_chr n)
-    else begin
-      Buffer.add_char buf (Char.unsafe_chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
+(* Varints are the per-reference cost of both recording and replaying, so
+   their primitives are top-level functions that take all their state as
+   arguments: the build has no flambda, and a local [let rec] capturing
+   the buffer or decoder would allocate a closure on every call. *)
+let rec put_uvarint buf n =
+  if n < 0x80 then Buffer.add_char buf (Char.unsafe_chr n)
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+    put_uvarint buf (n lsr 7)
+  end
+
+(* unsigned LEB128; negative values must go through [zigzag] first *)
+let[@inline] put_varint buf n =
   if n < 0 then invalid_arg "Trace_codec: negative varint";
-  go n
+  put_uvarint buf n
 
 let zigzag n = (n lsl 1) lxor (n asr 62)
 let unzigzag z = (z lsr 1) lxor (-(z land 1))
@@ -130,19 +134,32 @@ let get_byte d =
 
 (* Every varint the writer emits is non-negative (zigzag first for signed
    deltas), so a tenth byte or a value that lands on the sign bit is
-   damage — and rejecting it here covers every length and count field. *)
-let get_varint d =
-  let rec go shift acc =
-    let b = get_byte d in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b < 0x80 then
-      if acc < 0 then err d.d_path "corrupt %s (varint out of range)" d.what
-      else acc
-    else if shift >= 56 then
-      err d.d_path "corrupt %s (varint out of range)" d.what
-    else go (shift + 7) acc
-  in
-  go 0 0
+   damage — and rejecting it here covers every length and count field.
+   [varint_tail] continues a varint whose first byte had the continuation
+   bit set: [pos] is the next byte, [acc] the value so far.  It is
+   top-level and closure-free (see [put_uvarint]). *)
+let rec varint_tail d pos shift acc =
+  if pos >= d.lim then err d.d_path "truncated %s" d.what;
+  let b = Char.code (Bytes.unsafe_get d.b pos) in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b < 0x80 then begin
+    d.pos <- pos + 1;
+    if acc < 0 then err d.d_path "corrupt %s (varint out of range)" d.what;
+    acc
+  end
+  else if shift >= 56 then err d.d_path "corrupt %s (varint out of range)" d.what
+  else varint_tail d (pos + 1) (shift + 7) acc
+
+(* one-byte varints (most record fields) take the inlined fast path *)
+let[@inline] get_varint d =
+  let pos = d.pos in
+  if pos >= d.lim then err d.d_path "truncated %s" d.what;
+  let b = Char.code (Bytes.unsafe_get d.b pos) in
+  if b < 0x80 then begin
+    d.pos <- pos + 1;
+    b
+  end
+  else varint_tail d (pos + 1) 7 (b land 0x7f)
 
 let get_raw d n =
   if n > d.lim - d.pos then err d.d_path "truncated %s" d.what;
@@ -257,7 +274,10 @@ module Writer = struct
     w_version : int;
     chunk_capacity : int;
     resolve : int -> Mem_object.t option;
-    seen : (int, unit) Hashtbl.t;  (* ids already tabled in some chunk *)
+    mutable seen : Bytes.t;
+        (* byte [id] is nonzero once object [id] is tabled in some chunk:
+           ids are dense allocation-order ints, so a flat map beats a
+           hash probe per reference *)
     obj_buf : Buffer.t;  (* this chunk's attribution table *)
     mutable obj_count : int;
     tok_buf : Buffer.t;  (* this chunk's sealed tokens *)
@@ -294,7 +314,7 @@ module Writer = struct
       w_version = version;
       chunk_capacity;
       resolve;
-      seen = Hashtbl.create 256;
+      seen = Bytes.make 256 '\000';
       obj_buf = Buffer.create 1024;
       obj_count = 0;
       tok_buf = Buffer.create (chunk_capacity * 4);
@@ -344,15 +364,27 @@ module Writer = struct
       w.prev_id <- 0
     end
 
-  let add_ref w ~addr ~size ~op ~obj_id =
-    if obj_id >= 0 && not (Hashtbl.mem w.seen obj_id) then begin
-      Hashtbl.add w.seen obj_id ();
-      match w.resolve obj_id with
-      | Some o ->
-        put_obj w.obj_buf o;
-        w.obj_count <- w.obj_count + 1
-      | None -> ()
+  (* first reference to [obj_id] anywhere in the trace: table it *)
+  let table_object w obj_id =
+    let n = Bytes.length w.seen in
+    if obj_id >= n then begin
+      let seen = Bytes.make (Stdlib.max (2 * n) (obj_id + 1)) '\000' in
+      Bytes.blit w.seen 0 seen 0 n;
+      w.seen <- seen
     end;
+    Bytes.set w.seen obj_id '\001';
+    match w.resolve obj_id with
+    | Some o ->
+      put_obj w.obj_buf o;
+      w.obj_count <- w.obj_count + 1
+    | None -> ()
+
+  let add_ref w ~addr ~size ~op ~obj_id =
+    if
+      obj_id >= 0
+      && (obj_id >= Bytes.length w.seen
+         || Bytes.unsafe_get w.seen obj_id = '\000')
+    then table_object w obj_id;
     let is_write = match op with Access.Read -> false | Access.Write -> true in
     put_varint w.run_buf ((size lsl 1) lor Bool.to_int is_write);
     put_varint w.run_buf (zigzag (addr - w.prev_addr));
@@ -596,6 +628,94 @@ module Reader = struct
   let close r = close_in_noerr r.ic
 end
 
+(* Where the decode of one chunk stands between calls to [decode_refs]:
+   the batch rows filled and not yet delivered, the chunk's records
+   decoded so far, and its delta baselines (reset per chunk). *)
+type cursor = {
+  mutable len : int;
+  mutable decoded : int;
+  mutable prev_addr : int;
+  mutable prev_id : int;
+}
+
+(* Decode chunk [k]'s tokens from [d.pos] up to the next token that ends
+   a slice (phase, persist, an instruction count when [skip_instr] is
+   false) or the end of the chunk: REFS runs straight into the batch
+   planes and [obj_ids], skipped instruction counts checked and dropped.
+   The position, the row and the baselines stay in locals, and a record
+   whose three varints are one byte each (most of them) is read straight
+   from the buffer; any other record goes through [get_varint] and its
+   checks.  The stores are unchecked: [n <= nrefs - decoded] is checked
+   before each run, and the rows being filled hold only records of this
+   chunk, so every row is below [nrefs = c_refs <= capacity], which both
+   the batch and [obj_ids] are sized to. *)
+let decode_refs d c batch obj_ids ~k ~nrefs ~skip_instr =
+  let addrs = Sink.Batch.addrs batch
+  and sizes = Sink.Batch.sizes batch
+  and ops = Sink.Batch.ops batch in
+  let buf = d.b and lim = d.lim in
+  let pos = ref d.pos and len = ref c.len and decoded = ref c.decoded in
+  let prev_addr = ref c.prev_addr and prev_id = ref c.prev_id in
+  let go = ref true in
+  while !go && !pos < lim do
+    let t = Char.code (Bytes.unsafe_get buf !pos) in
+    if t = tag_refs then begin
+      d.pos <- !pos + 1;
+      let n = get_varint d in
+      pos := d.pos;
+      if n > nrefs - !decoded then
+        err d.d_path "corrupt chunk %d (record count mismatch)" k;
+      let first = !len in
+      for i = first to first + n - 1 do
+        let p = !pos in
+        let sz_op, za, zi =
+          if
+            p + 3 <= lim
+            && Char.code (Bytes.unsafe_get buf p)
+               lor Char.code (Bytes.unsafe_get buf (p + 1))
+               lor Char.code (Bytes.unsafe_get buf (p + 2))
+               < 0x80
+          then begin
+            pos := p + 3;
+            ( Char.code (Bytes.unsafe_get buf p),
+              Char.code (Bytes.unsafe_get buf (p + 1)),
+              Char.code (Bytes.unsafe_get buf (p + 2)) )
+          end
+          else begin
+            d.pos <- p;
+            let sz_op = get_varint d in
+            let za = get_varint d in
+            let zi = get_varint d in
+            pos := d.pos;
+            (sz_op, za, zi)
+          end
+        in
+        let addr = !prev_addr + unzigzag za in
+        let obj_id = !prev_id + unzigzag zi in
+        prev_addr := addr;
+        prev_id := obj_id;
+        Bigarray.Array1.unsafe_set addrs i addr;
+        Bigarray.Array1.unsafe_set sizes i (sz_op lsr 1);
+        (* the op plane's encoding: '\001' for a write, '\000' for a read *)
+        Bigarray.Array1.unsafe_set ops i (Char.unsafe_chr (sz_op land 1));
+        Array.unsafe_set obj_ids i obj_id
+      done;
+      len := first + n;
+      decoded := !decoded + n
+    end
+    else if t = tag_instr && skip_instr then begin
+      d.pos <- !pos + 1;
+      ignore (get_varint d : int);
+      pos := d.pos
+    end
+    else go := false
+  done;
+  d.pos <- !pos;
+  c.len <- !len;
+  c.decoded <- !decoded;
+  c.prev_addr <- !prev_addr;
+  c.prev_id <- !prev_id
+
 let stream (r : Reader.t) ?(on_objects = fun _ -> ()) ?(on_phase = fun _ -> ())
     ?on_instr ?(on_persist = fun _ -> ()) ?(on_chunk = fun _ -> ()) ~on_refs () =
   let path = r.Reader.r_path in
@@ -605,11 +725,12 @@ let stream (r : Reader.t) ?(on_objects = fun _ -> ()) ?(on_phase = fun _ -> ())
   in
   let batch = Sink.Batch.create cap in
   let obj_ids = Array.make cap (-1) in
-  let len = ref 0 in
+  let c = { len = 0; decoded = 0; prev_addr = 0; prev_id = 0 } in
+  let skip_instr = Option.is_none on_instr in
   let deliver () =
-    if !len > 0 then begin
-      on_refs batch ~obj_ids ~first:0 ~n:!len;
-      len := 0
+    if c.len > 0 then begin
+      on_refs batch ~obj_ids ~first:0 ~n:c.len;
+      c.len <- 0
     end
   in
   let decode_chunk k info d =
@@ -618,40 +739,24 @@ let stream (r : Reader.t) ?(on_objects = fun _ -> ()) ?(on_phase = fun _ -> ())
       err path "corrupt chunk %d (record count mismatch)" k;
     let nobjs = get_varint d in
     if nobjs > 0 then on_objects (List.init nobjs (fun _ -> get_obj d));
-    let prev_addr = ref 0 in
-    let prev_id = ref 0 in
-    let decoded = ref 0 in
+    c.decoded <- 0;
+    c.prev_addr <- 0;
+    c.prev_id <- 0;
+    decode_refs d c batch obj_ids ~k ~nrefs ~skip_instr;
     while d.pos < d.lim do
-      match get_byte d with
+      (match get_byte d with
       | t when t = tag_phase ->
         deliver ();
         on_phase (phase_of_code path (get_varint d))
       | t when t = tag_instr -> (
+        (* reached only when the caller counts instructions: a slice ends
+           here *)
         let n = get_varint d in
-        (* a slice ends here only for a caller that counts instructions *)
         match on_instr with
         | Some f ->
           deliver ();
           f n
         | None -> ())
-      | t when t = tag_refs ->
-        let n = get_varint d in
-        (* checked before the run is decoded: [nrefs] sizes the batch *)
-        if n > nrefs - !decoded then
-          err path "corrupt chunk %d (record count mismatch)" k;
-        for _ = 1 to n do
-          let sz_op = get_varint d in
-          let addr = !prev_addr + unzigzag (get_varint d) in
-          let obj_id = !prev_id + unzigzag (get_varint d) in
-          prev_addr := addr;
-          prev_id := obj_id;
-          let i = !len in
-          Sink.Batch.set batch i ~addr ~size:(sz_op lsr 1)
-            ~op:(if sz_op land 1 = 1 then Access.Write else Access.Read);
-          obj_ids.(i) <- obj_id;
-          len := i + 1
-        done;
-        decoded := !decoded + n
       | t when t = tag_persist ->
         if r.Reader.r_version < 2 then
           err path "corrupt chunk %d (persist token in a v1 trace)" k;
@@ -674,9 +779,10 @@ let stream (r : Reader.t) ?(on_objects = fun _ -> ()) ?(on_phase = fun _ -> ())
           | s -> err path "corrupt chunk %d (unknown persist event %d)" k s
         in
         on_persist ev
-      | t -> err path "corrupt chunk %d (unknown token %d)" k t
+      | t -> err path "corrupt chunk %d (unknown token %d)" k t);
+      decode_refs d c batch obj_ids ~k ~nrefs ~skip_instr
     done;
-    if !decoded <> nrefs then
+    if c.decoded <> nrefs then
       err path "corrupt chunk %d (record count mismatch)" k;
     deliver ();
     nrefs

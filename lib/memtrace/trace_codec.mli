@@ -115,7 +115,9 @@ module Writer : sig
   val add_ref :
     t -> addr:int -> size:int -> op:Access.op -> obj_id:int -> unit
   (** Append one reference.  [obj_id] is the emission-time attribution
-      ([-1] = unattributed). *)
+      ([-1] = unattributed); attributed ids are dense allocation-order
+      ints, and the writer keeps one byte per id up to the largest it has
+      seen.  Allocates nothing on the heap per reference. *)
 
   val add_batch :
     t -> ?obj_ids:int array -> Sink.Batch.t -> first:int -> n:int -> unit
@@ -198,7 +200,8 @@ val stream :
     or persist token, nor an instruction token when [on_instr] is given —
     without it, instruction counts are skipped and do not split slices.
     Peak live memory is bounded by the chunk size, not the trace length.
-    Consumers must not retain the batch across callbacks.  [on_persist]
+    Consumers must not retain the batch across callbacks.  Decoding
+    allocates nothing per reference.  [on_persist]
     receives v2 crash-consistency events in stream order (never fires on a
     v1 trace); [on_chunk] fires with the chunk index before each chunk's
     records, so consumers can stamp findings with a seekable location.  May

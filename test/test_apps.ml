@@ -43,6 +43,22 @@ let test_traced_pipeline_attributed () =
       Alcotest.(check int) (A.name ^ " fully attributed") 0 r.unattributed)
     Nvsc_apps.Apps.all
 
+(* nek5000's kernels update in place without closures, so generating its
+   references allocates little: 0.25 minor words per reference measured at
+   this scale (0.73 with a closure per read-modify-write); the bound leaves
+   headroom and fails if the closures come back. *)
+let test_nek5000_allocation () =
+  let ctx = Ctx.create () in
+  let before = Gc.minor_words () in
+  Nvsc_apps.Nek5000.run ~scale:0.1 ctx ~iterations:1;
+  let words = Gc.minor_words () -. before in
+  let per_ref = words /. float_of_int (Ctx.total_references ctx) in
+  if per_ref >= 0.4 then
+    Alcotest.failf
+      "nek5000 makes %.3f minor words per reference (limit 0.4); was this \
+       built with --profile dev?"
+      per_ref
+
 let test_determinism () =
   List.iter
     (fun (module A : Nvsc_apps.Workload.APP) ->
@@ -122,6 +138,7 @@ let suite =
     Alcotest.test_case "apps run cleanly" `Slow test_each_app_runs_cleanly;
     Alcotest.test_case "traced pipeline fully attributed" `Slow
       test_traced_pipeline_attributed;
+    Alcotest.test_case "nek5000 allocation" `Quick test_nek5000_allocation;
     Alcotest.test_case "determinism" `Slow test_determinism;
     Alcotest.test_case "iterations scale references" `Slow
       test_iterations_scale_refs;

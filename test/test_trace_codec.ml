@@ -386,6 +386,135 @@ let open_and_stream path =
   Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
   stream_all r
 
+(* --- varint edge cases ------------------------------------------------ *)
+
+let unzigzag z = (z lsr 1) lxor -(z land 1)
+
+(* 0, the largest one-byte value, the smallest two-byte one, the largest
+   eight-byte one and the largest nine-byte one *)
+let edge_values = [ 0; 0x7f; 0x80; (1 lsl 56) - 1; max_int ]
+
+(* Every varint field of the format carries each edge value: a record's
+   size/op field, its address and object deltas (zigzagged), an
+   instruction count and a flush's three raw fields. *)
+let test_varint_edges_roundtrip () =
+  let refs =
+    let addr = ref 0 and obj = ref 0 in
+    List.map
+      (fun v ->
+        addr := !addr + unzigzag v;
+        obj := !obj + unzigzag v;
+        (* obj ids stay 0 or negative: any negative id is unattributed *)
+        Ref
+          ( !addr,
+            v lsr 1,
+            (if v land 1 = 1 then Access.Write else Access.Read),
+            !obj ))
+      edge_values
+  in
+  let events =
+    refs
+    @ List.filter_map (fun v -> if v > 0 then Some (Instr v) else None)
+        edge_values
+    @ List.map
+        (fun v -> P (Persist.Flush { obj_id = v; off = v; len = v }))
+        edge_values
+  in
+  List.iter
+    (fun chunk_capacity ->
+      Alcotest.(check bool)
+        (Printf.sprintf "round-trip at chunk capacity %d" chunk_capacity)
+        true
+        (roundtrip_ok ~chunk_capacity events))
+    (* the five references share one chunk, so their deltas are the
+       chained ones above *)
+    [ 7; 65536 ]
+
+(* A chunk of one reference whose record is [fields]: the bytes of its
+   varints, up to the end of the payload. *)
+let one_record_chunk fields =
+  Nvt_forge.build ~header:(Nvt_forge.empty_header ())
+    [
+      ( 1,
+        String.concat ""
+          ([ Nvt_forge.varint 1; Nvt_forge.varint 0; "\x02"; Nvt_forge.varint 1 ]
+          @ fields) );
+    ]
+
+let expect_message ~msg f =
+  match f () with
+  | () -> Alcotest.fail ("expected Trace_codec.Error " ^ msg)
+  | exception Trace_codec.Error m -> Alcotest.(check string) "message" msg m
+
+(* A tenth byte, a value on the sign bit and a truncation inside a varint,
+   in each field of a record, fail with the codec's named errors. *)
+let test_varint_damage () =
+  let tenth = String.make 9 '\x80' ^ "\x01" in
+  let sign_bit = Nvt_forge.varint min_int in
+  let good = [ "\x10"; "\x00"; "\x00" ] in
+  let with_field k bytes =
+    List.filteri (fun i _ -> i < k) good @ [ bytes ]
+    @ List.filteri (fun i _ -> i > k) good
+  in
+  with_tmp @@ fun bad ->
+  let check file what =
+    write_file bad file;
+    expect_message
+      ~msg:(Printf.sprintf "Trace_codec: %s: %s" bad what)
+      (fun () -> open_and_stream bad)
+  in
+  for k = 0 to 2 do
+    check (one_record_chunk (with_field k tenth))
+      "corrupt chunk 0 (varint out of range)";
+    check (one_record_chunk (with_field k sign_bit))
+      "corrupt chunk 0 (varint out of range)";
+    (* the payload ends inside field [k] *)
+    check
+      (one_record_chunk (List.filteri (fun i _ -> i < k) good @ [ "\x80" ]))
+      "truncated chunk 0";
+    (* ... or just before it, all earlier fields one byte long *)
+    if k > 0 then
+      check (one_record_chunk (List.filteri (fun i _ -> i < k) good))
+        "truncated chunk 0"
+  done
+
+(* Decoding a recorded trace and encoding references allocate nothing per
+   reference: the varint primitives are closure-free. *)
+let test_codec_allocates_nothing () =
+  with_tmp @@ fun path ->
+  let s =
+    Trace_run.record ~scale:0.1 ~iterations:2 ~path (find_app "gtc")
+  in
+  let r = Trace_codec.Reader.open_ path in
+  Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
+  let seen = ref 0 in
+  let on_refs _ ~obj_ids:_ ~first:_ ~n = seen := !seen + n in
+  let before = Gc.minor_words () in
+  Trace_codec.stream r ~on_refs ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every reference decoded" s.Trace_codec.refs !seen;
+  let per_ref = words /. float_of_int !seen in
+  if per_ref >= 0.01 then
+    Alcotest.failf "stream: %.3f minor words per reference (limit 0.01)"
+      per_ref;
+  with_tmp @@ fun path ->
+  let w = Trace_codec.Writer.create ~path ~meta:(meta ()) () in
+  let total = 200_000 in
+  let before = Gc.minor_words () in
+  for i = 0 to total - 1 do
+    Trace_codec.Writer.add_ref w
+      ~addr:((i * 8) + ((i land 7) lsl 32))
+      ~size:8
+      ~op:(if i land 3 = 0 then Access.Write else Access.Read)
+      ~obj_id:(i land 63)
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Trace_codec.Writer.finish w ());
+  let per_ref = words /. float_of_int total in
+  if per_ref >= 0.01 then
+    Alcotest.failf "Writer.add_ref: %.3f minor words per reference (limit 0.01)"
+      per_ref
+
 (* Damage behind sealed digests: only structural decoding can catch it. *)
 let test_rejects_forged_damage () =
   List.iter
@@ -813,6 +942,11 @@ let suite =
       test_trace_file_size_and_errors;
     Alcotest.test_case "golden fixture decodes and re-encodes byte-identically"
       `Quick test_golden_fixture;
+    Alcotest.test_case "varint edge values round-trip" `Quick
+      test_varint_edges_roundtrip;
+    Alcotest.test_case "varint damage fails by name" `Quick test_varint_damage;
+    Alcotest.test_case "codec allocates nothing per reference" `Quick
+      test_codec_allocates_nothing;
     QCheck_alcotest.to_alcotest codec_roundtrip;
     QCheck_alcotest.to_alcotest mutation_fuzz;
   ]
