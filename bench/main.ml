@@ -119,9 +119,17 @@ let bench_table6 =
                  ~replay:(Nvsc_memtrace.Trace_log.replay_batch trace)
                  ()))))
 
+(* the perf cells of the quick evaluation matrix, one pass per application *)
 let bench_fig12 =
+  let specs =
+    Nvsc_sweep.Engine.experiments_matrix ~config:quick
+    |> Nvsc_sweep.Matrix.cells
+    |> List.filter (fun (s : Nvsc_sweep.Cell.spec) ->
+           s.kind = Nvsc_sweep.Cell.Perf)
+  in
   Test.make ~name:"fig12:latency-sensitivity"
-    (Staged.stage (fun () -> ignore (E.fig12_data ~config:quick ())))
+    (Staged.stage (fun () ->
+         List.iter (fun s -> ignore (Nvsc_sweep.Cell.execute s)) specs))
 
 (* --- substrate micro-benches ------------------------------------------- *)
 

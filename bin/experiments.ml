@@ -5,8 +5,10 @@
    memoized in [--cache DIR] when given; the output is byte-identical for
    every N and for warm-cache reruns.  [--jobs] and [--cache] apply to
    those cells only: the extension studies that follow run serially and
-   uncached, from one traced profile per application.  Cache statistics
-   (and the [--profile] summary) go to standard error.
+   uncached, from one traced profile per application, except the
+   asymmetric Figure 12 study, which prints the perf cells' posted-write
+   runtimes.  Cache statistics (and the [--profile] summary) go to
+   standard error.
 
    The pre-cmdliner interface took bare words ([experiments quick no-ext
    markdown]); those are still accepted as positional arguments. *)
@@ -70,8 +72,8 @@ let run () quick no_ext markdown jobs cache_dir profile words =
         let scale = if quick then 0.25 else 0.5 in
         let iterations = if quick then 3 else 5 in
         Format.print_newline ();
-        Nvsc_core.Extensions.run_all Format.std_formatter ~config ~scale
-          ~iterations ()
+        Nvsc_core.Extensions.run_all Format.std_formatter ~scale ~iterations
+          data
       end;
       Format.print_flush ();
       `Ok ()

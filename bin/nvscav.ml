@@ -264,27 +264,20 @@ let power_cmd =
 let perf_cmd =
   let asymmetric_arg =
     let doc =
-      "Use distinct read/write latencies with posted writes instead of the \
-       paper's read-=-write lower bound."
+      "Print the runtimes with distinct read/write latencies and posted \
+       writes instead of the paper's read-=-write lower bound."
     in
     Arg.(value & flag & info [ "asymmetric" ] ~doc)
   in
-  let run () name scale asymmetric profile =
-    with_trace_errors @@ fun () ->
-    with_app name (fun app ->
-        with_profile profile @@ fun () ->
-        let points =
-          Nvsc_cpusim.Sensitivity.run ~asymmetric
-            ~replay:(Nvsc_core.Experiment.perf_replay ~scale app)
-            ()
-        in
-        Nvsc_cpusim.Sensitivity.pp_points fmt points)
+  let run () app scale asymmetric profile =
+    run_plan ~profile (Serve.Plan.perf ~app ~scale ~asymmetric)
   in
   let info =
     Cmd.info "perf"
       ~doc:"Performance sensitivity to memory latency (the figure 12 \
             experiment for one application).  One pass over the \
-            application accounts every technology."
+            application accounts every technology under both write \
+            models."
   in
   Cmd.v info
     Term.(

@@ -27,16 +27,6 @@ let perf_replay ?(scale = 0.5) (module A : Nvsc_apps.Workload.APP) model =
   A.run ~scale ctx ~iterations:1;
   Ctx.flush_refs ctx
 
-let fig12_data ?(config = default_config) ?asymmetric () =
-  List.map
-    (fun app ->
-      let (module A : Nvsc_apps.Workload.APP) = app in
-      ( A.name,
-        Nvsc_cpusim.Sensitivity.run ?asymmetric
-          ~replay:(perf_replay ~scale:config.perf_scale app)
-          () ))
-    Nvsc_apps.Apps.all
-
 (* --- data forms ------------------------------------------------------ *)
 
 type table1_row = {
@@ -51,21 +41,8 @@ type fig12_cell = {
   tech : Technology.t;
   latency_ns : float;
   normalized_runtime : float;
+  posted_normalized_runtime : float;
 }
-
-let fig12_cells points =
-  List.map
-    (fun (app, pts) ->
-      ( app,
-        List.map
-          (fun (p : Nvsc_cpusim.Sensitivity.point) ->
-            {
-              tech = p.tech;
-              latency_ns = p.latency_ns;
-              normalized_runtime = p.normalized_runtime;
-            })
-          pts ))
-    points
 
 (* --- printing forms ---------------------------------------------------- *)
 

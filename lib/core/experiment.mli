@@ -7,7 +7,7 @@
     prints every table and figure from it; {!Report.markdown_of_data}
     renders the same data as Markdown.  Figure 12 replays one main-loop
     iteration into the performance model ({!perf_replay}), one pass for
-    every memory technology. *)
+    every memory technology under both write models. *)
 
 type config = {
   scale : float;  (** data-size multiplier for the scavenger runs *)
@@ -31,15 +31,6 @@ val perf_replay :
     model (main-loop references and instruction counts only) — the replay
     closure behind figure 12. *)
 
-val fig12_data :
-  ?config:config ->
-  ?asymmetric:bool ->
-  unit ->
-  (string * Nvsc_cpusim.Sensitivity.point list) list
-(** Per app, normalised runtime per technology.  [asymmetric] switches the
-    performance model to distinct read/write latencies with posted writes
-    (see {!Nvsc_cpusim.Sensitivity.run}). *)
-
 (** {1 Data forms} *)
 
 type table1_row = {
@@ -53,12 +44,9 @@ type table1_row = {
 type fig12_cell = {
   tech : Nvsc_nvram.Technology.t;
   latency_ns : float;
-  normalized_runtime : float;
+  normalized_runtime : float;  (** the paper's read = write latencies *)
+  posted_normalized_runtime : float;  (** with posted writes *)
 }
-
-val fig12_cells :
-  (string * Nvsc_cpusim.Sensitivity.point list) list ->
-  (string * fig12_cell list) list
 
 (** Everything the evaluation report needs, per app, in presentation
     order. *)

@@ -439,8 +439,7 @@ let pp_placement fmt (p : placement_summary) =
     p.dynamic_slowdown_bound p.migrations Nvsc_util.Units.pp_bytes
     p.migrated_bytes
 
-let run_all fmt ?(config = Experiment.default_config) ?(scale = 0.5)
-    ?(iterations = 5) () =
+let run_all fmt ?(scale = 0.5) ?(iterations = 5) (data : Experiment.data) =
   (* one traced run per application feeds every study on it *)
   let profiles =
     List.map (profile ~scale ~iterations) Nvsc_apps.Apps.all
@@ -504,22 +503,19 @@ let run_all fmt ?(config = Experiment.default_config) ?(scale = 0.5)
   Format.fprintf fmt
     "the paper's read=write assumption is a performance lower bound (§V); \
      with posted writes:@.";
-  let sym = Experiment.fig12_data ~config () in
-  let asym = Experiment.fig12_data ~config ~asymmetric:true () in
-  List.iter2
-    (fun (app, sym_points) (_, asym_points) ->
-      let get points name =
-        (List.find
-           (fun (p : Nvsc_cpusim.Sensitivity.point) ->
-             p.tech.Technology.name = name)
-           points)
-          .Nvsc_cpusim.Sensitivity.normalized_runtime
+  List.iter
+    (fun (app, cells) ->
+      let get name =
+        List.find
+          (fun (c : Experiment.fig12_cell) -> c.tech.Technology.name = name)
+          cells
       in
+      let pcram = get "PCRAM" and sttram = get "STTRAM" in
       Format.fprintf fmt
         "%-8s PCRAM %.3f -> %.3f   STTRAM %.3f -> %.3f@." app
-        (get sym_points "PCRAM") (get asym_points "PCRAM")
-        (get sym_points "STTRAM") (get asym_points "STTRAM"))
-    sym asym;
+        pcram.normalized_runtime pcram.posted_normalized_runtime
+        sttram.normalized_runtime sttram.posted_normalized_runtime)
+    data.perf;
   Format.fprintf fmt "@.== Extension: row-buffer policy ablation ==@.";
   List.iter
     (fun (policy, (s : Nvsc_dramsim.Controller.stats)) ->

@@ -192,15 +192,10 @@ val pp_hybrid : Format.formatter -> hybrid_design -> unit
 val pp_placement : Format.formatter -> placement_summary -> unit
 
 val run_all :
-  Format.formatter ->
-  ?config:Experiment.config ->
-  ?scale:float ->
-  ?iterations:int ->
-  unit ->
-  unit
+  Format.formatter -> ?scale:float -> ?iterations:int -> Experiment.data -> unit
 (** Profile each of the four applications once (default scale 0.5, 5
     iterations), run every extension from those profiles and print.  The
-    multi-task study and figure 12's asymmetric variant make their own
-    runs; the latter at [config]'s perf scale (default
-    {!Experiment.default_config}), so its symmetric values are those of
-    the Figure 12 table of the same run. *)
+    multi-task study makes its own runs.  Figure 12's asymmetric variant
+    reads the perf cells of [data], the run's evaluation data, whose one
+    pass per application accounts both write models: its symmetric values
+    are those of the Figure 12 table of the same run. *)

@@ -27,20 +27,23 @@
     Most of the model ignores memory latency, so one model serves any
     number of latencies from a single pass over the stream:
 
-    - the {e classifier}, shared, holds the cache hierarchy, the TLB, the
-      stream prefetcher and the miss-cluster state, and counts everything
-      latency cannot change: base cycles, L2 and TLB stalls, hits,
-      accesses and clusters;
+    - the {e classifier}, shared, holds the cache hierarchy and the TLB,
+      and counts everything latency cannot change: base cycles, L2 and
+      TLB stalls, hits and accesses;
+    - each {e write model} present (writes as reads, or posted) has its
+      own stream prefetcher and miss-cluster state, because a posted
+      write miss bypasses both, so the two write models see different
+      streams and clusters;
     - each {e ledger} holds what latency does change: its memory-stall
       cycles and, with posted writes, its own write buffer.
 
     Ledgers change at three points only — a closed miss cluster (charged
     at each ledger's latency), a covered miss's bandwidth slot and a
     posted write (whose buffer is timed by that ledger's own cycle
-    count) — and each applies to every ledger in turn.  Each ledger
-    therefore makes the same float additions, in the same order, as a
-    one-latency model fed the same stream: its report is bit-identical to
-    that model's. *)
+    count) — and each applies to every ledger of its write model in
+    turn.  Each ledger therefore makes the same float additions, in the
+    same order, as a one-latency model fed the same stream: its report is
+    bit-identical to that model's. *)
 
 type t
 
@@ -86,12 +89,12 @@ val create_ledgers :
   latency list ->
   t
 (** A model with one ledger per latency, in list order; each ledger has
-    its own write buffer of [write_buffer_entries].  {!reports} gives, for
-    each, exactly what {!create} with that latency would report.
+    its own write buffer of [write_buffer_entries].  Posted and unposted
+    latencies may be mixed.  {!reports} gives, for each, exactly what
+    {!create} with that latency would report.
 
-    @raise Invalid_argument on an empty list, on a latency that is not
-    finite and positive, or when only some ledgers post writes (the
-    classifier treats write misses the same on every ledger). *)
+    @raise Invalid_argument on an empty list or on a latency that is not
+    finite and positive. *)
 
 val instructions : t -> int -> unit
 (** Account [n] committed non-memory instructions. *)

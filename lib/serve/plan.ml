@@ -83,7 +83,7 @@ let power_section fmt p =
   Cell.pp_power_stats fmt pw;
   Cell.pp_power_normalized fmt pw
 
-let perf_section fmt p = Cell.pp_perf_points fmt (perf_of p)
+let perf_section ~posted fmt p = Cell.pp_perf_points ~posted fmt (perf_of p)
 
 let place_section fmt p =
   let pl = place_of p in
@@ -144,6 +144,11 @@ let run ~app ~scale ~iterations ~tech =
 let power ~app ~scale ~iterations =
   live ~app ~scale ~iterations [ (Cell.Power, power_section) ]
 
+(* a perf cell replays one main-loop iteration *)
+let perf ~app ~scale ~asymmetric =
+  live ~app ~scale ~iterations:1
+    [ (Cell.Perf, perf_section ~posted:asymmetric) ]
+
 let place ~app ~scale ~iterations ~tech =
   live ~tech ~app ~scale ~iterations [ (Cell.Place, place_section) ]
 
@@ -157,7 +162,7 @@ let replay_kinds =
     ("run", run_cells);
     ("objects", [ (Cell.Objects, analyze_section) ]);
     ("power", [ (Cell.Power, power_section) ]);
-    ("perf", [ (Cell.Perf, perf_section) ]);
+    ("perf", [ (Cell.Perf, perf_section ~posted:false) ]);
     ("place", [ (Cell.Place, place_section) ]);
   ]
 

@@ -3,11 +3,11 @@
 
     A plan is the one path from a request to its report.  The daemon
     streams each chunk to its client; the local [nvscav] subcommands
-    ([analyze], [run], [power], [place], [replay], [sweep]) execute the
-    same plan in-process through {!Nvsc_sweep.Engine} and print the same
-    chunks, so client output is byte-identical to local stdout by
-    construction.  Cells are the unit of caching, and the cells that
-    share one application run execute as one group
+    ([analyze], [run], [power], [perf], [place], [replay], [sweep])
+    execute the same plan in-process through {!Nvsc_sweep.Engine} and
+    print the same chunks, so client output is byte-identical to local
+    stdout by construction.  Cells are the unit of caching, and the cells
+    that share one application run execute as one group
     ({!Nvsc_sweep.Cell.group}) — a warm [analyze] request is served
     without running anything, and a cold [run] runs the application
     once. *)
@@ -27,6 +27,10 @@ val chunk : t -> int -> Cell.payload -> string
 val power : app:string -> scale:float -> iterations:int -> (t, Protocol.error) result
 (** [nvscav power APP]: one power cell (trace line, per-technology
     statistics, normalized power).  Local only: not a protocol request. *)
+
+val perf : app:string -> scale:float -> asymmetric:bool -> (t, Protocol.error) result
+(** [nvscav perf APP]: one perf cell's paper rows, or its posted-write
+    rows when [asymmetric].  Local only: not a protocol request. *)
 
 val place :
   app:string ->

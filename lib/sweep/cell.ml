@@ -81,7 +81,7 @@ let spec_of_json j =
       | Some d -> Some (to_str d));
   }
 
-let code_version = "nvsc-sweep-v3"
+let code_version = "nvsc-sweep-v4"
 
 let digest spec =
   Digest.to_hex
@@ -132,6 +132,8 @@ type perf_row = {
   latency_ns : float;
   runtime_ns : float;
   normalized_runtime : float;
+  posted_runtime_ns : float;
+  posted_normalized_runtime : float;
 }
 
 type place_payload = {
@@ -244,6 +246,8 @@ let perf_row_to_json (r : perf_row) =
       ("latency_ns", float r.latency_ns);
       ("runtime_ns", float r.runtime_ns);
       ("normalized_runtime", float r.normalized_runtime);
+      ("posted_runtime_ns", float r.posted_runtime_ns);
+      ("posted_normalized_runtime", float r.posted_normalized_runtime);
     ]
 
 let perf_row_of_json j =
@@ -252,6 +256,9 @@ let perf_row_of_json j =
     latency_ns = to_float (member "latency_ns" j);
     runtime_ns = to_float (member "runtime_ns" j);
     normalized_runtime = to_float (member "normalized_runtime" j);
+    posted_runtime_ns = to_float (member "posted_runtime_ns" j);
+    posted_normalized_runtime =
+      to_float (member "posted_normalized_runtime" j);
   }
 
 let item_to_json (i : Nvsc_placement.Item.t) =
@@ -385,6 +392,8 @@ let perf_rows_of_points points =
         latency_ns = p.latency_ns;
         runtime_ns = p.runtime_ns;
         normalized_runtime = p.normalized_runtime;
+        posted_runtime_ns = p.posted_runtime_ns;
+        posted_normalized_runtime = p.posted_normalized_runtime;
       })
     points
 
@@ -558,12 +567,15 @@ let pp_power_of_trace fmt trace =
   pp_row_stats fmt rows;
   pp_row_normalized fmt rows
 
-let pp_perf_points fmt rows =
+let pp_perf_points ?(posted = false) fmt rows =
   List.iter
     (fun r ->
+      let runtime, normalized =
+        if posted then (r.posted_runtime_ns, r.posted_normalized_runtime)
+        else (r.runtime_ns, r.normalized_runtime)
+      in
       Format.fprintf fmt "%-8s %6.0fns  runtime %a  normalized %.3f@."
-        r.perf_tech_name r.latency_ns Units.pp_ns r.runtime_ns
-        r.normalized_runtime)
+        r.perf_tech_name r.latency_ns Units.pp_ns runtime normalized)
     rows
 
 let pp_place_items fmt (p : place_payload) =

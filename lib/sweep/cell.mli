@@ -90,7 +90,9 @@ type perf_row = {
   perf_tech_name : string;
   latency_ns : float;
   runtime_ns : float;
-  normalized_runtime : float;
+  normalized_runtime : float;  (** the paper's read = write latencies *)
+  posted_runtime_ns : float;  (** with posted writes *)
+  posted_normalized_runtime : float;
 }
 
 type place_payload = {
@@ -161,7 +163,7 @@ val pp_objects_usage : Format.formatter -> objects_payload -> unit
 val pp_power_trace_line : Format.formatter -> power_payload -> unit
 val pp_power_stats : Format.formatter -> power_payload -> unit
 val pp_power_normalized : Format.formatter -> power_payload -> unit
-val pp_perf_points : Format.formatter -> perf_row list -> unit
+val pp_perf_points : ?posted:bool -> Format.formatter -> perf_row list -> unit
 val pp_place_items : Format.formatter -> place_payload -> unit
 val pp_place_assessment : Format.formatter -> place_payload -> unit
 

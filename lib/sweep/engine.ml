@@ -201,6 +201,7 @@ let experiments_data ~(config : Experiment.config) outcomes =
                   Experiment.tech = tech_of_name r.perf_tech_name;
                   latency_ns = r.latency_ns;
                   normalized_runtime = r.normalized_runtime;
+                  posted_normalized_runtime = r.posted_normalized_runtime;
                 })
               rows ))
         perfs;

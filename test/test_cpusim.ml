@@ -155,20 +155,18 @@ let test_asymmetric_posted_writes () =
       Perf_model.access model a
     done
   in
-  let get points name =
-    (List.find
-       (fun (p : Sensitivity.point) -> p.tech.Tech.name = name)
-       points)
-      .Sensitivity.normalized_runtime
-  in
-  let sym = Sensitivity.run ~replay () in
-  let asym = Sensitivity.run ~asymmetric:true ~replay () in
+  let points = Sensitivity.run ~replay () in
   List.iter
     (fun name ->
+      let p =
+        List.find
+          (fun (p : Sensitivity.point) -> p.tech.Tech.name = name)
+          points
+      in
       Alcotest.(check bool)
         (name ^ " asymmetric <= symmetric")
         true
-        (get asym name <= get sym name +. 1e-9))
+        (p.posted_normalized_runtime <= p.normalized_runtime +. 1e-9))
     [ "PCRAM"; "STTRAM"; "MRAM" ]
 
 let test_write_buffer_saturates () =
@@ -200,23 +198,27 @@ let test_sensitivity_requires_ddr3 () =
            ()));
   Alcotest.(check int) "replay never called" 0 !calls
 
-(* Every technology is accounted from one pass over the stream. *)
+(* Every technology is accounted under both write models from one pass
+   over the stream; each write model is normalised to its own DDR3 run. *)
 let test_sensitivity_one_pass () =
-  List.iter
-    (fun asymmetric ->
-      let calls = ref 0 in
-      let points =
-        Sensitivity.run ~asymmetric ~techs:Tech.all
-          ~replay:(fun m ->
-            incr calls;
-            Perf_model.instructions m 8;
-            Perf_model.access m (Access.write ~addr:4096 ~size:8))
-          ()
-      in
-      Alcotest.(check int) "one replay" 1 !calls;
-      Alcotest.(check int) "one point per technology" (List.length Tech.all)
-        (List.length points))
-    [ false; true ]
+  let calls = ref 0 in
+  let points =
+    Sensitivity.run ~techs:Tech.all
+      ~replay:(fun m ->
+        incr calls;
+        Perf_model.instructions m 8;
+        Perf_model.access m (Access.write ~addr:4096 ~size:8))
+      ()
+  in
+  Alcotest.(check int) "one replay" 1 !calls;
+  Alcotest.(check int) "one point per technology" (List.length Tech.all)
+    (List.length points);
+  let ddr3 =
+    List.find (fun (p : Sensitivity.point) -> p.tech.tech = Tech.DDR3) points
+  in
+  Alcotest.(check (float 0.)) "paper DDR3 = 1" 1. ddr3.normalized_runtime;
+  Alcotest.(check (float 0.)) "posted DDR3 = 1" 1.
+    ddr3.posted_normalized_runtime
 
 let test_invalid_latency () =
   let rejects name what f =
@@ -243,14 +245,7 @@ let test_invalid_latency () =
             [ { mem_latency_ns = 10.; mem_write_latency_ns = Some lat } ]))
     [ 0.; -1.; nan; infinity; neg_infinity ];
   rejects "no ledger" "Perf_model.create_ledgers: no latency" (fun () ->
-      Perf_model.create_ledgers []);
-  rejects "mixed write latencies"
-    "Perf_model.create_ledgers: mixed write latencies" (fun () ->
-      Perf_model.create_ledgers
-        [
-          { mem_latency_ns = 10.; mem_write_latency_ns = Some 10. };
-          { mem_latency_ns = 20.; mem_write_latency_ns = None };
-        ])
+      Perf_model.create_ledgers [])
 
 (* Paper mode: with the read = write assumption, normalised runtime never
    falls as the simulated latency rises, and DDR3 is the unit — on any

@@ -534,10 +534,12 @@ let test_dram_submit_allocation_free () =
 
 (* One [Perf_model] with N ledgers must report, for each ledger, exactly
    what the one-latency reference model reports for that latency, bit for
-   bit.  Streams mix the event kinds the ledgers see: unit-stride sweeps
-   (covered misses), a hot set that outgrows L1 but not L2 (L2 hits),
-   scattered far references (TLB misses, demand misses), instruction gaps
-   up to twice the ROB reach (cluster closes) and line-straddling sizes. *)
+   bit.  Each ledger posts its writes or not independently, so most sets
+   mix both write models, as [Sensitivity.run]'s do.  Streams mix the
+   event kinds the ledgers see: unit-stride sweeps (covered misses), a hot
+   set that outgrows L1 but not L2 (L2 hits), scattered far references
+   (TLB misses, demand misses), instruction gaps up to twice the ROB reach
+   (cluster closes) and line-straddling sizes. *)
 
 type perf_event = Instrs of int | Ref of int * int * Access.op
 
@@ -561,8 +563,7 @@ let gen_perf_config =
     let* issue_width = oneofl [ 1; 3; 4; 6 ] in
     let* l2_hit_cycles = int_range 2 15 in
     let* wb_entries = int_range 1 16 in
-    let* posted = bool in
-    let* n = int_range 1 5 in
+    let* n = int_range 1 8 in
     let latency_ns =
       frequency
         [
@@ -576,6 +577,7 @@ let gen_perf_config =
       list_size (return n)
         (let* mem_latency_ns = latency_ns in
          let* w = latency_ns in
+         let* posted = bool in
          return
            {
              PM.mem_latency_ns;

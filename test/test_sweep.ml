@@ -100,6 +100,73 @@ let test_payload_codecs_render_identically () =
         (with_fmt (fun fmt -> Cell.render fmt s decoded)))
     Cell.all_kinds
 
+(* A perf payload carries both write models' rows; every float, the
+   posted ones included, survives the cache's JSON text bit for bit. *)
+let test_perf_payload_roundtrip () =
+  let rows_of = function
+    | Cell.Perf_result rows -> rows
+    | _ -> Alcotest.fail "perf payload expected"
+  in
+  let payload = Cell.execute (spec ~kind:Cell.Perf ()) in
+  let decoded =
+    Cell.payload_of_json
+      (Json.of_string (Json.to_string (Cell.payload_to_json payload)))
+  in
+  let fields (r : Cell.perf_row) =
+    ( r.perf_tech_name,
+      List.map Int64.bits_of_float
+        [ r.latency_ns; r.runtime_ns; r.normalized_runtime;
+          r.posted_runtime_ns; r.posted_normalized_runtime ] )
+  in
+  Alcotest.(check (list (pair string (list int64))))
+    "perf rows bit-exact"
+    (List.map fields (rows_of payload))
+    (List.map fields (rows_of decoded));
+  let ddr3 =
+    List.find
+      (fun (r : Cell.perf_row) -> r.perf_tech_name = "DDR3")
+      (rows_of decoded)
+  in
+  Alcotest.(check (float 0.)) "posted DDR3 = 1" 1.
+    ddr3.posted_normalized_runtime
+
+(* A cell's cache key changes with the schema version, so an entry written
+   before the perf rows carried posted fields (v3) is a miss; such a perf
+   payload would not decode anyway. *)
+let test_code_version_keys_digest () =
+  let s = spec ~kind:Cell.Perf () in
+  let keyed version =
+    Digest.to_hex
+      (Digest.string (version ^ "|" ^ Json.to_string (Cell.spec_to_json s)))
+  in
+  Alcotest.(check string) "schema version" "nvsc-sweep-v4" Cell.code_version;
+  Alcotest.(check string) "digest keys on the version"
+    (keyed Cell.code_version) (Cell.digest s);
+  Alcotest.(check bool) "a v3 entry misses" true
+    (Cell.digest s <> keyed "nvsc-sweep-v3");
+  let v3_payload =
+    Json.Obj
+      [
+        ("kind", Json.Str "perf");
+        ( "data",
+          Json.List
+            [
+              Json.Obj
+                [
+                  ("tech", Json.Str "DDR3");
+                  ("latency_ns", Json.Float 10.);
+                  ("runtime_ns", Json.Float 1000.);
+                  ("normalized_runtime", Json.Float 1.);
+                ];
+            ] );
+      ]
+  in
+  Alcotest.(check bool) "a v3 perf payload does not decode" true
+    (try
+       ignore (Cell.payload_of_json v3_payload);
+       false
+     with Json.Parse_error _ -> true)
+
 (* --- matrix ------------------------------------------------------------- *)
 
 let test_matrix_expansion () =
@@ -509,6 +576,10 @@ let suite =
     Alcotest.test_case "spec codec" `Quick test_spec_codec;
     Alcotest.test_case "payload codecs render identically" `Quick
       test_payload_codecs_render_identically;
+    Alcotest.test_case "perf payload roundtrip" `Quick
+      test_perf_payload_roundtrip;
+    Alcotest.test_case "code version keys the digest" `Quick
+      test_code_version_keys_digest;
     Alcotest.test_case "matrix expansion" `Quick test_matrix_expansion;
     Alcotest.test_case "matrix validation" `Quick test_matrix_validation;
     Alcotest.test_case "overrides" `Quick test_overrides;
