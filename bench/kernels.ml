@@ -268,8 +268,8 @@ let run ~quick ~out =
     report "counters.record" "ns/op" (dt *. 1e9 /. float_of_int iters)
   in
 
-  (* end-to-end: the scavenger pipeline at the bechamel bench's quick
-     configuration (bench/main.ml "pipeline:scavenger-gtc") *)
+  (* end-to-end: the scavenger pipeline on gtc at scale 0.1, one
+     iteration *)
   let () =
     let app = Option.get (Nvsc_apps.Apps.find "gtc") in
     let config =

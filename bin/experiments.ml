@@ -1,14 +1,15 @@
-(* Regenerate every table and figure of the paper's evaluation section.
+(* Regenerate every table and figure of the paper's evaluation section,
+   then the extension studies.
 
-   The evaluation cells (objects, power and perf per application) run
-   through the sweep engine on a pool of [--jobs N] worker domains,
-   memoized in [--cache DIR] when given; the output is byte-identical for
-   every N and for warm-cache reruns.  [--jobs] and [--cache] apply to
-   those cells only: the extension studies that follow run serially and
-   uncached, from one traced profile per application, except the
-   asymmetric Figure 12 study, which prints the perf cells' posted-write
-   runtimes.  Cache statistics (and the [--profile] summary) go to
-   standard error.
+   Every application run is a sweep cell: objects, power and perf per
+   application, plus one study cell per application that takes its
+   traced profile and makes the extension studies' further runs (skipped
+   under [no-ext] and [markdown]).  All cells run in one sweep on a pool
+   of [--jobs N] worker domains, memoized in [--cache DIR] when given;
+   the output is byte-identical for every N and for warm-cache reruns.
+   The extension report is printed from the study cells' payloads and
+   the perf cells' posted-write runtimes.  Cache statistics (and the
+   [--profile] summary) go to standard error.
 
    The pre-cmdliner interface took bare words ([experiments quick no-ext
    markdown]); those are still accepted as positional arguments. *)
@@ -56,7 +57,14 @@ let run () quick no_ext markdown jobs cache_dir profile words =
       ?trace_out:(Nvsc_util.Cli.profile_trace_out profile)
       ~enabled:(Nvsc_util.Cli.profile_enabled profile)
     @@ fun () ->
+    let ext = not (no_ext || markdown) in
     let matrix = Nvsc_sweep.Engine.experiments_matrix ~config in
+    let matrix =
+      if not ext then matrix
+      else
+        let scale, iterations = if quick then (0.25, 3) else (0.5, 5) in
+        Nvsc_sweep.Engine.with_studies ~scale ~iterations matrix
+    in
     let outcomes, stats = Nvsc_sweep.Engine.run ~jobs ?cache matrix in
     let data = Nvsc_sweep.Engine.experiments_data ~config outcomes in
     Format.fprintf Format.err_formatter "%a@." Nvsc_sweep.Engine.pp_stats
@@ -68,11 +76,10 @@ let run () quick no_ext markdown jobs cache_dir profile words =
     else begin
       Nvsc_core.Experiment.run_all_of_data Format.std_formatter data;
       (* extensions: the §II/§III-D design alternatives, unless skipped *)
-      if not no_ext then begin
-        let scale = if quick then 0.25 else 0.5 in
-        let iterations = if quick then 3 else 5 in
+      if ext then begin
         Format.print_newline ();
-        Nvsc_core.Extensions.run_all Format.std_formatter ~scale ~iterations
+        Nvsc_core.Extensions.run_all Format.std_formatter
+          ~texts:(Nvsc_sweep.Engine.experiments_texts outcomes)
           data
       end;
       Format.print_flush ();

@@ -439,22 +439,85 @@ let pp_placement fmt (p : placement_summary) =
     p.dynamic_slowdown_bound p.migrations Nvsc_util.Units.pp_bytes
     p.migrated_bytes
 
-let run_all fmt ?(scale = 0.5) ?(iterations = 5) (data : Experiment.data) =
-  (* one traced run per application feeds every study on it *)
-  let profiles =
-    List.map (profile ~scale ~iterations) Nvsc_apps.Apps.all
+(* --- the studies of one application ------------------------------------ *)
+
+let pp_power_sensitivity fmt r =
+  List.iter
+    (fun (label, powers) ->
+      Format.fprintf fmt "%-45s" label;
+      List.iter
+        (fun ((t : Technology.t), p) -> Format.fprintf fmt " %s=%.3f" t.name p)
+        powers;
+      Format.pp_print_newline fmt ())
+    (power_sensitivity r)
+
+let pp_row_policy fmt (r : Scavenger.result) =
+  List.iter
+    (fun (policy, (s : Nvsc_dramsim.Controller.stats)) ->
+      Format.fprintf fmt
+        "%s %-12s row-hit %.2f  avg latency %.1fns  power %a@." r.app_name
+        (match policy with
+        | Nvsc_dramsim.Controller.Open_page -> "open-page"
+        | Nvsc_dramsim.Controller.Closed_page -> "closed-page")
+        s.row_hit_rate s.avg_latency_ns Nvsc_util.Units.pp_watts s.avg_power_w)
+    (row_policy_ablation
+       (trace_of "row_policy_ablation" r)
+       ~tech:(Technology.get Technology.DDR3))
+
+(* Which study runs on which application, in report order: section key,
+   the one application the study is restricted to ([None]: every one),
+   and the study's printer over the application's profile. *)
+let studies =
+  [
+    ("sampling", None, fun fmt r -> pp_sampling fmt (sampling_ablation r));
+    ("hybrid", None, fun fmt r -> pp_hybrid fmt (hybrid_design r));
+    ("placement", None, fun fmt r -> pp_placement fmt (placement_summary r));
+    ( "hybrid-simulation",
+      None,
+      fun fmt r -> pp_hybrid_simulation fmt (hybrid_simulation r) );
+    ("power-sensitivity", Some "cam", pp_power_sensitivity);
+    ( "traffic",
+      Some "cam",
+      fun fmt r ->
+        Traffic_attribution.pp_report fmt (Traffic_attribution.analyze r) );
+    ( "fine-grained",
+      Some "nek5000",
+      fun fmt r -> pp_fine_grained fmt (fine_grained_placement r) );
+    ( "multi-task",
+      None,
+      fun fmt (r : Scavenger.result) ->
+        Multi_task.pp fmt
+          (Multi_task.run ~base_scale:r.scale ~iterations:r.iterations
+             (app_of "multi_task" r)) );
+    ("row-policy", Some "s3d", pp_row_policy);
+  ]
+
+let run_studies (r : Scavenger.result) =
+  List.filter_map
+    (fun (key, only, print) ->
+      match only with
+      | Some app when app <> r.app_name -> None
+      | _ -> Some (key, Format.asprintf "%a" print r))
+    studies
+
+(* --- printing the report ---------------------------------------------------- *)
+
+let run_all fmt ~texts (data : Experiment.data) =
+  let header ?(first = false) title =
+    if not first then Format.pp_print_newline fmt ();
+    Format.fprintf fmt "== Extension: %s ==@." title
   in
-  let profile_of name =
-    List.find (fun (r : Scavenger.result) -> r.app_name = name) profiles
+  let study key =
+    List.iter
+      (fun (_, sections) ->
+        Option.iter (Format.pp_print_string fmt) (List.assoc_opt key sections))
+      texts
   in
-  Format.fprintf fmt
-    "== Extension: sampling ablation (the design §III-D rejects) ==@.";
-  List.iter (fun r -> pp_sampling fmt (sampling_ablation r)) profiles;
-  Format.fprintf fmt
-    "@.== Extension: hybrid organisation (horizontal vs DRAM-cache, §II) ==@.";
-  List.iter (fun r -> pp_hybrid fmt (hybrid_design r)) profiles;
-  Format.fprintf fmt
-    "@.== Extension: DRAM-cache locality crossover (PCRAM backing) ==@.";
+  header ~first:true "sampling ablation (the design §III-D rejects)";
+  study "sampling";
+  header "hybrid organisation (horizontal vs DRAM-cache, §II)";
+  study "hybrid";
+  header "DRAM-cache locality crossover (PCRAM backing)";
   List.iter
     (fun (c : crossover_point) ->
       Format.fprintf fmt
@@ -465,41 +528,20 @@ let run_all fmt ?(scale = 0.5) ?(iterations = 5) (data : Experiment.data) =
         (if c.dram_cache_wins then "DRAM cache wins"
          else "DRAM cache loses (the paper's poor-locality case)"))
     (dram_cache_crossover ~hot_fractions:[ 0.99; 0.95; 0.9; 0.7; 0.5; 0.2 ] ());
-  Format.fprintf fmt "@.== Extension: placement policies (§VII-C) ==@.";
-  List.iter (fun r -> pp_placement fmt (placement_summary r)) profiles;
-  Format.fprintf fmt
-    "@.== Extension: hybrid memory-system simulation (the run §V could \
-     not do; STTRAM half) ==@.";
-  List.iter (fun r -> pp_hybrid_simulation fmt (hybrid_simulation r)) profiles;
-  Format.fprintf fmt
-    "@.== Extension: Table VI robustness to controller choices (cam) ==@.";
-  List.iter
-    (fun (label, powers) ->
-      Format.fprintf fmt "%-45s" label;
-      List.iter
-        (fun ((t : Technology.t), p) -> Format.fprintf fmt " %s=%.3f" t.name p)
-        powers;
-      Format.pp_print_newline fmt ())
-    (power_sensitivity (profile_of "cam"));
-  Format.fprintf fmt
-    "@.== Extension: main-memory traffic attribution (cam) ==@.";
-  Traffic_attribution.pp_report fmt
-    (Traffic_attribution.analyze (profile_of "cam"));
-  Format.fprintf fmt
-    "@.== Extension: fine-grained dynamic placement (§VII-C's monitor, \
-     nek5000) ==@.";
-  pp_fine_grained fmt (fine_grained_placement (profile_of "nek5000"));
-  Format.fprintf fmt
-    "@.== Extension: multi-task representativeness (4 ranks, 20%% \
-     imbalance) ==@.";
-  List.iter
-    (fun app ->
-      Multi_task.pp fmt
-        (Multi_task.run ~base_scale:scale ~iterations app))
-    Nvsc_apps.Apps.all;
-  Format.fprintf fmt
-    "@.== Extension: figure 12 with true read/write asymmetry (posted \
-     writes) ==@.";
+  header "placement policies (§VII-C)";
+  study "placement";
+  header
+    "hybrid memory-system simulation (the run §V could not do; STTRAM half)";
+  study "hybrid-simulation";
+  header "Table VI robustness to controller choices (cam)";
+  study "power-sensitivity";
+  header "main-memory traffic attribution (cam)";
+  study "traffic";
+  header "fine-grained dynamic placement (§VII-C's monitor, nek5000)";
+  study "fine-grained";
+  header "multi-task representativeness (4 ranks, 20% imbalance)";
+  study "multi-task";
+  header "figure 12 with true read/write asymmetry (posted writes)";
   Format.fprintf fmt
     "the paper's read=write assumption is a performance lower bound (§V); \
      with posted writes:@.";
@@ -516,15 +558,5 @@ let run_all fmt ?(scale = 0.5) ?(iterations = 5) (data : Experiment.data) =
         pcram.normalized_runtime pcram.posted_normalized_runtime
         sttram.normalized_runtime sttram.posted_normalized_runtime)
     data.perf;
-  Format.fprintf fmt "@.== Extension: row-buffer policy ablation ==@.";
-  List.iter
-    (fun (policy, (s : Nvsc_dramsim.Controller.stats)) ->
-      Format.fprintf fmt
-        "s3d %-12s row-hit %.2f  avg latency %.1fns  power %a@."
-        (match policy with
-        | Nvsc_dramsim.Controller.Open_page -> "open-page"
-        | Nvsc_dramsim.Controller.Closed_page -> "closed-page")
-        s.row_hit_rate s.avg_latency_ns Nvsc_util.Units.pp_watts s.avg_power_w)
-    (row_policy_ablation
-       (trace_of "run_all" (profile_of "s3d"))
-       ~tech:(Technology.get Technology.DDR3))
+  header "row-buffer policy ablation";
+  study "row-policy"

@@ -15,10 +15,14 @@
 
     Every application-driven study reads one traced run of the
     application, its {!profile}: studies on the same (application, scale,
-    iterations) share it instead of re-running the application.  The two
+    iterations) share it instead of re-running the application.  The
     studies that need a second pass ({!sampling_ablation},
-    {!fine_grained_placement}) make it at the profile's own scale and
-    iteration count. *)
+    {!fine_grained_placement}, the multi-task ranks) make it at the
+    profile's own scale and iteration count.  {!run_studies} runs all of
+    one application's studies from its profile; the experiments pipeline
+    does that in one sweep cell per application ([Nvsc_sweep.Cell.Study]),
+    so the studies run on the sweep's worker domains and are cached with
+    its other cells, and {!run_all} only prints. *)
 
 val profile :
   scale:float ->
@@ -191,11 +195,25 @@ val pp_sampling : Format.formatter -> sampling_ablation -> unit
 val pp_hybrid : Format.formatter -> hybrid_design -> unit
 val pp_placement : Format.formatter -> placement_summary -> unit
 
+val run_studies : Scavenger.result -> (string * string) list
+(** Every study that applies to the profile's application, rendered:
+    (section key, text) in report order.  Sampling ablation, hybrid
+    organisation, placement policies, hybrid simulation and multi-task
+    representativeness (4 ranks at the profile's scale and iterations)
+    apply to every application; Table VI robustness and traffic
+    attribution to cam only, fine-grained placement to nek5000 only and
+    the row-buffer policy ablation to s3d only.  Needs a traced profile
+    ({!profile}). *)
+
 val run_all :
-  Format.formatter -> ?scale:float -> ?iterations:int -> Experiment.data -> unit
-(** Profile each of the four applications once (default scale 0.5, 5
-    iterations), run every extension from those profiles and print.  The
-    multi-task study makes its own runs.  Figure 12's asymmetric variant
-    reads the perf cells of [data], the run's evaluation data, whose one
-    pass per application accounts both write models: its symmetric values
-    are those of the Figure 12 table of the same run. *)
+  Format.formatter ->
+  texts:(string * (string * string) list) list ->
+  Experiment.data ->
+  unit
+(** Print every extension section in report order: its header, then each
+    application's text for it from [texts] ((application, {!run_studies})
+    pairs, in application order).  Runs no application: the DRAM-cache
+    crossover replays synthetic traces, and Figure 12's asymmetric
+    variant reads the perf cells of [data], the run's evaluation data,
+    whose one pass per application accounts both write models: its
+    symmetric values are those of the Figure 12 table of the same run. *)

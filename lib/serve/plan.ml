@@ -203,9 +203,9 @@ let sweep ~apps ~kinds ~techs ~scale ~iterations ~overrides ~from_trace =
         ( Some [ meta.Nvsc_memtrace.Trace_codec.app ],
           meta.scale,
           meta.iterations,
-          Some digest )
+          Some (Cell.pin_trace ~digest ~iterations:meta.iterations) )
   in
-  let apps, scale, iterations, digest = forced in
+  let apps, scale, iterations, pin = forced in
   let* () = check_config ~scale ~iterations in
   let* kinds =
     match kinds with
@@ -215,8 +215,8 @@ let sweep ~apps ~kinds ~techs ~scale ~iterations ~overrides ~from_trace =
         (map_result
            (fun s ->
              match Cell.kind_of_string s with
-             | Some k -> Ok k
-             | None ->
+             | Some k when List.mem k Cell.all_kinds -> Ok k
+             | _ ->
                bad ~field:"kinds"
                  (Nvsc_util.Cli.unknown ~what:"kind"
                     ~known:(List.map Cell.kind_to_string Cell.all_kinds)
@@ -238,9 +238,7 @@ let sweep ~apps ~kinds ~techs ~scale ~iterations ~overrides ~from_trace =
   in
   let specs = Array.of_list (Matrix.cells matrix) in
   let specs =
-    match digest with
-    | None -> specs
-    | Some d -> Array.map (fun s -> { s with Cell.trace_digest = Some d }) specs
+    match pin with None -> specs | Some pin -> Array.map pin specs
   in
   Ok
     {

@@ -11,19 +11,21 @@ module Units = Nvsc_util.Units
 
 open Json
 
-type kind = Objects | Power | Perf | Place
+type kind = Objects | Power | Perf | Place | Study
 
 let kind_to_string = function
   | Objects -> "objects"
   | Power -> "power"
   | Perf -> "perf"
   | Place -> "place"
+  | Study -> "study"
 
 let kind_of_string = function
   | "objects" -> Some Objects
   | "power" -> Some Power
   | "perf" -> Some Perf
   | "place" -> Some Place
+  | "study" -> Some Study
   | _ -> None
 
 let all_kinds = [ Objects; Power; Perf; Place ]
@@ -79,6 +81,13 @@ let spec_of_json j =
       (match member_opt "trace" j with
       | None | Some Null -> None
       | Some d -> Some (to_str d));
+  }
+
+let pin_trace ~digest ~iterations spec =
+  {
+    spec with
+    trace_digest = Some digest;
+    iterations = (if spec.kind = Perf then iterations else spec.iterations);
   }
 
 let code_version = "nvsc-sweep-v4"
@@ -148,6 +157,7 @@ type payload =
   | Power_result of power_payload
   | Perf_result of perf_row list
   | Place_result of place_payload
+  | Study_result of (string * string) list
 
 (* --- codecs ------------------------------------------------------------- *)
 
@@ -309,6 +319,12 @@ let payload_to_json = function
         ("data", List (List.map perf_row_to_json rows));
       ]
   | Place_result p -> Obj [ ("kind", Str "place"); ("data", place_to_json p) ]
+  | Study_result texts ->
+    Obj
+      [
+        ("kind", Str "study");
+        ("data", Obj (List.map (fun (key, text) -> (key, Str text)) texts));
+      ]
 
 let payload_of_json j =
   let data = member "data" j in
@@ -317,6 +333,10 @@ let payload_of_json j =
   | "power" -> Power_result (power_of_json data)
   | "perf" -> Perf_result (List.map perf_row_of_json (to_list data))
   | "place" -> Place_result (place_of_json data)
+  | "study" -> (
+    match data with
+    | Obj fields -> Study_result (List.map (fun (k, t) -> (k, to_str t)) fields)
+    | _ -> raise (Parse_error "Cell: study payload is not an object"))
   | s -> raise (Parse_error (Printf.sprintf "Cell: unknown payload kind %S" s))
 
 (* --- execution ---------------------------------------------------------- *)
@@ -483,7 +503,9 @@ let execute_group ?jobs ?trace specs =
     if rest <> [] && not (List.for_all (shares_pass lead) specs) then
       invalid_arg "Cell.execute_group: the cells do not share one pass";
     check_trace ?trace lead;
-    let traced = List.exists (fun s -> s.kind = Power) specs in
+    let traced =
+      List.exists (fun s -> s.kind = Power || s.kind = Study) specs
+    in
     let pass = lazy (shared_pass ?trace ~traced lead) in
     List.map
       (fun spec ->
@@ -496,7 +518,9 @@ let execute_group ?jobs ?trace specs =
         | Objects -> Objects_result (objects_payload_of_result (Lazy.force pass))
         | Power -> Power_result (power_payload_of_result ?jobs (Lazy.force pass))
         | Place -> Place_result (place_payload_of_result spec (Lazy.force pass))
-        | Perf -> execute_perf ?trace spec)
+        | Perf -> execute_perf ?trace spec
+        | Study ->
+          Study_result (Nvsc_core.Extensions.run_studies (Lazy.force pass)))
       specs
 
 let execute ?trace spec =
@@ -567,15 +591,21 @@ let pp_power_of_trace fmt trace =
   pp_row_stats fmt rows;
   pp_row_normalized fmt rows
 
+(* A posted row ran at the technology's own read and write latencies,
+   not at the paper's one simulated latency the payload records. *)
 let pp_perf_points ?(posted = false) fmt rows =
   List.iter
     (fun r ->
-      let runtime, normalized =
-        if posted then (r.posted_runtime_ns, r.posted_normalized_runtime)
-        else (r.runtime_ns, r.normalized_runtime)
-      in
-      Format.fprintf fmt "%-8s %6.0fns  runtime %a  normalized %.3f@."
-        r.perf_tech_name r.latency_ns Units.pp_ns runtime normalized)
+      if posted then
+        let t = Option.get (Technology.of_string r.perf_tech_name) in
+        Format.fprintf fmt "%-8s %8s  runtime %a  normalized %.3f@."
+          r.perf_tech_name
+          (Printf.sprintf "%.0f/%.0fns" t.read_latency_ns t.write_latency_ns)
+          Units.pp_ns r.posted_runtime_ns r.posted_normalized_runtime
+      else
+        Format.fprintf fmt "%-8s %6.0fns  runtime %a  normalized %.3f@."
+          r.perf_tech_name r.latency_ns Units.pp_ns r.runtime_ns
+          r.normalized_runtime)
     rows
 
 let pp_place_items fmt (p : place_payload) =
@@ -602,3 +632,5 @@ let render fmt spec payload =
   | Place_result p ->
     pp_place_items fmt p;
     pp_place_assessment fmt p
+  | Study_result texts ->
+    List.iter (fun (_, text) -> Format.pp_print_string fmt text) texts

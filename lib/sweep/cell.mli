@@ -16,10 +16,17 @@ type kind =
   | Power  (** cache-filtered trace replayed through the power simulator *)
   | Perf  (** figure-12 latency-sensitivity replay *)
   | Place  (** static hybrid DRAM/NVRAM placement plan *)
+  | Study
+      (** the application's extension studies
+          ({!Nvsc_core.Extensions.run_studies}) from its traced profile *)
 
 val kind_to_string : kind -> string
 val kind_of_string : string -> kind option
+
 val all_kinds : kind list
+(** The kinds of [nvscav sweep]'s matrix and of the serve protocol; not
+    [Study], which only the experiments pipeline adds
+    ({!Engine.with_studies}). *)
 
 type spec = {
   app : string;
@@ -34,6 +41,12 @@ type spec = {
           {!digest}, so trace-fed and live results never share a cache
           entry and different trace contents never collide. *)
 }
+
+val pin_trace : digest:string -> iterations:int -> spec -> spec
+(** The cell fed by a trace of [iterations] main-loop iterations with
+    content digest [digest].  A live perf cell replays one iteration
+    (its spec says 1), a trace-fed one every iteration the trace holds,
+    so a perf cell takes the trace's count. *)
 
 val spec_to_json : spec -> Json.t
 val spec_of_json : Json.t -> spec
@@ -107,6 +120,9 @@ type payload =
   | Power_result of power_payload
   | Perf_result of perf_row list
   | Place_result of place_payload
+  | Study_result of (string * string) list
+      (** rendered study text per section key, in report order: these
+          sections are only ever printed *)
 
 val payload_to_json : payload -> Json.t
 val payload_of_json : Json.t -> payload
@@ -117,15 +133,17 @@ val group : (int * spec) list -> (int * spec) list list
     appearance, members in input order.  Cells share a group when they
     have the same application, scale, iterations and trace digest and
     none is [Perf]: one run of that configuration yields all their
-    payloads.  Every [Perf] cell is a group of its own, because figure 12
-    drives the application through the performance model (one pass for
-    every technology), not through a [Scavenger.run]. *)
+    payloads ([Study] cells make their own further runs, see
+    {!Nvsc_core.Extensions.run_studies}).  Every [Perf] cell is a group
+    of its own, because figure 12 drives the application through the
+    performance model (one pass for every technology), not through a
+    [Scavenger.run]. *)
 
 val execute_group : ?jobs:int -> ?trace:string -> spec list -> payload list
 (** Run one group (as formed by {!group}) and return its payloads in
     input order.  A live group makes one {!Nvsc_core.Scavenger.run},
     with the main-memory trace filtered only if the group holds a
-    [Power] cell; a trace-fed group makes one
+    [Power] or [Study] cell; a trace-fed group makes one
     {!Nvsc_core.Trace_run.replay}.  Each payload is projected from that
     one result and is equal to what {!execute} returns for the cell
     alone.  [jobs] (default 1) is handed to the power cells' technology
@@ -163,7 +181,12 @@ val pp_objects_usage : Format.formatter -> objects_payload -> unit
 val pp_power_trace_line : Format.formatter -> power_payload -> unit
 val pp_power_stats : Format.formatter -> power_payload -> unit
 val pp_power_normalized : Format.formatter -> power_payload -> unit
+
 val pp_perf_points : ?posted:bool -> Format.formatter -> perf_row list -> unit
+(** Figure 12's rows with the paper's one simulated latency per
+    technology, or ([posted]) with posted writes, labelled with the read
+    and write latencies the technology ran at (e.g. [20/100ns]). *)
+
 val pp_place_items : Format.formatter -> place_payload -> unit
 val pp_place_assessment : Format.formatter -> place_payload -> unit
 

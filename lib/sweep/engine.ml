@@ -86,8 +86,11 @@ let run ?jobs ?cache ?trace matrix =
     match trace with
     | None -> specs
     | Some path ->
-      let _, digest = Nvsc_core.Trace_run.info path in
-      Array.map (fun s -> { s with Cell.trace_digest = Some digest }) specs
+      let meta, digest = Nvsc_core.Trace_run.info path in
+      Array.map
+        (Cell.pin_trace ~digest
+           ~iterations:meta.Nvsc_memtrace.Trace_codec.iterations)
+        specs
   in
   run_specs ?jobs ?cache ?trace specs
 
@@ -119,6 +122,29 @@ let experiments_matrix ~(config : Experiment.config) =
   with
   | Ok m -> m
   | Error e -> invalid_arg ("Engine.experiments_matrix: " ^ e)
+
+let with_studies ~scale ~iterations (m : Matrix.t) =
+  {
+    m with
+    kinds = m.kinds @ [ Cell.Study ];
+    overrides =
+      m.overrides
+      @ [
+          {
+            Matrix.o_app = None;
+            o_kind = Some Cell.Study;
+            o_scale = Some scale;
+            o_iterations = Some iterations;
+          };
+        ];
+  }
+
+let experiments_texts outcomes =
+  Array.to_list outcomes
+  |> List.filter_map (fun o ->
+         match o.payload with
+         | Cell.Study_result texts -> Some (o.spec.Cell.app, texts)
+         | _ -> None)
 
 let tech_of_name name =
   match Technology.of_string name with

@@ -56,14 +56,25 @@ val pp_outcomes : Format.formatter -> outcome array -> unit
 
 (** {1 The experiments pipeline}
 
-    [bin/experiments.exe] regenerates EXPERIMENTS.md through these two
+    [bin/experiments.exe] regenerates EXPERIMENTS.md through these
     functions: the matrix holds objects, power and perf cells for each
-    paper application (figure 12 at the config's [perf_scale]), and
-    [experiments_data] reassembles the cell payloads into the
-    {!Nvsc_core.Experiment.data} every table and figure is printed
-    from. *)
+    paper application (figure 12 at the config's [perf_scale]) and,
+    unless the extension studies are skipped, one study cell per
+    application; all of them run in one {!run}.  [experiments_data]
+    reassembles the cell payloads into the {!Nvsc_core.Experiment.data}
+    every table and figure is printed from, and [experiments_texts]
+    collects the study cells' sections for
+    {!Nvsc_core.Extensions.run_all}. *)
 
 val experiments_matrix : config:Nvsc_core.Experiment.config -> Matrix.t
+
+val with_studies : scale:float -> iterations:int -> Matrix.t -> Matrix.t
+(** Add one {!Cell.Study} cell per application, whose traced profile is
+    taken at [scale] and [iterations]. *)
+
+val experiments_texts : outcome array -> (string * (string * string) list) list
+(** The study cells' payloads as (application, sections), in cell
+    order. *)
 
 val experiments_data :
   config:Nvsc_core.Experiment.config ->

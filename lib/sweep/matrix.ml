@@ -84,8 +84,9 @@ let parse_override s =
             Error (Printf.sprintf "override: unknown application %S" value))
         | "kind" -> (
           match Cell.kind_of_string value with
-          | Some k -> loop { o with o_kind = Some k } rest
-          | None -> Error (Printf.sprintf "override: unknown kind %S" value))
+          | Some k when List.mem k Cell.all_kinds ->
+            loop { o with o_kind = Some k } rest
+          | _ -> Error (Printf.sprintf "override: unknown kind %S" value))
         | "scale" -> (
           match float_of_string_opt value with
           | Some f when f > 0. -> loop { o with o_scale = Some f } rest
@@ -135,7 +136,10 @@ let cells t =
             List.map
               (fun tech -> apply_overrides t { base with tech = Some tech })
               t.techs
-          | Cell.Objects | Cell.Power | Cell.Perf ->
+          | Cell.Perf ->
+            (* a live perf cell replays one main-loop iteration *)
+            [ apply_overrides t { base with iterations = 1 } ]
+          | Cell.Objects | Cell.Power | Cell.Study ->
             [ apply_overrides t base ])
         t.kinds)
     t.apps

@@ -93,12 +93,15 @@ let test_payload_codecs_render_identically () =
         | _ -> spec ~kind ()
       in
       let payload = Cell.execute s in
-      let decoded = Cell.payload_of_json (Cell.payload_to_json payload) in
+      let decoded =
+        Cell.payload_of_json
+          (Json.of_string (Json.to_string (Cell.payload_to_json payload)))
+      in
       Alcotest.(check string)
         (Cell.kind_to_string kind ^ " decoded payload renders identically")
         (with_fmt (fun fmt -> Cell.render fmt s payload))
         (with_fmt (fun fmt -> Cell.render fmt s decoded)))
-    Cell.all_kinds
+    (Cell.all_kinds @ [ Cell.Study ])
 
 (* A perf payload carries both write models' rows; every float, the
    posted ones included, survives the cache's JSON text bit for bit. *)
@@ -407,21 +410,72 @@ let test_engine_cache_cold_then_warm () =
   Alcotest.(check bool) "warm outcomes flagged cached" true
     (Array.for_all (fun o -> o.Engine.cached) o2);
   Alcotest.(check string) "byte-identical report cold vs warm"
-    (render_outcomes o1) (render_outcomes o2)
+    (render_outcomes o1) (render_outcomes o2);
+  (* a live perf cell replays one iteration whatever the matrix says, so
+     a sweep at another iteration count and [nvscav perf] at the same
+     scale share its entry; a trace-fed one keeps the trace's count *)
+  let perf_matrix iterations =
+    match
+      Matrix.make ~apps:[ "cam" ] ~kinds:[ Cell.Perf ] ~scale:0.1 ~iterations
+        ()
+    with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  let o3, s3 = Engine.run ~jobs:1 ~cache:(Cache.create ~dir ()) (perf_matrix 3) in
+  Alcotest.(check (pair int int)) "perf cell at 3 iterations hits" (1, 0)
+    (s3.Engine.hits, s3.Engine.misses);
+  let perf_plan =
+    match Nvsc_serve.Plan.perf ~app:"cam" ~scale:0.1 ~asymmetric:false with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e.Nvsc_serve.Protocol.message
+  in
+  Alcotest.(check string) "nvscav perf keys on the sweep's perf cell"
+    (Cell.digest o3.(0).Engine.spec)
+    (Cell.digest perf_plan.Nvsc_serve.Plan.specs.(0));
+  let pinned = Cell.pin_trace ~digest:(String.make 32 'a') ~iterations:5 in
+  Alcotest.(check (pair int int)) "trace-fed perf takes the trace's count"
+    (5, 2)
+    ( (pinned (spec ~kind:Cell.Perf ~iterations:1 ())).iterations,
+      (pinned (spec ~kind:Cell.Objects ())).iterations )
 
+let runs = Nvsc_obs.Metrics.counter "scavenger.runs"
+
+(* The experiments matrix with its study cells: the tables and the
+   extension report render byte-identically cold at two domains, warm
+   from the cache (nothing re-executed) and uncached at one domain. *)
 let test_experiments_warm_equals_cold () =
   let config = tiny_config in
-  let matrix = Engine.experiments_matrix ~config in
-  let dir = fresh_dir () in
-  let engine_run () =
-    let outcomes, _ = Engine.run ~jobs:2 ~cache:(Cache.create ~dir ()) matrix in
-    with_fmt (fun fmt ->
-        E.run_all_of_data fmt (Engine.experiments_data ~config outcomes))
+  let matrix =
+    Engine.with_studies ~scale:0.1 ~iterations:2
+      (Engine.experiments_matrix ~config)
   in
-  let cold = engine_run () in
+  let dir = fresh_dir () in
+  let engine_run ?cache ~jobs () =
+    let outcomes, stats = Engine.run ~jobs ?cache matrix in
+    let data = Engine.experiments_data ~config outcomes in
+    ( with_fmt (fun fmt ->
+          E.run_all_of_data fmt data;
+          Nvsc_core.Extensions.run_all fmt
+            ~texts:(Engine.experiments_texts outcomes)
+            data),
+      stats )
+  in
+  let cold, cold_stats =
+    engine_run ~cache:(Cache.create ~dir ()) ~jobs:2 ()
+  in
+  Alcotest.(check int) "one study cell per application" 16
+    cold_stats.Engine.cells;
   (* the warm pass renders entirely from decoded cache payloads *)
-  Alcotest.(check string) "warm-cache rerun is byte-identical" cold
-    (engine_run ())
+  let before = Nvsc_obs.Metrics.Counter.get runs in
+  let warm, warm_stats = engine_run ~cache:(Cache.create ~dir ()) ~jobs:2 () in
+  Alcotest.(check (pair int int)) "warm run hits every cell" (16, 0)
+    (warm_stats.Engine.hits, warm_stats.Engine.misses);
+  Alcotest.(check int) "warm run runs no application" 0
+    (Nvsc_obs.Metrics.Counter.get runs - before);
+  Alcotest.(check string) "warm-cache rerun is byte-identical" cold warm;
+  Alcotest.(check string) "jobs 1 is byte-identical" cold
+    (fst (engine_run ~jobs:1 ()))
 
 (* --- Table VI as a property ---------------------------------------------- *)
 
@@ -473,8 +527,6 @@ let table6_ordering_prop =
            [ "PCRAM"; "STTRAM"; "MRAM" ])
 
 (* --- grouped execution ---------------------------------------------------- *)
-
-let runs = Nvsc_obs.Metrics.counter "scavenger.runs"
 
 let payload_json p = Json.to_string (Cell.payload_to_json p)
 
