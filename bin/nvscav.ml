@@ -479,10 +479,11 @@ let lint_cmd =
   in
   let persist_arg =
     let doc =
-      "Also run NVSC-Persist: the static persist lint (epoch balance, \
-       placement of the persist set, write intensity) and the dynamic \
-       crash-consistency checker over the run, with the flush/fence \
-       durability cost per memory technology."
+      "Also run NVSC-Persist over the run: the crash-consistency checker \
+       (flush/fence state per cache line, epoch balance) and the checks \
+       of the persist set against the run's object profile (placement, \
+       write intensity), with the flush/fence durability cost per memory \
+       technology."
     in
     Arg.(value & flag & info [ "persist" ] ~doc)
   in
@@ -492,30 +493,14 @@ let lint_cmd =
         (* exit only once the profile is written *)
         let clean =
           with_profile profile @@ fun () ->
-          let static = Nvsc_sanitizer.Config_lint.all ~app () in
-          let static =
-            if persist then
-              San.merge static
-                (Nvsc_sanitizer.Config_lint.persist ~scale ~iterations app)
-            else static
-          in
-          let r =
-            Nvsc_core.Scavenger.run
-              Nvsc_core.Scavenger.Config.(
-                scavenger_config ~scale ~iterations
-                |> with_sanitize ~check_init true
-                |> with_persist persist)
+          let report, persist_stats =
+            Nvsc_core.Scavenger.lint ~scale ~iterations ~check_init ~persist
               app
           in
-          let dynamic = Option.value r.sanitizer ~default:[] in
-          let dynamic =
-            San.merge dynamic (Option.value r.persist_report ~default:[])
-          in
-          let report = San.merge static dynamic in
           Format.fprintf fmt "nvscav lint %s (scale %g, %d iterations)@." name
             scale iterations;
           San.pp_report fmt report;
-          (match r.persist_stats with
+          (match persist_stats with
           | Some s ->
             Format.fprintf fmt
               "persist: %d epoch(s), %d flush(es) covering %d line(s), %d \
@@ -541,10 +526,9 @@ let lint_cmd =
         "NVSC-San: statically lint the simulator configuration, then run \
          the application under the trace sanitizer (redzones, shadow \
          state, bounds-checked batches) and report every diagnostic. \
-         With $(b,--persist), additionally run the NVSC-Persist static \
-         lint and dynamic crash-consistency checker over the app's \
-         epoch/flush/fence annotations. Exits non-zero if anything is \
-         found."
+         With $(b,--persist), the same run also goes through NVSC-Persist, \
+         which checks the app's epoch/flush/fence annotations and its \
+         persist set. Exits non-zero if anything is found."
   in
   Cmd.v info
     Term.(
@@ -755,8 +739,8 @@ let crashsim_cmd =
     with_trace_errors @@ fun () ->
     let module PC = Nvsc_sanitizer.Persist_check in
     let module San = Nvsc_sanitizer.Diagnostic in
-    let boundaries = PC.count_boundaries path in
-    let whole, _ = PC.replay path in
+    let whole, chk = PC.replay path in
+    let boundaries = PC.epoch_boundaries chk in
     Format.fprintf fmt "nvscav crashsim %s: %d epoch boundarie(s)@." path
       boundaries;
     Format.fprintf fmt "whole trace: ";

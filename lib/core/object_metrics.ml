@@ -30,6 +30,16 @@ let per_iter_refs t ~iter =
   if iter < 1 || iter > Array.length t.per_iter_reads then 0
   else t.per_iter_reads.(iter - 1) + t.per_iter_writes.(iter - 1)
 
+let item t =
+  {
+    Nvsc_placement.Item.id = t.obj.Mem_object.id;
+    name = t.obj.Mem_object.name;
+    size_bytes = size_bytes t;
+    reads = t.reads;
+    writes = t.writes;
+    ref_share = t.ref_share;
+  }
+
 let suitability_metrics t =
   {
     Nvsc_nvram.Suitability.reads = t.reads;

@@ -34,6 +34,9 @@ val per_iter_ratio : t -> iter:int -> float
 
 val per_iter_refs : t -> iter:int -> int
 
+val item : t -> Nvsc_placement.Item.t
+(** The object's main-loop profile as a placement item. *)
+
 val suitability_metrics : t -> Nvsc_nvram.Suitability.metrics
 
 val collect : Nvsc_appkit.Ctx.t -> iterations:int -> t list

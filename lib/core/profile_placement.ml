@@ -1,18 +1,8 @@
 module HM = Nvsc_placement.Hybrid_memory
 module Technology = Nvsc_nvram.Technology
 
-let items (r : Scavenger.result) =
-  List.map
-    (fun (m : Object_metrics.t) ->
-      {
-        Nvsc_placement.Item.id = m.obj.Nvsc_memtrace.Mem_object.id;
-        name = m.obj.Nvsc_memtrace.Mem_object.name;
-        size_bytes = Object_metrics.size_bytes m;
-        reads = m.reads;
-        writes = m.writes;
-        ref_share = m.ref_share;
-      })
-    (Scavenger.global_and_heap_metrics r)
+let items r =
+  List.map Object_metrics.item (Scavenger.global_and_heap_metrics r)
 
 let hybrid ~tech (r : Scavenger.result) =
   HM.create ~dram_bytes:(2 * r.footprint_bytes)

@@ -39,7 +39,6 @@ module Config = struct
     sanitize : bool;
     check_init : bool;
     persist : bool;
-    obs : Nvsc_obs.t;
   }
 
   let default =
@@ -52,7 +51,6 @@ module Config = struct
       sanitize = false;
       check_init = false;
       persist = false;
-      obs = Nvsc_obs.off;
     }
 
   let with_scale scale t = { t with scale }
@@ -73,8 +71,6 @@ module Config = struct
   let with_shards shards t =
     if shards < 1 then invalid_arg "Config.with_shards: shards must be >= 1";
     t
-
-  let with_obs obs t = { t with obs }
 end
 
 (* Redzone width used when sanitising: wide enough that a word-sized
@@ -94,10 +90,9 @@ let m_unattributed = Metrics.counter "scavenger.unattributed"
 let m_sanitizer_findings = Metrics.counter "sanitizer.findings"
 
 let run (cfg : Config.t) (module A : Nvsc_apps.Workload.APP) =
-  Nvsc_obs.scoped cfg.obs @@ fun () ->
   Span.with_ ~arg:A.name "scavenger.run" @@ fun () ->
   let { Config.scale; iterations; with_trace; sampling; batch_capacity;
-        sanitize; check_init; persist; obs = _ } =
+        sanitize; check_init; persist } =
     cfg
   in
   let prev_checks = Sink.checks_enabled () in
@@ -149,10 +144,21 @@ let run (cfg : Config.t) (module A : Nvsc_apps.Workload.APP) =
   Ctx.flush_refs ctx;
   Option.iter Hierarchy.drain hierarchy;
   let sanitizer = Option.map Nvsc_sanitizer.Trace_san.finish san in
-  let persist_report =
-    Option.map (fun p -> Nvsc_sanitizer.Persist_check.finish p) pchk
-  in
   let metrics = Object_metrics.collect ctx ~iterations in
+  let persist_report =
+    Option.map
+      (fun p ->
+        let frames, placeable =
+          List.partition
+            (fun (m : Object_metrics.t) -> m.obj.Mem_object.kind = Layout.Stack)
+            metrics
+        in
+        let items = List.map Object_metrics.item in
+        Nvsc_sanitizer.Persist_check.check_set p ~iterations
+          ~placeable:(items placeable) ~frames:(items frames);
+        Nvsc_sanitizer.Persist_check.finish p)
+      pchk
+  in
   let footprint_bytes =
     List.fold_left (fun acc m -> acc + Object_metrics.size_bytes m) 0 metrics
   in
@@ -196,6 +202,22 @@ let run (cfg : Config.t) (module A : Nvsc_apps.Workload.APP) =
     persist_report;
     persist_stats = Option.map Nvsc_sanitizer.Persist_check.stats pchk;
   }
+
+let lint ~scale ~iterations ~check_init ~persist app =
+  let r =
+    run
+      Config.(
+        default |> with_scale scale |> with_iterations iterations
+        |> with_sanitize ~check_init true
+        |> with_persist persist)
+      app
+  in
+  let module D = Nvsc_sanitizer.Diagnostic in
+  let found = Option.value ~default:[] in
+  ( D.merge
+      (Nvsc_sanitizer.Config_lint.all ~app ())
+      (D.merge (found r.sanitizer) (found r.persist_report)),
+    r.persist_stats )
 
 let kind_metrics kind result =
   List.filter

@@ -9,9 +9,8 @@
 
     The run is configured by a first-class {!Config.t} record (no optional
     -argument sprawl): build one from {!Config.default} with the
-    functional updates, and pass it to {!run}.  The record also carries an
-    {!Nvsc_obs.t} handle, so one run can be profiled without touching the
-    global recorder.  Runs are instrumented with {!Nvsc_obs.Span}s
+    functional updates, and pass it to {!run}.  Runs are instrumented with
+    {!Nvsc_obs.Span}s
     ([scavenger.run] > [scavenger.setup] / [scavenger.app] /
     [scavenger.analysis]) and feed the {!Nvsc_obs.Metrics} registry
     ([scavenger.runs], [scavenger.pipeline.*], [scavenger.unattributed],
@@ -43,15 +42,17 @@ type result = {
   sanitizer : Nvsc_sanitizer.Diagnostic.report option;
       (** NVSC-San trace-sanitizer report, when [sanitize] was set *)
   persist_report : Nvsc_sanitizer.Diagnostic.report option;
-      (** NVSC-Persist crash-consistency report, when [persist] was set *)
+      (** NVSC-Persist report, when [persist] was set: the checker's
+          crash-consistency verdict plus
+          {!Nvsc_sanitizer.Persist_check.check_set} over this run's
+          object metrics *)
   persist_stats : Nvsc_sanitizer.Persist_check.stats option;
       (** the checker's flush/fence work counters — what
           {!Nvsc_nvram.Persist_cost} prices per technology *)
 }
 
 (** Run configuration.  {!Config.default} is the paper's setting: full
-    scale, 10 main-loop iterations, no trace, no sampling, no sanitizer,
-    observability handle {!Nvsc_obs.off}. *)
+    scale, 10 main-loop iterations, no trace, no sampling, no sanitizer. *)
 module Config : sig
   type t = {
     scale : float;  (** data-size multiplier *)
@@ -63,9 +64,6 @@ module Config : sig
     sanitize : bool;  (** attach the NVSC-San trace sanitizer *)
     check_init : bool;  (** sanitizer: also track uninitialised reads *)
     persist : bool;  (** attach the NVSC-Persist crash-consistency checker *)
-    obs : Nvsc_obs.t;
-        (** arm span recording for this run ({!Nvsc_obs.on}) or leave the
-            recorder as-is ({!Nvsc_obs.off}) *)
   }
 
   val default : t
@@ -86,15 +84,13 @@ module Config : sig
   val with_persist : bool -> t -> t
   (** Attach {!Nvsc_sanitizer.Persist_check} to the run: the result's
       [persist_report] carries its verdict on the app's epoch/flush/fence
-      annotations.  Independent of [sanitize]. *)
+      annotations and its persist set.  Independent of [sanitize]. *)
 
   val with_shards : int -> t -> t
   (** Has no effect: checks [n >= 1] (else [Invalid_argument]) and
       returns the configuration unchanged.  It remains only for the
       nvbench ledger's [core.scavenger_s.shards2] row and goes away with
       that row in the next benchmark change. *)
-
-  val with_obs : Nvsc_obs.t -> t -> t
 end
 
 val run : Config.t -> (module Nvsc_apps.Workload.APP) -> result
@@ -102,6 +98,18 @@ val run : Config.t -> (module Nvsc_apps.Workload.APP) -> result
     the NVSC-San trace sanitizer into the pipeline: the context gets
     allocation redzones, batch accessors run bounds-checked, and the
     result carries the diagnostic report. *)
+
+val lint :
+  scale:float ->
+  iterations:int ->
+  check_init:bool ->
+  persist:bool ->
+  (module Nvsc_apps.Workload.APP) ->
+  Nvsc_sanitizer.Diagnostic.report * Nvsc_sanitizer.Persist_check.stats option
+(** [nvscav lint]: {!Nvsc_sanitizer.Config_lint.all} for the application,
+    merged with the report of one {!run} under the trace sanitizer (and,
+    with [persist], NVSC-Persist), plus the persist checker's work
+    counters.  The application runs exactly once. *)
 
 val stack_metrics : result -> Object_metrics.t list
 val global_metrics : result -> Object_metrics.t list

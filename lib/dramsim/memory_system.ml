@@ -1,22 +1,4 @@
-module Access = Nvsc_memtrace.Access
 module Technology = Nvsc_nvram.Technology
-
-type t = { controller : Controller.t; tech : Technology.t }
-
-let create ?org ?scheme ?window ?row_policy ?scheduler ~tech () =
-  {
-    controller =
-      Controller.create ?org ?scheme ?window ?row_policy ?scheduler ~tech ();
-    tech;
-  }
-
-let access t a = Controller.submit t.controller a
-let consume t batch ~first ~n = Controller.consume t.controller batch ~first ~n
-let sink ?name t = Controller.sink ?name t.controller
-
-let stats t = Controller.stats t.controller
-
-let tech t = t.tech
 
 let compare_technologies ?org ?scheme ?window ?row_policy ?scheduler
     ?(jobs = 1) ?(bank_shards = 1) ~techs ~replay () =
@@ -25,11 +7,13 @@ let compare_technologies ?org ?scheme ?window ?row_policy ?scheduler
   let simulate tech =
     Nvsc_obs.Span.with_ ~arg:tech.Technology.name "dramsim.simulate"
     @@ fun () ->
-    let t = create ?org ?scheme ?window ?row_policy ?scheduler ~tech () in
-    let s = sink ~name:tech.Technology.name t in
+    let c =
+      Controller.create ?org ?scheme ?window ?row_policy ?scheduler ~tech ()
+    in
+    let s = Controller.sink ~name:tech.Technology.name c in
     replay s;
     Nvsc_memtrace.Sink.flush s;
-    (tech, stats t)
+    (tech, Controller.stats c)
   in
   if jobs <= 1 then List.map simulate techs
   else

@@ -1,31 +1,6 @@
-(** Memory-system front end (the DRAMSim2 "memory system" module): accepts
-    a main-memory trace — produced by the cache hierarchy — and reports
-    simulated power for a chosen memory technology. *)
-
-type t
-
-val create :
-  ?org:Org.t ->
-  ?scheme:Address_mapping.scheme ->
-  ?window:int ->
-  ?row_policy:Controller.row_policy ->
-  ?scheduler:Controller.scheduler ->
-  tech:Nvsc_nvram.Technology.t ->
-  unit ->
-  t
-
-val access : t -> Nvsc_memtrace.Access.t -> unit
-(** Feed one trace record. *)
-
-val consume : t -> Nvsc_memtrace.Sink.Batch.t -> first:int -> n:int -> unit
-(** Feed a batch slice of trace records in order. *)
-
-val sink : ?name:string -> t -> Nvsc_memtrace.Sink.t
-(** A sink feeding this system via {!consume}. *)
-
-val stats : t -> Controller.stats
-
-val tech : t -> Nvsc_nvram.Technology.t
+(** Memory-system front end (the DRAMSim2 "memory system" module): replays
+    a main-memory trace — produced by the cache hierarchy — into one
+    {!Controller} per memory technology and reports simulated power. *)
 
 val compare_technologies :
   ?org:Org.t ->
@@ -39,7 +14,7 @@ val compare_technologies :
   replay:(Nvsc_memtrace.Sink.t -> unit) ->
   unit ->
   (Nvsc_nvram.Technology.t * Controller.stats) list
-(** Replay the same trace into a fresh memory system per technology —
+(** Replay the same trace into a fresh controller per technology —
     the Table VI experiment.  [replay sink] must drive [sink] with the
     identical access sequence on every call (batched delivery via
     {!Nvsc_memtrace.Trace_log.replay_batch}, or per-access pushes); the

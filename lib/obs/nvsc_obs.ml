@@ -12,27 +12,14 @@ module Span = Span
 module Chrome_trace = Chrome_trace
 module Profile = Profile
 
-(* --- the handle --------------------------------------------------------- *)
-
-(* An observability handle, carried by run configs (Scavenger.Config.t).
-   [off] is inert; [on] asks the callee to arm the recorder for the
-   duration of the call (a no-op when a caller higher up already armed
-   it), so a library user can profile one run without touching the global
-   switch. *)
-type t = { armed : bool }
-
-let off = { armed = false }
-let on = { armed = true }
-let is_armed t = t.armed
-
 let enabled = Span.enabled
 
 let reset () =
   Span.reset ();
   Metrics.reset ()
 
-let scoped t f =
-  if t.armed && not (Span.enabled ()) then begin
+let scoped f =
+  if not (Span.enabled ()) then begin
     Span.enable ();
     Fun.protect ~finally:Span.disable f
   end

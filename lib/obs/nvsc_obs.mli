@@ -9,8 +9,8 @@
     Instrumentation is always compiled in and globally disarmed by
     default: a disarmed span is a single branch on an [Atomic.t].  The
     [--profile] flags of [nvscav] and [experiments.exe] arm it through
-    {!with_profiling}; library users can scope arming to one run by
-    putting {!on} in a {!Nvsc_core.Scavenger.Config.t}. *)
+    {!with_profiling}; library users can arm it around one call with
+    {!scoped}. *)
 
 module Clock : module type of Clock
 module Metrics : module type of Metrics
@@ -18,24 +18,13 @@ module Span : module type of Span
 module Chrome_trace : module type of Chrome_trace
 module Profile : module type of Profile
 
-type t
-(** An observability handle, carried by run configurations. *)
-
-val off : t
-(** The default: leave the recorder as the caller set it. *)
-
-val on : t
-(** Arm span recording for the duration of the run that carries this
-    handle (no-op if already armed by an enclosing scope). *)
-
-val is_armed : t -> bool
-
 val enabled : unit -> bool
 (** Is the global recorder armed right now? *)
 
-val scoped : t -> (unit -> 'a) -> 'a
-(** [scoped t f] runs [f] with the recorder armed if [t] asks for it,
-    restoring the previous state afterwards (also on exceptions). *)
+val scoped : (unit -> 'a) -> 'a
+(** [scoped f] runs [f] with the recorder armed, restoring the previous
+    state afterwards (also on exceptions); inside an armed scope it is
+    exactly [f ()]. *)
 
 val reset : unit -> unit
 (** Drop all recorded spans and zero all metrics. *)

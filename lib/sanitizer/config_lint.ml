@@ -1,13 +1,4 @@
 module Technology = Nvsc_nvram.Technology
-module Ctx = Nvsc_appkit.Ctx
-module Counters = Nvsc_memtrace.Counters
-module Layout = Nvsc_memtrace.Layout
-module Mem_object = Nvsc_memtrace.Mem_object
-module Object_registry = Nvsc_memtrace.Object_registry
-module Persist = Nvsc_memtrace.Persist
-module Hybrid_memory = Nvsc_placement.Hybrid_memory
-module Item = Nvsc_placement.Item
-module Static_policy = Nvsc_placement.Static_policy
 module Cache_params = Nvsc_cachesim.Cache_params
 module Org = Nvsc_dramsim.Org
 module Timing = Nvsc_dramsim.Timing
@@ -204,148 +195,6 @@ let app_c c (module A : Workload.APP) =
     ~detail:"empty input description"
 
 let app a = with_collector (fun c -> app_c c a)
-
-(* --- persist lint: the static half of NVSC-Persist ----------------------- *)
-
-(* Writes per word per main-loop iteration of a declared-persistent object.
-   Checkpointed-once-per-iteration state scores ~1; write-hammered working
-   arrays score far higher and do not belong in NVM (paper §IV: wear and
-   write latency dominate). *)
-let wear_density ~counters ~iterations (o : Mem_object.t) =
-  let main_writes =
-    Counters.total_writes counters ~obj_id:o.id
-    - Counters.writes counters ~obj_id:o.id ~iter:0
-  in
-  let words = Stdlib.max 1 (o.size / 8) in
-  float_of_int main_writes
-  /. float_of_int words
-  /. float_of_int (Stdlib.max 1 iterations)
-
-let default_wear_threshold = 4.0
-
-let persist_c c ?(scale = 0.1) ?(iterations = 3)
-    ?(wear_threshold = default_wear_threshold)
-    ?(tech = Technology.get Technology.PCRAM) (module A : Workload.APP) =
-  (* A structure-only run: the persist lint needs the epoch/declare event
-     sequence and the per-object counters the context keeps anyway — no
-     reference sink, no trace, no simulation. *)
-  let ctx = Ctx.create () in
-  Fun.protect ~finally:(fun () -> Ctx.release ctx) @@ fun () ->
-  let declared : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let known : (int, Mem_object.t) Hashtbl.t = Hashtbl.create 128 in
-  let epoch_stack = ref [] in
-  Ctx.add_event_sink ctx (function
-    | Ctx.Alloc o | Ctx.Frame_push (o, _) ->
-      Hashtbl.replace known o.Mem_object.id o
-    | Ctx.Free _ | Ctx.Frame_pop _ | Ctx.Phase_change _ -> ()
-    | Ctx.Persist ev -> (
-      match ev with
-      | Persist.Declare { obj_id } -> Hashtbl.replace declared obj_id ()
-      | Persist.Epoch_begin { label; _ } ->
-        (match !epoch_stack with
-        | outer :: _ ->
-          Diagnostic.Collector.add c Diagnostic.Epoch_unbalanced ~owner:label
-            ~detail:
-              (Printf.sprintf "epoch %S begins inside still-open epoch %S"
-                 label outer)
-        | [] -> ());
-        epoch_stack := label :: !epoch_stack
-      | Persist.Epoch_commit { label; _ } -> (
-        match !epoch_stack with
-        | [] ->
-          Diagnostic.Collector.add c Diagnostic.Epoch_unbalanced ~owner:label
-            ~detail:
-              (Printf.sprintf "commit of %S without a matching begin" label)
-        | open_label :: rest ->
-          if open_label <> label then
-            Diagnostic.Collector.add c Diagnostic.Epoch_unbalanced
-              ~owner:label
-              ~detail:
-                (Printf.sprintf "commit of %S closes mismatched epoch %S"
-                   label open_label);
-          epoch_stack := rest)
-      | Persist.Flush _ | Persist.Fence -> ()));
-  A.run ~scale ctx ~iterations;
-  Ctx.flush_refs ctx;
-  List.iter
-    (fun label ->
-      Diagnostic.Collector.add c Diagnostic.Epoch_unbalanced ~owner:label
-        ~detail:
-          (Printf.sprintf "epoch %S still open at the end of the run" label))
-    !epoch_stack;
-  if Hashtbl.length declared > 0 then begin
-    let counters = Ctx.counters ctx in
-    let main_refs (o : Mem_object.t) =
-      Counters.total_reads counters ~obj_id:o.id
-      - Counters.reads counters ~obj_id:o.id ~iter:0
-      + Counters.total_writes counters ~obj_id:o.id
-      - Counters.writes counters ~obj_id:o.id ~iter:0
-    in
-    let heap_globals =
-      List.filter
-        (fun (o : Mem_object.t) -> o.kind <> Layout.Stack && o.live)
-        (Object_registry.objects (Ctx.registry ctx))
-    in
-    let all_objects = heap_globals @ Ctx.stack_objects ctx in
-    let total_main =
-      Stdlib.max 1 (List.fold_left (fun acc o -> acc + main_refs o) 0 all_objects)
-    in
-    let items =
-      List.map
-        (fun (o : Mem_object.t) ->
-          {
-            Item.id = o.id;
-            name = o.name;
-            size_bytes = o.size;
-            reads =
-              Counters.total_reads counters ~obj_id:o.id
-              - Counters.reads counters ~obj_id:o.id ~iter:0;
-            writes =
-              Counters.total_writes counters ~obj_id:o.id
-              - Counters.writes counters ~obj_id:o.id ~iter:0;
-            ref_share = float_of_int (main_refs o) /. float_of_int total_main;
-          })
-        heap_globals
-    in
-    let footprint =
-      List.fold_left (fun acc (i : Item.t) -> acc + i.size_bytes) 0 items
-    in
-    let hybrid =
-      Hybrid_memory.create ~dram_bytes:(2 * footprint)
-        ~nvram_bytes:(2 * footprint) ~tech
-    in
-    let pinned (i : Item.t) = Hashtbl.mem declared i.id in
-    ignore (Static_policy.plan ~pinned ~hybrid items);
-    List.iter
-      (fun (i : Item.t) ->
-        if pinned i && Hybrid_memory.location hybrid i = Some Hybrid_memory.Dram
-        then
-          Diagnostic.Collector.add c Diagnostic.Persist_placement ~owner:i.name
-            ~detail:
-              (Printf.sprintf
-                 "persistent object %s (%d bytes) placed in DRAM — its \
-                  durability contract needs NVRAM"
-                 i.name i.size_bytes))
-      items;
-    Hashtbl.iter
-      (fun id () ->
-        match Hashtbl.find_opt known id with
-        | None -> ()
-        | Some o ->
-          let density = wear_density ~counters ~iterations o in
-          if density > wear_threshold then
-            Diagnostic.Collector.add c Diagnostic.Persist_write_heavy
-              ~owner:o.name
-              ~detail:
-                (Printf.sprintf
-                   "%.1f writes/word/iteration to persistent %s — %s wear \
-                    and write latency dominate (threshold %.1f)"
-                   density o.name tech.Technology.name wear_threshold))
-      declared
-  end
-
-let persist ?scale ?iterations ?wear_threshold ?tech a =
-  with_collector (fun c -> persist_c c ?scale ?iterations ?wear_threshold ?tech a)
 
 (* --- everything the simulators ship with -------------------------------- *)
 

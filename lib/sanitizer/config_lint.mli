@@ -32,34 +32,6 @@ val app : (module Nvsc_apps.Workload.APP) -> Diagnostic.report
 (** Lowercase non-empty name, non-negative paper footprint, non-empty
     descriptions. *)
 
-val default_wear_threshold : float
-(** 4.0 writes/word/iteration.  State checkpointed once per iteration
-    scores ~1; a write-hammered working array scores far higher. *)
-
-val persist :
-  ?scale:float ->
-  ?iterations:int ->
-  ?wear_threshold:float ->
-  ?tech:Nvsc_nvram.Technology.t ->
-  (module Nvsc_apps.Workload.APP) ->
-  Diagnostic.report
-(** The static half of NVSC-Persist.  Runs the application once in a
-    structure-only mode (event sink + the per-object counters, no
-    reference sinks, no simulation; [scale] defaults to 0.1, [iterations]
-    to 3) and checks its persist annotations without any trace analysis:
-
-    - {e epoch-unbalanced}: begin/commit pairing, nesting, label
-      mismatches, epochs left open at the end of the run;
-    - {e persist-placement}: declared-persistent objects the placement
-      plan ({!Nvsc_placement.Static_policy.plan} with the persist set
-      pinned) still leaves in DRAM — durability needs NVRAM;
-    - {e persist-write-heavy} (warning): declared objects written more
-      than [wear_threshold] times per word per main-loop iteration, where
-      the paper's model says NVM wear and write latency dominate ([tech]
-      defaults to PCRAM).
-
-    Apps with no persist declarations get only the epoch checks. *)
-
 val all :
   ?app:(module Nvsc_apps.Workload.APP) -> unit -> Diagnostic.report
 (** Lint everything the repo ships: all technologies, the paper cache

@@ -4,6 +4,10 @@ module Object_registry = Nvsc_memtrace.Object_registry
 module Persist = Nvsc_memtrace.Persist
 module Sink = Nvsc_memtrace.Sink
 module Trace_codec = Nvsc_memtrace.Trace_codec
+module Technology = Nvsc_nvram.Technology
+module Hybrid_memory = Nvsc_placement.Hybrid_memory
+module Item = Nvsc_placement.Item
+module Static_policy = Nvsc_placement.Static_policy
 
 let default_line_bytes = 64
 
@@ -285,6 +289,58 @@ let finish ?(crashed = false) t =
   end;
   Diagnostic.Collector.report t.collector
 
+(* --- the persist set against the run's profile -------------------------- *)
+
+(* Writes per word per main-loop iteration above which a persistent
+   object is flagged.  Checkpointed-once-per-iteration state scores ~1;
+   write-hammered working arrays score far higher and do not belong in
+   NVM (paper §IV: wear and write latency dominate). *)
+let wear_threshold = 4.0
+
+let check_set t ~iterations ~placeable ~frames =
+  let pinned (i : Item.t) = Hashtbl.mem t.tracked i.id in
+  if Hashtbl.length t.tracked > 0 then begin
+    (* whole-run findings: no occurrence, like the static config lint *)
+    let add klass ~owner ~detail =
+      Diagnostic.Collector.add t.collector klass ~owner ~detail
+    in
+    let tech = Technology.get Technology.PCRAM in
+    let footprint =
+      List.fold_left (fun acc (i : Item.t) -> acc + i.size_bytes) 0 placeable
+    in
+    let hybrid =
+      Hybrid_memory.create ~dram_bytes:(2 * footprint)
+        ~nvram_bytes:(2 * footprint) ~tech
+    in
+    ignore (Static_policy.plan ~pinned ~hybrid placeable);
+    List.iter
+      (fun (i : Item.t) ->
+        if pinned i && Hybrid_memory.location hybrid i = Some Hybrid_memory.Dram
+        then
+          add Diagnostic.Persist_placement ~owner:i.name
+            ~detail:
+              (Printf.sprintf
+                 "persistent object %s (%d bytes) placed in DRAM — its \
+                  durability contract needs NVRAM"
+                 i.name i.size_bytes))
+      placeable;
+    List.iter
+      (fun (i : Item.t) ->
+        let density =
+          float_of_int i.writes
+          /. float_of_int (Stdlib.max 1 (i.size_bytes / 8))
+          /. float_of_int (Stdlib.max 1 iterations)
+        in
+        if pinned i && density > wear_threshold then
+          add Diagnostic.Persist_write_heavy ~owner:i.name
+            ~detail:
+              (Printf.sprintf
+                 "%.1f writes/word/iteration to persistent %s — %s wear \
+                  and write latency dominate (threshold %.1f)"
+                 density i.name tech.Technology.name wear_threshold))
+      (placeable @ frames)
+  end
+
 let stats t = t.stats
 let refs_checked t = t.refs_seen
 let epoch_boundaries t = t.boundaries
@@ -354,16 +410,3 @@ let replay ?line_bytes ?crash_at path =
   let r = Trace_codec.Reader.open_ path in
   Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
   replay_reader ?line_bytes ?crash_at ~path r
-
-let count_boundaries path =
-  let r = Trace_codec.Reader.open_ path in
-  Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
-  let n = ref 0 in
-  Trace_codec.stream r
-    ~on_persist:(fun ev ->
-      match ev with
-      | Persist.Epoch_begin _ | Persist.Epoch_commit _ -> incr n
-      | _ -> ())
-    ~on_refs:(fun _ ~obj_ids:_ ~first:_ ~n:_ -> ())
-    ();
-  !n

@@ -14,7 +14,10 @@
     - {e epoch-unbalanced}: commit without begin, nesting, label
       mismatch, or an epoch left open at the end of the run;
     - {e redundant-flush} / {e useless-fence} (warnings): flush covering
-      no dirty line, fence with nothing in flight.
+      no dirty line, fence with nothing in flight;
+    - {e persist-placement} / {e persist-write-heavy} (warning): the
+      persist set checked against the run's per-object profile
+      ({!check_set}, live runs only).
 
     The checker runs identically live (attached to a {!Nvsc_appkit.Ctx})
     and over a recorded v2 [.nvt] trace; because persist events flush the
@@ -46,13 +49,40 @@ val finish : ?crashed:bool -> t -> Diagnostic.report
     checks (epochs left open) are skipped when [crashed] is set — an open
     epoch at an injected crash point is the crash, not a defect. *)
 
+val wear_threshold : float
+(** 4.0 writes/word/iteration.  State checkpointed once per iteration
+    scores ~1; a write-hammered working array scores far higher. *)
+
+val check_set :
+  t ->
+  iterations:int ->
+  placeable:Nvsc_placement.Item.t list ->
+  frames:Nvsc_placement.Item.t list ->
+  unit
+(** Check the declared persist set against the main-loop profile of the
+    run the checker watched, before {!finish}.  [placeable] holds one
+    item per global and heap object, [frames] one per routine stack
+    frame, with main-loop reads and writes over [iterations] iterations.
+
+    - {e persist-placement}: a member that
+      {!Nvsc_placement.Static_policy.plan}, with the persist set pinned,
+      still leaves in DRAM of a PCRAM hybrid memory sized to twice the
+      placeable footprint — durability needs NVRAM;
+    - {e persist-write-heavy} (warning): a member written more than
+      {!wear_threshold} times per word per main-loop iteration, where
+      PCRAM wear and write latency dominate.
+
+    Nothing is checked when no object was declared persistent. *)
+
 val stats : t -> stats
 
 val refs_checked : t -> int
 (** References scanned (all of them, not just persist-set stores). *)
 
 val epoch_boundaries : t -> int
-(** Epoch begin/commit events processed so far. *)
+(** Epoch begin/commit events processed so far.  After a whole-trace
+    {!replay}: the number of crash-injection points [nvscav crashsim]
+    sweeps ([crash_at] 0 to [n-1]). *)
 
 val replay :
   ?line_bytes:int -> ?crash_at:int -> string -> Diagnostic.report * t
@@ -63,7 +93,3 @@ val replay :
     holds exactly the defects observable in the surviving prefix.  On a
     v1 trace there are no persist events: the report is clean and zero
     epochs are seen. *)
-
-val count_boundaries : string -> int
-(** Number of epoch boundaries in a trace — the crash-injection points
-    [nvscav crashsim] sweeps ([crash_at] 0 to [n-1]). *)

@@ -137,8 +137,9 @@ let cells t =
               (fun tech -> apply_overrides t { base with tech = Some tech })
               t.techs
           | Cell.Perf ->
-            (* a live perf cell replays one main-loop iteration *)
-            [ apply_overrides t { base with iterations = 1 } ]
+            (* a live perf cell replays one main-loop iteration, whatever
+               the matrix or an override says *)
+            [ { (apply_overrides t base) with iterations = 1 } ]
           | Cell.Objects | Cell.Power | Cell.Study ->
             [ apply_overrides t base ])
         t.kinds)

@@ -47,4 +47,4 @@ val parse_override : string -> (override, string) result
 
 val cells : t -> Cell.spec list
 (** Deterministic expansion (see above); overrides are applied to every
-    matching cell. *)
+    matching cell, except that a perf cell always replays one iteration. *)

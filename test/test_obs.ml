@@ -1,5 +1,5 @@
-(* Nvsc_obs: spans, metrics registry, exporters, and the redesigned
-   Scavenger.Config API that carries the observability handle. *)
+(* Nvsc_obs: spans, metrics registry, exporters, scoped arming, and the
+   Scavenger.Config builders. *)
 
 module Obs = Nvsc_obs
 module Span = Nvsc_obs.Span
@@ -68,12 +68,11 @@ let test_span_disabled () =
 
 let test_scoped_handle () =
   Obs.reset ();
-  Obs.scoped Obs.off (fun () ->
-      Alcotest.(check bool) "off leaves disarmed" false (Span.enabled ()));
-  Obs.scoped Obs.on (fun () ->
-      Alcotest.(check bool) "on arms" true (Span.enabled ());
+  Alcotest.(check bool) "disarmed before the scope" false (Span.enabled ());
+  Obs.scoped (fun () ->
+      Alcotest.(check bool) "scope arms" true (Span.enabled ());
       (* nested scoping is a no-op, and must not disarm on exit *)
-      Obs.scoped Obs.on (fun () -> ());
+      Obs.scoped (fun () -> ());
       Alcotest.(check bool) "still armed after nested scope" true
         (Span.enabled ()));
   Alcotest.(check bool) "disarmed after scope" false (Span.enabled ())
@@ -211,8 +210,7 @@ let test_config_builders () =
       default |> with_scale 0.5 |> with_iterations 3 |> with_trace true
       |> with_sampling ~period:100 ~sample_length:10
       |> with_batch_capacity 64
-      |> with_sanitize ~check_init:true true
-      |> with_obs Obs.on)
+      |> with_sanitize ~check_init:true true)
   in
   Alcotest.(check (float 0.)) "scale" 0.5 cfg.C.scale;
   Alcotest.(check int) "iterations" 3 cfg.C.iterations;
@@ -222,7 +220,6 @@ let test_config_builders () =
   Alcotest.(check (option int)) "batch capacity" (Some 64) cfg.C.batch_capacity;
   Alcotest.(check bool) "sanitize" true cfg.C.sanitize;
   Alcotest.(check bool) "check_init" true cfg.C.check_init;
-  Alcotest.(check bool) "obs handle" true (Obs.is_armed cfg.C.obs);
   (* updates are functional: default is untouched *)
   Alcotest.(check (float 0.)) "default intact" 1.0 C.default.C.scale
 
@@ -258,15 +255,13 @@ let test_sharded_run_equivalence () =
   in
   Alcotest.(check int) "trace length" (len serial) (len sharded)
 
-(* The run config arms the recorder for exactly one run. *)
+(* A scope arms the recorder for exactly one run. *)
 let test_config_scoped_profiling () =
   Obs.reset ();
   let module S = Nvsc_core.Scavenger in
-  ignore
-    (S.run
-       S.Config.(
-         default |> with_scale 0.1 |> with_iterations 1 |> with_obs Obs.on)
-       app);
+  Obs.scoped (fun () ->
+      ignore
+        (S.run S.Config.(default |> with_scale 0.1 |> with_iterations 1) app));
   Alcotest.(check bool) "disarmed after the run" false (Span.enabled ());
   let names =
     List.sort_uniq compare
@@ -299,6 +294,6 @@ let suite =
     Alcotest.test_case "Config builders" `Quick test_config_builders;
     Alcotest.test_case "sharded run equals serial run" `Slow
       test_sharded_run_equivalence;
-    Alcotest.test_case "Config.obs arms one run" `Quick
+    Alcotest.test_case "scoped arms one run" `Quick
       test_config_scoped_profiling;
   ]

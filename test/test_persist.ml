@@ -14,7 +14,6 @@ module Mem_object = Nvsc_memtrace.Mem_object
 module Trace_run = Nvsc_core.Trace_run
 module Scavenger = Nvsc_core.Scavenger
 module P = Nvsc_sanitizer.Persist_check
-module Lint = Nvsc_sanitizer.Config_lint
 module D = Nvsc_sanitizer.Diagnostic
 
 let with_tmp f =
@@ -196,11 +195,7 @@ let test_live_vs_replay () =
   Alcotest.(check int)
     "all epoch boundaries seen"
     ((6 * iterations) + 8)
-    (P.epoch_boundaries chk);
-  Alcotest.(check int)
-    "count_boundaries agrees"
-    ((6 * iterations) + 8)
-    (P.count_boundaries path)
+    (P.epoch_boundaries chk)
 
 let errors_only report =
   List.filter (fun (f : D.finding) -> f.severity = D.Error) report
@@ -237,9 +232,9 @@ let test_crashsim_clean_app () =
   ignore
     (Trace_run.record ~scale:0.1 ~iterations:2 ~path
        (Option.get (Nvsc_apps.Apps.find "minimd")));
-  let boundaries = P.count_boundaries path in
+  let whole, chk = P.replay path in
+  let boundaries = P.epoch_boundaries chk in
   Alcotest.(check int) "one epoch per iteration" 4 boundaries;
-  let whole, _ = P.replay path in
   Alcotest.(check (list shape_t)) "whole trace is clean" [] (shape whole);
   for k = 0 to boundaries - 1 do
     let report, _ = P.replay ~crash_at:k path in
@@ -272,29 +267,49 @@ let test_shipped_apps_persist_clean () =
         (stats.P.stores_checked > 0 && stats.P.flushed_lines > 0))
     Nvsc_apps.Apps.extended
 
-(* --- the static half: lint --persist -------------------------------------- *)
+(* --- nvscav lint --persist ------------------------------------------------- *)
+
+(* The app with its [run] calls counted: the lint path must make exactly
+   one application run. *)
+let counted (module A : Nvsc_apps.Workload.APP) =
+  let runs = ref 0 in
+  ( (module struct
+      include A
+
+      let run ?scale ctx ~iterations =
+        incr runs;
+        A.run ?scale ctx ~iterations
+    end : Nvsc_apps.Workload.APP),
+    runs )
+
+let lint ~scale ~iterations app =
+  let app, runs = counted app in
+  let report, _ =
+    Scavenger.lint ~scale ~iterations ~check_init:false ~persist:true app
+  in
+  Alcotest.(check int) "one application run" 1 !runs;
+  report
 
 let test_lint_persist_clean () =
   List.iter
-    (fun (module A : Nvsc_apps.Workload.APP) ->
-      Alcotest.(check (list shape_t))
-        (A.name ^ " lints clean")
-        []
-        (shape (Lint.persist ~scale:0.1 ~iterations:2 (module A))))
-    Nvsc_apps.Apps.extended
+    (fun (scale, iterations) ->
+      List.iter
+        (fun (module A : Nvsc_apps.Workload.APP) ->
+          Alcotest.(check (list shape_t))
+            (Printf.sprintf "%s lints clean at %g x %d" A.name scale
+               iterations)
+            []
+            (shape (lint ~scale ~iterations (module A))))
+        Nvsc_apps.Apps.extended)
+    [ (0.1, 2); (0.25, 3); (1.0, 10) ]
 
-let test_lint_epoch_shape () =
-  (* the lint sees the same epoch-shape defects without running the
-     per-line state machine *)
+let test_lint_defect_report () =
+  (* every epoch defect once: the lint report is the checker's *)
+  let report = lint ~scale:1.0 ~iterations defect_app in
   Alcotest.(check (list shape_t))
-    "static epoch balance"
-    [
-      ("epoch-unbalanced", "b", 1);
-      ("epoch-unbalanced", "dangling", 1);
-      ("epoch-unbalanced", "inner", 1);
-      ("epoch-unbalanced", "orphan", 1);
-    ]
-    (shape (Lint.persist ~scale:1.0 ~iterations defect_app))
+    "the checker's classes, each once" expected_defects (shape report);
+  Alcotest.(check (pair int int)) "errors, warnings" (13, 7)
+    (D.errors report, D.warnings report)
 
 let hot_app : (module Nvsc_apps.Workload.APP) =
   (module struct
@@ -329,8 +344,9 @@ let test_lint_write_heavy () =
   Alcotest.(check (list shape_t))
     "write-heavy persist set flagged"
     [ ("persist-write-heavy", "hot", 1) ]
-    (shape (Lint.persist ~scale:1.0 ~iterations:2 hot_app));
-  (* but the same app honours the durability contract dynamically *)
+    (shape (lint ~scale:1.0 ~iterations:2 hot_app));
+  (* but the same app honours the durability contract: the checker alone
+     finds nothing *)
   let module A = (val hot_app : Nvsc_apps.Workload.APP) in
   let ctx = Ctx.create () in
   let chk = P.attach ctx in
@@ -356,8 +372,8 @@ let suite =
       test_shipped_apps_persist_clean;
     Alcotest.test_case "shipped apps lint --persist clean" `Slow
       test_lint_persist_clean;
-    Alcotest.test_case "lint: static epoch balance" `Quick
-      test_lint_epoch_shape;
+    Alcotest.test_case "lint: each defect once" `Quick
+      test_lint_defect_report;
     Alcotest.test_case "lint: write-heavy persist set" `Quick
       test_lint_write_heavy;
     QCheck_alcotest.to_alcotest capacity_property;

@@ -220,7 +220,8 @@ let test_overrides () =
         ~overrides:
           [
             ov "kind=perf,scale=0.5";
-            ov "app=gtc,kind=perf,iterations=3";
+            ov "app=gtc,iterations=3";
+            ov "app=gtc,kind=objects,iterations=4";
             ov "app=cam,scale=2.0";
           ]
         ()
@@ -235,7 +236,9 @@ let test_overrides () =
   in
   Alcotest.(check (float 0.)) "perf scale overridden" 0.5
     (find "gtc" Cell.Perf).scale;
-  Alcotest.(check int) "later override wins per field" 3
+  Alcotest.(check int) "later override wins per field" 4
+    (find "gtc" Cell.Objects).iterations;
+  Alcotest.(check int) "perf cell keeps one iteration" 1
     (find "gtc" Cell.Perf).iterations;
   Alcotest.(check (float 0.)) "app-selective override" 2.0
     (find "cam" Cell.Objects).scale;
@@ -414,10 +417,10 @@ let test_engine_cache_cold_then_warm () =
   (* a live perf cell replays one iteration whatever the matrix says, so
      a sweep at another iteration count and [nvscav perf] at the same
      scale share its entry; a trace-fed one keeps the trace's count *)
-  let perf_matrix iterations =
+  let perf_matrix ?overrides iterations =
     match
       Matrix.make ~apps:[ "cam" ] ~kinds:[ Cell.Perf ] ~scale:0.1 ~iterations
-        ()
+        ?overrides ()
     with
     | Ok m -> m
     | Error e -> Alcotest.fail e
@@ -425,6 +428,13 @@ let test_engine_cache_cold_then_warm () =
   let o3, s3 = Engine.run ~jobs:1 ~cache:(Cache.create ~dir ()) (perf_matrix 3) in
   Alcotest.(check (pair int int)) "perf cell at 3 iterations hits" (1, 0)
     (s3.Engine.hits, s3.Engine.misses);
+  let overrides = [ Result.get_ok (Matrix.parse_override "iterations=3") ] in
+  let _, s4 =
+    Engine.run ~jobs:1 ~cache:(Cache.create ~dir ()) (perf_matrix ~overrides 2)
+  in
+  Alcotest.(check (pair int int)) "perf cell under an iterations override hits"
+    (1, 0)
+    (s4.Engine.hits, s4.Engine.misses);
   let perf_plan =
     match Nvsc_serve.Plan.perf ~app:"cam" ~scale:0.1 ~asymmetric:false with
     | Ok p -> p
@@ -532,7 +542,7 @@ let payload_json p = Json.to_string (Cell.payload_to_json p)
 
 let count_spans name f =
   Nvsc_obs.Span.reset ();
-  let v = Nvsc_obs.scoped Nvsc_obs.on f in
+  let v = Nvsc_obs.scoped f in
   let n =
     List.length
       (List.filter
