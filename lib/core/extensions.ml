@@ -341,14 +341,9 @@ let hybrid_simulation ?(tech = Technology.get Technology.STTRAM)
     interval_table hybrid (Scavenger.global_and_heap_metrics r)
   in
   let replay sink = Trace_log.replay_batch trace sink in
-  let designs =
+  let designs, hs =
     Nvsc_dramsim.Hybrid_system.compare_designs ~nvram:tech ~placement ~replay ()
   in
-  let h =
-    Nvsc_dramsim.Hybrid_system.create ~nvram:tech ~placement ()
-  in
-  replay (Nvsc_dramsim.Hybrid_system.sink h);
-  let hs = Nvsc_dramsim.Hybrid_system.stats h in
   {
     app_name = r.Scavenger.app_name;
     nvram_bytes_fraction = (HM.assess hybrid).HM.nvram_fraction;

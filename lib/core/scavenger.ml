@@ -148,14 +148,8 @@ let run (cfg : Config.t) (module A : Nvsc_apps.Workload.APP) =
   let persist_report =
     Option.map
       (fun p ->
-        let frames, placeable =
-          List.partition
-            (fun (m : Object_metrics.t) -> m.obj.Mem_object.kind = Layout.Stack)
-            metrics
-        in
-        let items = List.map Object_metrics.item in
         Nvsc_sanitizer.Persist_check.check_set p ~iterations
-          ~placeable:(items placeable) ~frames:(items frames);
+          (List.map Object_metrics.item metrics);
         Nvsc_sanitizer.Persist_check.finish p)
       pchk
   in

@@ -123,10 +123,11 @@ let compare_designs ?(org = Org.paper) ?scheme ?window ~nvram ~placement
   Nvsc_memtrace.Sink.flush hsink;
   let hs = stats h in
   let base = d.Controller.avg_power_w in
-  [
-    ("all-DRAM", 1.0, d.Controller.avg_latency_ns);
-    ( "all-" ^ nvram.Technology.name,
-      n.Controller.avg_power_w /. base,
-      n.Controller.avg_latency_ns );
-    ("hybrid", hs.avg_power_w /. base, hs.avg_latency_ns);
-  ]
+  ( [
+      ("all-DRAM", 1.0, d.Controller.avg_latency_ns);
+      ( "all-" ^ nvram.Technology.name,
+        n.Controller.avg_power_w /. base,
+        n.Controller.avg_latency_ns );
+      ("hybrid", hs.avg_power_w /. base, hs.avg_latency_ns);
+    ],
+    hs )

@@ -60,9 +60,9 @@ val compare_designs :
   placement:(int -> side) ->
   replay:(Nvsc_memtrace.Sink.t -> unit) ->
   unit ->
-  (string * float * float) list
+  (string * float * float) list * stats
 (** The experiment the paper could not run: replay one trace through
     (a) all-DRAM, (b) all-NVRAM, and (c) the hybrid with the given
     placement, at equal total capacity.  Returns
     [(design, normalized power, avg latency ns)] with power normalised to
-    the all-DRAM design. *)
+    the all-DRAM design, and the hybrid's own {!stats}. *)

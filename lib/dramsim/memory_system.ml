@@ -15,13 +15,11 @@ let compare_technologies ?org ?scheme ?window ?row_policy ?scheduler
     Nvsc_memtrace.Sink.flush s;
     (tech, Controller.stats c)
   in
-  if jobs <= 1 then List.map simulate techs
-  else
-    (* Parallel across technologies: each worker owns a private
-       controller and replays the (read-only, Bigarray-backed) trace into
-       it, and [Pool.map] returns results in input order — so the output
-       is byte-identical to the serial map. *)
-    Array.to_list (Nvsc_team.Pool.map ~jobs simulate (Array.of_list techs))
+  (* Each task owns a private controller and replays the (read-only,
+     Bigarray-backed) trace into it, and [Pool.map] returns results in
+     input order — so the output is the same at every width; at
+     [jobs = 1] every technology runs on the caller. *)
+  Array.to_list (Nvsc_team.Pool.map ~jobs simulate (Array.of_list techs))
 
 let normalized_power results =
   let base =

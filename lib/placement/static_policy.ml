@@ -3,20 +3,9 @@ module Suitability = Nvsc_nvram.Suitability
 let score (item : Item.t) =
   float_of_int item.size_bytes /. (1. +. (1e6 *. Item.write_share item))
 
-let plan ?(thresholds = Suitability.default_thresholds)
-    ?(pinned = fun (_ : Item.t) -> false) ~hybrid items =
+let plan ?(thresholds = Suitability.default_thresholds) ~hybrid items =
   Nvsc_obs.Span.with_ "placement.plan" @@ fun () ->
   let tech = Hybrid_memory.tech hybrid in
-  (* Pinned items (the persist set) claim NVRAM before any scoring: their
-     durability contract overrides the performance heuristics.  If NVRAM
-     cannot hold one it spills to DRAM — which the persist lint flags. *)
-  let pinned_items, items = List.partition pinned items in
-  List.iter
-    (fun item ->
-      if Hybrid_memory.free_bytes hybrid Hybrid_memory.Nvram >= item.Item.size_bytes
-      then Hybrid_memory.place hybrid item Hybrid_memory.Nvram
-      else Hybrid_memory.place hybrid item Hybrid_memory.Dram)
-    pinned_items;
   let wants_nvram item =
     match
       Suitability.classify ~thresholds ~category:tech.Nvsc_nvram.Technology.category

@@ -10,19 +10,12 @@
 
 val plan :
   ?thresholds:Nvsc_nvram.Suitability.thresholds ->
-  ?pinned:(Item.t -> bool) ->
   hybrid:Hybrid_memory.t ->
   Item.t list ->
   Hybrid_memory.t
 (** Place every item into [hybrid] (which must be empty of these items)
     and return it.  Items that fit in neither memory raise
-    [Invalid_argument] — size the hybrid for the workload.
-
-    [pinned] (default: nobody) marks items that must live in NVRAM for
-    durability — the declared persist set of NVSC-Persist.  They are
-    placed into NVRAM first, before any suitability scoring; one that no
-    longer fits falls back to DRAM, where the persist placement lint
-    will flag it. *)
+    [Invalid_argument] — size the hybrid for the workload. *)
 
 val score : Item.t -> float
 (** NVRAM-desirability ordering: larger is placed first.  Size over

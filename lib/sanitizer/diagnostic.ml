@@ -19,7 +19,6 @@ type klass =
   | Epoch_unbalanced
   | Redundant_flush
   | Useless_fence
-  | Persist_placement
   | Persist_write_heavy
 
 type occurrence = { phase : Mem_object.phase; index : int }
@@ -54,7 +53,6 @@ let klass_to_string = function
   | Epoch_unbalanced -> "epoch-unbalanced"
   | Redundant_flush -> "redundant-flush"
   | Useless_fence -> "useless-fence"
-  | Persist_placement -> "persist-placement"
   | Persist_write_heavy -> "persist-write-heavy"
 
 (* rank used only to order the report deterministically *)
@@ -75,8 +73,7 @@ let klass_rank = function
   | Epoch_unbalanced -> 13
   | Redundant_flush -> 14
   | Useless_fence -> 15
-  | Persist_placement -> 16
-  | Persist_write_heavy -> 17
+  | Persist_write_heavy -> 16
 
 let severity_rank = function Error -> 0 | Warning -> 1
 

@@ -30,8 +30,6 @@ type klass =
   | Epoch_unbalanced  (** commit without begin, nesting, or epoch left open *)
   | Redundant_flush  (** flush covering no dirty line (perf, not error) *)
   | Useless_fence  (** fence with no flush in flight (perf, not error) *)
-  | Persist_placement
-      (** persistent object the placement plan left in DRAM *)
   | Persist_write_heavy
       (** persist region whose write intensity makes NVM wear/latency
           costs dominate (paper's model) *)

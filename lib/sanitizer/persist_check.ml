@@ -5,9 +5,7 @@ module Persist = Nvsc_memtrace.Persist
 module Sink = Nvsc_memtrace.Sink
 module Trace_codec = Nvsc_memtrace.Trace_codec
 module Technology = Nvsc_nvram.Technology
-module Hybrid_memory = Nvsc_placement.Hybrid_memory
 module Item = Nvsc_placement.Item
-module Static_policy = Nvsc_placement.Static_policy
 
 let default_line_bytes = 64
 
@@ -274,18 +272,15 @@ let make ?(line_bytes = default_line_bytes) ~get_phase ~get_source () =
     finished = false;
   }
 
-let finish ?(crashed = false) t =
+let finish t =
   if not t.finished then begin
     t.finished <- true;
-    (* an epoch left open at a crash point is the crash, not a defect *)
-    if not crashed then
-      List.iter
-        (fun (label, _) ->
-          add t Diagnostic.Epoch_unbalanced ~owner:label
-            ~detail:
-              (Printf.sprintf "epoch %S still open at the end of the run"
-                 label))
-        t.epoch_stack
+    List.iter
+      (fun (label, _) ->
+        add t Diagnostic.Epoch_unbalanced ~owner:label
+          ~detail:
+            (Printf.sprintf "epoch %S still open at the end of the run" label))
+      t.epoch_stack
   end;
   Diagnostic.Collector.report t.collector
 
@@ -297,7 +292,7 @@ let finish ?(crashed = false) t =
    NVM (paper §IV: wear and write latency dominate). *)
 let wear_threshold = 4.0
 
-let check_set t ~iterations ~placeable ~frames =
+let check_set t ~iterations items =
   let pinned (i : Item.t) = Hashtbl.mem t.tracked i.id in
   if Hashtbl.length t.tracked > 0 then begin
     (* whole-run findings: no occurrence, like the static config lint *)
@@ -305,25 +300,6 @@ let check_set t ~iterations ~placeable ~frames =
       Diagnostic.Collector.add t.collector klass ~owner ~detail
     in
     let tech = Technology.get Technology.PCRAM in
-    let footprint =
-      List.fold_left (fun acc (i : Item.t) -> acc + i.size_bytes) 0 placeable
-    in
-    let hybrid =
-      Hybrid_memory.create ~dram_bytes:(2 * footprint)
-        ~nvram_bytes:(2 * footprint) ~tech
-    in
-    ignore (Static_policy.plan ~pinned ~hybrid placeable);
-    List.iter
-      (fun (i : Item.t) ->
-        if pinned i && Hybrid_memory.location hybrid i = Some Hybrid_memory.Dram
-        then
-          add Diagnostic.Persist_placement ~owner:i.name
-            ~detail:
-              (Printf.sprintf
-                 "persistent object %s (%d bytes) placed in DRAM — its \
-                  durability contract needs NVRAM"
-                 i.name i.size_bytes))
-      placeable;
     List.iter
       (fun (i : Item.t) ->
         let density =
@@ -338,7 +314,7 @@ let check_set t ~iterations ~placeable ~frames =
                  "%.1f writes/word/iteration to persistent %s — %s wear \
                   and write latency dominate (threshold %.1f)"
                  density i.name tech.Technology.name wear_threshold))
-      (placeable @ frames)
+      items
   end
 
 let stats t = t.stats
@@ -369,9 +345,7 @@ let attach ?line_bytes ctx =
 
 (* --- trace replay ------------------------------------------------------- *)
 
-exception Crash_point
-
-let replay_reader ?line_bytes ?crash_at ~path r =
+let replay_reader ?line_bytes ?at_boundary ~path r =
   let phase = ref Mem_object.Pre in
   let chunk = ref 0 in
   let t =
@@ -384,29 +358,24 @@ let replay_reader ?line_bytes ?crash_at ~path r =
   List.iter
     (fun (o : Mem_object.t) -> Hashtbl.replace t.known o.id o)
     (Trace_codec.Reader.objects r @ Trace_codec.Reader.stack_objects r);
-  let crashed = ref false in
-  (* crash injection is logical truncation: stop consuming the stream the
-     moment the [crash_at]-th epoch boundary has been processed *)
-  let check_crash () =
-    match crash_at with
-    | Some k when t.boundaries > k -> raise Crash_point
-    | _ -> ()
-  in
-  (try
-     Trace_codec.stream r
-       ~on_phase:(fun p -> phase := p)
-       ~on_chunk:(fun k -> chunk := k)
-       ~on_persist:(fun ev ->
-         on_persist t ev;
-         check_crash ())
-       ~on_refs:(fun batch ~obj_ids ~first ~n ->
-         on_batch t batch obj_ids ~first ~n)
-       ()
-   with Crash_point -> crashed := true);
-  let report = finish ~crashed:!crashed t in
-  (report, t)
+  Trace_codec.stream r
+    ~on_phase:(fun p -> phase := p)
+    ~on_chunk:(fun k -> chunk := k)
+    ~on_persist:(fun ev ->
+      let k = t.boundaries in
+      on_persist t ev;
+      (* the checker is online: a crash just after boundary [k] would see
+         exactly the findings so far, with no end-of-run checks *)
+      match at_boundary with
+      | Some f when t.boundaries > k ->
+        f k (Diagnostic.Collector.report t.collector)
+      | _ -> ())
+    ~on_refs:(fun batch ~obj_ids ~first ~n ->
+      on_batch t batch obj_ids ~first ~n)
+    ();
+  (finish t, t)
 
-let replay ?line_bytes ?crash_at path =
+let replay ?line_bytes ?at_boundary path =
   let r = Trace_codec.Reader.open_ path in
   Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
-  replay_reader ?line_bytes ?crash_at ~path r
+  replay_reader ?line_bytes ?at_boundary ~path r

@@ -15,9 +15,9 @@
       mismatch, or an epoch left open at the end of the run;
     - {e redundant-flush} / {e useless-fence} (warnings): flush covering
       no dirty line, fence with nothing in flight;
-    - {e persist-placement} / {e persist-write-heavy} (warning): the
-      persist set checked against the run's per-object profile
-      ({!check_set}, live runs only).
+    - {e persist-write-heavy} (warning): the persist set checked
+      against the run's per-object profile ({!check_set}, live runs
+      only).
 
     The checker runs identically live (attached to a {!Nvsc_appkit.Ctx})
     and over a recorded v2 [.nvt] trace; because persist events flush the
@@ -44,35 +44,23 @@ val attach : ?line_bytes:int -> Nvsc_appkit.Ctx.t -> t
     Attach before running the application; call {!finish} after.
     [line_bytes] must be a positive power of two. *)
 
-val finish : ?crashed:bool -> t -> Diagnostic.report
-(** Close the analysis and return the report (idempotent).  End-of-run
-    checks (epochs left open) are skipped when [crashed] is set — an open
-    epoch at an injected crash point is the crash, not a defect. *)
+val finish : t -> Diagnostic.report
+(** Close the analysis with the end-of-run checks (epochs left open) and
+    return the report (idempotent). *)
 
 val wear_threshold : float
 (** 4.0 writes/word/iteration.  State checkpointed once per iteration
     scores ~1; a write-hammered working array scores far higher. *)
 
-val check_set :
-  t ->
-  iterations:int ->
-  placeable:Nvsc_placement.Item.t list ->
-  frames:Nvsc_placement.Item.t list ->
-  unit
+val check_set : t -> iterations:int -> Nvsc_placement.Item.t list -> unit
 (** Check the declared persist set against the main-loop profile of the
-    run the checker watched, before {!finish}.  [placeable] holds one
-    item per global and heap object, [frames] one per routine stack
-    frame, with main-loop reads and writes over [iterations] iterations.
-
-    - {e persist-placement}: a member that
-      {!Nvsc_placement.Static_policy.plan}, with the persist set pinned,
-      still leaves in DRAM of a PCRAM hybrid memory sized to twice the
-      placeable footprint — durability needs NVRAM;
-    - {e persist-write-heavy} (warning): a member written more than
-      {!wear_threshold} times per word per main-loop iteration, where
-      PCRAM wear and write latency dominate.
-
-    Nothing is checked when no object was declared persistent. *)
+    run the checker watched, before {!finish}: the items hold one per
+    global, heap and stack-frame object, with main-loop reads and writes
+    over [iterations] iterations.  A member written more than
+    {!wear_threshold} times per word per main-loop iteration is
+    reported as {e persist-write-heavy} (warning): PCRAM wear and write
+    latency dominate there.  Nothing is checked when no object was
+    declared persistent. *)
 
 val stats : t -> stats
 
@@ -82,14 +70,19 @@ val refs_checked : t -> int
 val epoch_boundaries : t -> int
 (** Epoch begin/commit events processed so far.  After a whole-trace
     {!replay}: the number of crash-injection points [nvscav crashsim]
-    sweeps ([crash_at] 0 to [n-1]). *)
+    checks. *)
 
 val replay :
-  ?line_bytes:int -> ?crash_at:int -> string -> Diagnostic.report * t
-(** Run the checker over a recorded [.nvt] trace.  [crash_at k] injects a
-    crash by logical truncation: the stream stops the moment the [k]-th
-    epoch boundary (begin or commit, 0-based, in stream order) has been
-    processed, and end-of-run checks are skipped — the returned report
-    holds exactly the defects observable in the surviving prefix.  On a
-    v1 trace there are no persist events: the report is clean and zero
-    epochs are seen. *)
+  ?line_bytes:int ->
+  ?at_boundary:(int -> Diagnostic.report -> unit) ->
+  string ->
+  Diagnostic.report * t
+(** Run the checker over a recorded [.nvt] trace, in one pass.
+    [at_boundary k r] is called just after the [k]-th epoch boundary
+    (begin or commit, 0-based, in stream order) has been processed, with
+    the report of a crash injected there: a crash is logical truncation
+    of the stream, so [r] holds exactly the defects observable in the
+    surviving prefix, and no end-of-run check applies (an epoch open at
+    the crash point is the crash, not a defect).  On a v1 trace there
+    are no persist events: the report is clean and zero epochs are
+    seen. *)

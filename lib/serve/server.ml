@@ -2,7 +2,7 @@ module Json = Nvsc_util.Json
 module Metrics = Nvsc_obs.Metrics
 module Pool = Nvsc_team.Pool
 module Cache = Nvsc_sweep.Cache
-module Cell = Nvsc_sweep.Cell
+module Engine = Nvsc_sweep.Engine
 
 let m_connections = Metrics.gauge "serve.connections"
 let m_inflight = Metrics.gauge "serve.inflight"
@@ -37,7 +37,6 @@ type t = {
   cfg : config;
   pool : Pool.t;
   cache : Cache.t;
-  cache_mu : Mutex.t;
   temp_cache : bool;
   listeners : listener list;
   stopping : bool Atomic.t;
@@ -114,82 +113,40 @@ let listen_tcp port =
 
 (* --- request execution -------------------------------------------------- *)
 
-let with_lock mu f =
-  Mutex.lock mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
-
+(* The engine looks up, schedules, stores and orders; this only turns
+   outcomes into frames.  A vanished client flips [disconnected]: its
+   still-queued groups are dropped, running ones finish and are stored. *)
 let run_plan t ~send ~id (plan : Plan.t) =
   let disconnected = Atomic.make false in
-  (* Serial cache pass: the cache is single-writer by design, and doing
-     every lookup before fanning out makes this request's hit/miss count
-     deterministic. *)
-  let looked_up =
-    Array.map
-      (fun spec -> (spec, with_lock t.cache_mu (fun () -> Cache.find t.cache spec)))
-      plan.Plan.specs
+  let on_outcome i (o : Engine.outcome) =
+    if not (Atomic.get disconnected) then
+      let out = Plan.chunk plan i o.payload in
+      try send (Protocol.Progress { id; seq = i; out })
+      with Closed -> Atomic.set disconnected true
   in
-  let hits =
-    Array.fold_left
-      (fun acc (_, found) -> if found = None then acc else acc + 1)
-      0 looked_up
+  let result =
+    match
+      Engine.run_specs ~pool:t.pool
+        ~cancelled:(fun () -> Atomic.get disconnected)
+        ~cache:t.cache ?trace:plan.Plan.trace ~on_outcome plan.Plan.specs
+    with
+    | _, stats -> Ok stats
+    | exception e -> Error e
   in
-  (* Misses go to the shared pool, one task per group (one application
-     pass feeds every cell of a group; tasks never nest pools).
-     Completed cells are stored from the worker so the cache warms even
-     if this client disconnects mid-stream. *)
-  let tickets = Hashtbl.create 8 in
-  Nvsc_sweep.Engine.miss_groups looked_up
-  |> List.iter (fun group ->
-         let ticket =
-           Pool.submit
-             ~cancelled:(fun () -> Atomic.get disconnected)
-             t.pool
-             (fun () ->
-               let specs = List.map snd group in
-               let payloads =
-                 Cell.execute_group ?trace:plan.Plan.trace specs
-               in
-               List.iter2
-                 (fun spec payload ->
-                   with_lock t.cache_mu (fun () ->
-                       Cache.store t.cache spec payload))
-                 specs payloads;
-               List.combine (List.map fst group) payloads)
-         in
-         List.iter (fun (i, _) -> Hashtbl.add tickets i ticket) group);
-  (* Await in report order: cell [i]'s chunk streams as soon as it (and
-     everything before it) is done, while later cells still compute. *)
-  let failure = ref None in
-  Array.iteri
-    (fun i (_, found) ->
-      let outcome =
-        match found with
-        | Some payload -> Pool.Done payload
-        | None -> (
-          match Pool.await (Hashtbl.find tickets i) with
-          | Pool.Done payloads -> Pool.Done (List.assoc i payloads)
-          | (Pool.Failed _ | Pool.Cancelled) as o -> o)
-      in
-      if !failure = None && not (Atomic.get disconnected) then
-        match outcome with
-        | Pool.Done payload -> (
-          try send (Protocol.Progress { id; seq = i; out = Plan.chunk plan i payload })
-          with Closed -> Atomic.set disconnected true)
-        | Pool.Failed e -> failure := Some (Printexc.to_string e)
-        | Pool.Cancelled -> failure := Some "request was cancelled")
-    looked_up;
   if Atomic.get disconnected then raise Closed;
-  let n = Array.length plan.Plan.specs in
-  match !failure with
-  | Some message ->
+  match result with
+  | Ok { Engine.cells; hits; misses; _ } ->
+    send (Protocol.Done_frame { id; cells; hits; misses; result = None })
+  | Error e ->
     Metrics.Counter.incr m_errors;
+    let message =
+      match e with
+      | Engine.Cancelled -> "request was cancelled"
+      | e -> Printexc.to_string e
+    in
     send
       (Protocol.Error_frame
          { err_id = Some id; code = "failed"; field = None; message })
-  | None ->
-    send
-      (Protocol.Done_frame
-         { id; cells = n; hits; misses = n - hits; result = None })
 
 let stats_json t ~strip_time =
   Json.Obj
@@ -369,7 +326,6 @@ let start cfg =
       cfg;
       pool = Pool.create ?jobs:cfg.jobs ();
       cache = Cache.create ~dir:cache_dir ?max_entries:cfg.cache_max ();
-      cache_mu = Mutex.create ();
       temp_cache;
       listeners;
       stopping = Atomic.make false;

@@ -5,17 +5,20 @@
     {!Nvsc_team.Pool} of worker domains — and serves analysis requests
     over a Unix-domain (and optionally loopback TCP) socket speaking
     {!Protocol}.  Each connection is handled by its own thread; each
-    analysis request is decomposed into cells ({!Plan}), scheduled on
-    the shared pool, and streamed back in report order as [progress]
-    frames, so concurrent clients share both the pool and every cached
-    cell: the second identical request is served entirely from cache.
+    analysis request is decomposed into cells ({!Plan}) and executed by
+    {!Nvsc_sweep.Engine.run_specs} — the executor of the local
+    subcommands — on the resident pool and the shared cache; the server
+    only turns each outcome into a [progress] frame, in report order, and
+    the call's counts into the [done] frame.  Concurrent clients share
+    both the pool and every cached cell: the second identical request is
+    served entirely from cache.
 
     Lifecycle: {!request_stop} (from a signal handler, or the [shutdown]
     request) makes the acceptor and every connection wind down;
     {!await} drains in-flight work, joins the pool, closes the
     listeners and removes the socket file.  A client disconnecting
-    mid-stream cancels only that request's still-queued cells — completed
-    cells are already in the shared cache. *)
+    mid-stream cancels only that request's still-queued cell groups;
+    groups already running finish and are stored in the shared cache. *)
 
 type config = {
   socket : string option;  (** Unix-domain socket path to listen on *)

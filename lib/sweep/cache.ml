@@ -3,6 +3,7 @@ module Json = Nvsc_util.Json
 type t = {
   dir : string;
   max_entries : int option;
+  mu : Mutex.t;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -10,10 +11,9 @@ type t = {
 
 type stats = { hits : int; misses : int; evictions : int }
 
-(* The per-cache record fields above feed the sweep report; the registry
-   counters below are the cross-domain aggregate reported once by the
-   profile summary.  The engine's serial cache pass means both agree, but
-   the registry survives across caches and sweeps in one process. *)
+(* The per-cache record fields above are this cache's totals; the
+   registry counters below are the process-wide aggregate reported once
+   by the profile summary, across every cache and sweep. *)
 let m_hits = Nvsc_obs.Metrics.counter "sweep.cache.hits"
 let m_misses = Nvsc_obs.Metrics.counter "sweep.cache.misses"
 let m_evictions = Nvsc_obs.Metrics.counter "sweep.cache.evictions"
@@ -43,7 +43,14 @@ let entry_path t digest = Filename.concat t.dir (digest ^ ".json")
 
 let create ~dir ?max_entries () =
   mkdir_p dir;
-  { dir; max_entries; hits = 0; misses = 0; evictions = 0 }
+  {
+    dir;
+    max_entries;
+    mu = Mutex.create ();
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+  }
 
 let dir t = t.dir
 let stats (t : t) = { hits = t.hits; misses = t.misses; evictions = t.evictions }
@@ -119,7 +126,12 @@ let unwrap spec json =
   if stored <> spec then raise (Json.Parse_error "Cache: spec mismatch");
   Cell.payload_of_json (Json.member "payload" json)
 
+let with_lock t f =
+  Mutex.lock t.mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+
 let find t spec =
+  with_lock t @@ fun () ->
   let path = entry_path t (Cell.digest spec) in
   if not (Sys.file_exists path) then begin
     count_miss t;
@@ -137,6 +149,7 @@ let find t spec =
       None
 
 let store t spec payload =
+  with_lock t @@ fun () ->
   let digest = Cell.digest spec in
   write_file (entry_path t digest) (Json.to_string (wrap spec payload));
   append_index t digest;

@@ -12,9 +12,13 @@
     (FIFO — cells are deterministic, so re-filling an evicted entry costs
     one re-execution, never correctness).
 
-    The cache is single-writer by design: the sweep engine performs all
-    lookups before fanning work out to domains and all stores after
-    collecting, so this module needs no locking. *)
+    {!find} and {!store} serialise on a mutex inside the cache, so the
+    threads of one process may share it (the serve daemon's connections
+    do).  The sweep engine calls both from its calling thread only: every
+    lookup before any cell executes, every store in report order as the
+    outcomes are collected.  One caller therefore sees deterministic
+    hits, misses and FIFO eviction order, whatever the pool width and
+    the order in which cells complete. *)
 
 type t
 

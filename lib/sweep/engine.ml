@@ -11,70 +11,106 @@ type stats = {
   jobs : int;
 }
 
-let miss_groups looked_up =
-  Array.to_list looked_up
-  |> List.mapi (fun i (spec, found) -> (i, spec, found))
-  |> List.filter_map (fun (i, spec, found) ->
-         match found with None -> Some (i, spec) | Some _ -> None)
-  |> Cell.group
+exception Cancelled
 
-(* One pass per group.  A lone group gets the whole width for its
-   technology comparison; several groups spread across the width and
-   compare serially, so pools never nest. *)
-let execute_misses ~jobs ?trace looked_up =
-  let execute ?jobs group =
-    List.combine (List.map fst group)
-      (Cell.execute_group ?jobs ?trace (List.map snd group))
+(* Await every miss in report order, storing each computed payload and
+   handing each outcome on once it and all earlier ones are ready.  After
+   a failure nothing more is handed on, but later groups are still
+   awaited and stored: work already paid for warms the cache. *)
+let collect ?cache ~on_outcome specs found tickets =
+  let failure = ref None in
+  let outcome i spec =
+    match (found.(i), tickets.(i)) with
+    | Some payload, _ -> Ok { spec; payload; cached = true }
+    | None, Some (ticket, k) -> (
+      match Nvsc_team.Pool.await ticket with
+      | Nvsc_team.Pool.Done payloads ->
+        let payload = List.nth payloads k in
+        Option.iter (fun c -> Cache.store c spec payload) cache;
+        Ok { spec; payload; cached = false }
+      | Failed e -> Error e
+      | Cancelled -> Error Cancelled)
+    | None, None -> assert false
   in
-  match miss_groups looked_up with
-  | [ group ] -> execute ~jobs group
-  | groups ->
-    List.concat
-      (Array.to_list
-         (Nvsc_team.Pool.map ~jobs (fun g -> execute g) (Array.of_list groups)))
-
-let run_specs ?jobs ?cache ?trace specs =
-  Nvsc_obs.Span.with_ "sweep.run" @@ fun () ->
-  let jobs =
-    match jobs with Some j -> j | None -> Nvsc_team.Pool.default_jobs ()
-  in
-  (* Serial cache pass on the calling domain: the cache never sees
-     concurrent access, and hit/miss order is deterministic. *)
-  let looked_up =
-    Array.map
-      (fun spec ->
-        match cache with
-        | None -> (spec, None)
-        | Some c -> (spec, Cache.find c spec))
-      specs
-  in
-  let computed = execute_misses ~jobs ?trace looked_up in
   let outcomes =
     Array.mapi
-      (fun i (spec, found) ->
-        match found with
-        | Some payload -> { spec; payload; cached = true }
-        | None -> { spec; payload = List.assoc i computed; cached = false })
-      looked_up
+      (fun i spec ->
+        match (outcome i spec, !failure) with
+        | Ok o, None ->
+          on_outcome i o;
+          Some o
+        | Error e, None ->
+          failure := Some e;
+          None
+        | _, Some _ -> None)
+      specs
   in
-  (match cache with
-  | None -> ()
-  | Some c ->
-    Array.iter
-      (fun o -> if not o.cached then Cache.store c o.spec o.payload)
-      outcomes);
-  let cache_stats =
-    match cache with
-    | None -> { Cache.hits = 0; misses = 0; evictions = 0 }
-    | Some c -> Cache.stats c
+  match !failure with
+  | Some e -> raise e
+  | None -> Array.map Option.get outcomes
+
+let run_specs ?jobs ?pool ?(cancelled = fun () -> false) ?cache ?trace
+    ?(on_outcome = fun _ _ -> ()) specs =
+  Nvsc_obs.Span.with_ "sweep.run" @@ fun () ->
+  let jobs =
+    match (pool, jobs) with
+    | Some p, _ -> Nvsc_team.Pool.jobs p
+    | None, Some j -> j
+    | None, None -> Nvsc_team.Pool.default_jobs ()
+  in
+  let n = Array.length specs in
+  let evicted_before =
+    match cache with Some c -> (Cache.stats c).evictions | None -> 0
+  in
+  (* Serial lookup on the calling thread: hit/miss order is
+     deterministic. *)
+  let found =
+    Array.map (fun spec -> Option.bind cache (fun c -> Cache.find c spec)) specs
+  in
+  let groups =
+    Cell.group
+      (List.filter (fun (i, _) -> Option.is_none found.(i))
+         (List.mapi (fun i spec -> (i, spec)) (Array.to_list specs)))
+  in
+  (* One task per group, one application pass each. *)
+  let run_groups ~width pool =
+    let tickets = Array.make n None in
+    List.iter
+      (fun group ->
+        let ticket =
+          Nvsc_team.Pool.submit ~cancelled pool (fun () ->
+              Cell.execute_group ~jobs:width ?trace (List.map snd group))
+        in
+        List.iteri (fun k (i, _) -> tickets.(i) <- Some (ticket, k)) group)
+      groups;
+    collect ?cache ~on_outcome specs found tickets
+  in
+  let outcomes =
+    match (pool, groups) with
+    (* the daemon's resident pool: groups compare technologies serially,
+       so pools never nest *)
+    | Some pool, _ -> run_groups ~width:1 pool
+    (* a lone group runs on the caller with the whole width for its
+       technology comparison *)
+    | None, [ _ ] -> Nvsc_team.Pool.with_pool ~jobs:1 (run_groups ~width:jobs)
+    | None, groups ->
+      Nvsc_team.Pool.with_pool
+        ~jobs:(min jobs (List.length groups))
+        (run_groups ~width:1)
+  in
+  let hits =
+    Array.fold_left (fun acc o -> if o.cached then acc + 1 else acc) 0 outcomes
   in
   ( outcomes,
     {
-      cells = Array.length specs;
-      hits = cache_stats.hits;
-      misses = cache_stats.misses;
-      evictions = cache_stats.evictions;
-      jobs = max 1 (min jobs (max 1 (Array.length specs)));
+      cells = n;
+      hits;
+      misses = (if cache = None then 0 else n - hits);
+      evictions =
+        (match cache with
+        | Some c -> (Cache.stats c).evictions - evicted_before
+        | None -> 0);
+      jobs = max 1 (min jobs (max 1 n));
     } )
 
 let run ?jobs ?cache ?trace matrix =

@@ -1,12 +1,13 @@
-(** The sweep engine: executes a {!Matrix.t} (or any list of cells) on a
-    domain pool with an optional content-addressed result cache.
+(** The sweep engine: the one executor from cell specs to outcomes, for
+    every [nvscav] analysis subcommand, [experiments.exe] and the serve
+    daemon, with an optional content-addressed result cache.
 
-    Execution order never leaks into output: cache lookups and stores run
-    serially on the calling domain, only the cache misses' execution fans
-    out — one task per {!Cell.group}, one application pass per group —
-    and outcomes are collected in cell order, so a sweep's rendered
-    report is byte-identical regardless of [jobs] and of which cells were
-    cache hits. *)
+    Execution order never leaks into output: every cache lookup runs
+    serially on the calling thread before anything executes, only the
+    misses fan out — one pool task per {!Cell.group}, one application
+    pass per group — and outcomes are collected, stored and handed on in
+    cell order, so a sweep's rendered report is byte-identical regardless
+    of [jobs] and of which cells were cache hits. *)
 
 type outcome = {
   spec : Cell.spec;
@@ -31,22 +32,40 @@ val run :
     into each spec before lookup — so the cache keys on trace content and
     a warm re-analysis of the same trace reports [misses=0]. *)
 
+exception Cancelled
+(** A miss group was dropped by the [cancelled] hook before it started. *)
+
 val run_specs :
   ?jobs:int ->
+  ?pool:Nvsc_team.Pool.t ->
+  ?cancelled:(unit -> bool) ->
   ?cache:Cache.t ->
   ?trace:string ->
+  ?on_outcome:(int -> outcome -> unit) ->
   Cell.spec array ->
   outcome array * stats
 (** {!run} over explicit cells, in the given order; the specs are used as
-    given (a trace-fed spec should already pin the trace's digest).  When
-    the misses form a single group, the group gets the whole [jobs] width
-    for its technology comparison; otherwise the groups spread across the
-    width and each compares serially. *)
+    given (a trace-fed spec should already pin the trace's digest).
 
-val miss_groups :
-  (Cell.spec * Cell.payload option) array -> (int * Cell.spec) list list
-(** The cells a cache lookup missed ([None]), with their indices, in
-    {!Cell.group}s: one application pass each. *)
+    Each outcome is handed to [on_outcome] with its index, in cell order,
+    as soon as it and all earlier ones are ready, and each computed
+    payload is stored into [cache] at the same point, from the calling
+    thread.  [hits] and [misses] count this call's lookups; [evictions]
+    counts the entries the cache evicted during the call.
+
+    Without [pool], the misses run on a {!Nvsc_team.Pool.with_pool} of
+    [jobs] domains, the caller included: a lone group runs on the caller
+    with the whole [jobs] width for its technology comparison; several
+    groups spread across the width (at most one domain per group) and
+    each compares serially.  With [pool] (a resident pool, whose width
+    overrides [jobs]) every group is a task on it and compares serially,
+    so pools never nest; [cancelled] is polled as each group is about to
+    start.
+
+    If a group raises, or is cancelled (raising {!Cancelled}), no later
+    outcome is handed on, but every group already submitted is still
+    awaited and stored before the first failure, in cell order, is
+    re-raised. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** One-line [sweep: cells=.. hits=.. misses=.. evictions=.. jobs=..]. *)

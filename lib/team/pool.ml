@@ -6,13 +6,11 @@ let m_depth = Nvsc_obs.Metrics.gauge "sweep.pool.queue_depth"
 let m_submitted = Nvsc_obs.Metrics.counter "sweep.pool.submitted"
 let m_cancelled = Nvsc_obs.Metrics.counter "sweep.pool.cancelled"
 
-(* --- resident pool ------------------------------------------------------- *)
-
-(* A long-lived domain pool for [nvscav serve]: worker domains block on a
-   condition variable between tasks instead of being respawned per batch.
-   Stdlib [Mutex]/[Condition] are domain-safe, so submitters (connection
-   threads on the main domain) and workers (their own domains) share one
-   queue. *)
+(* Worker domains block on a condition variable between tasks.  Stdlib
+   [Mutex]/[Condition] are domain-safe, so submitters (threads on any
+   domain) and workers share one queue.  A resident pool's submitters
+   only wait; in a caller's pool ([with_pool]) the awaiting caller runs
+   queued tasks itself, as the last of its [jobs] domains. *)
 
 type task = { run : unit -> unit; cancel : unit -> unit }
 
@@ -23,38 +21,46 @@ type t = {
   mutable closed : bool;
   mutable workers : unit Domain.t list;
   n_jobs : int;
+  caller_runs : bool;
 }
 
 type 'a outcome = Done of 'a | Failed of exn | Cancelled
 
 type 'a ticket = {
+  pool : t;
   t_mu : Mutex.t;
   t_done : Condition.t;
   mutable state : 'a outcome option;
 }
 
-let worker pool () =
-  let rec loop () =
-    Mutex.lock pool.mu;
-    while Queue.is_empty pool.queue && not pool.closed do
-      Condition.wait pool.nonempty pool.mu
-    done;
-    (* Once closed, workers exit without starting queued tasks —
-       [shutdown] resolves those as [Cancelled] after the join. *)
-    if pool.closed || Queue.is_empty pool.queue then Mutex.unlock pool.mu
+(* The next queued task; with [wait], block until there is one.  Once
+   closed, nothing more starts — [shutdown] resolves what is left as
+   [Cancelled] after the join. *)
+let take pool ~wait =
+  Mutex.lock pool.mu;
+  while wait && Queue.is_empty pool.queue && not pool.closed do
+    Condition.wait pool.nonempty pool.mu
+  done;
+  let task =
+    if pool.closed then None
     else begin
-      let task = Queue.pop pool.queue in
+      let task = Queue.take_opt pool.queue in
       Nvsc_obs.Metrics.Gauge.set m_depth
         (float_of_int (Queue.length pool.queue));
-      Mutex.unlock pool.mu;
-      task.run ();
-      loop ()
+      task
     end
   in
-  loop ()
+  Mutex.unlock pool.mu;
+  task
 
-let create ?(jobs = default_jobs ()) () =
-  let jobs = max 1 jobs in
+let rec worker pool () =
+  match take pool ~wait:true with
+  | Some task ->
+    task.run ();
+    worker pool ()
+  | None -> ()
+
+let spawn ~jobs ~caller_runs =
   let pool =
     {
       queue = Queue.create ();
@@ -63,17 +69,25 @@ let create ?(jobs = default_jobs ()) () =
       closed = false;
       workers = [];
       n_jobs = jobs;
+      caller_runs;
     }
   in
-  Nvsc_obs.Metrics.Gauge.set m_jobs (float_of_int jobs);
-  pool.workers <- List.init jobs (fun _ -> Domain.spawn (worker pool));
+  let workers = if caller_runs then jobs - 1 else jobs in
+  (* the width of the last pool that spawned domains: a serial pool nested
+     in a wide one's task does not overwrite the knob *)
+  if workers > 0 then Nvsc_obs.Metrics.Gauge.set m_jobs (float_of_int jobs);
+  pool.workers <- List.init workers (fun _ -> Domain.spawn (worker pool));
   pool
+
+let create ?(jobs = default_jobs ()) () =
+  spawn ~jobs:(max 1 jobs) ~caller_runs:false
 
 let jobs t = t.n_jobs
 
 let submit ?(cancelled = fun () -> false) pool f =
-  let ticket = { t_mu = Mutex.create (); t_done = Condition.create ();
-                 state = None } in
+  let ticket =
+    { pool; t_mu = Mutex.create (); t_done = Condition.create (); state = None }
+  in
   let finish outcome =
     Mutex.lock ticket.t_mu;
     ticket.state <- Some outcome;
@@ -84,7 +98,15 @@ let submit ?(cancelled = fun () -> false) pool f =
     Nvsc_obs.Metrics.Counter.incr m_cancelled;
     finish Cancelled
   in
+  (* queue wait is only sampled when the recorder is armed, so the
+     disarmed path never reads the clock *)
+  let queued_at =
+    if Nvsc_obs.Span.enabled () then Nvsc_obs.Clock.now_ns () else 0
+  in
   let run () =
+    if queued_at > 0 then
+      Nvsc_obs.Metrics.Dist.observe m_queue_wait
+        (Nvsc_obs.Clock.now_ns () - queued_at);
     if cancelled () then cancel ()
     else finish (match f () with v -> Done v | exception e -> Failed e)
   in
@@ -100,14 +122,25 @@ let submit ?(cancelled = fun () -> false) pool f =
   Mutex.unlock pool.mu;
   ticket
 
-let await ticket =
+let rec await ticket =
   Mutex.lock ticket.t_mu;
-  while ticket.state = None do
-    Condition.wait ticket.t_done ticket.t_mu
-  done;
-  let outcome = Option.get ticket.state in
+  let state = ticket.state in
   Mutex.unlock ticket.t_mu;
-  outcome
+  match state with
+  | Some outcome -> outcome
+  | None -> (
+    let pool = ticket.pool in
+    match if pool.caller_runs then take pool ~wait:false else None with
+    | Some task ->
+      task.run ();
+      await ticket
+    | None ->
+      Mutex.lock ticket.t_mu;
+      while ticket.state = None do
+        Condition.wait ticket.t_done ticket.t_mu
+      done;
+      Mutex.unlock ticket.t_mu;
+      Option.get ticket.state)
 
 let shutdown pool =
   Mutex.lock pool.mu;
@@ -121,43 +154,15 @@ let shutdown pool =
   Queue.iter (fun task -> task.cancel ()) pool.queue;
   Queue.clear pool.queue
 
-(* --- one-shot batch map -------------------------------------------------- *)
+let with_pool ~jobs f =
+  let pool = spawn ~jobs:(max 1 jobs) ~caller_runs:true in
+  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
 let map ~jobs f items =
-  let n = Array.length items in
-  if n = 0 then [||]
-  else begin
-    let jobs = max 1 (min jobs n) in
-    Nvsc_obs.Metrics.Gauge.set m_jobs (float_of_int jobs);
-    (* Queue wait = take-a-ticket time minus pool start; only sampled when
-       the recorder is armed so the disarmed path never reads the clock. *)
-    let t0 = if Nvsc_obs.Span.enabled () then Nvsc_obs.Clock.now_ns () else 0 in
-    (* Option-boxed result slots: each index is written by exactly one
-       worker, so slots are never contended; the joins below publish them
-       to the collecting domain. *)
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          if Nvsc_obs.Span.enabled () then
-            Nvsc_obs.Metrics.Dist.observe m_queue_wait
-              (Nvsc_obs.Clock.now_ns () - t0);
-          let r = try Ok (f items.(i)) with e -> Error e in
-          results.(i) <- Some r;
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let spawned = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join spawned;
-    Array.map
-      (function
-        | Some (Ok v) -> v
-        | Some (Error e) -> raise e
-        | None -> assert false)
-      results
-  end
+  with_pool ~jobs:(min jobs (Array.length items)) @@ fun pool ->
+  Array.map (fun x -> submit pool (fun () -> f x)) items
+  |> Array.map (fun ticket ->
+         match await ticket with
+         | Done v -> v
+         | Failed e -> raise e
+         | Cancelled -> assert false)

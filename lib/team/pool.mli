@@ -1,37 +1,34 @@
-(** Fixed-size domain pool with a work queue.
+(** The one domain pool: a work queue shared by OCaml 5 worker domains.
 
-    [map ~jobs f items] applies [f] to every element of [items] on a pool
-    of [jobs] OCaml 5 domains (the calling domain is one of them) and
-    returns the results {e in input order} — the deterministic ordered
-    collection the sweep's byte-identical-report contract rests on.
-    Work distribution is a take-a-ticket queue (one atomic counter), so
-    domains pull the next cell as they finish rather than owning a fixed
-    stripe; results land in per-index slots, never shared between
-    workers.
+    Worker domains are spawned when a pool is made and block on a
+    condition variable between tasks.  Tasks are started in submission
+    order; each {!submit} returns a ticket, and {!await} on it yields the
+    task's outcome.  Two kinds of pool share this mechanism:
 
-    If any [f] raises, the first exception in {e input order} is
-    re-raised after every worker has drained (later results are
-    discarded). *)
+    - a {e resident} pool ({!create}) has [jobs] workers and lives as
+      long as its owner — [nvscav serve] multiplexes every client onto
+      one, with no per-request domain spawns.  Submitters may be threads
+      on any domain; they only wait.
+    - a {e caller's} pool ({!with_pool}) has [jobs - 1] workers, and the
+      calling domain is the last of its [jobs]: while it awaits a ticket
+      it runs queued tasks itself.  At [jobs = 1] no domain is spawned
+      and every task runs on the caller. *)
 
-val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [jobs] is clamped to [1 .. Array.length items]. *)
+type t
+(** A running pool. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the machine's useful
     parallelism. *)
 
-(** {1 Resident pool}
-
-    The long-lived variant behind [nvscav serve]: worker domains are
-    spawned once and block on a condition variable between tasks, so N
-    clients multiplex onto one pool with no per-request domain spawns.
-    Submitters may be threads on any domain. *)
-
-type t
-(** A running pool. *)
-
 val create : ?jobs:int -> unit -> t
-(** Spawn [jobs] worker domains (default {!default_jobs}, minimum 1). *)
+(** A resident pool of [jobs] worker domains (default {!default_jobs},
+    minimum 1). *)
+
+val with_pool : jobs:int -> (t -> 'a) -> 'a
+(** [with_pool ~jobs f] runs [f] with a caller's pool of [jobs] domains
+    ([jobs] is clamped to at least 1), then {!shutdown}s it, also when [f]
+    raises. *)
 
 val jobs : t -> int
 
@@ -49,9 +46,20 @@ val submit : ?cancelled:(unit -> bool) -> t -> (unit -> 'a) -> 'a ticket
     never interrupted.  Raises [Invalid_argument] after {!shutdown}. *)
 
 val await : 'a ticket -> 'a outcome
-(** Block until the task finishes (or is cancelled).  May be called from
-    any thread; repeated calls return the same outcome. *)
+(** Block until the task finishes (or is cancelled); in a caller's pool,
+    run queued tasks meanwhile.  A resident pool's tickets may be awaited
+    from any thread; repeated calls return the same outcome. *)
 
 val shutdown : t -> unit
 (** Stop accepting work, join every worker (running tasks complete), and
     resolve still-queued tasks as [Cancelled]. *)
+
+val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
+(** [map ~jobs f items] applies [f] to every element of [items] on a
+    caller's pool of [jobs] domains, clamped to [1 .. Array.length items],
+    and returns the results {e in input order} — the deterministic
+    ordered collection the byte-identical-report contract rests on.
+
+    If any [f] raises, the first exception in {e input order} is
+    re-raised once the workers have finished their running tasks;
+    later items that have not started by then never run. *)

@@ -54,7 +54,7 @@ let test_compare_designs_bounds () =
         if i mod 4 = 0 then Access.write ~addr:(i * 64) ~size:64
         else Access.read ~addr:(i * 64) ~size:64)
   in
-  let designs =
+  let designs, hs =
     HS.compare_designs ~nvram:sttram ~placement:parity_placement
       ~replay:(fun sink -> List.iter (Nvsc_memtrace.Sink.push_access sink) trace)
       ()
@@ -67,7 +67,14 @@ let test_compare_designs_bounds () =
   Alcotest.(check bool) "all-NVRAM saves" true (power "all-STTRAM" < 1.0);
   Alcotest.(check bool) "hybrid between the bounds" true
     (power "hybrid" <= 1.0 +. 1e-9
-    && power "hybrid" >= power "all-STTRAM" -. 0.05)
+    && power "hybrid" >= power "all-STTRAM" -. 0.05);
+  (* the hybrid's own stats: odd lines (every read-only one of them) are
+     NVRAM-side *)
+  Alcotest.(check int) "hybrid saw the whole trace" 3000 hs.HS.accesses;
+  Alcotest.(check (float 1e-9)) "half the accesses NVRAM-side" 0.5
+    hs.HS.nvram_fraction;
+  Alcotest.(check (float 1e-9)) "no write NVRAM-side" 0.
+    hs.HS.nvram_write_fraction
 
 let test_validation () =
   Alcotest.check_raises "volatile NVRAM side"

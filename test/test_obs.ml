@@ -137,15 +137,14 @@ let deterministic_snapshot () =
       (not (Filename.check_suffix name "_ns")) && name <> "sweep.pool.jobs")
     (Metrics.snapshot ())
 
-let sweep_once ~jobs =
+let sweep_once ?(kinds = [ Nvsc_sweep.Cell.Objects; Nvsc_sweep.Cell.Perf ])
+    ~jobs () =
   Obs.reset ();
   Span.enable ();
   Fun.protect ~finally:Span.disable @@ fun () ->
   let matrix =
     match
-      Nvsc_sweep.Matrix.make ~apps:[ "gtc" ]
-        ~kinds:[ Nvsc_sweep.Cell.Objects; Nvsc_sweep.Cell.Perf ]
-        ~scale:0.1 ~iterations:1 ()
+      Nvsc_sweep.Matrix.make ~apps:[ "gtc" ] ~kinds ~scale:0.1 ~iterations:1 ()
     with
     | Ok m -> m
     | Error e -> Alcotest.fail e
@@ -160,9 +159,15 @@ let sweep_once ~jobs =
   (deterministic_snapshot (), span_histogram)
 
 let test_determinism_across_jobs () =
-  let m1, s1 = sweep_once ~jobs:1 in
-  let m4, s4 = sweep_once ~jobs:4 in
-  let m8, s8 = sweep_once ~jobs:8 in
+  let m1, s1 = sweep_once ~jobs:1 () in
+  let m4, s4 = sweep_once ~jobs:4 () in
+  let m8, s8 = sweep_once ~jobs:8 () in
+  (* a lone power group spreads its technology comparison over the width:
+     the pool's task counters must not see the difference *)
+  let power = [ Nvsc_sweep.Cell.Power ] in
+  Alcotest.(check bool) "metrics: lone power group, jobs 1 = jobs 4" true
+    (fst (sweep_once ~kinds:power ~jobs:1 ())
+    = fst (sweep_once ~kinds:power ~jobs:4 ()));
   Alcotest.(check bool) "metrics: jobs 1 = jobs 4" true (m1 = m4);
   Alcotest.(check bool) "metrics: jobs 1 = jobs 8" true (m1 = m8);
   Alcotest.(check bool) "span multiset: jobs 1 = jobs 4" true (s1 = s4);

@@ -200,24 +200,31 @@ let test_live_vs_replay () =
 let errors_only report =
   List.filter (fun (f : D.finding) -> f.severity = D.Error) report
 
+(* Every crash point's report, from the one whole-trace replay. *)
+let crash_reports path =
+  let points = ref [] in
+  let whole, chk =
+    P.replay path ~at_boundary:(fun k r -> points := (k, r) :: !points)
+  in
+  (whole, chk, List.rev !points)
+
 let test_crash_injection () =
   with_tmp @@ fun path ->
   record_defect path;
+  let _, _, points = crash_reports path in
+  let at k = List.assoc k points in
   (* boundary 0 is the first epoch_begin: crashing right after it leaves
      the epoch open, which is the crash, not a defect *)
-  let r0, _ = P.replay ~crash_at:0 path in
   Alcotest.(check (list shape_t)) "crash inside first epoch is clean" []
-    (shape r0);
+    (shape (at 0));
   (* boundary 1 is the first "unflushed" commit: the surviving prefix
      holds exactly that one defect *)
-  let r1, _ = P.replay ~crash_at:1 path in
   Alcotest.(check (list shape_t))
     "crash after first commit keeps its verdict"
     [ ("unflushed-at-commit", "p_commit", 1) ]
-    (shape r1);
+    (shape (at 1));
   (* boundary 5 is the first "torn" commit: all three error classes of
      iteration 1 are visible, and none of the warnings that follow *)
-  let r5, _ = P.replay ~crash_at:5 path in
   Alcotest.(check (list shape_t))
     "prefix up to the torn commit"
     [
@@ -225,23 +232,27 @@ let test_crash_injection () =
       ("store-during-flush", "p_race", 1);
       ("torn-checkpoint", "p_torn", 1);
     ]
-    (shape r5)
+    (shape (at 5))
 
 let test_crashsim_clean_app () =
   with_tmp @@ fun path ->
   ignore
     (Trace_run.record ~scale:0.1 ~iterations:2 ~path
        (Option.get (Nvsc_apps.Apps.find "minimd")));
-  let whole, chk = P.replay path in
+  let whole, chk, points = crash_reports path in
   let boundaries = P.epoch_boundaries chk in
   Alcotest.(check int) "one epoch per iteration" 4 boundaries;
   Alcotest.(check (list shape_t)) "whole trace is clean" [] (shape whole);
-  for k = 0 to boundaries - 1 do
-    let report, _ = P.replay ~crash_at:k path in
-    Alcotest.(check (list shape_t))
-      (Printf.sprintf "crash point %d is consistent" k)
-      [] (shape report)
-  done
+  Alcotest.(check (list int))
+    "one crash point per boundary"
+    (List.init boundaries Fun.id)
+    (List.map fst points);
+  List.iter
+    (fun (k, report) ->
+      Alcotest.(check (list shape_t))
+        (Printf.sprintf "crash point %d is consistent" k)
+        [] (shape report))
+    points
 
 (* --- shipped apps are crash-consistent ----------------------------------- *)
 

@@ -418,6 +418,43 @@ let test_run_after_analyze_shares_cells () =
   Alcotest.(check int) "in one scavenger run" 1
     (Nvsc_obs.Metrics.Counter.get runs - before)
 
+(* The daemon runs its plans through the same executor as the CLI: for
+   the same plan against a cache in the same state, its done frame
+   reports the engine's own per-call counts — cold, partly warm (the
+   objects cell from an earlier analyze) and warm. *)
+let test_done_counts_equal_engine () =
+  let cache = Nvsc_sweep.Cache.create ~dir:(temp_dir ()) () in
+  Fun.protect ~finally:(fun () -> remove_tree (Nvsc_sweep.Cache.dir cache))
+  @@ fun () ->
+  let run_req =
+    Protocol.Run { app = "gtc"; scale = 0.1; iterations = 1; tech = "sttram" }
+  in
+  let engine_counts req =
+    match Plan.of_request req with
+    | Error e -> Alcotest.fail e.Protocol.message
+    | Ok plan ->
+      let _, s =
+        Nvsc_sweep.Engine.run_specs ~jobs:1 ~cache ?trace:plan.Plan.trace
+          plan.Plan.specs
+      in
+      (s.Nvsc_sweep.Engine.cells, s.hits, s.misses)
+  in
+  with_server @@ fun ~sock _t ->
+  let c = connect_exn sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  List.iter
+    (fun (label, req) ->
+      let reply = request_exn c req in
+      Alcotest.(check (triple int int int))
+        (label ^ ": done frame = engine stats")
+        (engine_counts req)
+        (reply.Client.cells, reply.Client.hits, reply.Client.misses))
+    [
+      ("cold analyze", analyze_req);
+      ("run after analyze", run_req);
+      ("warm run", run_req);
+    ]
+
 (* Four concurrent clients — two analyzes, a sweep and a stats poll —
    each checked byte-for-byte against the spawned local binary. *)
 let test_concurrent_clients_byte_identical () =
@@ -618,6 +655,8 @@ let suite =
       test_warm_cache;
     Alcotest.test_case "server: run after analyze, one run for two misses"
       `Slow test_run_after_analyze_shares_cells;
+    Alcotest.test_case "server: done counts equal the engine's" `Slow
+      test_done_counts_equal_engine;
     Alcotest.test_case "server: concurrent clients, byte-identical output"
       `Slow test_concurrent_clients_byte_identical;
     Alcotest.test_case "server: malformed frames answered, connection kept"

@@ -449,6 +449,55 @@ let test_engine_cache_cold_then_warm () =
     ( (pinned (spec ~kind:Cell.Perf ~iterations:1 ())).iterations,
       (pinned (spec ~kind:Cell.Objects ())).iterations )
 
+(* The executor hands each outcome on in report order, whatever the
+   width and however the groups complete, and only once the computed
+   payload is stored: a cache hit ahead of three miss groups (perf, a
+   power cell whose objects sibling hit, and another application). *)
+let test_engine_on_outcome_order () =
+  let specs =
+    [|
+      spec ();
+      spec ~kind:Cell.Perf ();
+      spec ~kind:Cell.Power ();
+      spec ~app:"gtc" ();
+    |]
+  in
+  let reports =
+    List.map
+      (fun jobs ->
+        let cache = Cache.create ~dir:(fresh_dir ()) () in
+        Cache.store cache specs.(0) (Cell.execute specs.(0));
+        let seen = ref [] in
+        let on_outcome i (o : Engine.outcome) =
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs=%d: cell %d stored before it is handed on"
+               jobs i)
+            true
+            (Sys.file_exists
+               (Filename.concat (Cache.dir cache)
+                  (Cell.digest o.Engine.spec ^ ".json")));
+          seen := i :: !seen
+        in
+        let outcomes, stats = Engine.run_specs ~jobs ~cache ~on_outcome specs in
+        Alcotest.(check (list int))
+          (Printf.sprintf "jobs=%d: handed on in report order" jobs)
+          [ 0; 1; 2; 3 ] (List.rev !seen);
+        Alcotest.(check (list bool))
+          (Printf.sprintf "jobs=%d: only the first cell hit" jobs)
+          [ true; false; false; false ]
+          (Array.to_list (Array.map (fun o -> o.Engine.cached) outcomes));
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "jobs=%d: this call's lookups" jobs)
+          (1, 3)
+          (stats.Engine.hits, stats.Engine.misses);
+        render_outcomes outcomes)
+      [ 1; 2; 4 ]
+  in
+  List.iter
+    (Alcotest.(check string) "byte-identical report at every width"
+       (List.hd reports))
+    reports
+
 let runs = Nvsc_obs.Metrics.counter "scavenger.runs"
 
 (* The experiments matrix with its study cells: the tables and the
@@ -658,6 +707,8 @@ let suite =
       test_engine_jobs_deterministic;
     Alcotest.test_case "engine cache cold then warm" `Quick
       test_engine_cache_cold_then_warm;
+    Alcotest.test_case "engine hands outcomes on in report order" `Quick
+      test_engine_on_outcome_order;
     Alcotest.test_case "experiments warm cache equals cold" `Slow
       test_experiments_warm_equals_cold;
     QCheck_alcotest.to_alcotest table6_ordering_prop;
