@@ -11,38 +11,27 @@
    the perf cells' posted-write runtimes.  Cache statistics (and the
    [--profile] summary) go to standard error.
 
-   The pre-cmdliner interface took bare words ([experiments quick no-ext
-   markdown]); those are still accepted as positional arguments. *)
+   The modes are bare words: [experiments quick no-ext markdown]. *)
 
 open Cmdliner
 
-let quick_arg =
-  let doc = "Reduced scale/iterations (for CI smoke runs)." in
-  Arg.(value & flag & info [ "quick" ] ~doc)
-
-let no_ext_arg =
-  let doc = "Skip the extension studies (the §II/§III-D design alternatives)." in
-  Arg.(value & flag & info [ "no-ext" ] ~doc)
-
-let markdown_arg =
-  let doc = "Emit the report as Markdown instead of the formatted tables." in
-  Arg.(value & flag & info [ "markdown" ] ~doc)
-
 let words_arg =
   let doc =
-    "Legacy bare-word flags: $(b,quick), $(b,no-ext), $(b,markdown)."
+    "Modes: $(b,quick) (reduced scale and iterations, for CI smoke runs), \
+     $(b,no-ext) (skip the extension studies, the §II/§III-D design \
+     alternatives), $(b,markdown) (emit the report as Markdown instead of \
+     the formatted tables; skips the extension studies)."
   in
   Arg.(value & pos_all string [] & info [] ~docv:"WORD" ~doc)
 
-let run () quick no_ext markdown jobs cache_dir profile words =
+let run () jobs cache_dir profile words =
   let known = [ "quick"; "no-ext"; "markdown" ] in
   match List.find_opt (fun w -> not (List.mem w known)) words with
   | Some w -> `Error (false, Nvsc_util.Cli.unknown ~what:"word" ~known w)
   | None ->
-    let word w = List.mem w words in
-    let quick = quick || word "quick" in
-    let no_ext = no_ext || word "no-ext" in
-    let markdown = markdown || word "markdown" in
+    let quick = List.mem "quick" words in
+    let no_ext = List.mem "no-ext" words in
+    let markdown = List.mem "markdown" words in
     let config =
       if quick then Nvsc_core.Experiment.quick_config
       else Nvsc_core.Experiment.default_config
@@ -92,8 +81,11 @@ let cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ const () $ quick_arg $ no_ext_arg $ markdown_arg
-       $ Nvsc_util.Cli.jobs $ Nvsc_util.Cli.cache_dir $ Nvsc_util.Cli.profile
-       $ words_arg))
+        (const run $ const () $ Nvsc_util.Cli.jobs $ Nvsc_util.Cli.cache_dir
+       $ Nvsc_util.Cli.profile $ words_arg))
 
-let () = exit (Cmd.eval cmd)
+let () =
+  match Cmd.eval_value cmd with
+  | Ok (`Ok ()) | Ok `Help | Ok `Version -> exit 0
+  | Error (`Parse | `Term) -> exit 2
+  | Error `Exn -> exit 125

@@ -758,7 +758,7 @@ let crashsim_cmd =
       List.length !failing + if San.errors whole > 0 then 1 else 0
     in
     Format.fprintf fmt
-      "crashsim: %d crash point(s) replayed, %d inconsistent@." boundaries
+      "crashsim: %d crash point(s) checked, %d inconsistent@." boundaries
       inconsistent;
     if inconsistent > 0 then exit 1;
     `Ok ()

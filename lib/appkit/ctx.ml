@@ -85,24 +85,19 @@ type frame = {
   limit : int;
 }
 
-type attributed_sink = Sink.Batch.t -> int array -> first:int -> n:int -> unit
-
-type record_sink =
-  Sink.Batch.t ->
-  obj_ids:int array ->
-  instr_before:int array ->
-  instr_tail:int ->
-  first:int ->
-  n:int ->
-  unit
+(* One subscriber to the stream [observe] offers: the callbacks of
+   [Trace_codec.stream], minus [on_chunk]. *)
+type observer = {
+  on_objects : (Mem_object.t list -> unit) option;
+  on_phase : (Mem_object.phase -> unit) option;
+  on_instr : (int -> unit) option;
+  on_persist : (Persist_ev.t -> unit) option;
+  on_refs : Nvsc_memtrace.Trace_codec.on_refs;
+}
 
 type event =
-  | Alloc of Mem_object.t
-  | Free of Mem_object.t
-  | Frame_push of Mem_object.t * Shadow_stack.frame
+  | Frame_push of Shadow_stack.frame
   | Frame_pop of Shadow_stack.frame
-  | Phase_change of Mem_object.phase
-  | Persist of Persist_ev.t
 
 type t = {
   rng : Rng.t;
@@ -111,26 +106,23 @@ type t = {
   tally : Tally.t;
   shadow : Shadow_stack.t;
   mutable sinks : Sink.t array;
-  mutable attr_sinks : attributed_sink array;
-  mutable instr_sink : (int -> unit) option;
-  (* lifecycle observers (NVSC-San, NVSC-Persist, trace recording).  When
-     any is installed, the emission batch is flushed *before* every
-     registry/shadow-stack mutation and persist event, so attributed sinks
+  mutable observers : observer array;
+  (* shadow-stack observers (NVSC-San): a trace does not record the frame
+     structure, so it is not part of the observed stream *)
+  mutable frame_hooks : (event -> unit) array;
+  (* true iff a frame hook is installed or some observer takes objects or
+     persist actions.  Then the emission batch is flushed *before* every
+     registry/shadow-stack mutation and persist action, so observers
      always see a reference under the same object/stack state it was
      emitted in — making their view independent of batch capacity. *)
-  mutable event_sinks : (event -> unit) array;
-  (* raw-emission observer (trace recording): sees every buffered slice
-     with its emission-time attribution and instruction interleave intact,
-     including the boundary instruction tail — the lossless program-order
-     stream the NVT writer serializes. *)
-  mutable record_sink : record_sink option;
-  (* true iff some consumer reads the emission batch (any sink or the
-     recorder).  When false — [analyze] and every other run without a
+  mutable ordered : bool;
+  (* true iff some consumer reads the emission batch (any sink or
+     observer).  When false — [analyze] and every other run without a
      trace — [emit_observed] skips every per-reference buffer store and
      only keeps the flush accounting. *)
   mutable recording : bool;
-  (* true iff some consumer also reads [obj_ids] or [instr_before] (an
-     attributed sink, an instruction sink or the recorder).  When false —
+  (* true iff some observer is subscribed: only observers read [obj_ids]
+     and [instr_before], and only they make {!flops} count.  When false —
      [run], whose only consumer is the cache-hierarchy sink — emission
      stores the address and op and nothing else. *)
   mutable attributing : bool;
@@ -138,8 +130,8 @@ type t = {
   (* the emission batch: references accumulate here and flush to the sinks
      when the batch fills or at a phase boundary (paper §III-D).  The
      parallel [obj_ids] array carries emission-time attribution (-1 =
-     unattributed) for attributed sinks; [instr_before.(i)] counts plain
-     instructions committed since reference [i-1], so an instruction sink
+     unattributed) for observers; [instr_before.(i)] counts plain
+     instructions committed since reference [i-1], so instruction counts
      can be interleaved back in program order at flush time.  Mutable so
      [release] can hand the ~2 MB of buffers to the per-domain pool and
      swap in one-slot stand-ins. *)
@@ -172,7 +164,6 @@ type t = {
      The cached pair never goes stale for the same string value. *)
   mutable memo_call_routine : string;
   mutable memo_call_addr : int;
-  mutable memo_call_obj : Mem_object.t option;
   (* four-entry memo for heap/global attribution: slot [k] caches the
      range and id of a recently attributed object ([lo > hi] = empty).
      Four slots because inner loops commonly cycle through a handful of
@@ -249,10 +240,9 @@ let create ?(seed = 42) ?(batch_capacity = Sink.default_capacity)
     tally = Tally.create ();
     shadow = Shadow_stack.create ();
     sinks = [||];
-    attr_sinks = [||];
-    instr_sink = None;
-    event_sinks = [||];
-    record_sink = None;
+    observers = [||];
+    frame_hooks = [||];
+    ordered = false;
     recording = false;
     attributing = false;
     redzone_bytes = redzone_words * Layout.word;
@@ -277,7 +267,6 @@ let create ?(seed = 42) ?(batch_capacity = Sink.default_capacity)
     (* a fresh string: physically equal to no caller-supplied name *)
     memo_call_routine = String.init 1 (fun _ -> '\000');
     memo_call_addr = 0;
-    memo_call_obj = None;
     memo_obj_lo = Array.make 4 1;
     memo_obj_hi = Array.make 4 0;
     memo_obj_ids = Array.make 4 (-1);
@@ -302,9 +291,26 @@ let sampled_out t = t.sampled_out
 
 (* --- batched delivery --------------------------------------------------- *)
 
-let deliver_segment t first n =
-  if n > 0 then
-    Array.iter (fun s -> Sink.deliver s t.batch ~first ~n) t.sinks
+(* One observer's share of a flush: the slice, split at instruction
+   positions with each count delivered in between when the observer takes
+   [on_instr] (the codec's rule), then the boundary instruction tail. *)
+let deliver_observer t o n ~instr_tail =
+  match o.on_instr with
+  | None -> if n > 0 then o.on_refs t.batch ~obj_ids:t.obj_ids ~first:0 ~n
+  | Some on_instr ->
+    let seg = ref 0 in
+    for i = 0 to n - 1 do
+      let k = t.instr_before.(i) in
+      if k > 0 then begin
+        if i > !seg then
+          o.on_refs t.batch ~obj_ids:t.obj_ids ~first:!seg ~n:(i - !seg);
+        on_instr k;
+        seg := i
+      end
+    done;
+    if n > !seg then
+      o.on_refs t.batch ~obj_ids:t.obj_ids ~first:!seg ~n:(n - !seg);
+    if instr_tail > 0 then on_instr instr_tail
 
 let flush_batch t ~boundary =
   let n = t.batch_len in
@@ -316,40 +322,21 @@ let flush_batch t ~boundary =
     t.batches_out <- t.batches_out + 1;
     if boundary then t.boundary_flushes <- t.boundary_flushes + 1
     else t.capacity_flushes <- t.capacity_flushes + 1;
-    (match t.instr_sink with
-    | None -> deliver_segment t 0 n
-    | Some isink ->
-      (* interleave instruction counts back between the reference segments
-         they preceded, preserving program order for the consumer *)
-      let seg = ref 0 in
-      for i = 0 to n - 1 do
-        let k = t.instr_before.(i) in
-        if k > 0 then begin
-          deliver_segment t !seg (i - !seg);
-          isink k;
-          seg := i
-        end
-      done;
-      deliver_segment t !seg (n - !seg));
-    Array.iter (fun f -> f t.batch t.obj_ids ~first:0 ~n) t.attr_sinks
+    Array.iter (fun s -> Sink.deliver s t.batch ~first:0 ~n) t.sinks
   end;
-  if instr_tail > 0 then begin
-    (match t.instr_sink with Some isink -> isink instr_tail | None -> ());
-    t.pending_instr <- 0
-  end;
-  match t.record_sink with
-  | Some rs when n > 0 || instr_tail > 0 ->
-    rs t.batch ~obj_ids:t.obj_ids ~instr_before:t.instr_before ~instr_tail
-      ~first:0 ~n
-  | _ -> ()
+  if n > 0 || instr_tail > 0 then
+    Array.iter (fun o -> deliver_observer t o n ~instr_tail) t.observers;
+  if instr_tail > 0 then t.pending_instr <- 0
 
 let flush_refs t = flush_batch t ~boundary:true
 
-let recompute_recording t =
-  t.attributing <-
-    Array.length t.attr_sinks > 0
-    || t.instr_sink <> None
-    || t.record_sink <> None;
+let recompute_flags t =
+  t.ordered <-
+    Array.length t.frame_hooks > 0
+    || Array.exists
+         (fun o -> o.on_objects <> None || o.on_persist <> None)
+         t.observers;
+  t.attributing <- Array.length t.observers > 0;
   t.recording <- t.attributing || Array.length t.sinks > 0
 
 (* Subscription flushes buffered references first: references emitted
@@ -359,50 +346,40 @@ let recompute_recording t =
 let add_sink t sink =
   flush_refs t;
   t.sinks <- Array.append t.sinks [| sink |];
-  recompute_recording t
+  recompute_flags t
 
-let add_attributed_sink t f =
+let observe t ?on_objects ?on_phase ?on_instr ?on_persist ~on_refs () =
   flush_refs t;
-  t.attr_sinks <- Array.append t.attr_sinks [| f |];
-  recompute_recording t
+  t.observers <-
+    Array.append t.observers
+      [| { on_objects; on_phase; on_instr; on_persist; on_refs } |];
+  recompute_flags t
 
-let set_instr_sink t sink =
+let add_frame_hook t f =
   flush_refs t;
-  t.instr_sink <- Some sink;
-  recompute_recording t
-
-let add_event_sink t f =
-  flush_refs t;
-  t.event_sinks <- Array.append t.event_sinks [| f |]
-
-let set_record_sink t f =
-  flush_refs t;
-  t.record_sink <- Some f;
-  recompute_recording t
+  t.frame_hooks <- Array.append t.frame_hooks [| f |];
+  recompute_flags t
 
 let redzone_bytes t = t.redzone_bytes
 
-(* Flush buffered references before a registry/stack mutation when a
-   lifecycle observer is installed: the buffered refs were emitted under
+(* Flush buffered references before a registry/stack mutation or a persist
+   action when someone observes it: the buffered refs were emitted under
    the pre-mutation state and must be delivered under it. *)
-let pre_mutate t =
-  if Array.length t.event_sinks > 0 then flush_batch t ~boundary:true
+let pre_mutate t = if t.ordered then flush_batch t ~boundary:true
 
-let notify t ev =
-  let sinks = t.event_sinks in
-  for i = 0 to Array.length sinks - 1 do
-    (Array.unsafe_get sinks i) ev
-  done
+let notify_frame t ev = Array.iter (fun f -> f ev) t.frame_hooks
+
+let notify_object t obj =
+  Array.iter
+    (fun o -> match o.on_objects with Some f -> f [ obj ] | None -> ())
+    t.observers
 
 let clear_sinks t =
   flush_refs t;
   t.sinks <- [||];
-  t.attr_sinks <- [||];
-  t.instr_sink <- None;
-  t.event_sinks <- [||];
-  t.record_sink <- None;
-  t.recording <- false;
-  t.attributing <- false
+  t.observers <- [||];
+  t.frame_hooks <- [||];
+  recompute_flags t
 
 let release t =
   flush_refs t;
@@ -437,7 +414,9 @@ let set_phase t phase =
   flush_batch t ~boundary:true;
   t.phase <- phase;
   Counters.set_iteration t.counters iter;
-  notify t (Phase_change phase)
+  Array.iter
+    (fun o -> match o.on_phase with Some f -> f phase | None -> ())
+    t.observers
 
 let phase t = t.phase
 
@@ -468,7 +447,7 @@ let alloc_global t ~name ~words =
       ~alloc_phase:t.phase ()
   in
   let obj = Object_registry.register t.registry obj in
-  notify t (Alloc obj);
+  notify_object t obj;
   obj
 
 let alloc_global_overlay t ~name ~over ~offset_words ~words =
@@ -487,7 +466,7 @@ let alloc_global_overlay t ~name ~over ~offset_words ~words =
       ~alloc_phase:t.phase ()
   in
   let obj = Object_registry.register t.registry obj in
-  notify t (Alloc obj);
+  notify_object t obj;
   obj
 
 let callstack_names t =
@@ -505,7 +484,7 @@ let alloc_heap t ~site ~words =
     (* Same allocation-site signature, previously freed: the paper treats
        this as the same memory object re-appearing. *)
     Object_registry.revive t.registry obj;
-    notify t (Alloc obj);
+    notify_object t obj;
     obj
   | Some _ ->
     (* A live object already carries this signature: distinguish the
@@ -526,7 +505,7 @@ let alloc_heap t ~site ~words =
         ~alloc_phase:t.phase ()
     in
     let obj = Object_registry.register t.registry obj in
-    notify t (Alloc obj);
+    notify_object t obj;
     obj
   | None ->
     let base = t.heap_brk in
@@ -538,7 +517,7 @@ let alloc_heap t ~site ~words =
         ~alloc_phase:t.phase ()
     in
     let obj = Object_registry.register t.registry obj in
-    notify t (Alloc obj);
+    notify_object t obj;
     obj
 
 let free_heap t obj =
@@ -546,8 +525,7 @@ let free_heap t obj =
     invalid_arg "Ctx.free_heap: not a heap object";
   pre_mutate t;
   invalidate_obj_memo t;
-  Object_registry.deallocate t.registry obj;
-  notify t (Free obj)
+  Object_registry.deallocate t.registry obj
 
 (* --- routines --------------------------------------------------------- *)
 
@@ -569,36 +547,26 @@ let call t ~routine ~frame_words f =
   let shadow_frame =
     Shadow_stack.push t.shadow ~routine ~routine_addr:addr ~frame_size
   in
-  let obj =
-    if memo_hit then t.memo_call_obj
-    else begin
-      (* Register the routine's frame object on first entry, keyed by the
-         routine starting address (the paper's routine signature). *)
+  if not memo_hit then begin
+    (* Register the routine's frame object on first entry, keyed by the
+       routine starting address (the paper's routine signature). *)
+    if not (Hashtbl.mem t.routine_objects addr) then begin
+      let base = shadow_frame.Shadow_stack.base_sp - frame_size in
       let obj =
-        match Hashtbl.find_opt t.routine_objects addr with
-        | Some obj -> obj
-        | None ->
-          let base = shadow_frame.Shadow_stack.base_sp - frame_size in
-          let obj =
-            Mem_object.make ~id:(fresh_id t) ~name:routine ~kind:Layout.Stack
-              ~base
-              ~size:(Stdlib.max frame_size Layout.word)
-              ~signature:(Printf.sprintf "stack:%s@0x%x" routine addr)
-              ~alloc_phase:t.phase ()
-          in
-          Hashtbl.add t.routine_objects addr obj;
-          obj
+        Mem_object.make ~id:(fresh_id t) ~name:routine ~kind:Layout.Stack
+          ~base
+          ~size:(Stdlib.max frame_size Layout.word)
+          ~signature:(Printf.sprintf "stack:%s@0x%x" routine addr)
+          ~alloc_phase:t.phase ()
       in
-      t.memo_call_routine <- routine;
-      t.memo_call_addr <- addr;
-      t.memo_call_obj <- Some obj;
-      Some obj
-    end
-  in
-  (if Array.length t.event_sinks > 0 then
-     match obj with
-     | Some obj -> notify t (Frame_push (obj, shadow_frame))
-     | None -> assert false);
+      Hashtbl.add t.routine_objects addr obj;
+      notify_object t obj
+    end;
+    t.memo_call_routine <- routine;
+    t.memo_call_addr <- addr
+  end;
+  if Array.length t.frame_hooks > 0 then
+    notify_frame t (Frame_push shadow_frame);
   let frame =
     {
       routine;
@@ -611,12 +579,14 @@ let call t ~routine ~frame_words f =
   | r ->
     pre_mutate t;
     Shadow_stack.pop t.shadow;
-    if Array.length t.event_sinks > 0 then notify t (Frame_pop shadow_frame);
+    if Array.length t.frame_hooks > 0 then
+      notify_frame t (Frame_pop shadow_frame);
     r
   | exception e ->
     pre_mutate t;
     Shadow_stack.pop t.shadow;
-    if Array.length t.event_sinks > 0 then notify t (Frame_pop shadow_frame);
+    if Array.length t.frame_hooks > 0 then
+      notify_frame t (Frame_pop shadow_frame);
     raise e
 
 let frame_carve _t frame ~words =
@@ -763,20 +733,22 @@ let[@inline] write_addr t ~addr = emit t addr Access.Write
 
 let flops t n =
   if n < 0 then invalid_arg "Ctx.flops: negative";
-  if t.instr_sink <> None || t.record_sink <> None then
-    t.pending_instr <- t.pending_instr + n
+  if t.attributing then t.pending_instr <- t.pending_instr + n
 
 (* --- persistence (NVSC-Persist) ---------------------------------------- *)
 
 (* Persist primitives are events, not memory references: they never enter
    the emission batch, so annotating an application changes no analysis
-   built on the reference stream.  Each one flushes buffered references
-   first (pre_mutate), giving observers a strict happens-before order
-   between stores and the flush/fence/epoch actions that persist them. *)
+   built on the reference stream.  While observed, each one flushes
+   buffered references first (pre_mutate), giving observers a strict
+   happens-before order between stores and the flush/fence/epoch actions
+   that persist them. *)
 
 let persist_event t ev =
   pre_mutate t;
-  notify t (Persist ev)
+  Array.iter
+    (fun o -> match o.on_persist with Some f -> f ev | None -> ())
+    t.observers
 
 let persist t obj =
   persist_event t (Persist_ev.Declare { obj_id = obj.Mem_object.id })

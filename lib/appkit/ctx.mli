@@ -9,9 +9,9 @@
     global references through the bucketed object registry.
 
     References do not leave the context one at a time: they accumulate in a
-    flat {!Nvsc_memtrace.Sink.Batch.t} and are delivered to the subscribed
-    sinks a batch at a time — when the batch fills, or at a phase boundary
-    (the paper's §III-D batching of raw references).  Attribution and the
+    flat {!Nvsc_memtrace.Sink.Batch.t} and are delivered to the subscribers
+    a batch at a time — when the batch fills, or at a phase boundary (the
+    paper's §III-D batching of raw references).  Attribution and the
     per-object counters still happen at emission time, and the fast stack
     tallies are derived from the counters, so analysis results are
     independent of the batch capacity. *)
@@ -27,77 +27,77 @@ val create : ?seed:int -> ?batch_capacity:int -> ?redzone_words:int -> unit -> t
     instead of silently attributing to the next object — the ASan redzone
     idea, used by the NVSC-San trace sanitizer. *)
 
-(** {1 Sinks} *)
+(** {1 Subscribing to the reference stream}
+
+    Three kinds of subscriber: a plain {!Nvsc_memtrace.Sink.t} (the cache
+    hierarchy), an {!observe}r — the stream a recorded trace holds, with
+    the callbacks {!Nvsc_memtrace.Trace_codec.stream} takes — and a
+    {!add_frame_hook} for the shadow-stack structure a trace does not
+    record. *)
 
 val add_sink : t -> Nvsc_memtrace.Sink.t -> unit
-(** Subscribe a sink to the reference stream.  Batches are delivered in
-    subscription order; within a batch references are in program order and
-    were all emitted under the same phase. *)
+(** Subscribe a sink to the reference stream.  Batches are delivered
+    whole, in subscription order; within a batch references are in program
+    order and were all emitted under the same phase. *)
 
-type attributed_sink =
-  Nvsc_memtrace.Sink.Batch.t -> int array -> first:int -> n:int -> unit
-(** A batch consumer that also receives the emission-time attribution:
-    the second argument maps batch index [i] to the owning object's id, or
-    [-1] when the reference resolved to no object. *)
-
-val add_attributed_sink : t -> attributed_sink -> unit
-
-val set_instr_sink : t -> (int -> unit) -> unit
-(** Receive non-memory committed-instruction counts (from {!flops}).
-    Counts are buffered alongside the reference batch and replayed in
-    program order at flush time. *)
-
-type record_sink =
-  Nvsc_memtrace.Sink.Batch.t ->
-  obj_ids:int array ->
-  instr_before:int array ->
-  instr_tail:int ->
-  first:int ->
-  n:int ->
+val observe :
+  t ->
+  ?on_objects:(Nvsc_memtrace.Mem_object.t list -> unit) ->
+  ?on_phase:(Nvsc_memtrace.Mem_object.phase -> unit) ->
+  ?on_instr:(int -> unit) ->
+  ?on_persist:(Nvsc_memtrace.Persist.t -> unit) ->
+  on_refs:Nvsc_memtrace.Trace_codec.on_refs ->
+  unit ->
   unit
-(** The raw emission stream, losslessly: each flushed slice with its
-    emission-time attribution ([obj_ids.(i)], [-1] = unattributed), the
-    committed plain instructions preceding each reference
-    ([instr_before.(i)], counted since reference [i-1]), and — on a
-    boundary flush — the instruction tail committed after the last
-    buffered reference.  [n] may be [0] when only a tail is delivered.
-    This is what [nvscav record] serializes: replaying it token by token
-    reproduces every analysis exactly, independent of batch capacity. *)
+(** Subscribe an observer to the run's stream — what a recording of the
+    run holds, delivered in program order through the callbacks (and
+    labels) of {!Nvsc_memtrace.Trace_codec.stream}:
 
-val set_record_sink : t -> record_sink -> unit
-(** Install the (single) raw-stream recorder.  Flushes buffered
-    references first.  Installing a recorder makes {!flops} counts
-    accumulate even without an instruction sink. *)
+    - [on_objects]: each global or heap object as it is registered (a
+      merged common block as the union object) or revived, and each
+      routine's frame object when the routine is first entered (one
+      object per [on_objects] call);
+    - [on_phase]: each phase change, after the references emitted before
+      it are delivered;
+    - [on_instr]: committed plain-instruction counts ({!flops}), in
+      program order between the slices, including the tail committed
+      after the last buffered reference, delivered at a boundary flush;
+    - [on_persist]: each persist action ({!section-persist});
+    - [on_refs]: batch slices with their emission-time attribution
+      ([obj_ids.(i)] owns reference [i], [-1] = unattributed).  A slice
+      is split at instruction positions only when the observer takes
+      [on_instr].
 
-(** Object/stack lifecycle events, as seen by an {!add_event_sink}
-    observer.  Events are delivered in program order, interleaved with
-    attributed batches: the batch is flushed {e before} the mutation the
-    event describes, so an attributed sink always sees each reference under
-    the registry/stack state it was emitted in — regardless of batch
-    capacity. *)
+    Flushes buffered references first.  While some observer takes
+    [on_objects] or [on_persist], every registry/stack mutation and
+    persist action flushes the emission batch before it applies, so each
+    reference is delivered under the object/stack state it was emitted in
+    — regardless of batch capacity.  Several observers may coexist; each
+    callback kind is delivered in subscription order.  Consumers must not
+    retain the batch across callbacks. *)
+
+(** Shadow-stack events, as seen by an {!add_frame_hook}.  Delivered in
+    program order: the emission batch is flushed {e before} the push or
+    pop, so observers see each reference under the stack it was emitted
+    under. *)
 type event =
-  | Alloc of Nvsc_memtrace.Mem_object.t
-      (** Registration (or revival) of a global or heap object. *)
-  | Free of Nvsc_memtrace.Mem_object.t
-  | Frame_push of Nvsc_memtrace.Mem_object.t * Nvsc_memtrace.Shadow_stack.frame
-      (** Routine entry: the routine's frame object and the concrete
-          shadow frame pushed for this call. *)
+  | Frame_push of Nvsc_memtrace.Shadow_stack.frame
+      (** Routine entry: the concrete shadow frame pushed for this call
+          (the routine's frame object reaches observers through
+          [on_objects]). *)
   | Frame_pop of Nvsc_memtrace.Shadow_stack.frame
-  | Phase_change of Nvsc_memtrace.Mem_object.phase
-  | Persist of Nvsc_memtrace.Persist.t
-      (** A crash-consistency action (see {!section-persist}). *)
 
-val add_event_sink : t -> (event -> unit) -> unit
-(** Subscribe a lifecycle observer (several may coexist; events are
-    delivered in subscription order).  Flushes buffered references first.
-    While any observer is installed, allocation/free/call/phase/persist
-    mutations flush the emission batch before they apply (see {!event}). *)
+val add_frame_hook : t -> (event -> unit) -> unit
+(** Subscribe a frame observer (several may coexist; delivered in
+    subscription order).  Flushes buffered references first.  While any
+    hook is installed, registry/stack mutations and persist actions flush
+    the emission batch before they apply, as for {!observe}. *)
 
 val redzone_bytes : t -> int
 
 val clear_sinks : t -> unit
-(** Flushes buffered references, then unsubscribes every sink (including
-    the event sink). *)
+(** Flushes buffered references, then unsubscribes every sink, observer
+    and frame hook. *)
 
 val release : t -> unit
 (** Flush, then return the ~2 MB emission buffers to a per-domain pool for
@@ -108,13 +108,13 @@ val release : t -> unit
 
 val flush_refs : t -> unit
 (** Deliver any buffered references (and pending instruction counts) to the
-    sinks now.  Called implicitly at phase boundaries; call it before
+    subscribers now.  Called implicitly at phase boundaries; call it before
     reading sink-side state mid-phase. *)
 
 val set_sampling : t -> period:int -> sample_length:int -> unit
 (** Enable periodic sampling of the instrumentation itself: out of every
     [period] references, only the first [sample_length] are observed
-    (attributed, tallied and forwarded to sinks); the rest happen to the
+    (attributed, tallied and forwarded to subscribers); the rest happen to the
     application but are invisible to the analysis.  This is the §III-D
     design the paper rejects — provided so the rejection can be measured
     (see {!Nvsc_core.Extensions.sampling_ablation}). *)
@@ -127,8 +127,8 @@ val sampled_out : t -> int
 val set_phase : t -> Nvsc_memtrace.Mem_object.phase -> unit
 (** [Pre] and [Post] are charged to iteration 0 (as in the paper's
     figure 7); [Main i] (1-based) to iteration [i].  Buffered references
-    are flushed {e before} the phase changes, so phase-sensitive sinks
-    always see a reference under the phase it was emitted in. *)
+    are flushed {e before} the phase changes, so phase-sensitive
+    subscribers always see a reference under the phase it was emitted in. *)
 
 val phase : t -> Nvsc_memtrace.Mem_object.phase
 
@@ -190,11 +190,12 @@ val flops : t -> int -> unit
 
     Crash-consistency annotations for applications whose state is meant to
     live in byte-addressable NVM.  The primitives are {e events}, not
-    memory references: they ride the event-sink path (and the NVT trace as
-    v2 records), so annotating an application changes no reference-stream
-    analysis.  Each primitive flushes buffered references first, giving
-    observers a strict happens-before order between the stores and the
-    flush/fence/epoch actions that persist them.
+    memory references: they reach observers through [on_persist] (and the
+    NVT trace as v2 records), so annotating an application changes no
+    reference-stream analysis.  While observed, each primitive flushes
+    buffered references first, giving observers a strict happens-before
+    order between the stores and the flush/fence/epoch actions that
+    persist them.
 
     Typical checkpoint annotation ([obj] the state object, declared once
     at setup, the epoch once per main-loop iteration):

@@ -12,17 +12,20 @@ type config = { scale : float; iterations : int; perf_scale : float }
 let default_config = { scale = 1.0; iterations = 10; perf_scale = 0.5 }
 let quick_config = { scale = 0.25; iterations = 4; perf_scale = 0.25 }
 
+let perf_feed model subscribe =
+  let in_main = ref false in
+  subscribe
+    ~on_phase:(fun p ->
+      in_main := match p with Mem_object.Main _ -> true | _ -> false)
+    ~on_instr:(fun n ->
+      if !in_main then Nvsc_cpusim.Perf_model.instructions model n)
+    ~on_refs:(fun batch ~obj_ids:_ ~first ~n ->
+      if !in_main then Nvsc_cpusim.Perf_model.consume model batch ~first ~n)
+
 let perf_replay ?(scale = 0.5) (module A : Nvsc_apps.Workload.APP) model =
   let ctx = Ctx.create () in
-  Ctx.add_sink ctx
-    (Nvsc_memtrace.Sink.create ~name:"perf-model" (fun b ~first ~n ->
-         match Ctx.phase ctx with
-         | Mem_object.Main _ -> Nvsc_cpusim.Perf_model.consume model b ~first ~n
-         | Mem_object.Pre | Mem_object.Post -> ()));
-  Ctx.set_instr_sink ctx (fun n ->
-      match Ctx.phase ctx with
-      | Mem_object.Main _ -> Nvsc_cpusim.Perf_model.instructions model n
-      | Mem_object.Pre | Mem_object.Post -> ());
+  perf_feed model (fun ~on_phase ~on_instr ~on_refs ->
+      Ctx.observe ctx ~on_phase ~on_instr ~on_refs ());
   (* the paper simulates a single main-loop iteration (§VII-E) *)
   A.run ~scale ctx ~iterations:1;
   Ctx.flush_refs ctx

@@ -22,14 +22,28 @@ val default_config : config
 val quick_config : config
 (** Reduced sizes for fast test runs. *)
 
+val perf_feed :
+  Nvsc_cpusim.Perf_model.t ->
+  (on_phase:(Nvsc_memtrace.Mem_object.phase -> unit) ->
+  on_instr:(int -> unit) ->
+  on_refs:Nvsc_memtrace.Trace_codec.on_refs ->
+  'a) ->
+  'a
+(** Figure 12's feed: [perf_feed model subscribe] hands [subscribe] the
+    callbacks that pass a reference stream's main-loop references and
+    instruction counts to [model].  The labels are those of
+    {!Nvsc_appkit.Ctx.observe} and {!Nvsc_memtrace.Trace_codec.stream},
+    so a live run ({!perf_replay}) and a trace
+    ({!Trace_run.perf_replay}) feed the model through the same
+    callbacks. *)
+
 val perf_replay :
   ?scale:float ->
   (module Nvsc_apps.Workload.APP) ->
   Nvsc_cpusim.Perf_model.t ->
   unit
 (** Drive one main-loop iteration of the application into a performance
-    model (main-loop references and instruction counts only) — the replay
-    closure behind figure 12. *)
+    model through {!perf_feed} — the replay closure behind figure 12. *)
 
 (** {1 Data forms} *)
 

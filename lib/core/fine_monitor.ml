@@ -41,9 +41,9 @@ let attach ctx ~window_refs ~on_window =
       seen = 0;
     }
   in
-  (* Attributed batches carry the emission-time object ids, so the monitor
+  (* Observed slices carry the emission-time object ids, so the monitor
      needs no address re-resolution at delivery time. *)
-  Ctx.add_attributed_sink ctx (fun batch obj_ids ~first ~n ->
+  Ctx.observe ctx ~on_refs:(fun batch ~obj_ids ~first ~n ->
       for i = first to first + n - 1 do
         t.seen <- t.seen + 1;
         let id = obj_ids.(i) in
@@ -60,7 +60,8 @@ let attach ctx ~window_refs ~on_window =
         end;
         t.in_window <- t.in_window + 1;
         if t.in_window >= t.window_refs then deliver t
-      done);
+      done)
+    ();
   t
 
 let flush t =

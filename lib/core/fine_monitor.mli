@@ -20,10 +20,11 @@ val attach :
   window_refs:int ->
   on_window:(window_counts -> unit) ->
   t
-(** Register the monitor as an attributed batch sink on the context:
-    window counts use the emission-time attribution carried alongside each
-    batch.  [on_window] fires each time [window_refs] references have been
-    observed (and once more for a final partial window via {!flush}). *)
+(** Register the monitor as an {!Nvsc_appkit.Ctx.observe}r taking
+    [on_refs] only: window counts use the emission-time attribution
+    carried alongside each slice.  [on_window] fires each time
+    [window_refs] references have been observed (and once more for a
+    final partial window via {!flush}). *)
 
 val flush : t -> unit
 (** Flush the context's buffered references, then deliver the current

@@ -28,8 +28,8 @@ let record ?batch_capacity ?chunk_capacity ~scale ~iterations ~path
         | None -> Sink.default_capacity);
     }
   in
-  (* descriptors by id, filled from lifecycle events, so the writer can
-     snapshot an object into the chunk that first references it *)
+  (* descriptors by id, filled as objects are registered, so the writer
+     can snapshot an object into the chunk that first references it *)
   let objs : (int, Mem_object.t) Hashtbl.t = Hashtbl.create 256 in
   let w =
     Trace_codec.Writer.create ?chunk_capacity
@@ -37,30 +37,14 @@ let record ?batch_capacity ?chunk_capacity ~scale ~iterations ~path
       ~path ~meta ()
   in
   match
-    Ctx.add_event_sink ctx (function
-      | Ctx.Alloc o | Ctx.Frame_push (o, _) ->
-        Hashtbl.replace objs o.Mem_object.id o
-      | Ctx.Free _ | Ctx.Frame_pop _ -> ()
-      | Ctx.Phase_change p -> Trace_codec.Writer.add_phase w p
-      | Ctx.Persist p -> Trace_codec.Writer.add_persist w p);
-    Ctx.set_record_sink ctx
-      (fun batch ~obj_ids ~instr_before ~instr_tail ~first ~n ->
-        Sink.Batch.check_slice batch ~first ~n;
-        let addrs = Sink.Batch.addrs batch
-        and sizes = Sink.Batch.sizes batch
-        and ops = Sink.Batch.ops batch in
-        for i = first to first + n - 1 do
-          let k = instr_before.(i) in
-          if k > 0 then Trace_codec.Writer.add_instr w k;
-          Trace_codec.Writer.add_ref w
-            ~addr:(Bigarray.Array1.unsafe_get addrs i)
-            ~size:(Bigarray.Array1.unsafe_get sizes i)
-            ~op:
-              (if Bigarray.Array1.unsafe_get ops i <> '\000' then Access.Write
-               else Access.Read)
-            ~obj_id:obj_ids.(i)
-        done;
-        if instr_tail > 0 then Trace_codec.Writer.add_instr w instr_tail);
+    Ctx.observe ctx
+      ~on_objects:
+        (List.iter (fun (o : Mem_object.t) -> Hashtbl.replace objs o.id o))
+      ~on_phase:(Trace_codec.Writer.add_phase w)
+      ~on_instr:(Trace_codec.Writer.add_instr w)
+      ~on_persist:(Trace_codec.Writer.add_persist w)
+      ~on_refs:(Trace_codec.Writer.add_batch w)
+      ();
     A.run ~scale ctx ~iterations;
     Ctx.flush_refs ctx
   with
@@ -159,15 +143,8 @@ let perf_replay path model =
   Span.with_ ~arg:path "trace.perf_replay" @@ fun () ->
   let r = Trace_codec.Reader.open_ path in
   Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
-  let in_main = ref false in
-  Trace_codec.stream r
-    ~on_phase:(fun p ->
-      in_main := match p with Mem_object.Main _ -> true | _ -> false)
-    ~on_instr:(fun n ->
-      if !in_main then Nvsc_cpusim.Perf_model.instructions model n)
-    ~on_refs:(fun batch ~obj_ids:_ ~first ~n ->
-      if !in_main then Nvsc_cpusim.Perf_model.consume model batch ~first ~n)
-    ()
+  Experiment.perf_feed model (fun ~on_phase ~on_instr ~on_refs ->
+      Trace_codec.stream r ~on_phase ~on_instr ~on_refs ())
 
 let info path =
   let r = Trace_codec.Reader.open_ path in

@@ -22,9 +22,13 @@ val record :
   (module Nvsc_apps.Workload.APP) ->
   Nvsc_memtrace.Trace_codec.summary
 (** Run the application at [scale] for [iterations] main-loop iterations,
-    writing its reference stream to [path].  [chunk_capacity] bounds
-    references per chunk (default {!Nvsc_memtrace.Sink.default_capacity});
-    recording is out-of-core — chunks hit the disk as they fill.  On any
+    writing its reference stream to [path]: the recorder is one
+    {!Nvsc_appkit.Ctx.observe} subscriber whose callbacks append to the
+    {!Nvsc_memtrace.Trace_codec.Writer}, so streaming the file back
+    delivers the callback sequence a live observer sees.
+    [chunk_capacity] bounds references per chunk (default
+    {!Nvsc_memtrace.Sink.default_capacity}); recording is out-of-core —
+    chunks hit the disk as they fill.  On any
     exception the partial file is left unreadable (no trailer) and the
     exception re-raised. *)
 
@@ -39,10 +43,11 @@ val replay : string -> Scavenger.result
 
 val perf_replay : string -> Nvsc_cpusim.Perf_model.t -> unit
 (** Feed the trace's main-loop references and instruction counts to a
-    performance model — the trace-driven counterpart of
-    {!Experiment.perf_replay}, for {!Nvsc_cpusim.Sensitivity.run}'s
-    [~replay].  Byte-identical to live perf reports when the trace was
-    recorded with [iterations = 1] at the perf scale. *)
+    performance model through {!Experiment.perf_feed} — the trace-driven
+    counterpart of {!Experiment.perf_replay}, for
+    {!Nvsc_cpusim.Sensitivity.run}'s [~replay].  Byte-identical to live
+    perf reports when the trace was recorded with [iterations = 1] at the
+    perf scale. *)
 
 val info : string -> Nvsc_memtrace.Trace_codec.meta * string
 (** Header/trailer-only peek: the trace's recording metadata and content

@@ -265,6 +265,8 @@ let psub_flush = 2
 let psub_fence = 3
 let psub_declare = 4
 
+type on_refs = Sink.Batch.t -> obj_ids:int array -> first:int -> n:int -> unit
+
 (* --- writer ------------------------------------------------------------- *)
 
 module Writer = struct
@@ -398,12 +400,22 @@ module Writer = struct
     else w.t_reads <- w.t_reads + 1;
     if w.chunk_refs >= w.chunk_capacity then seal_chunk w
 
-  let add_batch w ?obj_ids batch ~first ~n =
+  let add_batch w batch ~obj_ids ~first ~n =
     Sink.Batch.check_slice batch ~first ~n;
+    if first + n > Array.length obj_ids then
+      invalid_arg "Trace_codec.Writer.add_batch: obj_ids";
+    (* the slice is checked: read the hoisted planes unchecked *)
+    let addrs = Sink.Batch.addrs batch
+    and sizes = Sink.Batch.sizes batch
+    and ops = Sink.Batch.ops batch in
     for i = first to first + n - 1 do
-      let obj_id = match obj_ids with Some a -> a.(i) | None -> -1 in
-      add_ref w ~addr:(Sink.Batch.addr batch i) ~size:(Sink.Batch.size batch i)
-        ~op:(Sink.Batch.op batch i) ~obj_id
+      add_ref w
+        ~addr:(Bigarray.Array1.unsafe_get addrs i)
+        ~size:(Bigarray.Array1.unsafe_get sizes i)
+        ~op:
+          (if Bigarray.Array1.unsafe_get ops i <> '\000' then Access.Write
+           else Access.Read)
+        ~obj_id:(Array.unsafe_get obj_ids i)
     done
 
   let add_instr w n =

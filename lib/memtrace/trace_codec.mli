@@ -89,6 +89,12 @@ type summary = {
   digest : string;  (** whole-trace digest, hex *)
 }
 
+type on_refs = Sink.Batch.t -> obj_ids:int array -> first:int -> n:int -> unit
+(** A consumer of attributed reference slices, as {!stream} and the live
+    instrumentation context deliver them: [obj_ids.(i)] is the emission-time
+    object id of reference [i] ([-1] = unattributed).  The batch must not be
+    retained across calls. *)
+
 (** Streaming writer: references, instruction counts and phase markers
     append in program order; chunks seal and hit the disk every
     [chunk_capacity] references, so recording is out-of-core — memory use
@@ -119,9 +125,8 @@ module Writer : sig
       ints, and the writer keeps one byte per id up to the largest it has
       seen.  Allocates nothing on the heap per reference. *)
 
-  val add_batch :
-    t -> ?obj_ids:int array -> Sink.Batch.t -> first:int -> n:int -> unit
-  (** Append a batch slice ([obj_ids] defaults to all-unattributed). *)
+  val add_batch : t -> on_refs
+  (** Append a batch slice with its attribution. *)
 
   val add_instr : t -> int -> unit
   (** Append a committed plain-instruction count (positive). *)
@@ -189,7 +194,7 @@ val stream :
   ?on_instr:(int -> unit) ->
   ?on_persist:(Persist.t -> unit) ->
   ?on_chunk:(int -> unit) ->
-  on_refs:(Sink.Batch.t -> obj_ids:int array -> first:int -> n:int -> unit) ->
+  on_refs:on_refs ->
   unit ->
   unit
 (** Decode the trace in program order, one chunk at a time: each chunk's

@@ -44,14 +44,14 @@ type t = {
   mutable refs_seen : int;
   mutable boundaries : int;  (* epoch begin/commit events seen *)
   stats : stats;
-  get_phase : unit -> Mem_object.phase;
+  mutable phase : Mem_object.phase;  (* the stream's, from [on_phase] *)
   get_source : t -> Diagnostic.source option;  (* replay position stamp *)
   mutable finished : bool;
 }
 
 let add t ?severity klass ~owner ~detail =
   Diagnostic.Collector.add t.collector ?severity
-    ~occurrence:{ Diagnostic.phase = t.get_phase (); index = t.refs_seen }
+    ~occurrence:{ Diagnostic.phase = t.phase; index = t.refs_seen }
     ?source:(t.get_source t) klass ~owner ~detail
 
 let lines_of t size = (size + t.line_bytes - 1) lsr t.line_shift
@@ -227,13 +227,13 @@ let on_persist t (ev : Persist.t) =
   | Persist.Epoch_commit { label; checkpoint } ->
     note_epoch_commit t ~label ~checkpoint
 
-let on_batch t batch (ids : int array) ~first ~n =
+let on_batch t batch ~(obj_ids : int array) ~first ~n =
   let refs0 = t.refs_seen in
   let by_id = t.by_id in
   let cap = Array.length by_id in
   for i = first to first + n - 1 do
     if Sink.Batch.is_write batch i then begin
-      let id = ids.(i) in
+      let id = obj_ids.(i) in
       if id >= 0 && id < cap then
         match Array.unsafe_get by_id id with
         | None -> ()
@@ -248,7 +248,7 @@ let on_batch t batch (ids : int array) ~first ~n =
 
 (* --- shared construction ------------------------------------------------ *)
 
-let make ?(line_bytes = default_line_bytes) ~get_phase ~get_source () =
+let make ?(line_bytes = default_line_bytes) ~phase ~get_source () =
   if line_bytes <= 0 || line_bytes land (line_bytes - 1) <> 0 then
     invalid_arg "Persist_check: line_bytes must be a positive power of two";
   let line_shift =
@@ -267,7 +267,7 @@ let make ?(line_bytes = default_line_bytes) ~get_phase ~get_source () =
     refs_seen = 0;
     boundaries = 0;
     stats = zero_stats ();
-    get_phase;
+    phase;
     get_source;
     finished = false;
   }
@@ -321,36 +321,35 @@ let stats t = t.stats
 let refs_checked t = t.refs_seen
 let epoch_boundaries t = t.boundaries
 
-(* --- live attachment ---------------------------------------------------- *)
+(* --- the one callback set ------------------------------------------------ *)
+
+(* The checker's subscription, with the labels of [Ctx.observe] and
+   [Trace_codec.stream], so a live run and a trace feed it alike. *)
+let subscribe t observe =
+  observe
+    ~on_objects:
+      (List.iter (fun (o : Mem_object.t) -> Hashtbl.replace t.known o.id o))
+    ~on_phase:(fun p -> t.phase <- p)
+    ~on_persist:(on_persist t)
+    ~on_refs:(on_batch t)
 
 let attach ?line_bytes ctx =
   let t =
-    make ?line_bytes
-      ~get_phase:(fun () -> Ctx.phase ctx)
-      ~get_source:(fun _ -> None)
-      ()
+    make ?line_bytes ~phase:(Ctx.phase ctx) ~get_source:(fun _ -> None) ()
   in
   List.iter
     (fun (o : Mem_object.t) -> Hashtbl.replace t.known o.id o)
-    (Object_registry.objects (Ctx.registry ctx));
-  Ctx.add_event_sink ctx (fun ev ->
-      match ev with
-      | Ctx.Alloc o | Ctx.Frame_push (o, _) ->
-        Hashtbl.replace t.known o.Mem_object.id o
-      | Ctx.Free _ | Ctx.Frame_pop _ | Ctx.Phase_change _ -> ()
-      | Ctx.Persist p -> on_persist t p);
-  Ctx.add_attributed_sink ctx (fun batch ids ~first ~n ->
-      on_batch t batch ids ~first ~n);
+    (Object_registry.objects (Ctx.registry ctx) @ Ctx.stack_objects ctx);
+  subscribe t (fun ~on_objects ~on_phase ~on_persist ~on_refs ->
+      Ctx.observe ctx ~on_objects ~on_phase ~on_persist ~on_refs ());
   t
 
-(* --- trace replay ------------------------------------------------------- *)
-
-let replay_reader ?line_bytes ?at_boundary ~path r =
-  let phase = ref Mem_object.Pre in
+let replay ?line_bytes ?at_boundary path =
+  let r = Trace_codec.Reader.open_ path in
+  Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
   let chunk = ref 0 in
   let t =
-    make ?line_bytes
-      ~get_phase:(fun () -> !phase)
+    make ?line_bytes ~phase:Mem_object.Pre
       ~get_source:(fun t ->
         Some { Diagnostic.file = path; chunk = !chunk; record = t.refs_seen })
       ()
@@ -358,24 +357,18 @@ let replay_reader ?line_bytes ?at_boundary ~path r =
   List.iter
     (fun (o : Mem_object.t) -> Hashtbl.replace t.known o.id o)
     (Trace_codec.Reader.objects r @ Trace_codec.Reader.stack_objects r);
-  Trace_codec.stream r
-    ~on_phase:(fun p -> phase := p)
-    ~on_chunk:(fun k -> chunk := k)
-    ~on_persist:(fun ev ->
-      let k = t.boundaries in
-      on_persist t ev;
-      (* the checker is online: a crash just after boundary [k] would see
-         exactly the findings so far, with no end-of-run checks *)
-      match at_boundary with
-      | Some f when t.boundaries > k ->
-        f k (Diagnostic.Collector.report t.collector)
-      | _ -> ())
-    ~on_refs:(fun batch ~obj_ids ~first ~n ->
-      on_batch t batch obj_ids ~first ~n)
-    ();
+  (* the trailer's final tables above already hold every object *)
+  subscribe t (fun ~on_objects:_ ~on_phase ~on_persist ~on_refs ->
+      Trace_codec.stream r ~on_phase
+        ~on_chunk:(fun k -> chunk := k)
+        ~on_persist:(fun ev ->
+          let k = t.boundaries in
+          on_persist ev;
+          (* the checker is online: a crash just after boundary [k] would
+             see exactly the findings so far, with no end-of-run checks *)
+          match at_boundary with
+          | Some f when t.boundaries > k ->
+            f k (Diagnostic.Collector.report t.collector)
+          | _ -> ())
+        ~on_refs ());
   (finish t, t)
-
-let replay ?line_bytes ?at_boundary path =
-  let r = Trace_codec.Reader.open_ path in
-  Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
-  replay_reader ?line_bytes ?at_boundary ~path r

@@ -20,7 +20,10 @@
       only).
 
     The checker runs identically live (attached to a {!Nvsc_appkit.Ctx})
-    and over a recorded v2 [.nvt] trace; because persist events flush the
+    and over a recorded v2 [.nvt] trace: both register one callback set
+    (objects, phases, persist actions, attributed reference slices) with
+    {!Nvsc_appkit.Ctx.observe} or {!Nvsc_memtrace.Trace_codec.stream},
+    whose labels and types agree.  Because persist actions flush the
     emission batch before they apply, verdicts are invariant in the batch
     capacity and identical between the two modes.  Replayed findings are
     additionally stamped with a {!Diagnostic.source} trace position. *)
@@ -40,7 +43,7 @@ type stats = {
 }
 
 val attach : ?line_bytes:int -> Nvsc_appkit.Ctx.t -> t
-(** Subscribe the checker to the context (event sink + attributed sink).
+(** Subscribe the checker to the context with {!Nvsc_appkit.Ctx.observe}.
     Attach before running the application; call {!finish} after.
     [line_bytes] must be a positive power of two. *)
 

@@ -207,7 +207,7 @@ let check_unattributed t ~addr ~size ~is_write ~idx ~sp ~low_water =
 (* Batches arrive flushed-before-mutation (Ctx pre-mutation flush), so the
    shadow-stack state below is the state every reference in the slice was
    emitted under — at any batch capacity. *)
-let on_batch t batch (ids : int array) ~first ~n =
+let on_batch t batch ~(obj_ids : int array) ~first ~n =
   let shadow = Ctx.shadow t.ctx in
   let sp = Shadow_stack.sp shadow in
   let low_water = Shadow_stack.max_extent shadow in
@@ -217,7 +217,7 @@ let on_batch t batch (ids : int array) ~first ~n =
     let is_write = Sink.Batch.is_write batch i in
     let idx = t.refs_seen in
     t.refs_seen <- idx + 1;
-    let id = ids.(i) in
+    let id = obj_ids.(i) in
     if id >= 0 then check_attributed t ~addr ~size ~is_write ~id ~idx
     else check_unattributed t ~addr ~size ~is_write ~idx ~sp ~low_water
   done
@@ -242,17 +242,16 @@ let check_balance t boundary =
     t.reported_imbalance <- delta
   end
 
-let on_event t (ev : Ctx.event) =
+let on_objects t =
+  List.iter (fun (o : Mem_object.t) ->
+      Hashtbl.replace t.objs o.id o;
+      t.sorted_valid <- false;
+      if t.check_init && o.kind = Layout.Heap then
+        Hashtbl.replace t.init_maps o.id (Bytes.make o.size '\000'))
+
+let on_frame t (ev : Ctx.event) =
   match ev with
-  | Ctx.Alloc o ->
-    Hashtbl.replace t.objs o.id o;
-    t.sorted_valid <- false;
-    if t.check_init && o.kind = Layout.Heap then
-      Hashtbl.replace t.init_maps o.id (Bytes.make o.size '\000')
-  | Ctx.Free _ -> ()
-  | Ctx.Frame_push (obj, _frame) ->
-    Hashtbl.replace t.objs obj.Mem_object.id obj;
-    t.tracked_depth <- t.tracked_depth + 1
+  | Ctx.Frame_push _ -> t.tracked_depth <- t.tracked_depth + 1
   | Ctx.Frame_pop frame ->
     t.tracked_depth <- t.tracked_depth - 1;
     t.pop_stamp <- t.pop_stamp + 1;
@@ -260,8 +259,6 @@ let on_event t (ev : Ctx.event) =
       ( t.pop_stamp,
         frame.Shadow_stack.base_sp - frame.Shadow_stack.frame_size,
         frame.Shadow_stack.base_sp )
-  | Ctx.Phase_change phase -> check_balance t phase
-  | Ctx.Persist _ -> () (* Persist_check's concern *)
 
 (* --- teardown checks ---------------------------------------------------- *)
 
@@ -327,9 +324,9 @@ let attach ?(check_init = false) ctx =
       finished = false;
     }
   in
-  Ctx.add_event_sink ctx (on_event t);
-  Ctx.add_attributed_sink ctx (fun batch ids ~first ~n ->
-      on_batch t batch ids ~first ~n);
+  Ctx.add_frame_hook ctx (on_frame t);
+  Ctx.observe ctx ~on_objects:(on_objects t) ~on_phase:(check_balance t)
+    ~on_refs:(on_batch t) ();
   refresh t;
   t
 

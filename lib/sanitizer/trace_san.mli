@@ -2,10 +2,10 @@
     attributed reference stream.
 
     Attach it to a {!Nvsc_appkit.Ctx.t} {e before} running an application.
-    It subscribes an attributed sink (per-reference shadow checks) and the
-    context's lifecycle event sink (object allocation/free, frame
-    push/pop, phase changes), then validates every delivered reference
-    against the object/stack state it was emitted under:
+    It subscribes as an observer (attributed reference slices for the
+    per-reference shadow checks, object registrations, phase changes) and
+    as a frame hook (frame push/pop), then validates every delivered
+    reference against the object/stack state it was emitted under:
 
     - references attributed to a freed heap object ([use-after-free]);
     - references that start inside an object but run past its end
@@ -26,16 +26,15 @@
     teardown ([leak]).
 
     Because the context flushes its emission batch before every mutation
-    while an event sink is installed, the report is identical at any batch
+    while a frame hook is installed, the report is identical at any batch
     capacity. *)
 
 type t
 
 val attach : ?check_init:bool -> Nvsc_appkit.Ctx.t -> t
-(** Install the sanitizer on the context (uses the context's single event
-    sink slot).  [check_init] (default false) enables the per-byte
-    uninitialised-read tracking for heap objects allocated after
-    attachment. *)
+(** Install the sanitizer on the context.  [check_init] (default false)
+    enables the per-byte uninitialised-read tracking for heap objects
+    allocated after attachment. *)
 
 val refs_checked : t -> int
 

@@ -85,18 +85,23 @@ let run_specs ?jobs ?pool ?(cancelled = fun () -> false) ?cache ?trace
       groups;
     collect ?cache ~on_outcome specs found tickets
   in
-  let outcomes =
+  (* the domains the misses run on: at most one per group *)
+  let domains = max 1 (min jobs (List.length groups)) in
+  let outcomes, domains =
     match (pool, groups) with
     (* the daemon's resident pool: groups compare technologies serially,
        so pools never nest *)
-    | Some pool, _ -> run_groups ~width:1 pool
+    | Some pool, _ -> (run_groups ~width:1 pool, domains)
     (* a lone group runs on the caller with the whole width for its
-       technology comparison *)
-    | None, [ _ ] -> Nvsc_team.Pool.with_pool ~jobs:1 (run_groups ~width:jobs)
-    | None, groups ->
-      Nvsc_team.Pool.with_pool
-        ~jobs:(min jobs (List.length groups))
-        (run_groups ~width:1)
+       technology comparison, which only a power cell makes, over at most
+       one domain per technology *)
+    | None, [ group ] ->
+      ( Nvsc_team.Pool.with_pool ~jobs:1 (run_groups ~width:jobs),
+        if List.exists (fun (_, s) -> s.Cell.kind = Cell.Power) group then
+          min jobs (List.length Technology.paper_set)
+        else 1 )
+    | None, _ ->
+      (Nvsc_team.Pool.with_pool ~jobs:domains (run_groups ~width:1), domains)
   in
   let hits =
     Array.fold_left (fun acc o -> if o.cached then acc + 1 else acc) 0 outcomes
@@ -110,7 +115,7 @@ let run_specs ?jobs ?pool ?(cancelled = fun () -> false) ?cache ?trace
         (match cache with
         | Some c -> (Cache.stats c).evictions - evicted_before
         | None -> 0);
-      jobs = max 1 (min jobs (max 1 n));
+      jobs = domains;
     } )
 
 let run ?jobs ?cache ?trace matrix =

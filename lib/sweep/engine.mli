@@ -21,6 +21,8 @@ type stats = {
   misses : int;
   evictions : int;
   jobs : int;
+      (** domains the misses ran on: at most one per group, or, for a lone
+          group, one per technology its power cell compares (else 1) *)
 }
 
 val run :

@@ -147,20 +147,26 @@ let test_sink_stream () =
 let test_instr_sink () =
   let ctx = Ctx.create () in
   let n = ref 0 in
-  Ctx.set_instr_sink ctx (fun k -> n := !n + k);
+  Ctx.observe ctx ~on_instr:(fun k -> n := !n + k)
+    ~on_refs:(fun _ ~obj_ids:_ ~first:_ ~n:_ -> ())
+    ();
   Ctx.flops ctx 10;
   Ctx.flops ctx 5;
   Ctx.flush_refs ctx;
   Alcotest.(check int) "instructions forwarded" 15 !n
 
 let test_batched_delivery_program_order () =
-  (* instruction counts and references must reach the sinks in program
+  (* instruction counts and references must reach an observer in program
      order, with the batch boundaries invisible *)
   let ctx = Ctx.create ~batch_capacity:2 () in
   let events = ref [] in
-  Ctx.add_sink ctx
-    (Nvsc_memtrace.Sink.of_fn (fun a -> events := `Ref a.Access.addr :: !events));
-  Ctx.set_instr_sink ctx (fun k -> events := `Instr k :: !events);
+  Ctx.observe ctx
+    ~on_instr:(fun k -> events := `Instr k :: !events)
+    ~on_refs:(fun b ~obj_ids:_ ~first ~n ->
+      for i = first to first + n - 1 do
+        events := `Ref (Nvsc_memtrace.Sink.Batch.addr b i) :: !events
+      done)
+    ();
   let g = Farray.global ctx ~name:"g" 8 in
   let addr i = Nvsc_memtrace.Layout.global_base + (i * Layout.word) in
   Ctx.flops ctx 3;
@@ -351,7 +357,7 @@ let test_fast_tally_matches_reference () =
     if mode = "sampled" then Ctx.set_sampling ctx ~period:7 ~sample_length:3;
     let tallies = Array.make_matrix (iterations + 1) 4 0 in
     let unattributed = ref 0 in
-    Ctx.add_attributed_sink ctx (fun b obj_ids ~first ~n ->
+    Ctx.observe ctx ~on_refs:(fun b ~obj_ids ~first ~n ->
         let iter =
           match Ctx.phase ctx with
           | Mem_object.Main i -> i
@@ -368,7 +374,8 @@ let test_fast_tally_matches_reference () =
           in
           tallies.(iter).(k) <- tallies.(iter).(k) + 1;
           if obj_ids.(i) < 0 then incr unattributed
-        done);
+        done)
+      ();
     A.run ~scale:0.05 ctx ~iterations;
     if mode = "redzones" then begin
       Ctx.set_phase ctx (Mem_object.Main 1);

@@ -397,9 +397,23 @@ let test_engine_jobs_deterministic () =
   let o1, s1 = Engine.run ~jobs:1 m in
   let o8, s8 = Engine.run ~jobs:8 m in
   Alcotest.(check int) "all cells ran" 4 s1.Engine.cells;
-  Alcotest.(check int) "jobs clamped to cell count" 4 s8.Engine.jobs;
+  (* the stats report the domains that ran: cam's four cells are two
+     groups (objects+power+place, perf), at most one domain each *)
+  Alcotest.(check int) "jobs = one domain per group" 2 s8.Engine.jobs;
   Alcotest.(check string) "byte-identical report at jobs 1 vs 8"
-    (render_outcomes o1) (render_outcomes o8)
+    (render_outcomes o1) (render_outcomes o8);
+  (* a lone group spreads only a power cell's technology comparison *)
+  let lone kind =
+    match
+      Matrix.make ~apps:[ "cam" ] ~kinds:[ kind ] ~scale:0.1 ~iterations:2 ()
+    with
+    | Ok m -> (snd (Engine.run ~jobs:8 m)).Engine.jobs
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check int) "lone power cell: one domain per technology"
+    (List.length Nvsc_nvram.Technology.paper_set)
+    (lone Cell.Power);
+  Alcotest.(check int) "lone perf cell: one domain" 1 (lone Cell.Perf)
 
 let test_engine_cache_cold_then_warm () =
   let m = small_matrix () in

@@ -125,6 +125,110 @@ let test_perf_replay_matches_live () =
   in
   Alcotest.(check bool) "sensitivity points identical" true (live = rep)
 
+(* What a live run offers through [Ctx.observe] is what its recording
+   holds: phases, instruction counts, persist actions and references with
+   their emission-time attribution, in program order.  Slices are
+   concatenated, so flush and chunk boundaries do not show. *)
+type tok =
+  | T_phase of Mem_object.phase
+  | T_instr of int
+  | T_persist of Persist.t
+  | T_ref of int * int * bool * int  (* addr, size, write, obj id *)
+
+let collector () =
+  let toks = ref [] in
+  let push t = toks := t :: !toks in
+  let on_refs b ~obj_ids ~first ~n =
+    for i = first to first + n - 1 do
+      push
+        (T_ref
+           ( Sink.Batch.addr b i,
+             Sink.Batch.size b i,
+             Sink.Batch.is_write b i,
+             obj_ids.(i) ))
+    done
+  in
+  ( (fun () -> List.rev !toks),
+    (fun p -> push (T_phase p)),
+    (fun n -> push (T_instr n)),
+    (fun p -> push (T_persist p)),
+    on_refs )
+
+(* The stream as an observer that takes no objects or persist actions
+   sees it: that observer's batches are not flushed before frame pushes
+   and pops, so instruction counts on either side of one merge. *)
+let unordered toks =
+  List.rev
+    (List.fold_left
+       (fun acc t ->
+         match (t, acc) with
+         | T_persist _, _ -> acc
+         | T_instr n, T_instr m :: rest -> T_instr (n + m) :: rest
+         | t, _ -> t :: acc)
+       [] toks)
+
+let check_toks label expected actual =
+  let rec go i = function
+    | e :: es, a :: as_ ->
+      if e <> a then Alcotest.failf "%s: streams differ at token %d" label i
+      else go (i + 1) (es, as_)
+    | [], [] -> ()
+    | _ ->
+      Alcotest.failf "%s: %d tokens expected, %d delivered" label
+        (List.length expected) (List.length actual)
+  in
+  go 0 (expected, actual)
+
+let test_observe_matches_recording () =
+  let scale = 0.05 and iterations = 2 in
+  List.iter
+    (fun (module A : Nvsc_apps.Workload.APP) ->
+      List.iter
+        (fun batch_capacity ->
+          let label = Printf.sprintf "%s/capacity %d" A.name batch_capacity in
+          (* live, with the recorder's flush points *)
+          let ctx = Nvsc_appkit.Ctx.create ~batch_capacity () in
+          let live, on_phase, on_instr, on_persist, on_refs = collector () in
+          Nvsc_appkit.Ctx.observe ctx ~on_phase ~on_instr ~on_persist ~on_refs
+            ();
+          A.run ~scale ctx ~iterations;
+          Nvsc_appkit.Ctx.flush_refs ctx;
+          let live = live () in
+          (* its recording, streamed back *)
+          with_tmp (fun path ->
+              ignore
+                (Trace_run.record ~batch_capacity ~scale ~iterations ~path
+                   (module A));
+              let r = Trace_codec.Reader.open_ path in
+              Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r)
+              @@ fun () ->
+              let recorded, on_phase, on_instr, on_persist, on_refs =
+                collector ()
+              in
+              Trace_codec.stream r ~on_phase ~on_instr ~on_persist ~on_refs ();
+              check_toks (label ^ ": live vs recording") live (recorded ()));
+          (* an observer that neither orders mutations nor reads
+             instruction counts, beside one that reads them: the boundary
+             tails must add up to the same counts, and slices must not be
+             split for the former *)
+          let ctx = Nvsc_appkit.Ctx.create ~batch_capacity () in
+          let plain, on_phase, on_instr, _, on_refs = collector () in
+          Nvsc_appkit.Ctx.observe ctx ~on_phase ~on_instr ~on_refs ();
+          let slices = ref 0 in
+          Nvsc_appkit.Ctx.observe ctx
+            ~on_refs:(fun _ ~obj_ids:_ ~first:_ ~n:_ -> incr slices)
+            ();
+          A.run ~scale ctx ~iterations;
+          Nvsc_appkit.Ctx.flush_refs ctx;
+          check_toks (label ^ ": unordered observer") (unordered live)
+            (unordered (plain ()));
+          Alcotest.(check int)
+            (label ^ ": one slice per batch without on_instr")
+            (Nvsc_appkit.Ctx.pipeline_stats ctx).Nvsc_appkit.Ctx.batches
+            !slices)
+        [ 1; 7; 65536 ])
+    Nvsc_apps.Apps.extended
+
 let test_digest_keys_on_content () =
   with_tmp @@ fun p1 ->
   with_tmp @@ fun p2 ->
@@ -919,6 +1023,8 @@ let suite =
       test_replay_matches_live;
     Alcotest.test_case "perf replay matches live sensitivity" `Quick
       test_perf_replay_matches_live;
+    Alcotest.test_case "live observer and recording deliver the same stream"
+      `Quick test_observe_matches_recording;
     Alcotest.test_case "digest keys on trace content" `Quick
       test_digest_keys_on_content;
     Alcotest.test_case "empty trace round-trips" `Quick test_empty_trace;
