@@ -226,7 +226,6 @@ type data = {
   variances : (string * Usage_variance.variance) list;
   powers : (string * (Technology.t * float) list) list;
   perf : (string * fig12_cell list) list;
-  pipelines : (string * Nvsc_appkit.Ctx.pipeline_stats) list;
 }
 
 let run_all_of_data fmt data =

@@ -4,8 +4,8 @@
     The data is produced by the sweep engine
     ({!Nvsc_sweep.Engine.experiments_data}): one objects, power and perf
     cell per application, possibly decoded from a cache.  {!run_all_of_data}
-    prints every table and figure from it; {!Report.markdown_of_data}
-    renders the same data as Markdown.  Figure 12 replays one main-loop
+    prints every table and figure from it, and {!Claims} checks the
+    paper's findings against it.  Figure 12 replays one main-loop
     iteration into the performance model ({!perf_replay}), one pass for
     every memory technology under both write models. *)
 
@@ -77,7 +77,6 @@ type data = {
   powers : (string * (Nvsc_nvram.Technology.t * float) list) list;
       (** Table VI: per app, normalised average power per technology *)
   perf : (string * fig12_cell list) list;
-  pipelines : (string * Nvsc_appkit.Ctx.pipeline_stats) list;
 }
 
 (** {1 Printing forms} *)

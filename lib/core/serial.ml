@@ -195,48 +195,6 @@ let variance_of_json j : Usage_variance.variance =
     rate_unchanged = float_array_of_json (member "rate_unchanged" j);
   }
 
-(* --- pipeline counters -------------------------------------------------- *)
-
-let sink_stats_to_json (s : Nvsc_memtrace.Sink.stats) =
-  Obj
-    [
-      ("name", Str s.name);
-      ("pushed", Int s.pushed);
-      ("batches", Int s.batches);
-      ("capacity_flushes", Int s.capacity_flushes);
-      ("boundary_flushes", Int s.boundary_flushes);
-    ]
-
-let sink_stats_of_json j : Nvsc_memtrace.Sink.stats =
-  {
-    name = to_str (member "name" j);
-    pushed = to_int (member "pushed" j);
-    batches = to_int (member "batches" j);
-    capacity_flushes = to_int (member "capacity_flushes" j);
-    boundary_flushes = to_int (member "boundary_flushes" j);
-  }
-
-let pipeline_to_json (p : Nvsc_appkit.Ctx.pipeline_stats) =
-  Obj
-    [
-      ("batch_capacity", Int p.batch_capacity);
-      ("refs", Int p.refs);
-      ("batches", Int p.batches);
-      ("capacity_flushes", Int p.capacity_flushes);
-      ("boundary_flushes", Int p.boundary_flushes);
-      ("sinks", List (List.map sink_stats_to_json p.sinks));
-    ]
-
-let pipeline_of_json j : Nvsc_appkit.Ctx.pipeline_stats =
-  {
-    batch_capacity = to_int (member "batch_capacity" j);
-    refs = to_int (member "refs" j);
-    batches = to_int (member "batches" j);
-    capacity_flushes = to_int (member "capacity_flushes" j);
-    boundary_flushes = to_int (member "boundary_flushes" j);
-    sinks = List.map sink_stats_of_json (to_list (member "sinks" j));
-  }
-
 (* --- placement assessment ----------------------------------------------- *)
 
 let assessment_to_json (a : Nvsc_placement.Hybrid_memory.assessment) =

@@ -30,8 +30,5 @@ val cdf_of_json : Json.t -> Usage_variance.cdf_point list
 val variance_to_json : Usage_variance.variance -> Json.t
 val variance_of_json : Json.t -> Usage_variance.variance
 
-val pipeline_to_json : Nvsc_appkit.Ctx.pipeline_stats -> Json.t
-val pipeline_of_json : Json.t -> Nvsc_appkit.Ctx.pipeline_stats
-
 val assessment_to_json : Nvsc_placement.Hybrid_memory.assessment -> Json.t
 val assessment_of_json : Json.t -> Nvsc_placement.Hybrid_memory.assessment

@@ -16,26 +16,6 @@ let into t sink =
   done;
   !n
 
-let to_list t =
-  let acc = ref [] in
-  let sink = Sink.of_fn ~name:"to_list" (fun a -> acc := a :: !acc) in
-  ignore (into t sink);
-  Sink.flush sink;
-  List.rev !acc
-
-let of_list accesses =
-  let rem = ref accesses in
-  {
-    next =
-      (fun sink ->
-        match !rem with
-        | [] -> false
-        | a :: tl ->
-          rem := tl;
-          Sink.push_access sink a;
-          true);
-  }
-
 let counted n emit =
   let i = ref 0 in
   {

@@ -8,8 +8,7 @@
 
     Generators are streaming emitters: a {!t} pushes references one at a
     time into a {!Sink.t} on demand, so a synthetic stream is never
-    materialised as a list on the hot path ({!to_list} exists as a
-    compatibility shim for tests). *)
+    materialised as a list. *)
 
 type t
 (** A pull-stream of references. *)
@@ -21,12 +20,6 @@ val into : t -> Sink.t -> int
 (** Drain the stream into the sink; returns the number of references
     pushed.  The sink is {e not} flushed — callers flush at their own
     boundary. *)
-
-val to_list : t -> Access.t list
-(** Materialise the stream (list-compat shim; tests only). *)
-
-val of_list : Access.t list -> t
-(** Stream over a materialised list (list-compat shim; tests only). *)
 
 val sequential : ?start:int -> ?line_bytes:int -> n:int -> unit -> t
 (** [n] line-sized reads at consecutive line addresses. *)

@@ -47,8 +47,14 @@ type assessment = {
   avg_read_latency_ns : float;  (** traffic-weighted *)
   avg_write_latency_ns : float;
   slowdown_bound : float;
-      (** traffic-weighted mean access latency over the all-DRAM mean: an
-          upper bound on memory-side slowdown *)
+      (** the placement's traffic-weighted mean device latency over the
+          all-DRAM mean: every item's references, counted before the
+          caches, at its memory's Table IV read or write latency.  It is
+          not a bound: it ignores queueing and the split into two
+          half-width channels, and [Nvsc_dramsim.Hybrid_system] simulates
+          1.03–1.18x mean latency for the paper applications' static plans
+          where this ratio is 1.00–1.02x.  {!pp_assessment} still labels
+          it "slowdown bound". *)
 }
 
 val assess : t -> assessment

@@ -90,7 +90,7 @@ let pin_trace ~digest ~iterations spec =
     iterations = (if spec.kind = Perf then iterations else spec.iterations);
   }
 
-let code_version = "nvsc-sweep-v4"
+let code_version = "nvsc-sweep-v5"
 
 let digest spec =
   Digest.to_hex
@@ -133,7 +133,6 @@ type power_payload = {
   l1_miss_rate : float;
   l2_miss_rate : float;
   power_rows : power_row list;
-  p_pipeline : Nvsc_appkit.Ctx.pipeline_stats;
 }
 
 type perf_row = {
@@ -234,7 +233,6 @@ let power_to_json (p : power_payload) =
       ("l1_miss_rate", float p.l1_miss_rate);
       ("l2_miss_rate", float p.l2_miss_rate);
       ("rows", List (List.map power_row_to_json p.power_rows));
-      ("pipeline", Serial.pipeline_to_json p.p_pipeline);
     ]
 
 let power_of_json j =
@@ -246,7 +244,6 @@ let power_of_json j =
     l1_miss_rate = to_float (member "l1_miss_rate" j);
     l2_miss_rate = to_float (member "l2_miss_rate" j);
     power_rows = List.map power_row_of_json (to_list (member "rows" j));
-    p_pipeline = Serial.pipeline_of_json (member "pipeline" j);
   }
 
 let perf_row_to_json (r : perf_row) =
@@ -401,7 +398,6 @@ let power_payload_of_result ?jobs (r : Scavenger.result) =
     l1_miss_rate = r.l1_miss_rate;
     l2_miss_rate = r.l2_miss_rate;
     power_rows = power_rows ?jobs trace;
-    p_pipeline = r.pipeline;
   }
 
 let perf_rows_of_points points =

@@ -96,7 +96,6 @@ type power_payload = {
   l1_miss_rate : float;
   l2_miss_rate : float;
   power_rows : power_row list;
-  p_pipeline : Nvsc_appkit.Ctx.pipeline_stats;
 }
 
 type perf_row = {

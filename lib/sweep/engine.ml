@@ -272,8 +272,4 @@ let experiments_data ~(config : Experiment.config) outcomes =
                 })
               rows ))
         perfs;
-    pipelines =
-      (* pipeline counters come from the traced power cells, whose runs
-         carry the cache filter's sink, not the untraced objects cells *)
-      List.map (fun (app, (p : Cell.power_payload)) -> (app, p.p_pipeline)) powers;
   }

@@ -58,24 +58,6 @@ let pp fmt t =
 
 let to_string t = Format.asprintf "%a" pp t
 
-let to_markdown t =
-  let buf = Buffer.create 256 in
-  (match t.title with
-  | Some title -> Buffer.add_string buf (Printf.sprintf "**%s**\n\n" title)
-  | None -> ());
-  let escape s = String.concat "\\|" (String.split_on_char '|' s) in
-  let row cells =
-    Buffer.add_string buf "| ";
-    Buffer.add_string buf (String.concat " | " (List.map escape cells));
-    Buffer.add_string buf " |\n"
-  in
-  row (Array.to_list t.headers);
-  row
-    (Array.to_list
-       (Array.map (function Left -> "---" | Right -> "---:") t.aligns));
-  List.iter (fun r -> row (Array.to_list r)) (List.rev t.rows);
-  Buffer.contents buf
-
 let cell_f ?(prec = 2) v =
   if v = infinity then "inf"
   else if v = neg_infinity then "-inf"

@@ -22,10 +22,6 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val to_markdown : t -> string
-(** GitHub-flavoured markdown rendering (title as a bold line, alignment
-    markers in the separator row). *)
-
 (** Cell formatting helpers. *)
 
 val cell_f : ?prec:int -> float -> string

@@ -1,10 +1,9 @@
-(* The experiment harness and markdown report layer, exercised on the quick
-   configuration's sweep-engine data so data-form coverage is checked
-   without a full-scale run. *)
+(* The experiment harness, exercised on the quick configuration's
+   sweep-engine data so data-form coverage is checked without a full-scale
+   run. *)
 
 module E = Nvsc_core.Experiment
 module Engine = Nvsc_sweep.Engine
-module Table = Nvsc_util.Table
 
 let data =
   lazy
@@ -19,8 +18,8 @@ let contains ~needle haystack =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
-(* Every application's objects, power, perf and pipeline cells made it into
-   the evaluation data, and per-app lookup by name works. *)
+(* Every application's objects, power and perf cells made it into the
+   evaluation data, and per-app lookup by name works. *)
 let test_bundle_coverage () =
   let d = Lazy.force data in
   let apps = [ "nek5000"; "cam"; "gtc"; "s3d" ] in
@@ -33,12 +32,6 @@ let test_bundle_coverage () =
   let names l = List.map fst l in
   Alcotest.(check (list string)) "power per app" apps (names d.powers);
   Alcotest.(check (list string)) "perf per app" apps (names d.perf);
-  Alcotest.(check (list string)) "pipeline counters per app" apps
-    (names d.pipelines);
-  List.iter
-    (fun (app, (p : Nvsc_appkit.Ctx.pipeline_stats)) ->
-      Alcotest.(check bool) (app ^ " emitted references") true (p.refs > 0))
-    d.pipelines;
   Alcotest.(check bool) "lookup works" true
     (List.assoc "gtc" d.powers <> []);
   Alcotest.(check bool) "lookup missing raises" true
@@ -60,9 +53,7 @@ let test_data_forms () =
     (fun (_, powers) ->
       Alcotest.(check int) "four technologies" 4 (List.length powers))
     d.powers;
-  Alcotest.(check int) "fig12 rows" 4 (List.length d.perf);
-  Alcotest.(check int) "pipeline counters per app" 4
-    (List.length d.pipelines)
+  Alcotest.(check int) "fig12 rows" 4 (List.length d.perf)
 
 let test_printers_produce_output () =
   let d = Lazy.force data in
@@ -85,29 +76,6 @@ let test_printers_produce_output () =
   Alcotest.(check bool) "table6 includes bars" true
     (contains ~needle:"normalized power"
        (render (fun fmt -> E.pp_table6_data fmt d.powers)))
-
-let test_markdown_report () =
-  let md = Nvsc_core.Report.markdown_of_data (Lazy.force data) in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("contains " ^ needle) true (contains ~needle md))
-    [
-      "# NV-Scavenger evaluation report";
-      "## Table V";
-      "## Table VI";
-      "## Figure 12";
-      "| nek5000 |";
-      "[20.39]" (* the paper's CAM value is quoted *);
-      "[0.688]" (* the paper's Table VI Nek5000 PCRAM value *);
-    ]
-
-let test_markdown_table_escaping () =
-  let t = Table.create ~title:"T" [ ("A|B", Table.Left) ] in
-  Table.add_row t [ "x|y" ];
-  let md = Table.to_markdown t in
-  Alcotest.(check bool) "pipes escaped" true (contains ~needle:"x\\|y" md);
-  Alcotest.(check bool) "title bold" true (contains ~needle:"**T**" md);
-  Alcotest.(check bool) "alignment marker" true (contains ~needle:"| --- |" md)
 
 let test_multi_task () =
   let a =
@@ -172,9 +140,6 @@ let suite =
     Alcotest.test_case "data forms" `Slow test_data_forms;
     Alcotest.test_case "printers produce output" `Slow
       test_printers_produce_output;
-    Alcotest.test_case "markdown report" `Slow test_markdown_report;
-    Alcotest.test_case "markdown table escaping" `Quick
-      test_markdown_table_escaping;
     Alcotest.test_case "multi-task representativeness" `Slow test_multi_task;
     QCheck_alcotest.to_alcotest perf_monotone_prop;
     QCheck_alcotest.to_alcotest controller_monotone_prop;

@@ -1,15 +1,15 @@
-(* Paper-shape acceptance checks (the criteria recorded in DESIGN.md).
+(* Paper-shape acceptance checks.
 
    These run the full pipeline — apps, scavenger, cache filter, power
    simulator, performance model — at the default scale, through the same
-   sweep-engine path [experiments.exe] prints from, and assert the
-   qualitative results of every table and figure: who wins, by roughly what
-   factor, and where the crossovers fall.  Bands are deliberately generous;
-   exact values live in EXPERIMENTS.md. *)
+   sweep-engine path [experiments.exe] prints from, and assert every claim
+   of {!Nvsc_core.Claims}: one case per claim, named after its finding.
+   The bands live in the registry; exact values live in EXPERIMENTS.md.
+   The last cases check the pipeline rather than the paper. *)
 
 module E = Nvsc_core.Experiment
 module Engine = Nvsc_sweep.Engine
-module Tech = Nvsc_nvram.Technology
+module Claims = Nvsc_core.Claims
 
 (* the evaluation's cell outcomes and the data the tables are drawn from *)
 let run =
@@ -22,141 +22,12 @@ let run =
 
 let data () = snd (Lazy.force run)
 
-let in_band name lo hi v =
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: %.3f in [%.3f, %.3f]" name v lo hi)
-    true
-    (v >= lo && v <= hi)
-
-let summary app =
-  List.find
-    (fun (s : Nvsc_core.Stack_analysis.summary) -> s.app_name = app)
-    (data ()).summaries
-
-(* --- Table V ----------------------------------------------------------- *)
-
-let test_table5_stack_shares () =
-  (* paper: nek 75.6%, cam 76.3%, gtc 44.3%, s3d 63.1% *)
-  in_band "nek stack %" 0.70 0.83 (summary "nek5000").reference_pct;
-  in_band "cam stack %" 0.70 0.86 (summary "cam").reference_pct;
-  in_band "gtc stack %" 0.38 0.52 (summary "gtc").reference_pct;
-  in_band "s3d stack %" 0.55 0.70 (summary "s3d").reference_pct;
-  (* orderings the paper emphasises *)
-  Alcotest.(check bool) "nek & cam above 70%" true
-    ((summary "nek5000").reference_pct > 0.7
-    && (summary "cam").reference_pct > 0.7);
-  Alcotest.(check bool) "gtc lowest" true
-    (List.for_all
-       (fun app -> (summary "gtc").reference_pct <= (summary app).reference_pct)
-       [ "nek5000"; "cam"; "s3d" ])
-
-let test_table5_stack_ratios () =
-  (* paper: nek 6.33, cam 20.39 (11.46 first iter), gtc 3.48, s3d 6.04 *)
-  in_band "nek ratio" 5. 9. (summary "nek5000").steady_ratio;
-  in_band "cam ratio" 14. 27. (summary "cam").steady_ratio;
-  in_band "gtc ratio" 2.5 4.5 (summary "gtc").steady_ratio;
-  in_band "s3d ratio" 5. 7.5 (summary "s3d").steady_ratio;
-  (* CAM's first iteration is distinctly lower *)
-  let cam = summary "cam" in
-  Alcotest.(check bool) "cam first iter depressed" true
-    (cam.first_iter_ratio < 0.75 *. cam.steady_ratio);
-  in_band "cam first iter" 7. 14. cam.first_iter_ratio;
-  (* non-CAM ratios are > 1 but < 7.5 ("moderately higher") *)
-  Alcotest.(check bool) "others moderate" true
-    (List.for_all
-       (fun app ->
-         let s = summary app in
-         s.steady_ratio > 1. && s.steady_ratio < 9.)
-       [ "nek5000"; "gtc"; "s3d" ])
-
-(* --- Figure 2 ---------------------------------------------------------- *)
-
-let test_fig2_distribution () =
-  (* paper: 43.3% of CAM stack objects ratio>10 carrying 68.9% of refs;
-     3.2% ratio>50 carrying 8.9% *)
-  let d = Option.get (data ()).cam_distribution in
-  in_band "objects >10" 0.30 0.55 d.pct_objects_ratio_gt_10;
-  in_band "refs >10" 0.55 0.85 d.refs_share_ratio_gt_10;
-  Alcotest.(check bool) "some frames above 50" true
-    (d.pct_objects_ratio_gt_50 > 0.);
-  in_band "refs >50" 0.03 0.20 d.refs_share_ratio_gt_50;
-  Alcotest.(check bool) "a dozen routines" true (List.length d.frames >= 8)
-
-(* --- Figures 3-6 ------------------------------------------------------- *)
-
-let report app =
-  List.find
-    (fun (r : Nvsc_core.Object_analysis.report) -> r.app_name = app)
-    (data ()).reports
-
-let test_fig3_6_read_only () =
-  (* paper: read-only data common in all apps; nek 7.1%, cam 15.5% *)
-  List.iter
-    (fun app ->
-      Alcotest.(check bool) (app ^ " has read-only objects") true
-        (List.exists
-           (fun (row : Nvsc_core.Object_analysis.row) ->
-             row.reads > 0 && row.writes = 0)
-           (report app).rows))
-    [ "nek5000"; "cam"; "gtc"; "s3d" ];
-  in_band "nek read-only fraction" 0.04 0.12 (report "nek5000").read_only_fraction;
-  in_band "cam read-only fraction" 0.10 0.25 (report "cam").read_only_fraction
-
-let test_fig3_6_ratio_groups () =
-  (* nek and cam have objects with ratio > 50 that are still written *)
-  Alcotest.(check bool) "nek >50 group" true
-    ((report "nek5000").ratio_gt_50_bytes > 0);
-  Alcotest.(check bool) "cam >50 group" true ((report "cam").ratio_gt_50_bytes > 0);
-  (* "except for GTC, most memory objects have more reads than writes" *)
-  List.iter
-    (fun app ->
-      Alcotest.(check bool) (app ^ " majority read-dominated") true
-        ((report app).ratio_gt_1_fraction > 0.5))
-    [ "cam"; "s3d"; "nek5000" ];
-  Alcotest.(check bool) "gtc write-heavy" true
-    ((report "gtc").ratio_gt_1_fraction < 0.5)
-
-let test_footprint_ordering () =
-  (* paper Table I: nek 824 > cam 608 > s3d 512 > gtc 218 MB *)
-  let fp app =
-    (List.find (fun (r : E.table1_row) -> r.app_name = app) (data ()).rows)
-      .footprint_bytes
-  in
-  Alcotest.(check bool) "nek > cam" true (fp "nek5000" > fp "cam");
-  Alcotest.(check bool) "cam > s3d" true (fp "cam" > fp "s3d");
-  Alcotest.(check bool) "s3d > gtc" true (fp "s3d" > fp "gtc")
-
-(* --- Figure 7 ---------------------------------------------------------- *)
-
-let test_fig7_untouched () =
-  let d = data () in
-  let untouched app = List.assoc app d.untouched in
-  (* paper: nek ~24.3%, cam ~11.5%, s3d small; gtc omitted (flat) *)
-  in_band "nek untouched" 0.18 0.30 (untouched "nek5000");
-  in_band "cam untouched" 0.07 0.16 (untouched "cam");
-  in_band "s3d untouched" 0.0 0.05 (untouched "s3d");
-  Alcotest.(check (float 1e-9)) "gtc flat" 0. (untouched "gtc");
-  (* gtc is excluded from the figure, as in the paper *)
-  Alcotest.(check bool) "gtc omitted" true
-    (not (List.mem_assoc "gtc" d.cdfs))
-
-let test_fig7_uneven_usage () =
-  (* "some memory objects in Nek5000 and CAM are unevenly touched... used
-     within a few computation iterations": the CDF must rise strictly
-     between x=0 and x=n for both apps *)
-  List.iter
-    (fun app ->
-      let points = List.assoc app (data ()).cdfs in
-      let at x =
-        (List.find
-           (fun (p : Nvsc_core.Usage_variance.cdf_point) ->
-             p.iterations_used = x)
-           points)
-          .cumulative_bytes
-      in
-      Alcotest.(check bool) (app ^ " has few-iteration objects") true
-        (at 6 > at 0))
-    [ "nek5000"; "cam" ]
+let claim_case (c : Claims.t) =
+  Alcotest.test_case (Claims.name c) `Slow (fun () ->
+      let measured, verdict = Claims.evaluate (data ()) c in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: paper %s, measured %s" c.id c.paper measured)
+        true (verdict = Claims.Held))
 
 let test_fig7_cdf_monotone () =
   List.iter
@@ -170,84 +41,10 @@ let test_fig7_cdf_monotone () =
       check 0 points)
     (data ()).cdfs
 
-(* --- Figures 8-11 ------------------------------------------------------ *)
-
-let test_fig8_11_stability () =
-  let variances = (data ()).variances in
-  List.iter
-    (fun (app, v) ->
-      Alcotest.(check bool)
-        (app ^ " >60% of objects in [1,2)")
-        true
-        (Nvsc_core.Usage_variance.stable_fraction v > 0.6))
-    variances;
-  (* S3D and GTC: reference rates essentially unchanged across iterations *)
-  List.iter
-    (fun app ->
-      let v = List.assoc app variances in
-      Alcotest.(check bool) (app ^ " rates unchanged") true
-        (v.Nvsc_core.Usage_variance.rate_unchanged.(v.iterations - 1) > 0.9))
-    [ "gtc"; "s3d" ]
-
-(* --- Table VI ---------------------------------------------------------- *)
-
-let test_table6_power () =
-  List.iter
-    (fun (app, powers) ->
-      let get tech =
-        snd (List.find (fun ((t : Tech.t), _) -> t.tech = tech) powers)
-      in
-      Alcotest.(check (float 1e-9)) (app ^ " DDR3 = 1") 1.0 (get Tech.DDR3);
-      let p = get Tech.PCRAM and s = get Tech.STTRAM and m = get Tech.MRAM in
-      (* paper: 0.682-0.730 across apps and technologies *)
-      in_band (app ^ " PCRAM") 0.62 0.74 p;
-      in_band (app ^ " STTRAM") 0.64 0.76 s;
-      in_band (app ^ " MRAM") 0.64 0.76 m;
-      (* at least ~25% saving; the paper claims at least 27% *)
-      Alcotest.(check bool) (app ^ " saves power") true (m <= 0.76);
-      (* the paper's counter-intuitive ordering: the slower device is the
-         *less* loaded, hence lower average power *)
-      Alcotest.(check bool) (app ^ " PCRAM <= STTRAM") true (p <= s +. 1e-9);
-      Alcotest.(check bool) (app ^ " STTRAM <= MRAM") true (s <= m +. 1e-9))
-    (data ()).powers
-
-(* --- Figure 12 --------------------------------------------------------- *)
-
-let test_fig12_sensitivity () =
-  List.iter
-    (fun (app, points) ->
-      let get name =
-        (List.find (fun (p : E.fig12_cell) -> p.tech.Tech.name = name) points)
-          .normalized_runtime
-      in
-      Alcotest.(check (float 1e-9)) (app ^ " DDR3 = 1") 1.0 (get "DDR3");
-      (* +20% latency (MRAM): negligible loss *)
-      in_band (app ^ " MRAM") 1.0 1.02 (get "MRAM");
-      (* 2x latency (STTRAM): < 5% loss *)
-      in_band (app ^ " STTRAM") 1.0 1.05 (get "STTRAM");
-      (* 10x latency (PCRAM): visible loss, up to ~25-30% *)
-      in_band (app ^ " PCRAM") 1.0 1.45 (get "PCRAM");
-      Alcotest.(check bool) (app ^ " PCRAM worst") true
-        (get "PCRAM" >= get "STTRAM" && get "STTRAM" >= get "MRAM" -. 1e-9))
-    (data ()).perf
-
-let test_fig12_pcram_can_hurt () =
-  (* "the performance loss can be as high as 25%": at least one app shows
-     a substantial PCRAM penalty *)
-  let worst =
-    List.fold_left
-      (fun acc (_, points) ->
-        let p =
-          (List.find (fun (p : E.fig12_cell) -> p.tech.Tech.name = "PCRAM")
-             points)
-            .normalized_runtime
-        in
-        Float.max acc p)
-      0. (data ()).perf
-  in
-  in_band "worst PCRAM penalty" 1.15 1.45 worst
-
-(* --- cross-cutting ----------------------------------------------------- *)
+(* gtc is excluded from the figure, as in the paper *)
+let test_fig7_gtc_omitted () =
+  Alcotest.(check bool) "gtc omitted" true
+    (not (List.mem_assoc "gtc" (data ()).cdfs))
 
 (* Full attribution is checked per app at small scale in test_apps.ml: the
    cell payloads do not carry the unattributed count. *)
@@ -269,27 +66,37 @@ let test_pipeline_hygiene () =
         (p.l2_miss_rate < 0.9))
     powers
 
+(* The ids EXPERIMENTS.md cites on its "Claims:" lines are exactly the
+   registry's, and the registry's ids are unique. *)
+let test_experiments_md_cites_registry () =
+  let ids = List.map (fun (c : Claims.t) -> c.id) Claims.all in
+  Alcotest.(check int) "ids unique" (List.length ids)
+    (List.length (List.sort_uniq compare ids));
+  let ic = open_in (Sys.getenv "EXPERIMENTS_MD") in
+  let rec cited acc =
+    match input_line ic with
+    | exception End_of_file -> acc
+    | line when String.starts_with ~prefix:"Claims:" line ->
+      (* the backquoted words are the odd fields *)
+      let ticked =
+        List.filteri (fun i _ -> i mod 2 = 1) (String.split_on_char '`' line)
+      in
+      cited (ticked @ acc)
+    | _ -> cited acc
+  in
+  let cited =
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> cited [])
+  in
+  Alcotest.(check (list string)) "cited ids = registry ids"
+    (List.sort compare ids)
+    (List.sort_uniq compare cited)
+
 let suite =
-  [
-    Alcotest.test_case "Table V: stack reference shares" `Slow
-      test_table5_stack_shares;
-    Alcotest.test_case "Table V: stack read/write ratios" `Slow
-      test_table5_stack_ratios;
-    Alcotest.test_case "Figure 2: CAM frame distribution" `Slow
-      test_fig2_distribution;
-    Alcotest.test_case "Figures 3-6: read-only data" `Slow test_fig3_6_read_only;
-    Alcotest.test_case "Figures 3-6: ratio groups" `Slow test_fig3_6_ratio_groups;
-    Alcotest.test_case "Table I: footprint ordering" `Slow
-      test_footprint_ordering;
-    Alcotest.test_case "Figure 7: untouched data" `Slow test_fig7_untouched;
-    Alcotest.test_case "Figure 7: uneven usage" `Slow test_fig7_uneven_usage;
-    Alcotest.test_case "Figure 7: CDF monotone" `Slow test_fig7_cdf_monotone;
-    Alcotest.test_case "Figures 8-11: stability" `Slow test_fig8_11_stability;
-    Alcotest.test_case "Table VI: power band and ordering" `Slow
-      test_table6_power;
-    Alcotest.test_case "Figure 12: latency sensitivity" `Slow
-      test_fig12_sensitivity;
-    Alcotest.test_case "Figure 12: PCRAM can hurt" `Slow
-      test_fig12_pcram_can_hurt;
-    Alcotest.test_case "pipeline hygiene" `Slow test_pipeline_hygiene;
-  ]
+  Alcotest.test_case "EXPERIMENTS.md cites every claim" `Quick
+    test_experiments_md_cites_registry
+  :: List.map claim_case Claims.all
+  @ [
+      Alcotest.test_case "Figure 7: CDF monotone" `Slow test_fig7_cdf_monotone;
+      Alcotest.test_case "Figure 7: gtc omitted" `Slow test_fig7_gtc_omitted;
+      Alcotest.test_case "pipeline hygiene" `Slow test_pipeline_hygiene;
+    ]

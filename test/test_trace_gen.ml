@@ -2,15 +2,23 @@ module TG = Nvsc_memtrace.Trace_gen
 module Sink = Nvsc_memtrace.Sink
 module Access = Nvsc_memtrace.Access
 
+(* the stream's references, in order *)
+let to_list t =
+  let acc = ref [] in
+  let sink = Sink.of_fn (fun a -> acc := a :: !acc) in
+  ignore (TG.into t sink);
+  Sink.flush sink;
+  List.rev !acc
+
 let test_sequential () =
-  let t = TG.to_list (TG.sequential ~start:2 ~n:4 ()) in
+  let t = to_list (TG.sequential ~start:2 ~n:4 ()) in
   Alcotest.(check (list int)) "addresses"
     [ 128; 192; 256; 320 ]
     (List.map (fun (a : Access.t) -> a.addr) t);
   Alcotest.(check bool) "all reads" true (List.for_all Access.is_read t)
 
 let test_strided () =
-  let t = TG.to_list (TG.strided ~stride_lines:3 ~n:3 ()) in
+  let t = to_list (TG.strided ~stride_lines:3 ~n:3 ()) in
   Alcotest.(check (list int)) "addresses" [ 0; 192; 384 ]
     (List.map (fun (a : Access.t) -> a.addr) t);
   Alcotest.(check bool) "bad stride rejected" true
@@ -21,7 +29,7 @@ let test_strided () =
 
 let test_hot_cold_shares () =
   let t =
-    TG.to_list
+    to_list
       (TG.hot_cold ~seed:3 ~hot_fraction:0.8 ~hot_lines:16 ~cold_lines:1024
          ~write_fraction:0.25 ~n:20_000 ())
   in
@@ -38,7 +46,7 @@ let test_hot_cold_shares () =
 
 let test_hot_cold_deterministic () =
   let gen () =
-    TG.to_list
+    to_list
       (TG.hot_cold ~seed:9 ~hot_fraction:0.5 ~hot_lines:8 ~cold_lines:8
          ~write_fraction:0.5 ~n:100 ())
   in
@@ -50,7 +58,7 @@ let test_streaming_matches_list () =
   let gen () =
     TG.zipf ~seed:12 ~lines:512 ~write_fraction:0.4 ~n:3_000 ()
   in
-  let expected = TG.to_list (gen ()) in
+  let expected = to_list (gen ()) in
   List.iter
     (fun capacity ->
       let got = ref [] in
@@ -67,7 +75,7 @@ let test_streaming_matches_list () =
     [ 1; 7; 65536 ]
 
 let test_zipf_skew () =
-  let t = TG.to_list (TG.zipf ~seed:5 ~lines:1000 ~write_fraction:0. ~n:50_000 ()) in
+  let t = to_list (TG.zipf ~seed:5 ~lines:1000 ~write_fraction:0. ~n:50_000 ()) in
   let count line =
     List.length (List.filter (fun (a : Access.t) -> a.addr / 64 = line) t)
   in
@@ -79,19 +87,18 @@ let test_zipf_skew () =
     (List.for_all (fun (a : Access.t) -> a.addr / 64 < 1000) t)
 
 let test_interleave () =
-  let r addr = Access.read ~addr ~size:64 in
   let merged =
-    TG.to_list
+    to_list
       (TG.interleave
          [
-           TG.of_list [ r 1; r 2 ];
-           TG.of_list [ r 10 ];
-           TG.of_list [ r 100; r 200; r 300 ];
+           TG.sequential ~start:1 ~n:2 ();
+           TG.sequential ~start:10 ~n:1 ();
+           TG.sequential ~start:100 ~n:3 ();
          ])
   in
   Alcotest.(check (list int)) "round robin with drain"
-    [ 1; 10; 100; 2; 200; 300 ]
-    (List.map (fun (a : Access.t) -> a.addr) merged)
+    [ 1; 10; 100; 2; 101; 102 ]
+    (List.map (fun (a : Access.t) -> a.addr / 64) merged)
 
 let test_interleave_unequal_through_sink () =
   (* unequal stream lengths drained through a small-capacity sink: every
@@ -117,7 +124,7 @@ let test_interleave_unequal_through_sink () =
 let test_feeds_simulators () =
   (* generated traces drive the memory system end to end *)
   let t =
-    TG.to_list (TG.zipf ~seed:1 ~lines:4096 ~write_fraction:0.3 ~n:5_000 ())
+    to_list (TG.zipf ~seed:1 ~lines:4096 ~write_fraction:0.3 ~n:5_000 ())
   in
   let s =
     let c =
