@@ -319,14 +319,17 @@ let endurance_cmd =
           float_of_int (Nvsc_memtrace.Trace_log.writes trace)
           /. float_of_int r.iterations *. 10. (* 10 steps/s sustained *)
         in
+        let module B = Nvsc_memtrace.Sink.Batch in
+        let batch, n = Nvsc_memtrace.Trace_log.as_batch trace in
         List.iter
           (fun tech_id ->
             let tech = Nvsc_nvram.Technology.get tech_id in
             let e = Nvsc_nvram.Endurance.create ~tech ~lines in
-            Nvsc_memtrace.Trace_log.replay trace (fun a ->
-                if Nvsc_memtrace.Access.is_write a then
-                  Nvsc_nvram.Endurance.record_write e
-                    ~line:(a.Nvsc_memtrace.Access.addr / line_bytes mod lines));
+            for i = 0 to n - 1 do
+              if B.is_write batch i then
+                Nvsc_nvram.Endurance.record_write e
+                  ~line:(B.addr batch i / line_bytes mod lines)
+            done;
             Format.fprintf fmt
               "%-8s imbalance %5.1fx  lifetime %12.2f years levelled / %12.3f \
                unlevelled@."
@@ -381,9 +384,9 @@ let hybrid_cmd =
            & info [ "tech" ] ~docv:"TECH" ~doc:"NVRAM half's technology.")
   in
   let run () name scale iterations tech_name =
-    match Nvsc_nvram.Technology.of_string tech_name with
-    | None -> `Error (false, Printf.sprintf "unknown technology %S" tech_name)
-    | Some tech ->
+    match Nvsc_nvram.Technology.nvram_of_string tech_name with
+    | Error msg -> `Error (false, msg)
+    | Ok tech ->
       with_app name (fun app ->
           Nvsc_core.Extensions.pp_hybrid_simulation fmt
             (Nvsc_core.Extensions.hybrid_simulation ~tech

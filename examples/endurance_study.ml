@@ -12,7 +12,7 @@
 module Endurance = Nvsc_nvram.Endurance
 module Tech = Nvsc_nvram.Technology
 module Trace_log = Nvsc_memtrace.Trace_log
-module Access = Nvsc_memtrace.Access
+module Batch = Nvsc_memtrace.Sink.Batch
 
 let () =
   let result =
@@ -40,14 +40,20 @@ let () =
   Format.printf "sustained write rate: %.2e line-writes/s over %d lines@.@."
     writes_per_second lines;
 
+  (* every main-memory write, as the wear line it lands on *)
+  let iter_write_lines f =
+    let batch, n = Trace_log.as_batch trace in
+    for i = 0 to n - 1 do
+      if Batch.is_write batch i then
+        f (Batch.addr batch i / line_bytes mod lines)
+    done
+  in
+
   List.iter
     (fun tech_id ->
       let tech = Tech.get tech_id in
       let e = Endurance.create ~tech ~lines in
-      Trace_log.replay trace (fun a ->
-          if Access.is_write a then
-            Endurance.record_write e
-              ~line:(a.Access.addr / line_bytes mod lines));
+      iter_write_lines (fun line -> Endurance.record_write e ~line);
       let years levelled =
         Endurance.lifetime_years e ~write_rate_per_s:writes_per_second
           ~wear_levelled:levelled
@@ -78,18 +84,13 @@ let () =
         let e =
           Endurance.create ~tech:(Tech.get Tech.PCRAM) ~lines
         in
-        Trace_log.replay trace (fun a ->
-            if Access.is_write a then
-              Endurance.record_write e ~line:(a.Access.addr / line_bytes mod lines));
+        iter_write_lines (fun line -> Endurance.record_write e ~line);
         Format.printf "  %-14s imbalance %6.2fx@." label
           (Endurance.wear_imbalance e)
       | Some scheme ->
         let wl = Nvsc_nvram.Wear_leveling.create scheme ~lines in
-        Trace_log.replay trace (fun a ->
-            if Access.is_write a then
-              ignore
-                (Nvsc_nvram.Wear_leveling.write wl
-                   (a.Access.addr / line_bytes mod lines)));
+        iter_write_lines (fun line ->
+            ignore (Nvsc_nvram.Wear_leveling.write wl line));
         Format.printf "  %-14s imbalance %6.2fx (+%.2f%% writes)@." label
           (Nvsc_nvram.Wear_leveling.wear_imbalance wl)
           (100. *. Nvsc_nvram.Wear_leveling.extra_write_overhead wl))

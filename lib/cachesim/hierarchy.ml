@@ -130,12 +130,8 @@ let[@inline] access_raw t ~addr ~size ~op =
     done
   end
 
-let access t (a : Access.t) = access_raw t ~addr:a.addr ~size:a.size ~op:a.op
-
-(* One span per delivered batch, not per access.  The unchecked branch
-   hoists the batch's typed buffer views once: the per-element accessors
-   each consult the [debug_checks] atomic, which this lifts out of the
-   loop (the slice is within capacity by the sink-consumer contract).
+(* One span per delivered batch, not per access.  The slice is validated
+   once on entry; the loop then reads the hoisted buffer views unchecked.
 
    Batch-time run detection: word-granular streams issue long runs of
    consecutive references to one line.  After a reference leaves the L1
@@ -148,67 +144,61 @@ let access t (a : Access.t) = access_raw t ~addr:a.addr ~size:a.size ~op:a.op
    [run length] times at once. *)
 let consume t batch ~first ~n =
   Nvsc_obs.Span.with_ "cachesim.filter" @@ fun () ->
-  if Sink.checks_enabled () then
-    for i = first to first + n - 1 do
-      access_raw t ~addr:(Sink.Batch.addr batch i)
-        ~size:(Sink.Batch.size batch i) ~op:(Sink.Batch.op batch i)
-    done
-  else begin
-    let addrs = Sink.Batch.addrs batch
-    and sizes = Sink.Batch.sizes batch
-    and ops = Sink.Batch.ops batch in
-    let limit = first + n in
-    if t.line_shift >= 0 then begin
-      let shift = t.line_shift in
-      let i = ref first in
-      while !i < limit do
-        let j = !i in
-        let addr = Bigarray.Array1.unsafe_get addrs j in
-        let op =
-          if Bigarray.Array1.unsafe_get ops j <> '\000' then Access.Write
-          else Access.Read
-        in
-        access_raw t ~addr ~size:(Bigarray.Array1.unsafe_get sizes j) ~op;
-        incr i;
-        (* run detector: if the memo now targets this reference's first
-           line, batch up the immediately following same-line refs *)
-        let line = t.l1_repeat_line in
-        if addr >= 0 && addr lsr shift = line then begin
-          let reads = ref 0 and writes = ref 0 in
-          let continue_ = ref true in
-          while !continue_ && !i < limit do
-            let k = !i in
-            let a = Bigarray.Array1.unsafe_get addrs k in
-            if
-              a lsr shift = line
-              && (a + Bigarray.Array1.unsafe_get sizes k - 1) lsr shift = line
-              && a >= 0
-            then begin
-              if Bigarray.Array1.unsafe_get ops k <> '\000' then incr writes
-              else incr reads;
-              incr i
-            end
-            else continue_ := false
-          done;
-          let r = !reads and w = !writes in
-          if r + w > 0 then begin
-            t.accesses <- t.accesses + r + w;
-            Cache.repeat_read_hits t.l1d r;
-            Cache.repeat_write_hits t.l1d w
+  Sink.Batch.check_slice batch ~first ~n;
+  let addrs = Sink.Batch.addrs batch
+  and sizes = Sink.Batch.sizes batch
+  and ops = Sink.Batch.ops batch in
+  let limit = first + n in
+  if t.line_shift >= 0 then begin
+    let shift = t.line_shift in
+    let i = ref first in
+    while !i < limit do
+      let j = !i in
+      let addr = Bigarray.Array1.unsafe_get addrs j in
+      let op =
+        if Bigarray.Array1.unsafe_get ops j <> '\000' then Access.Write
+        else Access.Read
+      in
+      access_raw t ~addr ~size:(Bigarray.Array1.unsafe_get sizes j) ~op;
+      incr i;
+      (* run detector: if the memo now targets this reference's first
+         line, batch up the immediately following same-line refs *)
+      let line = t.l1_repeat_line in
+      if addr >= 0 && addr lsr shift = line then begin
+        let reads = ref 0 and writes = ref 0 in
+        let continue_ = ref true in
+        while !continue_ && !i < limit do
+          let k = !i in
+          let a = Bigarray.Array1.unsafe_get addrs k in
+          if
+            a lsr shift = line
+            && (a + Bigarray.Array1.unsafe_get sizes k - 1) lsr shift = line
+            && a >= 0
+          then begin
+            if Bigarray.Array1.unsafe_get ops k <> '\000' then incr writes
+            else incr reads;
+            incr i
           end
+          else continue_ := false
+        done;
+        let r = !reads and w = !writes in
+        if r + w > 0 then begin
+          t.accesses <- t.accesses + r + w;
+          Cache.repeat_read_hits t.l1d r;
+          Cache.repeat_write_hits t.l1d w
         end
-      done
-    end
-    else
-      for i = first to limit - 1 do
-        let op =
-          if Bigarray.Array1.unsafe_get ops i <> '\000' then Access.Write
-          else Access.Read
-        in
-        access_raw t ~addr:(Bigarray.Array1.unsafe_get addrs i)
-          ~size:(Bigarray.Array1.unsafe_get sizes i) ~op
-      done
+      end
+    done
   end
+  else
+    for i = first to limit - 1 do
+      let op =
+        if Bigarray.Array1.unsafe_get ops i <> '\000' then Access.Write
+        else Access.Read
+      in
+      access_raw t ~addr:(Bigarray.Array1.unsafe_get addrs i)
+        ~size:(Bigarray.Array1.unsafe_get sizes i) ~op
+    done
 
 let access_classified_raw t ~addr ~size ~op =
   let l1_misses_before = Cache.misses t.l1d in
@@ -217,9 +207,6 @@ let access_classified_raw t ~addr ~size ~op =
   if t.memory_reads + t.memory_writes > mem_before then `Mem
   else if Cache.misses t.l1d > l1_misses_before then `L2
   else `L1
-
-let access_classified t (a : Access.t) =
-  access_classified_raw t ~addr:a.addr ~size:a.size ~op:a.op
 
 let drain t =
   Nvsc_obs.Span.with_ "cachesim.drain" @@ fun () ->

@@ -24,12 +24,10 @@ val access_raw : t -> addr:int -> size:int -> op:Nvsc_memtrace.Access.op -> unit
     straddle a line boundary are split per line, as hardware would issue
     them. *)
 
-val access : t -> Nvsc_memtrace.Access.t -> unit
-(** Per-record convenience over {!access_raw}. *)
-
 val consume : t -> Nvsc_memtrace.Sink.Batch.t -> first:int -> n:int -> unit
 (** Run a batch slice through the hierarchy in order (the sink-consumer
-    shape: wrap with [Sink.create (Hierarchy.consume t)]). *)
+    shape: wrap with [Sink.create (Hierarchy.consume t)]).  Raises
+    [Invalid_argument] on a slice outside the batch. *)
 
 val access_classified_raw :
   t -> addr:int -> size:int -> op:Nvsc_memtrace.Access.op -> [ `L1 | `L2 | `Mem ]
@@ -37,8 +35,6 @@ val access_classified_raw :
     to service the reference ([`Mem] when main-memory traffic was
     generated).  For a reference split across lines, the deepest outcome
     wins. *)
-
-val access_classified : t -> Nvsc_memtrace.Access.t -> [ `L1 | `L2 | `Mem ]
 
 val drain : t -> unit
 (** Write back all dirty lines (L1 through L2 to memory) so that the

@@ -23,7 +23,6 @@ type result = {
   l1_miss_rate : float;
   l2_miss_rate : float;
   unattributed : int;
-  pipeline : Ctx.pipeline_stats;
   sanitizer : Nvsc_sanitizer.Diagnostic.report option;
   persist_report : Nvsc_sanitizer.Diagnostic.report option;
   persist_stats : Nvsc_sanitizer.Persist_check.stats option;
@@ -95,10 +94,6 @@ let run (cfg : Config.t) (module A : Nvsc_apps.Workload.APP) =
         sanitize; check_init; persist } =
     cfg
   in
-  let prev_checks = Sink.checks_enabled () in
-  if sanitize then Sink.set_debug_checks true;
-  Fun.protect ~finally:(fun () -> Sink.set_debug_checks prev_checks)
-  @@ fun () ->
   let ctx, san, pchk, trace, hierarchy =
     Span.with_ "scavenger.setup" @@ fun () ->
     let ctx =
@@ -191,7 +186,6 @@ let run (cfg : Config.t) (module A : Nvsc_apps.Workload.APP) =
     l1_miss_rate = miss_rate Hierarchy.l1d;
     l2_miss_rate = miss_rate Hierarchy.l2;
     unattributed = Ctx.unattributed ctx;
-    pipeline;
     sanitizer;
     persist_report;
     persist_stats = Option.map Nvsc_sanitizer.Persist_check.stats pchk;

@@ -36,9 +36,6 @@ type result = {
   l1_miss_rate : float;
   l2_miss_rate : float;
   unattributed : int;  (** references that resolved to no object *)
-  pipeline : Nvsc_appkit.Ctx.pipeline_stats;
-      (** reference-stream transport counters: batches delivered, flush
-          causes, per-sink totals (pipeline self-observability) *)
   sanitizer : Nvsc_sanitizer.Diagnostic.report option;
       (** NVSC-San trace-sanitizer report, when [sanitize] was set *)
   persist_report : Nvsc_sanitizer.Diagnostic.report option;

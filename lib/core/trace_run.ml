@@ -72,7 +72,6 @@ let replay path =
   let counters = Counters.create () in
   let tally = Ctx.Tally.create () in
   let in_main = ref false in
-  let batches = ref 0 in
   let trace = Trace_log.create () in
   let hierarchy =
     Hierarchy.create ~sink:(Trace_log.sink ~name:"trace-log" trace) ()
@@ -83,7 +82,6 @@ let replay path =
       Counters.set_iteration counters iter;
       in_main := match p with Mem_object.Main _ -> true | _ -> false)
     ~on_refs:(fun batch ~obj_ids ~first ~n ->
-      incr batches;
       (* the live emission's accounting, on the recorded attribution, over
          the hoisted planes: [stream] hands over slices within capacity *)
       Sink.Batch.check_slice batch ~first ~n;
@@ -123,17 +121,6 @@ let replay path =
     l1_miss_rate = Cache.miss_rate (Hierarchy.l1d hierarchy);
     l2_miss_rate = Cache.miss_rate (Hierarchy.l2 hierarchy);
     unattributed = Ctx.Tally.unattributed tally;
-    pipeline =
-      (* replay has no emission batch: one "batch" per delivered slice,
-         all boundary flushes *)
-      {
-        Ctx.batch_capacity = meta.Trace_codec.batch_capacity;
-        refs = Trace_codec.Reader.refs r;
-        batches = !batches;
-        capacity_flushes = 0;
-        boundary_flushes = !batches;
-        sinks = [];
-      };
     sanitizer = None;
     persist_report = None;
     persist_stats = None;

@@ -250,9 +250,8 @@ let access_raw t ~addr ~size ~op =
         else demand_miss t v
     done
 
-let access t (a : Access.t) = access_raw t ~addr:a.addr ~size:a.size ~op:a.op
-
 let consume t batch ~first ~n =
+  Sink.Batch.check_slice batch ~first ~n;
   for i = first to first + n - 1 do
     access_raw t ~addr:(Sink.Batch.addr batch i) ~size:(Sink.Batch.size batch i)
       ~op:(Sink.Batch.op batch i)

@@ -102,12 +102,10 @@ val instructions : t -> int -> unit
 val access_raw : t -> addr:int -> size:int -> op:Nvsc_memtrace.Access.op -> unit
 (** Account one committed memory instruction (program order). *)
 
-val access : t -> Nvsc_memtrace.Access.t -> unit
-(** Per-record convenience over {!access_raw}. *)
-
 val consume : t -> Nvsc_memtrace.Sink.Batch.t -> first:int -> n:int -> unit
 (** Account a batch slice of memory instructions in program order (the
-    sink-consumer shape). *)
+    sink-consumer shape).  Raises [Invalid_argument] on a slice outside
+    the batch. *)
 
 type report = {
   instructions : int;

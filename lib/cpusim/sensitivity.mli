@@ -30,7 +30,7 @@ val run :
   point list
 (** [replay model] is called exactly once: it drives the application's
     instruction/reference stream into [model] ({!Perf_model.instructions} /
-    {!Perf_model.access}), which accounts every technology under both
+    {!Perf_model.access_raw}), which accounts every technology under both
     write models at once, one ledger each (see
     {!Perf_model.create_ledgers}).  [techs] defaults to the paper's four
     technologies; the list must include DDR3 for normalisation, which is

@@ -41,18 +41,14 @@ val create :
 (** [window] (default 8) is the number of concurrently outstanding
     transactions; [scheme] defaults to {!Address_mapping.Row_bank_rank_col}. *)
 
-val submit : t -> Nvsc_memtrace.Access.t -> unit
+val submit_ref : t -> addr:int -> op:Nvsc_memtrace.Access.op -> unit
 (** Process one line-granularity memory transaction.  Under [Fr_fcfs],
     transactions may be buffered; {!flush} (or {!stats}/{!elapsed_ns},
     which flush implicitly) issues any remainder. *)
 
-val submit_ref : t -> addr:int -> op:Nvsc_memtrace.Access.op -> unit
-(** Scalar {!submit}: the same transaction without materialising an
-    [Access.t] (batch consumers' hot path). *)
-
 val consume : t -> Nvsc_memtrace.Sink.Batch.t -> first:int -> n:int -> unit
 (** Submit a batch slice of transactions in order (the sink-consumer
-    shape). *)
+    shape).  Raises [Invalid_argument] on a slice outside the batch. *)
 
 val sink : ?name:string -> t -> Nvsc_memtrace.Sink.t
 (** A sink feeding this controller via {!consume}. *)

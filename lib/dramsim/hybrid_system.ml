@@ -46,10 +46,9 @@ let access_ref t ~addr ~(op : Access.op) =
     if is_write then t.nvram_writes <- t.nvram_writes + 1;
     Controller.submit_ref t.nvram ~addr ~op
 
-let access t (a : Access.t) = access_ref t ~addr:a.addr ~op:a.op
-
 let consume t batch ~first ~n =
   let module Batch = Nvsc_memtrace.Sink.Batch in
+  Batch.check_slice batch ~first ~n;
   for i = first to first + n - 1 do
     access_ref t ~addr:(Batch.addr batch i) ~op:(Batch.op batch i)
   done

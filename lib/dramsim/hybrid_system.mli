@@ -30,10 +30,9 @@ val create :
     organisation per side (8 ranks each), so the combined capacity matches
     the single-technology simulations. *)
 
-val access : t -> Nvsc_memtrace.Access.t -> unit
-
 val consume : t -> Nvsc_memtrace.Sink.Batch.t -> first:int -> n:int -> unit
-(** Route a batch slice of trace records in order. *)
+(** Route a batch slice of trace records in order.  Raises
+    [Invalid_argument] on a slice outside the batch. *)
 
 val sink : ?name:string -> t -> Nvsc_memtrace.Sink.t
 (** A sink feeding this hybrid via {!consume}. *)

@@ -1,16 +1,3 @@
-(* Debug-checked mode: when on, the hot-path accessors fall back to
-   bounds-checked reads and slice hand-offs are validated, so a malformed
-   [first]/[n] is caught instead of silently reading stale array tails.
-   Enabled by the test harness and by the NVSC-San lint pipeline.
-
-   An [Atomic.t], not a [ref]: the sweep engine runs scavenger cells on
-   worker domains, and this is the one top-level mutable flag they all
-   reach.  Toggling it is a process-wide mode switch (a sanitized run may
-   slow concurrent unsanitized cells down, never corrupt them). *)
-let debug_checks = Atomic.make false
-let set_debug_checks v = Atomic.set debug_checks v
-let checks_enabled () = Atomic.get debug_checks
-
 module Batch = struct
   (* Bigarray storage: elements live outside the OCaml heap, so a filled
      batch can be handed by reference to N worker domains with zero
@@ -82,49 +69,25 @@ module Batch = struct
         (Printf.sprintf "Sink.Batch: slice first=%d n=%d outside capacity %d"
            first n cap)
 
-  (* Hot-path accessors: callers index within [0, capacity) by
-     construction (consumers receive a validated [first]/[n] slice;
-     producers flush before the batch fills), so elide bounds checks —
-     unless the debug-checked mode is on. *)
-  let[@inline] addr b i =
-    if Atomic.get debug_checks then Bigarray.Array1.get b.addrs i
-    else Bigarray.Array1.unsafe_get b.addrs i
-
-  let[@inline] size b i =
-    if Atomic.get debug_checks then Bigarray.Array1.get b.sizes i
-    else Bigarray.Array1.unsafe_get b.sizes i
-
-  let[@inline] is_write b i =
-    (if Atomic.get debug_checks then Bigarray.Array1.get b.ops i
-     else Bigarray.Array1.unsafe_get b.ops i)
-    <> '\000'
-
+  (* Per-element accessors are bounds-checked.  Hot consumers validate
+     their slice once with [check_slice] and read the hoisted buffer views
+     with [unsafe_get] instead. *)
+  let[@inline] addr b i = Bigarray.Array1.get b.addrs i
+  let[@inline] size b i = Bigarray.Array1.get b.sizes i
+  let[@inline] is_write b i = Bigarray.Array1.get b.ops i <> '\000'
   let[@inline] op b i = if is_write b i then Access.Write else Access.Read
   let[@inline] op_char = function
     | Access.Read -> '\000'
     | Access.Write -> '\001'
 
   let[@inline] set b i ~addr ~size ~op =
-    if Atomic.get debug_checks then begin
-      Bigarray.Array1.set b.addrs i addr;
-      Bigarray.Array1.set b.sizes i size;
-      Bigarray.Array1.set b.ops i (op_char op)
-    end
-    else begin
-      Bigarray.Array1.unsafe_set b.addrs i addr;
-      Bigarray.Array1.unsafe_set b.sizes i size;
-      Bigarray.Array1.unsafe_set b.ops i (op_char op)
-    end
+    Bigarray.Array1.set b.addrs i addr;
+    Bigarray.Array1.set b.sizes i size;
+    Bigarray.Array1.set b.ops i (op_char op)
 
   let[@inline] set_addr_op b i ~addr ~op =
-    if Atomic.get debug_checks then begin
-      Bigarray.Array1.set b.addrs i addr;
-      Bigarray.Array1.set b.ops i (op_char op)
-    end
-    else begin
-      Bigarray.Array1.unsafe_set b.addrs i addr;
-      Bigarray.Array1.unsafe_set b.ops i (op_char op)
-    end
+    Bigarray.Array1.set b.addrs i addr;
+    Bigarray.Array1.set b.ops i (op_char op)
 
   let fill_sizes b size =
     Bigarray.Array1.fill b.sizes size
@@ -141,13 +104,6 @@ module Batch = struct
         (Bigarray.Array1.sub src.ops src_pos n)
         (Bigarray.Array1.sub dst.ops dst_pos n)
     end
-
-  let access b i = { Access.addr = addr b i; size = size b i; op = op b i }
-
-  let iter b ~first ~n f =
-    for i = first to first + n - 1 do
-      f (access b i)
-    done
 end
 
 type consumer = Batch.t -> first:int -> n:int -> unit
@@ -177,9 +133,6 @@ let create ?(name = "sink") ?(capacity = default_capacity) consumer =
     boundary_flushes = 0;
   }
 
-let of_fn ?name ?capacity f =
-  create ?name ?capacity (fun b ~first ~n -> Batch.iter b ~first ~n f)
-
 let null () = create ~name:"null" (fun _ ~first:_ ~n:_ -> ())
 
 let flush t =
@@ -204,10 +157,8 @@ let push t ~addr ~size ~op =
     t.consumer t.batch ~first:0 ~n
   end
 
-let push_access t (a : Access.t) = push t ~addr:a.addr ~size:a.size ~op:a.op
-
 let deliver t batch ~first ~n =
-  if Atomic.get debug_checks then Batch.check_slice batch ~first ~n;
+  Batch.check_slice batch ~first ~n;
   if n > 0 then begin
     flush t;
     t.pushed <- t.pushed + n;

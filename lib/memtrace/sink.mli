@@ -12,27 +12,13 @@
     (capacity flush) or at an explicit boundary ({!flush}, called at
     iteration/phase boundaries so per-iteration statistics stay exact). *)
 
-val set_debug_checks : bool -> unit
-(** Toggle the module-wide debug-checked mode: batch accessors become
-    bounds-checked and {!deliver} validates its slice.  Off by default —
-    the hot path stays unsafe; tests and the NVSC-San lint pipeline turn
-    it on.  The flag is an [Atomic.t], safe to read and toggle from sweep
-    worker domains (it is a process-wide mode, so a sanitized cell may
-    temporarily slow concurrent cells, never corrupt them). *)
-
-val checks_enabled : unit -> bool
-
 (** Flat batch of references: parallel [addr]/[size] buffers plus one byte
     per record for the read/write op.  Indices [0 .. n-1] are valid, where
     [n] is carried alongside the batch, not stored in it.
 
-    Storage is [Bigarray]-backed (v2 of this interface): elements are
-    unboxed, live outside the OCaml heap, and are domain-shareable, so one
-    filled batch can be handed by reference to N worker domains with zero
-    copying.  The old public int-array record ([{ addrs; sizes; ops }]) is
-    gone — consumers that hoisted the fields now hoist the typed buffer
-    views {!addrs}/{!sizes}/{!ops} instead (see the DESIGN.md versioning
-    note). *)
+    Storage is [Bigarray]-backed: elements are unboxed, live outside the
+    OCaml heap, and are domain-shareable, so one filled batch can be
+    handed by reference to N worker domains with zero copying. *)
 module Batch : sig
   type int_buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
   (** Unboxed native-int payload buffer.  The kind and layout are concrete
@@ -59,14 +45,17 @@ module Batch : sig
   val sizes : t -> int_buf
 
   val ops : t -> op_buf
-  (** Raw buffer views for hot loops: hoist once per delivered slice, then
-      index with [Bigarray.Array1.unsafe_get].  Views are valid until the
-      next {!ensure} on the batch. *)
+  (** Raw buffer views for hot loops: validate the delivered slice with
+      {!check_slice} once, then index with [Bigarray.Array1.unsafe_get].
+      Views are valid until the next {!ensure} on the batch. *)
 
   val addr : t -> int -> int
   val size : t -> int -> int
   val is_write : t -> int -> bool
+
   val op : t -> int -> Access.op
+  (** Bounds-checked reads of record [i]; raise [Invalid_argument] outside
+      the capacity. *)
 
   val set : t -> int -> addr:int -> size:int -> op:Access.op -> unit
 
@@ -84,13 +73,6 @@ module Batch : sig
   val check_slice : t -> first:int -> n:int -> unit
   (** Validate that [first .. first+n-1] lies within the batch capacity;
       raises [Invalid_argument] (naming the offending slice) otherwise. *)
-
-  val access : t -> int -> Access.t
-  (** Materialise record [i] (allocates; compatibility path only). *)
-
-  val iter : t -> first:int -> n:int -> (Access.t -> unit) -> unit
-  (** Per-access view of a batch slice, in order (allocates one record per
-      element; compatibility path only). *)
 end
 
 type consumer = Batch.t -> first:int -> n:int -> unit
@@ -106,10 +88,6 @@ val create : ?name:string -> ?capacity:int -> consumer -> t
 val default_capacity : int
 (** 65536, the paper's flush granularity. *)
 
-val of_fn : ?name:string -> ?capacity:int -> (Access.t -> unit) -> t
-(** Wrap a per-access function as a batch consumer (the derived
-    compatibility path: each delivered record is materialised). *)
-
 val null : unit -> t
 (** A sink that discards everything (still counts). *)
 
@@ -117,12 +95,11 @@ val push : t -> addr:int -> size:int -> op:Access.op -> unit
 (** Append one reference; triggers a capacity flush when the buffer
     fills. *)
 
-val push_access : t -> Access.t -> unit
-
 val deliver : t -> Batch.t -> first:int -> n:int -> unit
 (** Zero-copy hand-off of a foreign batch slice: any buffered pushes are
     flushed first (preserving order), then the slice goes straight to the
-    consumer without being copied. *)
+    consumer without being copied.  Raises [Invalid_argument] (via
+    {!Batch.check_slice}) on a slice outside the batch. *)
 
 val flush : t -> unit
 (** Boundary flush: deliver any buffered references now.  No-op when the

@@ -1,17 +1,14 @@
-let append_record oc ~index (a : Access.t) =
-  Printf.fprintf oc "0x%x %s %d\n" a.addr
-    (match a.op with Access.Read -> "P_MEM_RD" | Access.Write -> "P_MEM_WR")
-    index
-
 let save log path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      let i = ref 0 in
-      Trace_log.replay log (fun a ->
-          append_record oc ~index:!i a;
-          incr i))
+      let batch, n = Trace_log.as_batch log in
+      for i = 0 to n - 1 do
+        Printf.fprintf oc "0x%x %s %d\n" (Sink.Batch.addr batch i)
+          (if Sink.Batch.is_write batch i then "P_MEM_WR" else "P_MEM_RD")
+          i
+      done)
 
 let parse_record ?(size = 64) line =
   let line = String.trim line in
@@ -51,7 +48,8 @@ let load ?(size = 64) path =
              with Failure msg ->
                failwith (Printf.sprintf "%s: %s (line %d)" path msg !lineno)
            with
-           | Some a -> Trace_log.record log a
+           | Some { Access.addr; size; op } ->
+             Trace_log.record_raw log ~addr ~size ~op
            | None -> ()
          done
        with End_of_file -> ());

@@ -17,9 +17,8 @@ let record_raw t ~addr ~size ~op =
   | Access.Read -> t.reads <- t.reads + 1
   | Access.Write -> t.writes <- t.writes + 1
 
-let record t (a : Access.t) = record_raw t ~addr:a.addr ~size:a.size ~op:a.op
-
 let record_batch t batch ~first ~n =
+  Sink.Batch.check_slice batch ~first ~n;
   Sink.Batch.ensure t.batch (t.len + n);
   Sink.Batch.blit batch ~src_pos:first t.batch ~dst_pos:t.len ~n;
   let writes = ref 0 in
@@ -34,15 +33,6 @@ let sink ?(name = "trace-log") t =
   Sink.create ~name (fun batch ~first ~n -> record_batch t batch ~first ~n)
 
 let length t = t.len
-
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Trace_log.get";
-  Sink.Batch.access t.batch i
-
-let replay t f =
-  for i = 0 to t.len - 1 do
-    f (Sink.Batch.access t.batch i)
-  done
 
 let replay_batch t sink = Sink.deliver sink t.batch ~first:0 ~n:t.len
 

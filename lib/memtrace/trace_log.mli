@@ -14,24 +14,17 @@ type t
 
 val create : ?initial_capacity:int -> unit -> t
 
-val record : t -> Access.t -> unit
-
 val record_raw : t -> addr:int -> size:int -> op:Access.op -> unit
-(** Like {!record} without materialising an [Access.t]. *)
+(** Append one access. *)
 
 val record_batch : t -> Sink.Batch.t -> first:int -> n:int -> unit
-(** Append a batch slice (bulk blit). *)
+(** Append a batch slice (bulk blit).  Raises [Invalid_argument] on a
+    slice outside the batch. *)
 
 val sink : ?name:string -> t -> Sink.t
 (** A sink that records everything delivered to it into the log. *)
 
 val length : t -> int
-
-val get : t -> int -> Access.t
-
-val replay : t -> (Access.t -> unit) -> unit
-(** Deliver every recorded access, in order (per-access convenience;
-    allocates one record per access). *)
 
 val replay_batch : t -> Sink.t -> unit
 (** Deliver the whole recorded stream to [sink] as a single zero-copy

@@ -140,6 +140,17 @@ let of_string s =
 
 let is_nvram t = t.non_volatile
 
+let nvram_of_string s =
+  match of_string s with
+  | Some t when is_nvram t -> Ok t
+  | _ ->
+    Error
+      (Nvsc_util.Cli.unknown ~what:"NVRAM technology"
+         ~known:(List.filter_map
+                   (fun t -> if is_nvram t then Some t.name else None)
+                   paper_set)
+         s)
+
 let pp_category fmt = function
   | Cat1_long_read_write -> Format.pp_print_string fmt "category 1 (long R/W)"
   | Cat2_long_write -> Format.pp_print_string fmt "category 2 (long W)"

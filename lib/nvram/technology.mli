@@ -53,5 +53,10 @@ val of_string : string -> t option
 
 val is_nvram : t -> bool
 
+val nvram_of_string : string -> (t, string) result
+(** {!of_string} restricted to non-volatile technologies — the NVRAM half
+    of a hybrid memory.  The error names the paper's NVRAM technologies
+    (PCRAM, STTRAM, MRAM). *)
+
 val pp : Format.formatter -> t -> unit
 val pp_category : Format.formatter -> category -> unit

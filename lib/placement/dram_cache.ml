@@ -99,10 +99,9 @@ let access_raw t ~addr ~size ~op =
     if Cache.Effect.has_writeback e then writeback_page t
   end
 
-let access t (a : Access.t) = access_raw t ~addr:a.addr ~size:a.size ~op:a.op
-
 let consume t batch ~first ~n =
   let module Sink = Nvsc_memtrace.Sink in
+  Sink.Batch.check_slice batch ~first ~n;
   for i = first to first + n - 1 do
     access_raw t ~addr:(Sink.Batch.addr batch i) ~size:(Sink.Batch.size batch i)
       ~op:(Sink.Batch.op batch i)

@@ -36,11 +36,9 @@ val access_raw : t -> addr:int -> size:int -> op:Nvsc_memtrace.Access.op -> unit
 (** One main-memory access (line granularity, as produced by the cache
     hierarchy or a trace log). *)
 
-val access : t -> Nvsc_memtrace.Access.t -> unit
-(** Per-record convenience over {!access_raw}. *)
-
 val consume : t -> Nvsc_memtrace.Sink.Batch.t -> first:int -> n:int -> unit
-(** Run a batch slice through the page cache in order. *)
+(** Run a batch slice through the page cache in order.  Raises
+    [Invalid_argument] on a slice outside the batch. *)
 
 val sink : ?name:string -> t -> Nvsc_memtrace.Sink.t
 (** A sink feeding this cache via {!consume}. *)

@@ -31,14 +31,9 @@ let check_app app =
          app)
 
 let check_tech tech =
-  match Technology.of_string tech with
-  | Some t -> Ok t
-  | None ->
-    bad ~field:"tech"
-      (Nvsc_util.Cli.unknown ~what:"technology"
-         ~known:
-           (List.map (fun (t : Technology.t) -> t.name) Technology.paper_set)
-         tech)
+  match Technology.nvram_of_string tech with
+  | Ok t -> Ok t
+  | Error msg -> bad ~field:"tech" msg
 
 let check_config ~scale ~iterations =
   if not (Float.is_finite scale && scale > 0.) then

@@ -45,9 +45,9 @@ let validate_techs names =
   let rec loop acc = function
     | [] -> Ok (List.rev acc)
     | n :: rest -> (
-      match Technology.of_string n with
-      | Some t -> loop (t.Technology.tech :: acc) rest
-      | None -> Error (Printf.sprintf "unknown technology %S" n))
+      match Technology.nvram_of_string n with
+      | Ok t -> loop (t.Technology.tech :: acc) rest
+      | Error msg -> Error msg)
   in
   loop [] names
 

@@ -329,27 +329,11 @@ let submit_ref t ~addr ~(op : Access.op) =
     t.reorder <- t.reorder @ [ { op; coords } ];
     if List.length t.reorder >= depth then schedule_one t
 
-let submit t (a : Access.t) = submit_ref t ~addr:a.addr ~op:a.op
-
-(* Same accessor hoisting as [Hierarchy.consume]: outside the
-   debug-checked mode, read the batch arrays directly so the per-element
-   [debug_checks] atomic load stays out of the loop. *)
 let consume t batch ~first ~n =
-  let module Sink = Nvsc_memtrace.Sink in
-  if Sink.checks_enabled () then
-    for i = first to first + n - 1 do
-      submit_ref t ~addr:(Sink.Batch.addr batch i) ~op:(Sink.Batch.op batch i)
-    done
-  else begin
-    let addrs = Sink.Batch.addrs batch and ops = Sink.Batch.ops batch in
-    for i = first to first + n - 1 do
-      let op =
-        if Bigarray.Array1.unsafe_get ops i <> '\000' then Access.Write
-        else Access.Read
-      in
-      submit_ref t ~addr:(Bigarray.Array1.unsafe_get addrs i) ~op
-    done
-  end
+  let module Batch = Nvsc_memtrace.Sink.Batch in
+  for i = first to first + n - 1 do
+    submit_ref t ~addr:(Batch.addr batch i) ~op:(Batch.op batch i)
+  done
 
 let sink ?name t = Nvsc_memtrace.Sink.create ?name (consume t)
 

@@ -73,7 +73,6 @@ let access_raw t ~addr ~size ~op =
     access_line t line op
   done
 
-let access t (a : Access.t) = access_raw t ~addr:a.addr ~size:a.size ~op:a.op
 
 (* The pre-optimization batch consumer, verbatim (minus the tracing span):
    per-element checked accessors, no hoisting.  Kept so the kernel bench

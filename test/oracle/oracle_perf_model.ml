@@ -191,7 +191,6 @@ let access_raw t ~addr ~size ~op =
       end
       else demand_miss t)
 
-let access t (a : Access.t) = access_raw t ~addr:a.addr ~size:a.size ~op:a.op
 
 let consume t batch ~first ~n =
   for i = first to first + n - 1 do

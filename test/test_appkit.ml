@@ -131,7 +131,7 @@ let test_fast_tally () =
 let test_sink_stream () =
   let ctx = Ctx.create () in
   let seen = ref [] in
-  Ctx.add_sink ctx (Nvsc_memtrace.Sink.of_fn (fun a -> seen := a :: !seen));
+  Ctx.add_sink ctx (Batches.collect seen);
   let g = Farray.global ctx ~name:"g" 4 in
   Farray.set g 1 2.0;
   ignore (Farray.get g 1);

@@ -7,7 +7,7 @@ let test_sink_flush_on_full () =
   let s =
     Sink.create ~capacity:4 (fun b ~first ~n ->
         for i = first to first + n - 1 do
-          seen := Sink.Batch.access b i :: !seen
+          seen := Batches.get b i :: !seen
         done)
   in
   for i = 0 to 9 do
@@ -69,27 +69,49 @@ let test_batch_accessors () =
   Alcotest.(check int) "data preserved" 0x40 (Sink.Batch.addr b 0);
   Alcotest.(check bool) "ops preserved" true (Sink.Batch.is_write b 1)
 
+(* Every consumer validates the slice it is handed, in every run: a
+   malformed [first]/[n] raises instead of reading past the batch. *)
+let slice_consumers () =
+  let tech = Nvsc_nvram.Technology.get Nvsc_nvram.Technology.PCRAM in
+  [
+    ("Sink.deliver", Sink.deliver (Sink.null ()));
+    ( "Hierarchy.consume",
+      Nvsc_cachesim.Hierarchy.consume
+        (Nvsc_cachesim.Hierarchy.create ~sink:(Sink.null ()) ()) );
+    ( "Controller.consume",
+      Nvsc_dramsim.Controller.consume (Nvsc_dramsim.Controller.create ~tech ())
+    );
+    ( "Perf_model.consume",
+      Nvsc_cpusim.Perf_model.consume
+        (Nvsc_cpusim.Perf_model.create ~mem_latency_ns:10. ()) );
+    ( "Dram_cache.consume",
+      Nvsc_placement.Dram_cache.consume
+        (Nvsc_placement.Dram_cache.create ~tech ()) );
+    ( "Hybrid_system.consume",
+      Nvsc_dramsim.Hybrid_system.consume
+        (Nvsc_dramsim.Hybrid_system.create ~nvram:tech
+           ~placement:(fun _ -> Nvsc_dramsim.Hybrid_system.Nvram_side)
+           ()) );
+    ("Trace_log.record_batch", Trace_log.record_batch (Trace_log.create ()));
+  ]
+
 let test_batch_checked_slices () =
-  (* with debug checks on, malformed slices are caught at the deliver
-     boundary instead of silently reading stale batch tails *)
-  let prev = Sink.checks_enabled () in
-  Sink.set_debug_checks true;
-  Fun.protect ~finally:(fun () -> Sink.set_debug_checks prev) @@ fun () ->
-  let s = Sink.create ~capacity:4 (fun _ ~first:_ ~n:_ -> ()) in
   let b = Sink.Batch.create 4 in
   Sink.Batch.set b 0 ~addr:0x40 ~size:64 ~op:Access.Read;
-  Alcotest.check_raises "slice past capacity"
-    (Invalid_argument "Sink.Batch: slice first=2 n=3 outside capacity 4")
-    (fun () -> Sink.deliver s b ~first:2 ~n:3);
-  Alcotest.check_raises "negative first"
-    (Invalid_argument "Sink.Batch: slice first=-1 n=2 outside capacity 4")
-    (fun () -> Sink.deliver s b ~first:(-1) ~n:2);
+  List.iter
+    (fun (name, consume) ->
+      Alcotest.check_raises (name ^ ": slice past capacity")
+        (Invalid_argument "Sink.Batch: slice first=2 n=3 outside capacity 4")
+        (fun () -> consume b ~first:2 ~n:3);
+      Alcotest.check_raises (name ^ ": negative first")
+        (Invalid_argument "Sink.Batch: slice first=-1 n=2 outside capacity 4")
+        (fun () -> consume b ~first:(-1) ~n:2);
+      (* a well-formed slice still goes through *)
+      consume b ~first:0 ~n:1)
+    (slice_consumers ());
   Alcotest.check_raises "checked accessor"
     (Invalid_argument "index out of bounds")
-    (fun () -> ignore (Sink.Batch.addr b 7));
-  (* a well-formed slice still goes through *)
-  Sink.deliver s b ~first:0 ~n:1;
-  Alcotest.(check int) "valid slice delivered" 1 (Sink.pushed s)
+    (fun () -> ignore (Sink.Batch.addr b 7))
 
 let test_log_roundtrip () =
   let log = Trace_log.create ~initial_capacity:2 () in
@@ -100,42 +122,34 @@ let test_log_roundtrip () =
       Access.read ~addr:0x300 ~size:8;
     ]
   in
-  List.iter (Trace_log.record log) accesses;
+  List.iter
+    (fun (a : Access.t) ->
+      Trace_log.record_raw log ~addr:a.addr ~size:a.size ~op:a.op)
+    accesses;
   Alcotest.(check int) "length" 3 (Trace_log.length log);
   Alcotest.(check int) "reads" 2 (Trace_log.reads log);
   Alcotest.(check int) "writes" 1 (Trace_log.writes log);
-  List.iteri
-    (fun i expected ->
-      let got = Trace_log.get log i in
-      Alcotest.(check bool)
-        (Printf.sprintf "record %d" i)
-        true
-        (got.Access.addr = expected.Access.addr
-        && got.size = expected.size
-        && got.op = expected.op))
-    accesses
+  Alcotest.(check bool) "records" true (Batches.to_list log = accesses)
 
 let test_log_replay_order () =
   let log = Trace_log.create () in
   for i = 0 to 99 do
-    Trace_log.record log (Access.read ~addr:i ~size:8)
+    Trace_log.record_raw log ~addr:i ~size:8 ~op:Access.Read
   done;
   let replayed = ref [] in
-  Trace_log.replay log (fun a -> replayed := a.Access.addr :: !replayed);
-  Alcotest.(check (list int)) "order" (List.init 100 Fun.id) (List.rev !replayed)
+  Trace_log.replay_batch log (Batches.collect replayed);
+  Alcotest.(check (list int)) "order" (List.init 100 Fun.id)
+    (List.rev_map (fun (a : Access.t) -> a.addr) !replayed)
 
 let test_log_replay_batch () =
   let log = Trace_log.create ~initial_capacity:4 () in
   for i = 0 to 99 do
-    Trace_log.record log
-      (if i mod 3 = 0 then Access.write ~addr:i ~size:64
-       else Access.read ~addr:i ~size:64)
+    Trace_log.record_raw log ~addr:i ~size:64
+      ~op:(if i mod 3 = 0 then Access.Write else Access.Read)
   done;
-  (* batched replay must equal per-access replay, in one delivery *)
+  (* the whole log arrives in one delivery *)
   let replayed = ref [] in
-  let s =
-    Sink.of_fn (fun a -> replayed := a :: !replayed)
-  in
+  let s = Batches.collect replayed in
   Trace_log.replay_batch log s;
   Alcotest.(check int) "one batch" 1 (Sink.batches s);
   Alcotest.(check int) "all delivered" 100 (Sink.pushed s);
@@ -159,7 +173,8 @@ let test_log_record_batch () =
   Alcotest.(check int) "length" 5 (Trace_log.length log);
   Alcotest.(check int) "writes" 1 (Trace_log.writes log);
   Alcotest.(check int) "reads" 4 (Trace_log.reads log);
-  Alcotest.(check int) "first record" 128 (Trace_log.get log 0).Access.addr;
+  Alcotest.(check int) "first record" 128
+    (Sink.Batch.addr (fst (Trace_log.as_batch log)) 0);
   (* the log's own sink records through record_batch *)
   let log2 = Trace_log.create () in
   let s = Trace_log.sink log2 in
@@ -171,15 +186,10 @@ let test_log_record_batch () =
 
 let test_log_clear () =
   let log = Trace_log.create () in
-  Trace_log.record log (Access.write ~addr:1 ~size:8);
+  Trace_log.record_raw log ~addr:1 ~size:8 ~op:Access.Write;
   Trace_log.clear log;
   Alcotest.(check int) "length" 0 (Trace_log.length log);
   Alcotest.(check int) "writes" 0 (Trace_log.writes log)
-
-let test_log_get_bounds () =
-  let log = Trace_log.create () in
-  Alcotest.check_raises "oob" (Invalid_argument "Trace_log.get") (fun () ->
-      ignore (Trace_log.get log 0))
 
 let log_growth_prop =
   QCheck.Test.make ~name:"log preserves arbitrary streams" ~count:50
@@ -191,17 +201,13 @@ let log_growth_prop =
       let log = Trace_log.create ~initial_capacity:1 () in
       List.iter
         (fun (addr, is_read) ->
-          Trace_log.record log
-            (if is_read then Access.read ~addr ~size:64
-             else Access.write ~addr ~size:64))
+          Trace_log.record_raw log ~addr ~size:64
+            ~op:(if is_read then Access.Read else Access.Write))
         events;
-      Trace_log.length log = List.length events
-      && List.for_all2
-           (fun (addr, is_read) i ->
-             let a = Trace_log.get log i in
-             a.Access.addr = addr && Access.is_read a = is_read)
-           events
-           (List.init (List.length events) Fun.id))
+      List.map
+        (fun (a : Access.t) -> (a.addr, Access.is_read a))
+        (Batches.to_list log)
+      = events)
 
 let suite =
   [
@@ -217,6 +223,5 @@ let suite =
     Alcotest.test_case "log replay batch" `Quick test_log_replay_batch;
     Alcotest.test_case "log record batch" `Quick test_log_record_batch;
     Alcotest.test_case "log clear" `Quick test_log_clear;
-    Alcotest.test_case "log bounds" `Quick test_log_get_bounds;
     QCheck_alcotest.to_alcotest log_growth_prop;
   ]

@@ -48,6 +48,9 @@ let run_nvscav args =
       in
       (code, read_file out_f, read_file err_f))
 
+(* The committed NVT fixture, for rows that need a trace to replay. *)
+let golden_nvt = Option.value ~default:"" (Sys.getenv_opt "GOLDEN_NVT")
+
 (* (name, argv, expected exit code) — every expected-2 row is a usage
    error and must also leave a diagnostic on stderr and stdout empty. *)
 let table =
@@ -68,6 +71,17 @@ let table =
     ("sweep bad override", [ "sweep"; "--override"; "bogus=1" ], 2);
     ("sweep unknown kind", [ "sweep"; "--kinds"; "nosuchkind" ], 2);
     ("unknown technology", [ "run"; "gtc"; "--tech"; "unobtainium" ], 2);
+    (* DDR3 is no NVRAM half: rejected before the application runs *)
+    ("run ddr3 tech", [ "run"; "gtc"; "--tech"; "ddr3" ], 2);
+    ("place ddr3 tech", [ "place"; "gtc"; "--tech"; "ddr3" ], 2);
+    ("hybrid ddr3 tech", [ "hybrid"; "gtc"; "--tech"; "ddr3" ], 2);
+    ("hybrid unknown tech", [ "hybrid"; "gtc"; "--tech"; "unobtainium" ], 2);
+    ( "replay ddr3 tech",
+      [ "replay"; golden_nvt; "--kind"; "place"; "--tech"; "ddr3" ],
+      2 );
+    ( "sweep ddr3 tech",
+      [ "sweep"; "--kinds"; "place"; "--techs"; "ddr3"; "--apps"; "gtc" ],
+      2 );
     ("client no daemon", [ "client"; "ping"; "--socket"; "/nonexistent.sock" ], 2);
     ("serve bad port", [ "serve"; "--port"; "0" ], 2);
     ("list ok", [ "list" ], 0);

@@ -62,10 +62,10 @@ let test_compute_only () =
 
 let test_l1_hits_free () =
   let m = Perf_model.create ~mem_latency_ns:10. () in
-  Perf_model.access m (Access.read ~addr:0 ~size:8);
+  Perf_model.access_raw m ~addr:0 ~size:8 ~op:Access.Read;
   let cold = (Perf_model.report m).Perf_model.cycles in
   for _ = 1 to 100 do
-    Perf_model.access m (Access.read ~addr:0 ~size:8)
+    Perf_model.access_raw m ~addr:0 ~size:8 ~op:Access.Read
   done;
   let r = Perf_model.report m in
   Alcotest.(check int) "l1 hits" 100 r.Perf_model.l1_hits;
@@ -73,19 +73,18 @@ let test_l1_hits_free () =
   Alcotest.(check (float 1e-6)) "only frontend cost" (cold +. 25.)
     r.Perf_model.cycles
 
-let random_walk_accesses n seed =
+let random_walk_addrs n seed =
   let rng = Nvsc_util.Rng.of_int seed in
-  List.init n (fun _ ->
-      Access.read ~addr:(64 * Nvsc_util.Rng.int rng 2_000_000) ~size:8)
+  List.init n (fun _ -> 64 * Nvsc_util.Rng.int rng 2_000_000)
 
 let test_latency_monotonicity () =
   let run lat =
     let m = Perf_model.create ~mem_latency_ns:lat () in
     List.iter
-      (fun a ->
+      (fun addr ->
         Perf_model.instructions m 10;
-        Perf_model.access m a)
-      (random_walk_accesses 3000 5);
+        Perf_model.access_raw m ~addr ~size:8 ~op:Access.Read)
+      (random_walk_addrs 3000 5);
     (Perf_model.report m).Perf_model.runtime_ns
   in
   let t10 = run 10. and t20 = run 20. and t100 = run 100. in
@@ -97,7 +96,7 @@ let test_prefetcher_covers_streams () =
      prefetcher must cover nearly everything *)
   let m = Perf_model.create ~mem_latency_ns:100. () in
   for i = 0 to 9999 do
-    Perf_model.access m (Access.read ~addr:(i * 64) ~size:8)
+    Perf_model.access_raw m ~addr:(i * 64) ~size:8 ~op:Access.Read
   done;
   let r = Perf_model.report m in
   Alcotest.(check bool) "few demand clusters" true (r.Perf_model.miss_clusters < 20)
@@ -109,7 +108,8 @@ let test_mlp_clustering () =
   (* 4 far-apart lines, back to back: one cluster *)
   List.iter
     (fun k ->
-      Perf_model.access m (Access.read ~addr:(k * 1_000_000 * 64) ~size:8))
+      Perf_model.access_raw m ~addr:(k * 1_000_000 * 64) ~size:8
+        ~op:Access.Read)
     [ 1; 3; 5; 7 ];
   let r = Perf_model.report m in
   Alcotest.(check int) "one cluster" 1 r.Perf_model.miss_clusters
@@ -127,7 +127,7 @@ let test_fig12_shape () =
           64 * Nvsc_util.Rng.int rng 1_000_000
         else i * 64
       in
-      Perf_model.access model (Access.read ~addr ~size:8)
+      Perf_model.access_raw model ~addr ~size:8 ~op:Access.Read
     done
   in
   let points = Sensitivity.run ~replay () in
@@ -148,11 +148,8 @@ let test_asymmetric_posted_writes () =
     for i = 0 to 20_000 do
       Perf_model.instructions model 6;
       (* write-heavy streaming: the worst case for the symmetric model *)
-      let a =
-        if i mod 3 = 0 then Access.write ~addr:(i * 64) ~size:8
-        else Access.read ~addr:(i * 64) ~size:8
-      in
-      Perf_model.access model a
+      let op = if i mod 3 = 0 then Access.Write else Access.Read in
+      Perf_model.access_raw model ~addr:(i * 64) ~size:8 ~op
     done
   in
   let points = Sensitivity.run ~replay () in
@@ -179,8 +176,9 @@ let test_write_buffer_saturates () =
     in
     let rng = Nvsc_util.Rng.of_int 7 in
     for _ = 0 to 5_000 do
-      Perf_model.access m
-        (Access.write ~addr:(64 * Nvsc_util.Rng.int rng 1_000_000) ~size:8)
+      Perf_model.access_raw m
+        ~addr:(64 * Nvsc_util.Rng.int rng 1_000_000)
+        ~size:8 ~op:Access.Write
     done;
     (Perf_model.report m).Perf_model.runtime_ns
   in
@@ -207,7 +205,7 @@ let test_sensitivity_one_pass () =
       ~replay:(fun m ->
         incr calls;
         Perf_model.instructions m 8;
-        Perf_model.access m (Access.write ~addr:4096 ~size:8))
+        Perf_model.access_raw m ~addr:4096 ~size:8 ~op:Access.Write)
       ()
   in
   Alcotest.(check int) "one replay" 1 !calls;

@@ -45,7 +45,7 @@ let test_power_params () =
 (* Simulate a whole materialised trace on a fresh controller. *)
 let run_trace ~tech trace =
   let c = Controller.create ~tech () in
-  List.iter (Controller.submit c) trace;
+  Batches.feed (Controller.consume c) trace;
   Controller.stats c
 
 let seq_reads n = List.init n (fun i -> Access.read ~addr:(i * 64) ~size:64)
@@ -128,7 +128,7 @@ let test_normalized_power_table6_band () =
   in
   let results =
     Memory_system.compare_technologies ~techs:Tech.paper_set
-      ~replay:(fun sink -> List.iter (Nvsc_memtrace.Sink.push_access sink) trace)
+      ~replay:(fun sink -> Batches.feed (Nvsc_memtrace.Sink.deliver sink) trace)
       ()
   in
   let norm = Memory_system.normalized_power results in

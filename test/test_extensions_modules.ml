@@ -24,20 +24,22 @@ let test_ctx_sampling () =
 (* --- trace file ---------------------------------------------------------- *)
 
 let test_trace_file_roundtrip () =
-  let log = Trace_log.create () in
-  Trace_log.record log (Access.read ~addr:0x1a40 ~size:64);
-  Trace_log.record log (Access.write ~addr:0x2000 ~size:64);
+  let log =
+    Batches.log
+      [ Access.read ~addr:0x1a40 ~size:64; Access.write ~addr:0x2000 ~size:64 ]
+  in
   let path = Filename.temp_file "nvsc_trace" ".txt" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Trace_file.save log path;
       let loaded = Trace_file.load path in
-      Alcotest.(check int) "length" 2 (Trace_log.length loaded);
-      let a0 = Trace_log.get loaded 0 and a1 = Trace_log.get loaded 1 in
-      Alcotest.(check int) "addr 0" 0x1a40 a0.Access.addr;
-      Alcotest.(check bool) "read" true (Access.is_read a0);
-      Alcotest.(check bool) "write" true (Access.is_write a1))
+      match Batches.to_list loaded with
+      | [ a0; a1 ] ->
+        Alcotest.(check int) "addr 0" 0x1a40 a0.Access.addr;
+        Alcotest.(check bool) "read" true (Access.is_read a0);
+        Alcotest.(check bool) "write" true (Access.is_write a1)
+      | l -> Alcotest.failf "length %d, expected 2" (List.length l))
 
 let test_trace_file_parsing () =
   Alcotest.(check bool) "comment skipped" true
@@ -64,8 +66,8 @@ let small_cache () = DC.create ~dram_pages:8 ~associativity:2 ~tech:(Tech.get Te
 
 let test_dram_cache_hit_path () =
   let dc = small_cache () in
-  DC.access dc (Access.read ~addr:0 ~size:64);
-  DC.access dc (Access.read ~addr:64 ~size:64);
+  DC.access_raw dc ~addr:0 ~size:64 ~op:Access.Read;
+  DC.access_raw dc ~addr:64 ~size:64 ~op:Access.Read;
   let s = DC.stats dc in
   Alcotest.(check int) "one miss, one hit (same page)" 1 s.DC.hits;
   Alcotest.(check int) "fills" 1 s.DC.fills;
@@ -75,7 +77,7 @@ let test_dram_cache_hit_path () =
 
 let test_dram_cache_dirty_writeback () =
   let dc = DC.create ~dram_pages:2 ~associativity:1 ~tech:(Tech.get Tech.PCRAM) () in
-  DC.access dc (Access.write ~addr:0 ~size:64);
+  DC.access_raw dc ~addr:0 ~size:64 ~op:Access.Write;
   DC.drain dc;
   let s = DC.stats dc in
   Alcotest.(check int) "writeback on drain" 1 s.DC.dirty_writebacks;
@@ -137,7 +139,7 @@ let test_checkpoint_validation () =
 let test_row_policy () =
   let trace = Trace_log.create () in
   for i = 0 to 999 do
-    Trace_log.record trace (Access.read ~addr:(i * 64) ~size:64)
+    Trace_log.record_raw trace ~addr:(i * 64) ~size:64 ~op:Access.Read
   done;
   match
     Nvsc_core.Extensions.row_policy_ablation trace ~tech:(Tech.get Tech.DDR3)

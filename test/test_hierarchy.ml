@@ -15,13 +15,13 @@ let make () =
   let trace = ref [] in
   (* capacity 1: every memory-side reference is delivered immediately, so
      the tests can inspect [trace] without flushing *)
-  let sink = Sink.of_fn ~capacity:1 (fun a -> trace := a :: !trace) in
+  let sink = Batches.collect ~capacity:1 trace in
   let h = H.create ~l1d:small_l1 ~l2:small_l2 ~sink () in
   (h, trace)
 
 let test_read_miss_generates_memory_read () =
   let h, trace = make () in
-  H.access h (Access.read ~addr:0 ~size:8);
+  H.access_raw h ~addr:0 ~size:8 ~op:Access.Read;
   Alcotest.(check int) "one memory read" 1 (H.memory_reads h);
   Alcotest.(check int) "no writes" 0 (H.memory_writes h);
   (match !trace with
@@ -30,13 +30,13 @@ let test_read_miss_generates_memory_read () =
       (Access.is_read a && a.Access.size = 64 && a.Access.addr = 0)
   | _ -> Alcotest.fail "expected one access");
   (* re-access: fully cached, no new traffic *)
-  H.access h (Access.read ~addr:8 ~size:8);
+  H.access_raw h ~addr:8 ~size:8 ~op:Access.Read;
   Alcotest.(check int) "still one" 1 (H.memory_reads h)
 
 let test_write_miss_propagates () =
   let h, _ = make () in
   (* L1 no-write-allocate forwards to L2; L2 write-allocate fetches *)
-  H.access h (Access.write ~addr:0 ~size:8);
+  H.access_raw h ~addr:0 ~size:8 ~op:Access.Write;
   Alcotest.(check int) "fill read" 1 (H.memory_reads h);
   Alcotest.(check int) "no eager write" 0 (H.memory_writes h);
   (* the dirty line only reaches memory on drain/eviction *)
@@ -45,7 +45,7 @@ let test_write_miss_propagates () =
 
 let test_drain_idempotent () =
   let h, _ = make () in
-  H.access h (Access.write ~addr:0 ~size:8);
+  H.access_raw h ~addr:0 ~size:8 ~op:Access.Write;
   H.drain h;
   let w = H.memory_writes h in
   H.drain h;
@@ -54,7 +54,7 @@ let test_drain_idempotent () =
 let test_line_split () =
   let h, _ = make () in
   (* a 16-byte access straddling a line boundary touches two lines *)
-  H.access h (Access.read ~addr:56 ~size:16);
+  H.access_raw h ~addr:56 ~size:16 ~op:Access.Read;
   Alcotest.(check int) "two line accesses" 2 (H.accesses h);
   Alcotest.(check int) "two memory reads" 2 (H.memory_reads h)
 
@@ -63,7 +63,7 @@ let test_capacity_eviction_traffic () =
   (* write a footprint larger than L2 (32 lines): must force dirty
      evictions to memory *)
   for i = 0 to 99 do
-    H.access h (Access.write ~addr:(i * 64) ~size:8)
+    H.access_raw h ~addr:(i * 64) ~size:8 ~op:Access.Write
   done;
   Alcotest.(check bool) "dirty evictions reached memory" true
     (H.memory_writes h > 0);
@@ -72,25 +72,25 @@ let test_capacity_eviction_traffic () =
 let test_classification () =
   let h, _ = make () in
   Alcotest.(check bool) "cold -> Mem" true
-    (H.access_classified h (Access.read ~addr:0 ~size:8) = `Mem);
+    (H.access_classified_raw h ~addr:0 ~size:8 ~op:Access.Read = `Mem);
   Alcotest.(check bool) "hot -> L1" true
-    (H.access_classified h (Access.read ~addr:0 ~size:8) = `L1);
+    (H.access_classified_raw h ~addr:0 ~size:8 ~op:Access.Read = `L1);
   (* evict from tiny L1 (8 lines, 2-way/4 sets) but keep in L2: lines 0,4,8
      map to the same L1 set (4 sets) *)
-  H.access h (Access.read ~addr:(4 * 64) ~size:8);
-  H.access h (Access.read ~addr:(8 * 64) ~size:8);
+  H.access_raw h ~addr:(4 * 64) ~size:8 ~op:Access.Read;
+  H.access_raw h ~addr:(8 * 64) ~size:8 ~op:Access.Read;
   Alcotest.(check bool) "L1 victim -> L2" true
-    (H.access_classified h (Access.read ~addr:0 ~size:8) = `L2)
+    (H.access_classified_raw h ~addr:0 ~size:8 ~op:Access.Read = `L2)
 
 let test_reset () =
   let h, _ = make () in
-  H.access h (Access.write ~addr:0 ~size:8);
+  H.access_raw h ~addr:0 ~size:8 ~op:Access.Write;
   H.reset h;
   Alcotest.(check int) "no accesses" 0 (H.accesses h);
   Alcotest.(check int) "no reads" 0 (H.memory_reads h);
   (* after reset the same access is cold again *)
   Alcotest.(check bool) "cold again" true
-    (H.access_classified h (Access.read ~addr:0 ~size:8) = `Mem)
+    (H.access_classified_raw h ~addr:0 ~size:8 ~op:Access.Read = `Mem)
 
 let test_mismatched_lines_rejected () =
   let l2_bad =
@@ -111,12 +111,16 @@ let conservation_prop =
       let h =
         H.create ~l1d:small_l1 ~l2:small_l2
           ~sink:
-            (Sink.of_fn (fun a ->
-                 if Access.is_write a then
-                   Hashtbl.replace written (a.Access.addr / 64) ()))
+            (Sink.create (fun b ~first ~n ->
+                 for i = first to first + n - 1 do
+                   if Sink.Batch.is_write b i then
+                     Hashtbl.replace written (Sink.Batch.addr b i / 64) ()
+                 done))
           ()
       in
-      List.iter (fun l -> H.access h (Access.write ~addr:(l * 64) ~size:8)) lines;
+      List.iter
+        (fun l -> H.access_raw h ~addr:(l * 64) ~size:8 ~op:Access.Write)
+        lines;
       H.drain h;
       List.for_all (fun l -> Hashtbl.mem written l) lines)
 
@@ -146,13 +150,7 @@ let expand_runs segs =
 
 let replay_fingerprint feed =
   let trace = ref [] in
-  let h =
-    H.create
-      ~sink:
-        (Sink.of_fn (fun a ->
-             trace := (a.Access.addr, a.Access.size, a.Access.op) :: !trace))
-      ()
-  in
+  let h = H.create ~sink:(Batches.collect trace) () in
   feed h;
   H.drain h;
   let cache c =
@@ -164,7 +162,7 @@ let replay_fingerprint feed =
   in
   ( (cache (H.l1d h), cache (H.l2 h)),
     (H.accesses h, H.memory_reads h, H.memory_writes h),
-    List.rev !trace )
+    List.rev_map (fun (a : Access.t) -> (a.addr, a.size, a.op)) !trace )
 
 let coalescing_invisible =
   QCheck.Test.make ~name:"run coalescing is invisible (per-ref = consume)"

@@ -13,7 +13,7 @@ let seq n = List.init n (fun i -> Access.read ~addr:(i * 64) ~size:64)
 
 let test_routing () =
   let h = HS.create ~nvram:sttram ~placement:parity_placement () in
-  List.iter (HS.access h) (seq 100);
+  Batches.feed (HS.consume h) (seq 100);
   let s = HS.stats h in
   Alcotest.(check int) "all counted" 100 s.HS.accesses;
   Alcotest.(check int) "half to DRAM" 50 s.HS.dram.Controller.accesses;
@@ -22,7 +22,7 @@ let test_routing () =
 
 let test_all_dram_placement () =
   let h = HS.create ~nvram:sttram ~placement:(fun _ -> HS.Dram_side) () in
-  List.iter (HS.access h) (seq 200);
+  Batches.feed (HS.consume h) (seq 200);
   let s = HS.stats h in
   Alcotest.(check int) "NVRAM idle" 0 s.HS.nvram.Controller.accesses;
   (* the idle NVRAM half still burns its background power over the joint
@@ -33,16 +33,19 @@ let test_all_dram_placement () =
 let test_write_fraction () =
   let h = HS.create ~nvram:sttram ~placement:parity_placement () in
   (* writes only on odd lines -> all writes to NVRAM *)
-  for i = 0 to 49 do
-    HS.access h (Access.write ~addr:(((2 * i) + 1) * 64) ~size:64);
-    HS.access h (Access.read ~addr:(2 * i * 64) ~size:64)
-  done;
+  Batches.feed (HS.consume h)
+    (List.concat
+       (List.init 50 (fun i ->
+            [
+              Access.write ~addr:(((2 * i) + 1) * 64) ~size:64;
+              Access.read ~addr:(2 * i * 64) ~size:64;
+            ])));
   let s = HS.stats h in
   Alcotest.(check (float 1e-9)) "all writes to NVRAM" 1.0 s.HS.nvram_write_fraction
 
 let test_makespan_is_max () =
   let h = HS.create ~nvram:sttram ~placement:parity_placement () in
-  List.iter (HS.access h) (seq 500);
+  Batches.feed (HS.consume h) (seq 500);
   let s = HS.stats h in
   Alcotest.(check bool) "joint makespan covers both sides" true
     (s.HS.elapsed_ns >= s.HS.dram.Controller.elapsed_ns
@@ -56,7 +59,7 @@ let test_compare_designs_bounds () =
   in
   let designs, hs =
     HS.compare_designs ~nvram:sttram ~placement:parity_placement
-      ~replay:(fun sink -> List.iter (Nvsc_memtrace.Sink.push_access sink) trace)
+      ~replay:(fun sink -> Batches.feed (Nvsc_memtrace.Sink.deliver sink) trace)
       ()
   in
   let power name =

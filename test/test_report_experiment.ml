@@ -108,8 +108,8 @@ let perf_monotone_prop =
         List.iter
           (fun l ->
             Nvsc_cpusim.Perf_model.instructions m 3;
-            Nvsc_cpusim.Perf_model.access m
-              (Nvsc_memtrace.Access.read ~addr:(l * 64) ~size:8))
+            Nvsc_cpusim.Perf_model.access_raw m ~addr:(l * 64) ~size:8
+              ~op:Nvsc_memtrace.Access.Read)
           lines;
         (Nvsc_cpusim.Perf_model.report m).Nvsc_cpusim.Perf_model.runtime_ns
       in
@@ -127,8 +127,8 @@ let controller_monotone_prop =
             ~tech:(Nvsc_nvram.Technology.get Nvsc_nvram.Technology.DDR3) ()
         in
         for i = 0 to k - 1 do
-          Nvsc_dramsim.Controller.submit c
-            (Nvsc_memtrace.Access.read ~addr:(i * 64) ~size:64)
+          Nvsc_dramsim.Controller.submit_ref c ~addr:(i * 64)
+            ~op:Nvsc_memtrace.Access.Read
         done;
         (Nvsc_dramsim.Controller.stats c).Nvsc_dramsim.Controller.burst_energy_nj
       in

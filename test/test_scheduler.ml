@@ -23,7 +23,7 @@ let ping_pong n =
 
 let run ?scheduler trace =
   let c = C.create ?scheduler ~tech:ddr3 () in
-  List.iter (C.submit c) trace;
+  Batches.feed (C.consume c) trace;
   C.stats c
 
 let test_fr_fcfs_improves_row_hits () =
@@ -39,7 +39,7 @@ let test_fr_fcfs_flush_completes () =
   let c = C.create ~scheduler:(C.Fr_fcfs 32) ~tech:ddr3 () in
   (* fewer transactions than the lookahead: nothing issues until flush *)
   for i = 0 to 9 do
-    C.submit c (Access.read ~addr:(i * 64) ~size:64)
+    C.submit_ref c ~addr:(i * 64) ~op:Access.Read
   done;
   let s = C.stats c (* stats flushes *) in
   Alcotest.(check int) "all issued" 10 s.C.accesses

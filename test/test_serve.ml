@@ -268,6 +268,20 @@ let test_plan_errors () =
     (Protocol.Analyze { app = "gtc"; scale = 1.; iterations = 0 });
   plan_error ~field:"tech"
     (Protocol.Run { app = "gtc"; scale = 1.; iterations = 1; tech = "unobtainium" });
+  plan_error ~field:"tech"
+    (Protocol.Run { app = "gtc"; scale = 1.; iterations = 1; tech = "ddr3" });
+  plan_error ~field:"tech"
+    (Protocol.Replay
+       { path = "/nonexistent.nvt"; kind = "place"; tech = "ddr3" });
+  (match
+     Plan.of_request
+       (Protocol.Sweep
+          { apps = None; kinds = Some [ "place" ]; techs = Some [ "ddr3" ];
+            scale = 1.; iterations = 1; overrides = []; from_trace = None })
+   with
+  | Ok _ -> Alcotest.fail "a DDR3 place cell must be rejected"
+  | Error e ->
+    Alcotest.(check string) "sweep bad-request" "bad-request" e.Protocol.code);
   plan_error ~field:"path"
     (Protocol.Replay { path = "/nonexistent.nvt"; kind = "run"; tech = "sttram" });
   plan_error ~field:"kinds"

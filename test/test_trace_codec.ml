@@ -63,10 +63,14 @@ let render_report (r : Scavenger.result) =
       Nvsc_core.Usage_variance.pp_variance fmt
         (Nvsc_core.Usage_variance.variance r))
 
-let accesses log =
-  let acc = ref [] in
-  Trace_log.replay log (fun a -> acc := a :: !acc);
-  List.rev !acc
+let accesses = Batches.to_list
+
+(* Every reference of a run lands in exactly one fast-tally cell. *)
+let tallied_refs (r : Scavenger.result) =
+  Array.fold_left
+    (fun acc (t : Nvsc_appkit.Ctx.fast_tally) ->
+      acc + t.stack_reads + t.stack_writes + t.other_reads + t.other_writes)
+    0 r.fast_tallies
 
 let test_replay_matches_live () =
   List.iter
@@ -105,10 +109,10 @@ let test_replay_matches_live () =
         = accesses (Option.get rep.mem_trace));
       Alcotest.(check int)
         (name ^ ": pipeline refs")
-        live.pipeline.Nvsc_appkit.Ctx.refs summary.Trace_codec.refs;
+        (tallied_refs live) summary.Trace_codec.refs;
       Alcotest.(check int)
         (name ^ ": reader refs") summary.Trace_codec.refs
-        rep.pipeline.Nvsc_appkit.Ctx.refs)
+        (tallied_refs rep))
     Nvsc_apps.Apps.names
 
 let test_perf_replay_matches_live () =
@@ -920,7 +924,8 @@ let test_trace_file_size_and_errors () =
       write_file path "0x40 P_MEM_RD 0\n";
       let log = Trace_file.load ~size:16 path in
       Alcotest.(check int)
-        "load threads size" 16 (Trace_log.get log 0).Access.size)
+        "load threads size" 16
+        (Nvsc_memtrace.Sink.Batch.size (fst (Trace_log.as_batch log)) 0))
 
 (* --- golden fixture: the on-disk byte format is pinned ------------------- *)
 

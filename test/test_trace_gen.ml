@@ -5,7 +5,7 @@ module Access = Nvsc_memtrace.Access
 (* the stream's references, in order *)
 let to_list t =
   let acc = ref [] in
-  let sink = Sink.of_fn (fun a -> acc := a :: !acc) in
+  let sink = Batches.collect acc in
   ignore (TG.into t sink);
   Sink.flush sink;
   List.rev !acc
@@ -62,7 +62,7 @@ let test_streaming_matches_list () =
   List.iter
     (fun capacity ->
       let got = ref [] in
-      let sink = Sink.of_fn ~capacity (fun a -> got := a :: !got) in
+      let sink = Batches.collect ~capacity got in
       let pushed = TG.into (gen ()) sink in
       Sink.flush sink;
       Alcotest.(check int)
@@ -103,8 +103,8 @@ let test_interleave () =
 let test_interleave_unequal_through_sink () =
   (* unequal stream lengths drained through a small-capacity sink: every
      reference arrives, in round-robin-with-drain order *)
-  let addrs = ref [] in
-  let sink = Sink.of_fn ~capacity:4 (fun a -> addrs := a.Access.addr :: !addrs) in
+  let seen = ref [] in
+  let sink = Batches.collect ~capacity:4 seen in
   let gen =
     TG.interleave
       [
@@ -116,10 +116,9 @@ let test_interleave_unequal_through_sink () =
   let pushed = TG.into gen sink in
   Sink.flush sink;
   Alcotest.(check int) "all pushed" 8 pushed;
-  let line a = a / 64 in
   Alcotest.(check (list int)) "drain order"
     [ 0; 100; 200; 1; 101; 2; 3; 4 ]
-    (List.rev_map line !addrs)
+    (List.rev_map (fun (a : Access.t) -> a.addr / 64) !seen)
 
 let test_feeds_simulators () =
   (* generated traces drive the memory system end to end *)
@@ -131,7 +130,7 @@ let test_feeds_simulators () =
       Nvsc_dramsim.Controller.create
         ~tech:(Nvsc_nvram.Technology.get Nvsc_nvram.Technology.DDR3) ()
     in
-    List.iter (Nvsc_dramsim.Controller.submit c) t;
+    Batches.feed (Nvsc_dramsim.Controller.consume c) t;
     Nvsc_dramsim.Controller.stats c
   in
   Alcotest.(check int) "all simulated" 5000 s.Nvsc_dramsim.Controller.accesses;
