@@ -191,6 +191,23 @@ let test_log_clear () =
   Alcotest.(check int) "length" 0 (Trace_log.length log);
   Alcotest.(check int) "writes" 0 (Trace_log.writes log)
 
+let test_log_bounds () =
+  Alcotest.check_raises "non-positive capacity"
+    (Invalid_argument "Trace_log.create") (fun () ->
+      ignore (Trace_log.create ~initial_capacity:0 ()));
+  let log = Trace_log.create () in
+  let b = Sink.Batch.create 4 in
+  Alcotest.check_raises "slice outside the batch"
+    (Invalid_argument "Sink.Batch: slice first=3 n=2 outside capacity 4")
+    (fun () -> Trace_log.record_batch log b ~first:3 ~n:2);
+  (* a refused slice records nothing *)
+  Alcotest.(check int) "length" 0 (Trace_log.length log);
+  Alcotest.(check int) "reads" 0 (Trace_log.reads log);
+  (* an empty log replays an empty slice, nothing past its length *)
+  let s = Batches.collect (ref []) in
+  Trace_log.replay_batch log s;
+  Alcotest.(check int) "nothing delivered" 0 (Sink.pushed s)
+
 let log_growth_prop =
   QCheck.Test.make ~name:"log preserves arbitrary streams" ~count:50
     QCheck.(
@@ -223,5 +240,6 @@ let suite =
     Alcotest.test_case "log replay batch" `Quick test_log_replay_batch;
     Alcotest.test_case "log record batch" `Quick test_log_record_batch;
     Alcotest.test_case "log clear" `Quick test_log_clear;
+    Alcotest.test_case "log bounds" `Quick test_log_bounds;
     QCheck_alcotest.to_alcotest log_growth_prop;
   ]
