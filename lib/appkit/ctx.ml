@@ -164,8 +164,10 @@ type t = {
      The cached pair never goes stale for the same string value. *)
   mutable memo_call_routine : string;
   mutable memo_call_addr : int;
-  (* four-entry memo for heap/global attribution: slot [k] caches the
-     range and id of a recently attributed object ([lo > hi] = empty).
+  (* four-entry memo for heap/global attribution — the paper's §III-D
+     software cache in front of the bucketed registry, which has none of
+     its own: slot [k] caches the range and id of a recently attributed
+     object ([lo > hi] = empty).
      Four slots because inner loops commonly cycle through a handful of
      arrays (gather / stage / scatter targets), which thrashes a
      single-entry memo on every reference.  The last-hit slot is probed
@@ -373,13 +375,6 @@ let notify_object t obj =
   Array.iter
     (fun o -> match o.on_objects with Some f -> f [ obj ] | None -> ())
     t.observers
-
-let clear_sinks t =
-  flush_refs t;
-  t.sinks <- [||];
-  t.observers <- [||];
-  t.frame_hooks <- [||];
-  recompute_flags t
 
 let release t =
   flush_refs t;
@@ -599,18 +594,7 @@ let frame_carve _t frame ~words =
   frame.cursor <- base + size;
   base
 
-let frame_routine frame = frame.routine
-
 (* --- reference emission ----------------------------------------------- *)
-
-let attribute t addr =
-  match Layout.classify addr with
-  | Some Layout.Stack -> (
-    match Shadow_stack.attribute t.shadow addr with
-    | Some frame -> Hashtbl.find_opt t.routine_objects frame.routine_addr
-    | None -> None)
-  | Some (Layout.Heap | Layout.Global) -> Object_registry.lookup t.registry addr
-  | None -> None
 
 (* Stack attribution as an object id (-1 = none). *)
 let attribute_stack_id t addr =
@@ -790,8 +774,6 @@ let stack_object_of_routine t routine =
 let stack_objects t =
   Hashtbl.fold (fun _ obj acc -> obj :: acc) t.routine_objects []
   |> List.sort (fun (a : Mem_object.t) b -> compare a.id b.id)
-
-let attribute_addr = attribute
 
 let stack_ids t =
   Hashtbl.fold

@@ -62,7 +62,7 @@ type t = {
      way scan — the steady state of a streaming sweep, whose fresh lines
      carry ever-larger tags. *)
   maxtag : int array;
-  (* one-entry memo: [memo_line] is resident at [memo_idx] (min_int =
+  (* one-entry memo: [memo_line] is resident at [memo_idx] (-1 =
      none).  Maintained on every hit and allocation, so a repeated access
      to the same line skips indexing and the way search entirely — and
      since every recency update also retargets the memo, the memoized way
@@ -119,7 +119,7 @@ let create p =
     mru;
     vcnt = Array.make nsets 0;
     maxtag = Array.make nsets (-1);
-    memo_line = min_int;
+    memo_line = -1;
     memo_idx = 0;
     read_hits = 0;
     read_misses = 0;
@@ -320,28 +320,17 @@ let write t ~line =
     end
   end
 
-(* Repeated-hit paths for [Hierarchy]'s one-entry L1 memo: count a hit on
-   the memoized resident line without re-running the lookup.  The LRU
-   refresh is skipped deliberately: eviction only compares recency *within
-   a set*, and a repeat touch can never reorder two lines' last touches
-   unless some other line was accessed in between — which would have
-   retargeted the memo and sent that access down the full path.  The
-   differential suite pins stats, evictions and sink output against the
-   oracle, which does refresh on every hit. *)
-let[@inline] repeat_read_hit t = t.read_hits <- t.read_hits + 1
+let last_line t = t.memo_line
 
-let[@inline] repeat_write_hit t =
-  t.write_hits <- t.write_hits + 1;
-  Array.unsafe_set t.dirty t.memo_idx true
-
-(* Bulk forms for coalesced line runs: [n] repeat hits cost two counter
-   updates, not [n] calls.  Sound under exactly the invariant above — the
-   whole run targets the memoized line with no intervening access. *)
-let[@inline] repeat_read_hits t n = t.read_hits <- t.read_hits + n
-
-let[@inline] repeat_write_hits t n =
-  if n > 0 then begin
-    t.write_hits <- t.write_hits + n;
+(* Bulk memo hits for [Hierarchy]'s line runs: the LRU refresh each
+   repeat would make is skipped, as on the memo path of [read]/[write] —
+   the memoized way already heads its recency list. *)
+let repeat_hits t ~line ~reads ~writes =
+  if line <> t.memo_line || line < 0 || reads < 0 || writes < 0 then
+    invalid_arg "Cache.repeat_hits: not the last line touched";
+  t.read_hits <- t.read_hits + reads;
+  if writes > 0 then begin
+    t.write_hits <- t.write_hits + writes;
     Array.unsafe_set t.dirty t.memo_idx true
   end
 
@@ -373,7 +362,7 @@ let invalidate_all t =
   Array.fill t.vcnt 0 t.nsets 0;
   Array.fill t.maxtag 0 t.nsets (-1);
   reset_recency ~nsets:t.nsets ~assoc:t.assoc t.lnext t.lprev t.mru;
-  t.memo_line <- min_int
+  t.memo_line <- -1
 
 let resident_lines t =
   Array.fold_left (fun acc tag -> if tag <> -1 then acc + 1 else acc) 0 t.tags

@@ -47,26 +47,20 @@ val write : t -> line:int -> Effect.t
     [No_write_allocate] leaves the cache unchanged and reports the write
     via {!Effect.forwards_write}. *)
 
-val repeat_read_hit : t -> unit
-(** Count a read hit on the line the cache's internal one-entry memo holds,
-    without re-running the lookup or refreshing LRU.  Only sound when the
-    caller knows that line was the most recently touched line in this cache
-    (see {!Hierarchy}'s repeated-line fast path): refreshing the most
-    recent line's timestamp cannot change any within-set recency
-    comparison, so replacement decisions are unaffected. *)
+val last_line : t -> int
+(** The line the most recent hit or fill touched — the line a repeated
+    {!read} or {!write} finds without indexing or a way search — or [-1]
+    before any such access and after {!invalidate_all}.  A
+    no-write-allocate write miss touches no line and leaves it
+    unchanged. *)
 
-val repeat_write_hit : t -> unit
-(** As {!repeat_read_hit} for a write: counts the hit and re-dirties the
-    memoized line. *)
-
-val repeat_read_hits : t -> int -> unit
-(** [repeat_read_hits t n]: count [n >= 0] repeat read hits on the
-    memoized line in O(1) — the bulk form used by coalesced line runs,
-    sound under the same invariant as {!repeat_read_hit}. *)
-
-val repeat_write_hits : t -> int -> unit
-(** [repeat_write_hits t n]: count [n >= 0] repeat write hits on the
-    memoized line and re-dirty it once (no-op when [n = 0]). *)
+val repeat_hits : t -> line:int -> reads:int -> writes:int -> unit
+(** [repeat_hits t ~line ~reads ~writes] counts, in O(1), what [reads]
+    {!read}s and [writes] {!write}s of [line] would do when [line] is
+    {!last_line}: that many read and write hits, the line dirtied when
+    [writes > 0], and no change of recency (the line is already the most
+    recent of its set).  Raises [Invalid_argument] when [line] is not
+    {!last_line} or a count is negative. *)
 
 val probe : t -> line:int -> bool
 (** Non-intrusive presence test (does not touch LRU state). *)

@@ -5,18 +5,8 @@ type t = {
   l1d : Cache.t;
   l2 : Cache.t;
   line_bytes : int;
-  line_shift : int; (* log2 line_bytes, or -1 forcing the div path *)
+  line_shift : int; (* log2 line_bytes *)
   sink : Sink.t;
-  (* One-entry (line) L1 memo: [l1_repeat_line] is the most recently
-     touched L1 line (min_int = none).  Repeated sweeps over the same line
-     — word-granular app streams issue ~line_bytes/word consecutive
-     accesses per line — short-circuit to a bare hit-counter bump.  The
-     LRU refresh is skipped: the memo line already holds the newest
-     timestamp, so refreshing it cannot reorder any within-set recency
-     comparison.  Any access that touches a different line (hit or fill)
-     retargets the memo; a no-write-allocate forwarded write touches
-     nothing and leaves it valid. *)
-  mutable l1_repeat_line : int;
   mutable accesses : int;
   mutable memory_reads : int;
   mutable memory_writes : int;
@@ -28,17 +18,19 @@ let log2 n =
 
 let create ?(l1d = Cache_params.paper_l1d) ?(l2 = Cache_params.paper_l2) ~sink
     () =
-  if l1d.Cache_params.line_bytes <> l2.Cache_params.line_bytes then
-    invalid_arg "Hierarchy.create: levels must share a line size";
   let line_bytes = l1d.Cache_params.line_bytes in
+  if l2.Cache_params.line_bytes <> line_bytes then
+    invalid_arg "Hierarchy.create: levels must share a line size";
+  if line_bytes <= 0 || line_bytes land (line_bytes - 1) <> 0 then
+    invalid_arg
+      (Printf.sprintf "Hierarchy.create: line size %d is not a power of two"
+         line_bytes);
   {
     l1d = Cache.create l1d;
     l2 = Cache.create l2;
     line_bytes;
-    line_shift =
-      (if line_bytes land (line_bytes - 1) = 0 then log2 line_bytes else -1);
+    line_shift = log2 line_bytes;
     sink;
-    l1_repeat_line = min_int;
     accesses = 0;
     memory_reads = 0;
     memory_writes = 0;
@@ -75,73 +67,44 @@ let l2_write t line =
     if Cache.Effect.forwards_write e then mem_write t line
   end
 
+(* A read never forwards, a forwarded write neither fills nor evicts, so
+   one decode serves both operations. *)
 let[@inline] access_line t line op =
   t.accesses <- t.accesses + 1;
-  if line = t.l1_repeat_line then begin
+  let e =
     match op with
-    | Access.Read -> Cache.repeat_read_hit t.l1d
-    | Access.Write -> Cache.repeat_write_hit t.l1d
+    | Access.Read -> Cache.read t.l1d ~line
+    | Access.Write -> Cache.write t.l1d ~line
+  in
+  if not (Cache.Effect.hit e) then begin
+    if Cache.Effect.fills e then l2_read t line;
+    if Cache.Effect.has_writeback e then
+      l2_write t (Cache.Effect.writeback_line e);
+    if Cache.Effect.forwards_write e then l2_write t line
   end
-  else
-    match op with
-    | Access.Read ->
-      let e = Cache.read t.l1d ~line in
-      (* hit or fill: the line is now resident and most recently touched *)
-      t.l1_repeat_line <- line;
-      if not (Cache.Effect.hit e) then begin
-        if Cache.Effect.fills e then l2_read t line;
-        if Cache.Effect.has_writeback e then
-          l2_write t (Cache.Effect.writeback_line e)
-      end
-    | Access.Write ->
-      let e = Cache.write t.l1d ~line in
-      if Cache.Effect.hit e then t.l1_repeat_line <- line
-      else begin
-        if Cache.Effect.forwards_write e then
-          (* no-write-allocate: nothing touched in L1, memo still valid *)
-          l2_write t line
-        else begin
-          t.l1_repeat_line <- line;
-          if Cache.Effect.fills e then l2_read t line;
-          if Cache.Effect.has_writeback e then
-            l2_write t (Cache.Effect.writeback_line e)
-        end
-      end
 
 (* Most references fit in one line: compute both endpoints with a shift
-   and skip the loop when they coincide.  Negative addresses (never
-   produced by the layout, but representable) keep the original
-   round-toward-zero division semantics. *)
+   and skip the loop when they coincide.  The arithmetic shift keeps a
+   negative address's line negative, so [Cache] rejects it. *)
 let[@inline] access_raw t ~addr ~size ~op =
-  if t.line_shift >= 0 && addr >= 0 then begin
-    let first = addr lsr t.line_shift in
-    let last = (addr + size - 1) lsr t.line_shift in
-    if first = last then access_line t first op
-    else
-      for line = first to last do
-        access_line t line op
-      done
-  end
-  else begin
-    let first = addr / t.line_bytes in
-    let last = (addr + size - 1) / t.line_bytes in
+  let first = addr asr t.line_shift in
+  let last = (addr + size - 1) asr t.line_shift in
+  if first = last then access_line t first op
+  else
     for line = first to last do
       access_line t line op
     done
-  end
 
 (* One span per delivered batch, not per access.  The slice is validated
    once on entry; the loop then reads the hoisted buffer views unchecked.
 
    Batch-time run detection: word-granular streams issue long runs of
-   consecutive references to one line.  After a reference leaves the L1
-   memo targeting its line, the detector gobbles the following
-   single-line references to that same line in a tight loop — each is by
-   construction a memo hit (nothing intervenes to retarget the memo), so
-   the whole run costs two bulk counter updates instead of a per-ref trip
-   through the access dispatch.  Identical stats/evictions/sink output:
-   this is exactly the repeat-hit path PR 5 proved equivalent, applied
-   [run length] times at once. *)
+   consecutive references to one line.  After a reference whose first
+   line is the L1's last-touched line, the detector gobbles the following
+   single-line references to that same line in a tight loop — each would
+   be a hit on the L1's memo (nothing intervenes to retarget it), so the
+   whole run costs one [Cache.repeat_hits] instead of a per-ref trip
+   through the access dispatch. *)
 let consume t batch ~first ~n =
   Nvsc_obs.Span.with_ "cachesim.filter" @@ fun () ->
   Sink.Batch.check_slice batch ~first ~n;
@@ -149,56 +112,41 @@ let consume t batch ~first ~n =
   and sizes = Sink.Batch.sizes batch
   and ops = Sink.Batch.ops batch in
   let limit = first + n in
-  if t.line_shift >= 0 then begin
-    let shift = t.line_shift in
-    let i = ref first in
-    while !i < limit do
-      let j = !i in
-      let addr = Bigarray.Array1.unsafe_get addrs j in
-      let op =
-        if Bigarray.Array1.unsafe_get ops j <> '\000' then Access.Write
-        else Access.Read
-      in
-      access_raw t ~addr ~size:(Bigarray.Array1.unsafe_get sizes j) ~op;
-      incr i;
-      (* run detector: if the memo now targets this reference's first
-         line, batch up the immediately following same-line refs *)
-      let line = t.l1_repeat_line in
-      if addr >= 0 && addr lsr shift = line then begin
-        let reads = ref 0 and writes = ref 0 in
-        let continue_ = ref true in
-        while !continue_ && !i < limit do
-          let k = !i in
-          let a = Bigarray.Array1.unsafe_get addrs k in
-          if
-            a lsr shift = line
-            && (a + Bigarray.Array1.unsafe_get sizes k - 1) lsr shift = line
-            && a >= 0
-          then begin
-            if Bigarray.Array1.unsafe_get ops k <> '\000' then incr writes
-            else incr reads;
-            incr i
-          end
-          else continue_ := false
-        done;
-        let r = !reads and w = !writes in
-        if r + w > 0 then begin
-          t.accesses <- t.accesses + r + w;
-          Cache.repeat_read_hits t.l1d r;
-          Cache.repeat_write_hits t.l1d w
+  let shift = t.line_shift in
+  let i = ref first in
+  while !i < limit do
+    let j = !i in
+    let addr = Bigarray.Array1.unsafe_get addrs j in
+    let op =
+      if Bigarray.Array1.unsafe_get ops j <> '\000' then Access.Write
+      else Access.Read
+    in
+    access_raw t ~addr ~size:(Bigarray.Array1.unsafe_get sizes j) ~op;
+    incr i;
+    let line = Cache.last_line t.l1d in
+    if addr asr shift = line then begin
+      let reads = ref 0 and writes = ref 0 in
+      let continue_ = ref true in
+      while !continue_ && !i < limit do
+        let k = !i in
+        let a = Bigarray.Array1.unsafe_get addrs k in
+        if
+          a asr shift = line
+          && (a + Bigarray.Array1.unsafe_get sizes k - 1) asr shift = line
+        then begin
+          if Bigarray.Array1.unsafe_get ops k <> '\000' then incr writes
+          else incr reads;
+          incr i
         end
+        else continue_ := false
+      done;
+      let r = !reads and w = !writes in
+      if r + w > 0 then begin
+        t.accesses <- t.accesses + r + w;
+        Cache.repeat_hits t.l1d ~line ~reads:r ~writes:w
       end
-    done
-  end
-  else
-    for i = first to limit - 1 do
-      let op =
-        if Bigarray.Array1.unsafe_get ops i <> '\000' then Access.Write
-        else Access.Read
-      in
-      access_raw t ~addr:(Bigarray.Array1.unsafe_get addrs i)
-        ~size:(Bigarray.Array1.unsafe_get sizes i) ~op
-    done
+    end
+  done
 
 let access_classified_raw t ~addr ~size ~op =
   let l1_misses_before = Cache.misses t.l1d in
@@ -218,7 +166,6 @@ let drain t =
 let reset t =
   Cache.invalidate_all t.l1d;
   Cache.invalidate_all t.l2;
-  t.l1_repeat_line <- min_int;
   Cache.reset_stats t.l1d;
   Cache.reset_stats t.l2;
   t.accesses <- 0;

@@ -17,17 +17,19 @@ val create :
   t
 (** Parameters default to the paper's Table II configuration.  [sink]
     receives each main-memory access (line-sized); it is flushed by
-    {!drain}. *)
+    {!drain}.  Raises [Invalid_argument] unless both levels share one
+    line size and it is a power of two. *)
 
 val access_raw : t -> addr:int -> size:int -> op:Nvsc_memtrace.Access.op -> unit
 (** Run one application reference through the hierarchy.  References that
     straddle a line boundary are split per line, as hardware would issue
-    them. *)
+    them.  Raises [Invalid_argument] on a negative address. *)
 
 val consume : t -> Nvsc_memtrace.Sink.Batch.t -> first:int -> n:int -> unit
 (** Run a batch slice through the hierarchy in order (the sink-consumer
     shape: wrap with [Sink.create (Hierarchy.consume t)]).  Raises
-    [Invalid_argument] on a slice outside the batch. *)
+    [Invalid_argument] on a slice outside the batch or a negative
+    address. *)
 
 val access_classified_raw :
   t -> addr:int -> size:int -> op:Nvsc_memtrace.Access.op -> [ `L1 | `L2 | `Mem ]

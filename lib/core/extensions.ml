@@ -92,7 +92,7 @@ let sampling_ablation ?(period = 10_000) ?(sample_length = 100)
 type hybrid_design = {
   app_name : string;
   trace_accesses : int;
-  cache_hit_rate : float;
+  page_hit_rate : float;
   hierarchical_avg_latency_ns : float;
   hierarchical_nvram_bytes : int;
   horizontal_avg_latency_ns : float;
@@ -135,7 +135,7 @@ let hybrid_design ?(tech = Technology.get Technology.PCRAM)
   {
     app_name = r.Scavenger.app_name;
     trace_accesses = dstats.Nvsc_placement.Dram_cache.accesses;
-    cache_hit_rate = dstats.hit_rate;
+    page_hit_rate = dstats.hit_rate;
     hierarchical_avg_latency_ns = dstats.avg_latency_ns;
     hierarchical_nvram_bytes = dstats.nvram_traffic_bytes;
     horizontal_avg_latency_ns = horizontal_latency;
@@ -419,7 +419,7 @@ let pp_hybrid fmt (h : hybrid_design) =
   Format.fprintf fmt
     "%-8s page-cache hit %.2f  latency: hierarchical %.1fns vs horizontal \
      %.1fns (%.2fx)  NVRAM traffic %a@."
-    h.app_name h.cache_hit_rate h.hierarchical_avg_latency_ns
+    h.app_name h.page_hit_rate h.hierarchical_avg_latency_ns
     h.horizontal_avg_latency_ns h.latency_advantage Nvsc_util.Units.pp_bytes
     h.hierarchical_nvram_bytes
 

@@ -61,7 +61,7 @@ val sampling_ablation :
 type hybrid_design = {
   app_name : string;
   trace_accesses : int;
-  cache_hit_rate : float;  (** DRAM page-cache hit rate *)
+  page_hit_rate : float;  (** DRAM page-cache hit rate *)
   hierarchical_avg_latency_ns : float;
   hierarchical_nvram_bytes : int;  (** traffic into NVRAM, incl. page fills *)
   horizontal_avg_latency_ns : float;

@@ -136,4 +136,7 @@ let perf_replay path model =
 let info path =
   let r = Trace_codec.Reader.open_ path in
   Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
-  (Trace_codec.Reader.meta r, Trace_codec.Reader.digest r)
+  ( Trace_codec.Reader.meta r,
+    Trace_codec.Reader.digest r,
+    List.length (Trace_codec.Reader.objects r)
+    + List.length (Trace_codec.Reader.stack_objects r) )

@@ -49,6 +49,7 @@ val perf_replay : string -> Nvsc_cpusim.Perf_model.t -> unit
     perf reports when the trace was recorded with [iterations = 1] at the
     perf scale. *)
 
-val info : string -> Nvsc_memtrace.Trace_codec.meta * string
-(** Header/trailer-only peek: the trace's recording metadata and content
-    digest (hex), without streaming any chunk. *)
+val info : string -> Nvsc_memtrace.Trace_codec.meta * string * int
+(** Header/trailer-only peek: the trace's recording metadata, content
+    digest (hex) and object count (global/heap and stack), without
+    streaming any chunk. *)

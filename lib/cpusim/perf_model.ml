@@ -1,6 +1,8 @@
 module Access = Nvsc_memtrace.Access
 module Sink = Nvsc_memtrace.Sink
 module Hierarchy = Nvsc_cachesim.Hierarchy
+module Cache = Nvsc_cachesim.Cache
+module Cache_params = Nvsc_cachesim.Cache_params
 
 (* The classifier's cycle counters: none of them depends on latency.  An
    all-float record is stored flat, so updating it allocates nothing. *)
@@ -30,7 +32,7 @@ type t = {
   p : Core_params.t;
   (* --- the classifier, shared by every ledger --- *)
   hierarchy : Hierarchy.t;
-  tlb : Tlb.t;
+  tlb : Cache.t; (* one set of [tlb_entries] ways, one page per line *)
   l2_visible_cycles : float;
   covered_miss_cycles : float;
   stream_slots : int;
@@ -55,9 +57,17 @@ type latency = { mem_latency_ns : float; mem_write_latency_ns : float option }
 
 let valid_latency ns = Float.is_finite ns && ns > 0.
 
-let make ~fn ?(params = Core_params.paper) ?l1d ?l2
+(* Fully associative and true LRU: a miss fills the first invalid entry,
+   then evicts the least recently used one, and every hit refreshes. *)
+let tlb (p : Core_params.t) =
+  Cache.create
+    (Cache_params.make ~name:"tlb" ~size_bytes:(p.tlb_entries * p.page_bytes)
+       ~associativity:p.tlb_entries ~line_bytes:p.page_bytes
+       ~write_miss:Cache_params.Write_allocate ())
+
+let create_ledgers ?(params = Core_params.paper) ?l1d ?l2
     ?(write_buffer_entries = 16) latencies =
-  let fail what = invalid_arg (Printf.sprintf "Perf_model.%s: %s" fn what) in
+  let fail what = invalid_arg ("Perf_model.create_ledgers: " ^ what) in
   if latencies = [] then fail "no latency";
   List.iter
     (fun l ->
@@ -92,7 +102,7 @@ let make ~fn ?(params = Core_params.paper) ?l1d ?l2
   {
     p;
     hierarchy = Hierarchy.create ?l1d ?l2 ~sink:(Sink.null ()) ();
-    tlb = Tlb.create ~entries:p.tlb_entries ~page_bytes:p.page_bytes;
+    tlb = tlb p;
     l2_visible_cycles = float_of_int (p.l2_hit_cycles - p.l1_hit_cycles) /. 2.;
     covered_miss_cycles = 4.0;
     stream_slots = 16;
@@ -122,14 +132,6 @@ let make ~fn ?(params = Core_params.paper) ?l1d ?l2
     write_buffers = Array.map (fun _ -> Queue.create ()) ledgers;
     write_buffer_entries;
   }
-
-let create ?params ?l1d ?l2 ?mem_write_latency_ns ?write_buffer_entries
-    ~mem_latency_ns () =
-  make ~fn:"create" ?params ?l1d ?l2 ?write_buffer_entries
-    [ { mem_latency_ns; mem_write_latency_ns } ]
-
-let create_ledgers ?params ?l1d ?l2 ?write_buffer_entries latencies =
-  make ~fn:"create_ledgers" ?params ?l1d ?l2 ?write_buffer_entries latencies
 
 let retire t n =
   t.instr_count <- t.instr_count + n;
@@ -227,7 +229,8 @@ let posted_write t i =
 let access_raw t ~addr ~size ~op =
   t.mem_instr_count <- t.mem_instr_count + 1;
   retire t 1;
-  if not (Tlb.access t.tlb addr) then
+  if not (Cache.Effect.hit (Cache.read t.tlb ~line:(addr / t.p.page_bytes)))
+  then
     t.cycles.tlb_stall <-
       t.cycles.tlb_stall +. float_of_int t.p.tlb_miss_cycles;
   match Hierarchy.access_classified_raw t.hierarchy ~addr ~size ~op with
@@ -298,8 +301,7 @@ let ledger_report (t : t) i =
     l2_hits = t.l2_hits;
     mem_accesses = t.mem_accesses;
     miss_clusters = v.clusters + pending;
-    tlb_misses = Tlb.misses t.tlb;
+    tlb_misses = Cache.misses t.tlb;
   }
 
 let reports t = List.init (Array.length t.mem_stall) (ledger_report t)
-let report t = ledger_report t 0

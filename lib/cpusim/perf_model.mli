@@ -20,7 +20,9 @@
     - TLB misses add a fixed page-walk penalty.
 
     The memory hierarchy is the paper's Table II cache configuration
-    (via {!Nvsc_cachesim.Hierarchy}).
+    (via {!Nvsc_cachesim.Hierarchy}); the TLB is one more
+    {!Nvsc_cachesim.Cache}: a single fully associative, LRU set of
+    [tlb_entries] ways whose lines are [page_bytes] pages.
 
     {2 One classifier, one ledger per latency}
 
@@ -47,39 +49,23 @@
 
 type t
 
-val create :
-  ?params:Core_params.t ->
-  ?l1d:Nvsc_cachesim.Cache_params.t ->
-  ?l2:Nvsc_cachesim.Cache_params.t ->
-  ?mem_write_latency_ns:float ->
-  ?write_buffer_entries:int ->
-  mem_latency_ns:float ->
-  unit ->
-  t
-(** A model with one ledger.
+type latency = {
+  mem_latency_ns : float;
+  mem_write_latency_ns : float option;
+}
+(** One ledger's latencies.
 
-    Without [mem_write_latency_ns], writes behave like reads at
+    With [mem_write_latency_ns = None], writes behave like reads at
     [mem_latency_ns] — the paper's §V assumption ("the current simulator
     does not differentiate between read and write latencies"), which makes
     the result a performance lower bound.
 
-    With [mem_write_latency_ns], that limitation is removed: write misses
-    are *posted* through a write buffer of [write_buffer_entries] (default
-    16).  A posted write costs only a bandwidth slot; its latency is paid
-    by holding a buffer entry for the write duration, and the pipeline
-    stalls only when the buffer is full.  This is how hardware actually
-    absorbs NVRAM's slow writes, and quantifies how conservative the
-    paper's lower bound is.
-
-    @raise Invalid_argument unless every latency is finite and positive
-    and [write_buffer_entries] is positive. *)
-
-type latency = {
-  mem_latency_ns : float;
-  mem_write_latency_ns : float option;
-      (** [Some w] posts writes at [w], as in {!create} *)
-}
-(** One ledger's latencies. *)
+    With [Some w], that limitation is removed: write misses are {e posted}
+    through a write buffer.  A posted write costs only a bandwidth slot;
+    its latency [w] is paid by holding a buffer entry for the write
+    duration, and the pipeline stalls only when the buffer is full.  This
+    is how hardware actually absorbs NVRAM's slow writes, and quantifies
+    how conservative the paper's lower bound is. *)
 
 val create_ledgers :
   ?params:Core_params.t ->
@@ -89,12 +75,12 @@ val create_ledgers :
   latency list ->
   t
 (** A model with one ledger per latency, in list order; each ledger has
-    its own write buffer of [write_buffer_entries].  Posted and unposted
-    latencies may be mixed.  {!reports} gives, for each, exactly what
-    {!create} with that latency would report.
+    its own write buffer of [write_buffer_entries] (default 16).  Posted
+    and unposted latencies may be mixed.  {!reports} gives, for each,
+    exactly what a model with that latency alone would report.
 
-    @raise Invalid_argument on an empty list or on a latency that is not
-    finite and positive. *)
+    @raise Invalid_argument on an empty list, on a latency that is not
+    finite and positive, or on a non-positive [write_buffer_entries]. *)
 
 val instructions : t -> int -> unit
 (** Account [n] committed non-memory instructions. *)
@@ -128,6 +114,3 @@ val reports : t -> report list
 (** One report per ledger, in the order the latencies were given.  A
     cluster still open is charged in the report, not in the model, so
     accounting may continue afterwards. *)
-
-val report : t -> report
-(** The first ledger's report — the only one of a model from {!create}. *)

@@ -4,25 +4,17 @@ type t = {
   by_signature : (string, Mem_object.t) Hashtbl.t;
   mutable all : Mem_object.t list; (* reversed registration order *)
   mutable count : int;
-  cache : Mem_object.t option array; (* slot 0 = most recent *)
-  mutable lookups : int;
-  mutable cache_hits : int;
-  mutable scans : int;
   max_bucket_len : int; (* rebalance trigger *)
   min_bits : int;
 }
 
-let create ?(bucket_bits = 16) ?(cache_slots = 8) () =
+let create ?(bucket_bits = 16) () =
   {
     bits = bucket_bits;
     buckets = Hashtbl.create 1024;
     by_signature = Hashtbl.create 256;
     all = [];
     count = 0;
-    cache = Array.make cache_slots None;
-    lookups = 0;
-    cache_hits = 0;
-    scans = 0;
     max_bucket_len = 64;
     min_bits = 6; (* never narrower than a cache line *)
   }
@@ -105,7 +97,6 @@ let register t obj =
       t.count <- t.count - List.length overlapping + 1;
       index_object t merged;
       Hashtbl.replace t.by_signature merged.signature merged;
-      Array.fill t.cache 0 (Array.length t.cache) None;
       rebalance t;
       merged
     end
@@ -115,35 +106,7 @@ let find_by_signature t signature = Hashtbl.find_opt t.by_signature signature
 let deallocate _t obj = obj.Mem_object.live <- false
 let revive _t obj = obj.Mem_object.live <- true
 
-let cache_promote t slot obj =
-  (* Move-to-front within the fixed-size cache array. *)
-  for i = slot downto 1 do
-    t.cache.(i) <- t.cache.(i - 1)
-  done;
-  t.cache.(0) <- Some obj
-
-let cache_find t addr =
-  let n = Array.length t.cache in
-  let rec go i =
-    if i >= n then None
-    else
-      let entry = t.cache.(i) in
-      match entry with
-      | Some obj when obj.Mem_object.live && Mem_object.contains obj addr ->
-        (* move-to-front reusing the existing option box: a cache hit —
-           the common case on the emission hot path — allocates nothing *)
-        if i > 0 then begin
-          for j = i downto 1 do
-            t.cache.(j) <- t.cache.(j - 1)
-          done;
-          t.cache.(0) <- entry
-        end;
-        entry
-      | _ -> go (i + 1)
-  in
-  go 0
-
-let bucket_find t addr =
+let lookup t addr =
   match Hashtbl.find_opt t.buckets (addr asr t.bits) with
   | None -> None
   | Some l ->
@@ -151,7 +114,6 @@ let bucket_find t addr =
     let rec scan live_hit dead_hit = function
       | [] -> (live_hit, dead_hit)
       | (o : Mem_object.t) :: rest ->
-        t.scans <- t.scans + 1;
         if Mem_object.contains o addr then
           if o.live then (Some o, dead_hit)
           else scan live_hit (match dead_hit with None -> Some o | s -> s) rest
@@ -160,26 +122,6 @@ let bucket_find t addr =
     let live_hit, dead_hit = scan None None !l in
     (match live_hit with Some _ -> live_hit | None -> dead_hit)
 
-let lookup t addr =
-  t.lookups <- t.lookups + 1;
-  match cache_find t addr with
-  | Some _ as hit ->
-    t.cache_hits <- t.cache_hits + 1;
-    hit
-  | None ->
-    let found = bucket_find t addr in
-    (match found with
-    | Some obj when obj.Mem_object.live ->
-      cache_promote t (Array.length t.cache - 1) obj
-    | _ -> ());
-    found
-
 let objects t = List.rev t.all
 let object_count t = t.count
 let bucket_bits t = t.bits
-
-let cache_hit_rate t =
-  if t.lookups = 0 then 0.
-  else float_of_int t.cache_hits /. float_of_int t.lookups
-
-let lookup_scans t = t.scans

@@ -8,8 +8,11 @@
       pick a bucket and scans only that bucket.  When objects cluster into
       few buckets the space is re-divided (here: the bucket width shrinks
       and the index is rebuilt);
-    - a small LRU software cache of recently-resolved objects is consulted
-      before the bucket index.
+    - a small software cache of recently resolved objects is consulted
+      before the bucket index.  That cache is the emission context's
+      ([Nvsc_appkit.Ctx]): four address ranges with round-robin
+      replacement, emptied on every registry mutation, so only its misses
+      reach {!lookup}.
 
     Heap objects allocated at the same allocation site with the same
     signature are identified as the *same* object across (de)allocations
@@ -18,10 +21,9 @@
 
 type t
 
-val create : ?bucket_bits:int -> ?cache_slots:int -> unit -> t
+val create : ?bucket_bits:int -> unit -> t
 (** [bucket_bits] is the initial log2 of the bucket width in bytes
-    (default 16, i.e. 64 KiB buckets); [cache_slots] the LRU cache size
-    (default 8). *)
+    (default 16, i.e. 64 KiB buckets). *)
 
 val register : t -> Mem_object.t -> Mem_object.t
 (** Index an object.  For [Global] objects that overlap an already
@@ -52,10 +54,3 @@ val object_count : t -> int
 val bucket_bits : t -> int
 (** Current bucket width (log2); exposed for tests of the rebalancing
     behaviour. *)
-
-val cache_hit_rate : t -> float
-(** Fraction of lookups served by the LRU software cache. *)
-
-val lookup_scans : t -> int
-(** Total objects scanned in bucket lists across all lookups (an efficiency
-    metric used by the instrumentation-performance bench). *)

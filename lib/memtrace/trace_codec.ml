@@ -382,6 +382,7 @@ module Writer = struct
     | None -> ()
 
   let add_ref w ~addr ~size ~op ~obj_id =
+    if addr < 0 then invalid_arg "Trace_codec.Writer.add_ref: negative address";
     if
       obj_id >= 0
       && (obj_id >= Bytes.length w.seen
@@ -660,7 +661,9 @@ type cursor = {
    checks.  The stores are unchecked: [n <= nrefs - decoded] is checked
    before each run, and the rows being filled hold only records of this
    chunk, so every row is below [nrefs = c_refs <= capacity], which both
-   the batch and [obj_ids] are sized to. *)
+   the batch and [obj_ids] are sized to.  A negative address fails the
+   run once it is decoded, before any of it is delivered: one OR per
+   record, not a branch. *)
 let decode_refs d c batch obj_ids ~k ~nrefs ~skip_instr =
   let addrs = Sink.Batch.addrs batch
   and sizes = Sink.Batch.sizes batch
@@ -668,6 +671,8 @@ let decode_refs d c batch obj_ids ~k ~nrefs ~skip_instr =
   let buf = d.b and lim = d.lim in
   let pos = ref d.pos and len = ref c.len and decoded = ref c.decoded in
   let prev_addr = ref c.prev_addr and prev_id = ref c.prev_id in
+  (* the OR of every decoded address: negative iff one of them is *)
+  let signs = ref 0 in
   let go = ref true in
   while !go && !pos < lim do
     let t = Char.code (Bytes.unsafe_get buf !pos) in
@@ -706,12 +711,14 @@ let decode_refs d c batch obj_ids ~k ~nrefs ~skip_instr =
         let obj_id = !prev_id + unzigzag zi in
         prev_addr := addr;
         prev_id := obj_id;
+        signs := !signs lor addr;
         Bigarray.Array1.unsafe_set addrs i addr;
         Bigarray.Array1.unsafe_set sizes i (sz_op lsr 1);
         (* the op plane's encoding: '\001' for a write, '\000' for a read *)
         Bigarray.Array1.unsafe_set ops i (Char.unsafe_chr (sz_op land 1));
         Array.unsafe_set obj_ids i obj_id
       done;
+      if !signs < 0 then err d.d_path "corrupt chunk %d (negative address)" k;
       len := first + n;
       decoded := !decoded + n
     end

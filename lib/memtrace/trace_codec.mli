@@ -123,7 +123,9 @@ module Writer : sig
   (** Append one reference.  [obj_id] is the emission-time attribution
       ([-1] = unattributed); attributed ids are dense allocation-order
       ints, and the writer keeps one byte per id up to the largest it has
-      seen.  Allocates nothing on the heap per reference. *)
+      seen.  Allocates nothing on the heap per reference.  Raises
+      [Invalid_argument] on a negative [addr], which {!stream} would
+      reject as corrupt. *)
 
   val add_batch : t -> on_refs
   (** Append a batch slice with its attribution. *)
@@ -212,4 +214,5 @@ val stream :
     records, so consumers can stamp findings with a seekable location.  May
     be called repeatedly on one reader; each call re-streams from the first
     chunk.
-    Raises {!Error} on a truncated or corrupted chunk. *)
+    Raises {!Error} on a truncated or corrupted chunk, a negative
+    reference address included. *)

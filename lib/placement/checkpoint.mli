@@ -36,5 +36,3 @@ val young_interval_s : checkpoint_time_s:float -> mtbf_s:float -> float
 val efficiency : checkpoint_time_s:float -> mtbf_s:float -> float
 (** Useful-compute fraction at Young's interval:
     [1 - delta/T - T/(2*MTBF)], clamped to [\[0, 1\]]. *)
-
-val pp_target : Format.formatter -> target -> unit

@@ -152,6 +152,14 @@ let trace_info path =
   | Nvsc_memtrace.Trace_codec.Error msg | Sys_error msg ->
     bad ~field:"path" msg
 
+(* A place cell sizes both memories from the objects' footprint, so a
+   trace without objects has nothing to place. *)
+let check_placeable path ~objects kinds =
+  if objects > 0 || not (List.mem Cell.Place kinds) then Ok ()
+  else
+    bad ~field:"path"
+      (path ^ ": the trace records no objects, so there is nothing to place")
+
 let replay_kinds =
   [
     ("run", run_cells);
@@ -163,7 +171,7 @@ let replay_kinds =
 
 let replay ~path ~kind ~tech =
   let* tech = check_tech tech in
-  let* meta, digest = trace_info path in
+  let* meta, digest, objects = trace_info path in
   let* cells =
     match List.assoc_opt kind replay_kinds with
     | Some cells -> Ok cells
@@ -172,6 +180,7 @@ let replay ~path ~kind ~tech =
         (Nvsc_util.Cli.unknown ~what:"kind"
            ~known:(List.map fst replay_kinds) kind)
   in
+  let* () = check_placeable path ~objects (List.map fst cells) in
   Ok
     (plan ~tech ~digest ~trace:path ~app:meta.Nvsc_memtrace.Trace_codec.app
        ~scale:meta.scale ~iterations:meta.iterations cells)
@@ -193,12 +202,15 @@ let sweep ~apps ~kinds ~techs ~scale ~iterations ~overrides ~from_trace =
     match from_trace with
     | None -> Ok (apps, scale, iterations, None)
     | Some path ->
-      let* meta, digest = trace_info path in
+      let* meta, digest, objects = trace_info path in
       Ok
         ( Some [ meta.Nvsc_memtrace.Trace_codec.app ],
           meta.scale,
           meta.iterations,
-          Some (Cell.pin_trace ~digest ~iterations:meta.iterations) )
+          Some
+            ( path,
+              objects,
+              Cell.pin_trace ~digest ~iterations:meta.iterations ) )
   in
   let apps, scale, iterations, pin = forced in
   let* () = check_config ~scale ~iterations in
@@ -231,9 +243,16 @@ let sweep ~apps ~kinds ~techs ~scale ~iterations ~overrides ~from_trace =
     | Ok m -> Ok m
     | Error msg -> bad msg
   in
-  let specs = Array.of_list (Matrix.cells matrix) in
-  let specs =
-    match pin with None -> specs | Some pin -> Array.map pin specs
+  let cells = Matrix.cells matrix in
+  let* specs =
+    match pin with
+    | None -> Ok (Array.of_list cells)
+    | Some (path, objects, pin) ->
+      let* () =
+        check_placeable path ~objects
+          (List.map (fun (s : Cell.spec) -> s.kind) cells)
+      in
+      Ok (Array.of_list (List.map pin cells))
   in
   Ok
     {

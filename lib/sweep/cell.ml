@@ -467,7 +467,7 @@ let check_trace ?trace (spec : spec) =
     (* the pinned digest is re-verified against the file, so a cached
        payload can only ever be served for the exact trace content it
        was computed from *)
-    let _, digest = Nvsc_core.Trace_run.info path in
+    let _, digest, _ = Nvsc_core.Trace_run.info path in
     if digest <> pinned then
       invalid_arg
         (Printf.sprintf

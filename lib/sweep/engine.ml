@@ -127,7 +127,7 @@ let run ?jobs ?cache ?trace matrix =
     match trace with
     | None -> specs
     | Some path ->
-      let meta, digest = Nvsc_core.Trace_run.info path in
+      let meta, digest, _ = Nvsc_core.Trace_run.info path in
       Array.map
         (Cell.pin_trace ~digest
            ~iterations:meta.Nvsc_memtrace.Trace_codec.iterations)

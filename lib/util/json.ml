@@ -268,9 +268,6 @@ module Lines = struct
       eof = false;
     }
 
-  let of_channel ?max_frame ic =
-    reader ?max_frame (fun buf pos len -> input ic buf pos len)
-
   let of_string ?max_frame s =
     let pos = ref 0 in
     reader ?max_frame (fun buf dst len ->
@@ -406,10 +403,6 @@ let to_float = function
 let to_str = function
   | Str s -> s
   | _ -> fail "Json: expected a string"
-
-let to_bool = function
-  | Bool b -> b
-  | _ -> fail "Json: expected a bool"
 
 let to_list = function
   | List l -> l

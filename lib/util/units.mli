@@ -12,7 +12,6 @@ val pp_watts : Format.formatter -> float -> unit
 
 val kib : int -> int
 val mib : int -> int
-val gib : int -> int
 
 val ns_of_cycles : cycles:int -> ghz:float -> float
 (** Wall time in nanoseconds of [cycles] at [ghz] GHz. *)

@@ -55,9 +55,17 @@ let chunks file =
   in
   go (String.length (header file)) []
 
+(* Object 0 as a trailer table entry: the global "g", 8 bytes at address
+   0, allocated before the main loop and live. *)
+let global0 =
+  String.concat ""
+    [ varint 0; varint 1; "g"; "\x00"; varint 0; varint 8; varint 1; "g";
+      varint 0; varint 0; "\x01" ]
+
 (* A trace of [header] and [chunks]; the trailer declares every
-   reference a read, carries no object tables, and declares [nchunks]
-   index entries (default: one per chunk). *)
+   reference a read, lists [global0] (so the trace has something to
+   place) and no stack objects, and declares [nchunks] index entries
+   (default: one per chunk). *)
 let build ?nchunks ~header chunks =
   let buf = Buffer.create 4096 in
   let u32 n = Buffer.add_int32_le buf (Int32.of_int n) in
@@ -75,11 +83,11 @@ let build ?nchunks ~header chunks =
   in
   let refs = List.fold_left (fun acc (_, r, _) -> acc + r) 0 index in
   let t = Buffer.create 256 in
+  List.iter (fun n -> Buffer.add_string t (varint n)) [ refs; refs; 0; 1 ];
+  Buffer.add_string t global0;
   List.iter
     (fun n -> Buffer.add_string t (varint n))
-    [
-      refs; refs; 0; 0; 0; Option.value nchunks ~default:(List.length index);
-    ];
+    [ 0; Option.value nchunks ~default:(List.length index) ];
   List.iter
     (fun (offset, refs, md5) ->
       Buffer.add_string t (varint offset);
@@ -101,13 +109,14 @@ let build ?nchunks ~header chunks =
   Buffer.add_string buf "NVSCAVTE";
   Buffer.contents buf
 
-(* The header of an empty trace written by the library. *)
-let empty_header () =
+(* An empty trace of [app] written by the library: no chunks, no
+   objects. *)
+let empty_trace ?(app = "forged") () =
   let path = Filename.temp_file "nvsc-forge" ".nvt" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let meta =
     {
-      Trace_codec.app = "forged";
+      Trace_codec.app;
       description = "hand-built damage";
       input_description = "n/a";
       paper_footprint_mb = 1.0;
@@ -118,7 +127,12 @@ let empty_header () =
   in
   let w = Trace_codec.Writer.create ~path ~meta () in
   ignore (Trace_codec.Writer.finish w ());
-  header (read_file path)
+  read_file path
+
+(* A well-formed gtc trace with nothing to place. *)
+let no_objects () = empty_trace ~app:"gtc" ()
+
+let empty_header () = header (empty_trace ())
 
 (* [n] 8-byte reads of address 0 by object 0, as a REFS run's records. *)
 let reads n = String.concat "" (List.init n (fun _ -> "\x10\x00\x00"))
@@ -142,6 +156,12 @@ let over_declared_index () =
 let over_declared_chunks () =
   build ~nchunks:(1 lsl 40) ~header:(empty_header ())
     [ (8, refs_chunk ~declared:8 ~run:8) ]
+
+(* One unattributed 8-byte read of address -4096 (zigzag 8191). *)
+let negative_address () =
+  let record = [ "\x10"; varint 8191; varint 1 ] in
+  build ~header:(empty_header ())
+    [ (1, String.concat "" ([ varint 1; varint 0; "\x02"; varint 1 ] @ record)) ]
 
 (* One chunk whose object table gives a name length of 2^62, a varint
    that overflows to a negative int. *)

@@ -4,10 +4,60 @@
    the differential qcheck properties — do not optimize. *)
 
 module Core_params = Nvsc_cpusim.Core_params
-module Tlb = Nvsc_cpusim.Tlb
 module Access = Nvsc_memtrace.Access
 module Sink = Nvsc_memtrace.Sink
 module Hierarchy = Nvsc_cachesim.Hierarchy
+
+(* Fully associative LRU TLB as a linear scan over per-entry ages: the
+   model [Perf_model]'s one-set [Cache] TLB is checked against. *)
+module Tlb = struct
+  type t = {
+    entries : int;
+    page_bytes : int;
+    pages : int array; (* -1 = invalid *)
+    age : int array;
+    mutable clock : int;
+    mutable misses : int;
+  }
+
+  let create ~entries ~page_bytes =
+    {
+      entries;
+      page_bytes;
+      pages = Array.make entries (-1);
+      age = Array.make entries 0;
+      clock = 0;
+      misses = 0;
+    }
+
+  (* [true] on a hit; a miss installs the page in the first invalid entry,
+     else over the least recently used one *)
+  let access t addr =
+    let page = addr / t.page_bytes in
+    t.clock <- t.clock + 1;
+    let rec find i =
+      if i >= t.entries then None
+      else if t.pages.(i) = page then Some i
+      else find (i + 1)
+    in
+    match find 0 with
+    | Some i ->
+      t.age.(i) <- t.clock;
+      true
+    | None ->
+      t.misses <- t.misses + 1;
+      let victim = ref 0 in
+      for i = 1 to t.entries - 1 do
+        if t.pages.(i) = -1 && t.pages.(!victim) <> -1 then victim := i
+        else if t.pages.(!victim) <> -1 && t.age.(i) < t.age.(!victim) then
+          victim := i
+      done;
+      t.pages.(!victim) <- page;
+      t.age.(!victim) <- t.clock;
+      false
+
+  let misses t = t.misses
+end
 
 type t = {
   p : Core_params.t;

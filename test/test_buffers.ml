@@ -83,7 +83,8 @@ let slice_consumers () =
     );
     ( "Perf_model.consume",
       Nvsc_cpusim.Perf_model.consume
-        (Nvsc_cpusim.Perf_model.create ~mem_latency_ns:10. ()) );
+        (Nvsc_cpusim.Perf_model.create_ledgers
+           [ { mem_latency_ns = 10.; mem_write_latency_ns = None } ]) );
     ( "Dram_cache.consume",
       Nvsc_placement.Dram_cache.consume
         (Nvsc_placement.Dram_cache.create ~tech ()) );

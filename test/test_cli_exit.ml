@@ -111,18 +111,29 @@ let bad_text_traces =
     ("malformed text record", "zzz READ 0\n");
   ]
 
-(* [.nvt] traces for [replay], forged behind sealed digests, must fail
-   with a [Trace_codec] error.  A REFS run longer than its chunk's count
-   wrote past the decode batch, and a name length that overflowed to a
-   negative int reached [Bytes.create]; both exited 125. *)
+(* [.nvt] traces for [replay], with the extra arguments each is replayed
+   with and what its stderr must name.  Damage forged behind sealed
+   digests must fail with a [Trace_codec] error: a REFS run longer than
+   its chunk's count wrote past the decode batch, a name length that
+   overflowed to a negative int reached [Bytes.create], and a negative
+   address reached the cache filter; all three exited 125.  A trace with
+   no objects has nothing to place: [run] and [place] replays of one
+   died in the placement (exit 125). *)
 let bad_nvt_traces =
   [
-    ("nvt REFS run past its count", Nvt_forge.over_long_run);
-    ("nvt negative name length", Nvt_forge.negative_length);
+    ("nvt REFS run past its count", Nvt_forge.over_long_run, [], "Trace_codec");
+    ("nvt negative name length", Nvt_forge.negative_length, [], "Trace_codec");
+    ("nvt negative address", Nvt_forge.negative_address, [], "Trace_codec");
+    ("nvt without objects, run", Nvt_forge.no_objects, [], "no objects");
+    ( "nvt without objects, place",
+      Nvt_forge.no_objects,
+      [ "--kind"; "place" ],
+      "no objects" );
   ]
 
 (* Rows over temporary copies of the bad files, each with what its
-   stderr must contain: the file's name, and for an [.nvt] the codec. *)
+   stderr must contain: the file's name, and for an [.nvt] its row's
+   word. *)
 let with_bad_file_rows f =
   let paths = ref [] in
   let file suffix contents =
@@ -142,9 +153,9 @@ let with_bad_file_rows f =
              ([ path ], (name, [ "power"; "gtc"; "--from-file"; path ], 2)))
            bad_text_traces
         @ List.map
-            (fun (name, forge) ->
+            (fun (name, forge, args, names) ->
               let path = file ".nvt" (forge ()) in
-              ([ path; "Trace_codec" ], (name, [ "replay"; path ], 2)))
+              ([ path; names ], (name, "replay" :: path :: args, 2)))
             bad_nvt_traces))
 
 let contains s sub =

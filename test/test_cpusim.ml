@@ -1,48 +1,68 @@
-module Tlb = Nvsc_cpusim.Tlb
 module Core_params = Nvsc_cpusim.Core_params
 module Perf_model = Nvsc_cpusim.Perf_model
 module Sensitivity = Nvsc_cpusim.Sensitivity
 module Tech = Nvsc_nvram.Technology
 module Access = Nvsc_memtrace.Access
+module Cache = Nvsc_cachesim.Cache
+module Cache_params = Nvsc_cachesim.Cache_params
 
-(* --- TLB --------------------------------------------------------------- *)
+(* A one-ledger model: writes cost what reads do unless
+   [mem_write_latency_ns] posts them. *)
+let model ?params ?mem_write_latency_ns ?write_buffer_entries mem_latency_ns =
+  Perf_model.create_ledgers ?params ?write_buffer_entries
+    [ { mem_latency_ns; mem_write_latency_ns } ]
+
+let report m = List.hd (Perf_model.reports m)
+
+(* --- TLB: one fully associative LRU set of [tlb_entries] pages ---------- *)
+
+let tlb_model entries =
+  model ~params:(Core_params.make ~tlb_entries:entries ()) 10.
+
+(* The model's TLB misses so far, after reading each address in turn. *)
+let tlb_misses_after m addrs =
+  List.iter
+    (fun addr -> Perf_model.access_raw m ~addr ~size:8 ~op:Access.Read)
+    addrs;
+  (report m).Perf_model.tlb_misses
 
 let test_tlb_hit_miss () =
-  let t = Tlb.create ~entries:2 ~page_bytes:4096 in
-  Alcotest.(check bool) "cold miss" false (Tlb.access t 0);
-  Alcotest.(check bool) "same page hits" true (Tlb.access t 4095);
-  Alcotest.(check bool) "new page misses" false (Tlb.access t 4096);
-  Alcotest.(check int) "hits" 1 (Tlb.hits t);
-  Alcotest.(check int) "misses" 2 (Tlb.misses t)
+  let m = tlb_model 2 in
+  Alcotest.(check int) "cold miss" 1 (tlb_misses_after m [ 0 ]);
+  Alcotest.(check int) "same page hits" 1 (tlb_misses_after m [ 4088 ]);
+  Alcotest.(check int) "new page misses" 2 (tlb_misses_after m [ 4096 ])
 
 let test_tlb_lru () =
-  let t = Tlb.create ~entries:2 ~page_bytes:4096 in
-  ignore (Tlb.access t 0);
-  ignore (Tlb.access t 4096);
-  ignore (Tlb.access t 0);
+  let m = tlb_model 2 in
+  ignore (tlb_misses_after m [ 0; 4096; 0 ]);
   (* page 1 (addr 4096) is LRU; page 2 evicts it *)
-  ignore (Tlb.access t 8192);
-  Alcotest.(check bool) "page 0 kept" true (Tlb.access t 0);
-  Alcotest.(check bool) "page 1 evicted" false (Tlb.access t 4096)
+  Alcotest.(check int) "page 2 misses" 3 (tlb_misses_after m [ 8192 ]);
+  Alcotest.(check int) "page 0 kept" 3 (tlb_misses_after m [ 0 ]);
+  Alcotest.(check int) "page 1 evicted" 4 (tlb_misses_after m [ 4096 ])
 
+(* The TLB's kernel on its own: a one-set cache of page-sized lines. *)
 let test_tlb_reset () =
-  let t = Tlb.create ~entries:4 ~page_bytes:4096 in
-  ignore (Tlb.access t 0);
-  Tlb.reset t;
-  Alcotest.(check int) "misses cleared" 0 (Tlb.misses t);
-  Alcotest.(check bool) "cold again" false (Tlb.access t 0)
+  let tlb =
+    Cache.create
+      (Cache_params.make ~name:"tlb" ~size_bytes:(4 * 4096) ~associativity:4
+         ~line_bytes:4096 ~write_miss:Cache_params.Write_allocate ())
+  in
+  ignore (Cache.read tlb ~line:0);
+  Cache.invalidate_all tlb;
+  Cache.reset_stats tlb;
+  Alcotest.(check int) "misses cleared" 0 (Cache.misses tlb);
+  Alcotest.(check bool) "cold again" false
+    (Cache.Effect.hit (Cache.read tlb ~line:0))
 
 let test_tlb_capacity_prop =
   QCheck.Test.make ~name:"working set within capacity never misses twice"
     ~count:50
     QCheck.(list_of_size Gen.(int_range 1 500) (int_range 0 7))
     (fun pages ->
-      let t = Tlb.create ~entries:8 ~page_bytes:4096 in
+      let m = tlb_model 8 in
       (* warm all 8 possible pages *)
-      for p = 0 to 7 do
-        ignore (Tlb.access t (p * 4096))
-      done;
-      List.for_all (fun p -> Tlb.access t (p * 4096)) pages)
+      let warm = tlb_misses_after m (List.init 8 (fun p -> p * 4096)) in
+      warm = 8 && tlb_misses_after m (List.map (fun p -> p * 4096) pages) = 8)
 
 (* --- Perf model -------------------------------------------------------- *)
 
@@ -53,21 +73,21 @@ let test_paper_params () =
   Alcotest.(check int) "miss buffer 64" 64 p.Core_params.miss_buffer
 
 let test_compute_only () =
-  let m = Perf_model.create ~mem_latency_ns:10. () in
+  let m = model 10. in
   Perf_model.instructions m 4000;
-  let r = Perf_model.report m in
+  let r = report m in
   Alcotest.(check (float 1e-6)) "base cycles = n/width" 1000. r.Perf_model.cycles;
   Alcotest.(check (float 1e-6)) "no stalls" 0. r.Perf_model.mem_stall_cycles;
   Alcotest.(check (float 1e-6)) "ipc = width" 4. r.Perf_model.ipc
 
 let test_l1_hits_free () =
-  let m = Perf_model.create ~mem_latency_ns:10. () in
+  let m = model 10. in
   Perf_model.access_raw m ~addr:0 ~size:8 ~op:Access.Read;
-  let cold = (Perf_model.report m).Perf_model.cycles in
+  let cold = (report m).Perf_model.cycles in
   for _ = 1 to 100 do
     Perf_model.access_raw m ~addr:0 ~size:8 ~op:Access.Read
   done;
-  let r = Perf_model.report m in
+  let r = report m in
   Alcotest.(check int) "l1 hits" 100 r.Perf_model.l1_hits;
   (* hot accesses only add base CPI *)
   Alcotest.(check (float 1e-6)) "only frontend cost" (cold +. 25.)
@@ -79,13 +99,13 @@ let random_walk_addrs n seed =
 
 let test_latency_monotonicity () =
   let run lat =
-    let m = Perf_model.create ~mem_latency_ns:lat () in
+    let m = model lat in
     List.iter
       (fun addr ->
         Perf_model.instructions m 10;
         Perf_model.access_raw m ~addr ~size:8 ~op:Access.Read)
       (random_walk_addrs 3000 5);
-    (Perf_model.report m).Perf_model.runtime_ns
+    (report m).Perf_model.runtime_ns
   in
   let t10 = run 10. and t20 = run 20. and t100 = run 100. in
   Alcotest.(check bool) "monotone 10<=20" true (t10 <= t20);
@@ -94,24 +114,24 @@ let test_latency_monotonicity () =
 let test_prefetcher_covers_streams () =
   (* a pure sequential sweep: after the first misses, the stream
      prefetcher must cover nearly everything *)
-  let m = Perf_model.create ~mem_latency_ns:100. () in
+  let m = model 100. in
   for i = 0 to 9999 do
     Perf_model.access_raw m ~addr:(i * 64) ~size:8 ~op:Access.Read
   done;
-  let r = Perf_model.report m in
+  let r = report m in
   Alcotest.(check bool) "few demand clusters" true (r.Perf_model.miss_clusters < 20)
 
 let test_mlp_clustering () =
   (* independent misses in one ROB window share a cluster *)
   let params = Core_params.make ~effective_mlp:4 ~rob_entries:128 () in
-  let m = Perf_model.create ~params ~mem_latency_ns:100. () in
+  let m = model ~params 100. in
   (* 4 far-apart lines, back to back: one cluster *)
   List.iter
     (fun k ->
       Perf_model.access_raw m ~addr:(k * 1_000_000 * 64) ~size:8
         ~op:Access.Read)
     [ 1; 3; 5; 7 ];
-  let r = Perf_model.report m in
+  let r = report m in
   Alcotest.(check int) "one cluster" 1 r.Perf_model.miss_clusters
 
 let test_fig12_shape () =
@@ -171,8 +191,7 @@ let test_write_buffer_saturates () =
      write buffer: runtime grows with write latency *)
   let run wlat =
     let m =
-      Perf_model.create ~mem_write_latency_ns:wlat ~write_buffer_entries:4
-        ~mem_latency_ns:10. ()
+      model ~mem_write_latency_ns:wlat ~write_buffer_entries:4 10.
     in
     let rng = Nvsc_util.Rng.of_int 7 in
     for _ = 0 to 5_000 do
@@ -180,7 +199,7 @@ let test_write_buffer_saturates () =
         ~addr:(64 * Nvsc_util.Rng.int rng 1_000_000)
         ~size:8 ~op:Access.Write
     done;
-    (Perf_model.report m).Perf_model.runtime_ns
+    (report m).Perf_model.runtime_ns
   in
   Alcotest.(check bool) "slow writes eventually stall" true
     (run 1000. > 1.5 *. run 10.)
@@ -225,11 +244,8 @@ let test_invalid_latency () =
   List.iter
     (fun lat ->
       let name = Printf.sprintf "%h" lat in
-      rejects ("latency " ^ name) "Perf_model.create: latency" (fun () ->
-          Perf_model.create ~mem_latency_ns:lat ());
-      rejects ("write latency " ^ name) "Perf_model.create: write latency"
-        (fun () ->
-          Perf_model.create ~mem_write_latency_ns:lat ~mem_latency_ns:10. ());
+      rejects ("latency " ^ name) "Perf_model.create_ledgers: latency"
+        (fun () -> model lat);
       rejects ("ledger latency " ^ name) "Perf_model.create_ledgers: latency"
         (fun () ->
           Perf_model.create_ledgers

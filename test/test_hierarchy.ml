@@ -99,7 +99,15 @@ let test_mismatched_lines_rejected () =
   in
   Alcotest.check_raises "line mismatch"
     (Invalid_argument "Hierarchy.create: levels must share a line size")
-    (fun () -> ignore (H.create ~l1d:small_l1 ~l2:l2_bad ~sink:(Sink.null ()) ()))
+    (fun () -> ignore (H.create ~l1d:small_l1 ~l2:l2_bad ~sink:(Sink.null ()) ()));
+  (* built directly: [P.make] already rejects a 48-byte line *)
+  let line48 p = { p with P.line_bytes = 48 } in
+  Alcotest.check_raises "line not a power of two"
+    (Invalid_argument "Hierarchy.create: line size 48 is not a power of two")
+    (fun () ->
+      ignore
+        (H.create ~l1d:(line48 small_l1) ~l2:(line48 small_l2)
+           ~sink:(Sink.null ()) ()))
 
 let conservation_prop =
   QCheck.Test.make ~name:"all stores eventually reach memory" ~count:30

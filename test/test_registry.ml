@@ -113,16 +113,6 @@ let test_rebalance_triggers () =
   | Some o -> Alcotest.(check int) "correct object" 57 o.Mem_object.id
   | None -> Alcotest.fail "lookup after rebalance"
 
-let test_cache_effectiveness () =
-  let r = R.create () in
-  let o = R.register r (heap_obj ~id:1 ~base:Layout.heap_base ~size:4096 "hot") in
-  for i = 0 to 999 do
-    ignore (R.lookup r (Layout.heap_base + (i mod 4096)))
-  done;
-  Alcotest.(check bool) "cache absorbs repeats" true (R.cache_hit_rate r > 0.9);
-  Alcotest.(check bool) "few scans" true (R.lookup_scans r < 100);
-  ignore o
-
 let test_objects_listing () =
   let r = R.create () in
   let a = R.register r (heap_obj ~id:1 ~base:Layout.heap_base ~size:8 "a") in
@@ -142,6 +132,5 @@ let suite =
     Alcotest.test_case "disjoint globals kept" `Quick
       test_disjoint_globals_not_merged;
     Alcotest.test_case "dynamic rebalance" `Quick test_rebalance_triggers;
-    Alcotest.test_case "LRU software cache" `Quick test_cache_effectiveness;
     Alcotest.test_case "objects listing" `Quick test_objects_listing;
   ]

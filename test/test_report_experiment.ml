@@ -104,14 +104,18 @@ let perf_monotone_prop =
     QCheck.(list_of_size Gen.(int_range 10 400) (int_range 0 100_000))
     (fun lines ->
       let run lat =
-        let m = Nvsc_cpusim.Perf_model.create ~mem_latency_ns:lat () in
+        let m =
+          Nvsc_cpusim.Perf_model.create_ledgers
+            [ { mem_latency_ns = lat; mem_write_latency_ns = None } ]
+        in
         List.iter
           (fun l ->
             Nvsc_cpusim.Perf_model.instructions m 3;
             Nvsc_cpusim.Perf_model.access_raw m ~addr:(l * 64) ~size:8
               ~op:Nvsc_memtrace.Access.Read)
           lines;
-        (Nvsc_cpusim.Perf_model.report m).Nvsc_cpusim.Perf_model.runtime_ns
+        (List.hd (Nvsc_cpusim.Perf_model.reports m))
+          .Nvsc_cpusim.Perf_model.runtime_ns
       in
       let t10 = run 10. and t20 = run 20. and t100 = run 100. in
       t10 <= t20 +. 1e-9 && t20 <= t100 +. 1e-9)

@@ -291,7 +291,21 @@ let test_plan_errors () =
   plan_error ~field:"overrides"
     (Protocol.Sweep
        { apps = None; kinds = None; techs = None; scale = 1.; iterations = 1;
-         overrides = [ "bogus=1" ]; from_trace = None })
+         overrides = [ "bogus=1" ]; from_trace = None });
+  (* a trace without objects has nothing to place, and says so before
+     anything runs; its other kinds still plan *)
+  let path = Filename.temp_file "nvsc-no-objects" ".nvt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Nvt_forge.write_file path (Nvt_forge.no_objects ());
+  let replay kind = Protocol.Replay { path; kind; tech = "sttram" } in
+  plan_error ~field:"path" (replay "run");
+  plan_error ~field:"path" (replay "place");
+  plan_error ~field:"path"
+    (Protocol.Sweep
+       { apps = None; kinds = Some [ "objects"; "place" ]; techs = None;
+         scale = 1.; iterations = 1; overrides = []; from_trace = Some path });
+  Alcotest.(check bool) "objects replay plans" true
+    (Result.is_ok (Plan.of_request (replay "objects")))
 
 (* --- resident pool -------------------------------------------------------- *)
 

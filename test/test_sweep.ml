@@ -667,7 +667,7 @@ let test_group_trace_fed () =
   let path =
     Option.value (Sys.getenv_opt "GOLDEN_NVT") ~default:"test/golden/mini.nvt"
   in
-  let meta, digest = Nvsc_core.Trace_run.info path in
+  let meta, digest, _ = Nvsc_core.Trace_run.info path in
   let specs =
     List.map
       (fun kind ->

@@ -246,7 +246,7 @@ let test_digest_keys_on_content () =
   Alcotest.(check bool)
     "different scale, different digest" true
     (s1.Trace_codec.digest <> s3.Trace_codec.digest);
-  let m, digest = Trace_run.info p1 in
+  let m, digest, _ = Trace_run.info p1 in
   Alcotest.(check string) "info digest" s1.Trace_codec.digest digest;
   Alcotest.(check string) "info app" "minimd" m.Trace_codec.app;
   Alcotest.(check string)
@@ -507,18 +507,24 @@ let edge_values = [ 0; 0x7f; 0x80; (1 lsl 56) - 1; max_int ]
    instruction count and a flush's three raw fields. *)
 let test_varint_edges_roundtrip () =
   let refs =
-    let addr = ref 0 and obj = ref 0 in
-    List.map
-      (fun v ->
-        addr := !addr + unzigzag v;
-        obj := !obj + unzigzag v;
-        (* obj ids stay 0 or negative: any negative id is unattributed *)
-        Ref
-          ( !addr,
-            v lsr 1,
-            (if v land 1 = 1 then Access.Write else Access.Read),
-            !obj ))
-      edge_values
+    (* Two lifts of 2^61 - 1 first: the edge deltas then sum to
+       -2^61 - 2^55 from 2^62 - 2, so no address goes negative, which the
+       format does not allow. *)
+    let lift = (1 lsl 61) - 1 in
+    let addr = ref (2 * lift) and obj = ref 0 in
+    Ref (lift, 8, Access.Read, 0)
+    :: Ref (2 * lift, 8, Access.Read, 0)
+    :: List.map
+         (fun v ->
+           addr := !addr + unzigzag v;
+           obj := !obj + unzigzag v;
+           (* obj ids stay 0 or negative: any negative id is unattributed *)
+           Ref
+             ( !addr,
+               v lsr 1,
+               (if v land 1 = 1 then Access.Write else Access.Read),
+               !obj ))
+         edge_values
   in
   let events =
     refs
@@ -534,7 +540,7 @@ let test_varint_edges_roundtrip () =
         (Printf.sprintf "round-trip at chunk capacity %d" chunk_capacity)
         true
         (roundtrip_ok ~chunk_capacity events))
-    (* the five references share one chunk, so their deltas are the
+    (* the seven references share one chunk, so their deltas are the
        chained ones above *)
     [ 7; 65536 ]
 
@@ -637,10 +643,22 @@ let test_rejects_forged_damage () =
       (* a 9-byte varint that lands on the sign bit, as a name length *)
       ("corrupt chunk 0 (varint out of range)", Nvt_forge.negative_length ());
       ("corrupt chunk 0 (empty object 7)", Nvt_forge.empty_object ());
+      ("corrupt chunk 0 (negative address)", Nvt_forge.negative_address ());
       (* declared counts that would size allocations past the file *)
       ("corrupt chunk index (entry 0)", Nvt_forge.over_declared_index ());
       ("truncated trailer", Nvt_forge.over_declared_chunks ());
     ]
+
+(* The writer refuses what the reader would reject as corrupt. *)
+let test_writer_rejects_negative_address () =
+  with_tmp @@ fun path ->
+  let w = Trace_codec.Writer.create ~path ~meta:(meta ()) () in
+  Fun.protect ~finally:(fun () -> Trace_codec.Writer.abort w) @@ fun () ->
+  Alcotest.check_raises "negative address"
+    (Invalid_argument "Trace_codec.Writer.add_ref: negative address")
+    (fun () ->
+      Trace_codec.Writer.add_ref w ~addr:(-1) ~size:8 ~op:Access.Read
+        ~obj_id:(-1))
 
 (* A trace with every token kind and per-chunk object tables: the seed
    of the mutation fuzz. *)
@@ -1039,6 +1057,8 @@ let suite =
       test_rejects_damage;
     Alcotest.test_case "forged damage behind sealed digests is rejected"
       `Quick test_rejects_forged_damage;
+    Alcotest.test_case "writer rejects a negative address" `Quick
+      test_writer_rejects_negative_address;
     Alcotest.test_case "instruction tokens split slices only when read"
       `Quick test_instr_splits_only_when_read;
     Alcotest.test_case "v1 traces write and read back" `Quick
