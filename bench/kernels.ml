@@ -147,18 +147,18 @@ let run ~quick ~out =
 
   (* hierarchy filter stage on synthetic stream shapes *)
   let () =
-    let log = Trace_log.create ~initial_capacity:n_refs () in
+    let log = Trace_log.create ~chunk_capacity:n_refs () in
     fill_log log
       (Trace_gen.zipf ~seed:11 ~lines:65536 ~write_fraction:0.3 ~n:n_refs ());
     filter_bench ~reps "filter.zipf" log
   in
   let () =
-    let log = Trace_log.create ~initial_capacity:n_refs () in
+    let log = Trace_log.create ~chunk_capacity:n_refs () in
     fill_log log (Trace_gen.sequential ~n:n_refs ());
     filter_bench ~reps "filter.sequential" log
   in
   let () =
-    let log = Trace_log.create ~initial_capacity:n_refs () in
+    let log = Trace_log.create ~chunk_capacity:n_refs () in
     fill_log log (Trace_gen.strided ~stride_lines:3 ~n:n_refs ());
     filter_bench ~reps "filter.strided" log
   in
@@ -170,7 +170,7 @@ let run ~quick ~out =
      touches per line, the line chosen per shape, with writes mixed into
      the run tails. *)
   let coalesced_log pick =
-    let log = Trace_log.create ~initial_capacity:n_refs () in
+    let log = Trace_log.create ~chunk_capacity:n_refs () in
     let i = ref 0 and k = ref 0 in
     while !i < n_refs do
       let line, len = pick !k in
@@ -213,7 +213,7 @@ let run ~quick ~out =
   (* the captured gtc reference stream: what the pipeline's filter stage
      actually consumes (word-granular, object-interleaved) *)
   let gtc_log =
-    let log = Trace_log.create ~initial_capacity:2_000_000 () in
+    let log = Trace_log.create ~chunk_capacity:2_000_000 () in
     let ctx = Nvsc_appkit.Ctx.create () in
     Nvsc_appkit.Ctx.add_sink ctx (Trace_log.sink ~name:"gtc-capture" log);
     let (module A : Nvsc_apps.Workload.APP) =

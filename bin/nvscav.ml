@@ -80,9 +80,11 @@ module Engine = Nvsc_sweep.Engine
    daemon's plan for the request and execute it here, in-process, through
    the sweep engine; each cell's chunk is exactly what [nvscav client]
    would stream, so local and served reports agree by construction.
-   [jobs] defaults to 1: the report is the same at every width.  The
-   result cache, if any, is made only once the plan is valid. *)
-let run_plan ?(jobs = 1) ?make_cache ?(profile = Cli.Profile_off)
+   [jobs] defaults to the machine's recommended domain count for every
+   subcommand: the report is the same at every width.  The result cache,
+   if any, is made only once the plan is valid. *)
+let run_plan ?(jobs = Nvsc_team.Pool.default_jobs ()) ?make_cache
+    ?(profile = Cli.Profile_off)
     ?(on_stats = ignore) planned =
   match planned with
   | Error (e : Serve.Protocol.error) -> `Error (false, e.message)
@@ -320,16 +322,16 @@ let endurance_cmd =
           /. float_of_int r.iterations *. 10. (* 10 steps/s sustained *)
         in
         let module B = Nvsc_memtrace.Sink.Batch in
-        let batch, n = Nvsc_memtrace.Trace_log.as_batch trace in
         List.iter
           (fun tech_id ->
             let tech = Nvsc_nvram.Technology.get tech_id in
             let e = Nvsc_nvram.Endurance.create ~tech ~lines in
-            for i = 0 to n - 1 do
-              if B.is_write batch i then
-                Nvsc_nvram.Endurance.record_write e
-                  ~line:(B.addr batch i / line_bytes mod lines)
-            done;
+            Nvsc_memtrace.Trace_log.iter_slices trace (fun batch ~first ~n ->
+                for i = first to first + n - 1 do
+                  if B.is_write batch i then
+                    Nvsc_nvram.Endurance.record_write e
+                      ~line:(B.addr batch i / line_bytes mod lines)
+                done);
             Format.fprintf fmt
               "%-8s imbalance %5.1fx  lifetime %12.2f years levelled / %12.3f \
                unlevelled@."
@@ -554,8 +556,7 @@ let sweep_cmd =
   in
   let run () scale iterations jobs cache_dir cache_max apps kinds techs
       overrides from_trace profile =
-    run_plan
-      ~jobs:(Option.value jobs ~default:(Nvsc_team.Pool.default_jobs ()))
+    run_plan ?jobs
       ?make_cache:
         (Option.map
            (fun dir () -> Nvsc_sweep.Cache.create ~dir ?max_entries:cache_max ())
@@ -630,7 +631,9 @@ let checkpoint_cmd =
    scavenger, cachesim, dramsim, placement and sweep spans. *)
 let run_cmd =
   let run () app scale iterations jobs tech profile =
-    (* --jobs widens the technology comparison; omitted, it stays serial *)
+    (* --jobs is the width of the run's pool: the cache filter overlaps
+       the application on its second domain, and the technology
+       comparison spreads over all of them *)
     run_plan ?jobs ~profile
       (Serve.Plan.of_request
          (Serve.Protocol.Run { app; scale; iterations; tech }))
@@ -706,8 +709,8 @@ let replay_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"TRACE" ~doc:"Recorded $(b,.nvt) trace file.")
   in
-  let run () path kind tech profile =
-    run_plan ~profile
+  let run () path kind jobs tech profile =
+    run_plan ?jobs ~profile
       (Serve.Plan.of_request (Serve.Protocol.Replay { path; kind; tech }))
   in
   let info =
@@ -725,8 +728,8 @@ let replay_cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ logs_term $ trace_arg $ replay_kind_arg $ tech_arg
-       $ Cli.profile))
+        (const run $ logs_term $ trace_arg $ replay_kind_arg $ Cli.jobs
+       $ tech_arg $ Cli.profile))
 
 (* --- crashsim ------------------------------------------------------------- *)
 

@@ -42,11 +42,11 @@ let () =
 
   (* every main-memory write, as the wear line it lands on *)
   let iter_write_lines f =
-    let batch, n = Trace_log.as_batch trace in
-    for i = 0 to n - 1 do
-      if Batch.is_write batch i then
-        f (Batch.addr batch i / line_bytes mod lines)
-    done
+    Trace_log.iter_slices trace (fun batch ~first ~n ->
+        for i = first to first + n - 1 do
+          if Batch.is_write batch i then
+            f (Batch.addr batch i / line_bytes mod lines)
+        done)
   in
 
   List.iter

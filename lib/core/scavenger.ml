@@ -3,6 +3,7 @@ module Layout = Nvsc_memtrace.Layout
 module Mem_object = Nvsc_memtrace.Mem_object
 module Trace_log = Nvsc_memtrace.Trace_log
 module Sink = Nvsc_memtrace.Sink
+module Stage = Nvsc_memtrace.Stage
 module Hierarchy = Nvsc_cachesim.Hierarchy
 module Cache = Nvsc_cachesim.Cache
 module Span = Nvsc_obs.Span
@@ -88,13 +89,13 @@ let m_boundary_flushes = Metrics.counter "scavenger.pipeline.boundary_flushes"
 let m_unattributed = Metrics.counter "scavenger.unattributed"
 let m_sanitizer_findings = Metrics.counter "sanitizer.findings"
 
-let run (cfg : Config.t) (module A : Nvsc_apps.Workload.APP) =
+let run ?pool (cfg : Config.t) (module A : Nvsc_apps.Workload.APP) =
   Span.with_ ~arg:A.name "scavenger.run" @@ fun () ->
   let { Config.scale; iterations; with_trace; sampling; batch_capacity;
         sanitize; check_init; persist } =
     cfg
   in
-  let ctx, san, pchk, trace, hierarchy =
+  let ctx, san, pchk, trace, hierarchy, stage =
     Span.with_ "scavenger.setup" @@ fun () ->
     let ctx =
       Ctx.create ?batch_capacity
@@ -115,28 +116,38 @@ let run (cfg : Config.t) (module A : Nvsc_apps.Workload.APP) =
     | None -> ());
     let trace = if with_trace then Some (Trace_log.create ()) else None in
     let hierarchy =
-      match trace with
-      | None -> None
-      | Some log ->
-        let h =
-          Hierarchy.create ~sink:(Trace_log.sink ~name:"trace-log" log) ()
-        in
-        (* Filter only main-loop batches through the caches: the paper
-           instruments the main computation loop.  Batches are delivered
-           under their emission phase, so the filter is exact. *)
-        Ctx.add_sink ctx
-          (Sink.create ~name:"cache-hierarchy" (fun b ~first ~n ->
-               match Ctx.phase ctx with
-               | Mem_object.Main _ -> Hierarchy.consume h b ~first ~n
-               | Mem_object.Pre | Mem_object.Post -> ()));
-        Some h
+      Option.map
+        (fun log ->
+          Hierarchy.create ~sink:(Trace_log.sink ~name:"trace-log" log) ())
+        trace
     in
-    (ctx, san, pchk, trace, hierarchy)
+    (* on a pool of two domains the filter drains one batch while the
+       application fills the next *)
+    let stage =
+      Option.map (fun h -> Stage.create ?pool (Hierarchy.consume h)) hierarchy
+    in
+    (* Filter only main-loop batches through the caches: the paper
+       instruments the main computation loop.  Batches are delivered
+       under their emission phase, read here on the producer at
+       hand-off, so the filter is exact.  The sink only forwards
+       deliveries, so its own push buffer is one record. *)
+    Option.iter
+      (fun stage ->
+        Ctx.add_sink ctx
+          (Sink.create ~name:"cache-hierarchy" ~capacity:1 (fun b ~first ~n ->
+               match Ctx.phase ctx with
+               | Mem_object.Main _ -> Stage.push stage b ~first ~n
+               | Mem_object.Pre | Mem_object.Post -> ())))
+      stage;
+    (ctx, san, pchk, trace, hierarchy, stage)
   in
-  Span.with_ ~arg:A.name "scavenger.app" (fun () ->
-      A.run ~scale ctx ~iterations);
+  let app () =
+    Span.with_ ~arg:A.name "scavenger.app" (fun () ->
+        A.run ~scale ctx ~iterations);
+    Ctx.flush_refs ctx
+  in
+  (match stage with Some stage -> Stage.drive stage app | None -> app ());
   Span.with_ "scavenger.analysis" @@ fun () ->
-  Ctx.flush_refs ctx;
   Option.iter Hierarchy.drain hierarchy;
   let sanitizer = Option.map Nvsc_sanitizer.Trace_san.finish san in
   let metrics = Object_metrics.collect ctx ~iterations in

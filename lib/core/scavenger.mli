@@ -90,11 +90,20 @@ module Config : sig
       that row in the next benchmark change. *)
 end
 
-val run : Config.t -> (module Nvsc_apps.Workload.APP) -> result
+val run :
+  ?pool:Nvsc_team.Pool.t ->
+  Config.t ->
+  (module Nvsc_apps.Workload.APP) ->
+  result
 (** Run the application under the given configuration.  [sanitize] tees
     the NVSC-San trace sanitizer into the pipeline: the context gets
     allocation redzones, batch accessors run bounds-checked, and the
-    result carries the diagnostic report. *)
+    result carries the diagnostic report.
+
+    With [with_trace] and a caller's [pool] of two or more domains, the
+    cache filter runs as a {!Nvsc_memtrace.Stage} on the pool's second
+    domain, draining one main-loop batch while the application fills
+    the next; the result is the same at every width. *)
 
 val lint :
   scale:float ->

@@ -5,6 +5,7 @@ module Counters = Nvsc_memtrace.Counters
 module Sink = Nvsc_memtrace.Sink
 module Trace_codec = Nvsc_memtrace.Trace_codec
 module Trace_log = Nvsc_memtrace.Trace_log
+module Stage = Nvsc_memtrace.Stage
 module Hierarchy = Nvsc_cachesim.Hierarchy
 module Cache = Nvsc_cachesim.Cache
 module Span = Nvsc_obs.Span
@@ -63,42 +64,53 @@ let iteration_of_phase = function
   | Mem_object.Pre | Mem_object.Post -> 0
   | Mem_object.Main i -> i
 
-let replay path =
+let replay ?pool path =
   Span.with_ ~arg:path "trace.replay" @@ fun () ->
   let r = Trace_codec.Reader.open_ path in
   Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
   let meta = Trace_codec.Reader.meta r in
   let iterations = meta.Trace_codec.iterations in
-  let counters = Counters.create () in
+  let stack_objects = Trace_codec.Reader.stack_objects r in
+  let objects = Trace_codec.Reader.objects r @ stack_objects in
+  (* A recording's ids never exceed the largest of its trailer's tables,
+     so the counters refuse a larger one as damage: a forged id must not
+     size an allocation. *)
+  let max_id =
+    List.fold_left (fun m (o : Mem_object.t) -> max m o.id) (-1) objects
+  in
+  let counters = Counters.create ~max_id () in
   let tally = Ctx.Tally.create () in
   let in_main = ref false in
   let trace = Trace_log.create () in
   let hierarchy =
     Hierarchy.create ~sink:(Trace_log.sink ~name:"trace-log" trace) ()
   in
-  Trace_codec.stream r
-    ~on_phase:(fun p ->
-      let iter = iteration_of_phase p in
-      Counters.set_iteration counters iter;
-      in_main := match p with Mem_object.Main _ -> true | _ -> false)
-    ~on_refs:(fun batch ~obj_ids ~first ~n ->
-      (* the live emission's accounting, on the recorded attribution, over
-         the hoisted planes: [stream] hands over slices within capacity *)
-      Sink.Batch.check_slice batch ~first ~n;
-      let addrs = Sink.Batch.addrs batch and ops = Sink.Batch.ops batch in
-      for i = first to first + n - 1 do
-        Ctx.Tally.account tally counters
-          ~addr:(Bigarray.Array1.unsafe_get addrs i)
-          ~obj_id:(Array.unsafe_get obj_ids i)
-          ~op:
-            (if Bigarray.Array1.unsafe_get ops i <> '\000' then Access.Write
-             else Access.Read)
-      done;
-      if !in_main then Hierarchy.consume hierarchy batch ~first ~n)
-    ();
+  let stage = Stage.create ?pool (Hierarchy.consume hierarchy) in
+  Stage.drive stage (fun () ->
+      Trace_codec.stream r
+        ~on_phase:(fun p ->
+          let iter = iteration_of_phase p in
+          Counters.set_iteration counters iter;
+          in_main := match p with Mem_object.Main _ -> true | _ -> false)
+        ~on_refs:(fun batch ~obj_ids ~first ~n ->
+          (* the live emission's accounting, on the recorded attribution,
+             over the hoisted planes: [stream] hands over slices within
+             capacity *)
+          Sink.Batch.check_slice batch ~first ~n;
+          let addrs = Sink.Batch.addrs batch and ops = Sink.Batch.ops batch in
+          for i = first to first + n - 1 do
+            Ctx.Tally.account tally counters
+              ~addr:(Bigarray.Array1.unsafe_get addrs i)
+              ~obj_id:(Array.unsafe_get obj_ids i)
+              ~op:
+                (if Bigarray.Array1.unsafe_get ops i <> '\000' then
+                   Access.Write
+                 else Access.Read)
+          done;
+          (* main-loop slices, chosen by the decoder's last phase token *)
+          if !in_main then Stage.push stage batch ~first ~n)
+        ());
   Hierarchy.drain hierarchy;
-  let stack_objects = Trace_codec.Reader.stack_objects r in
-  let objects = Trace_codec.Reader.objects r @ stack_objects in
   let stack_ids = List.map (fun (o : Mem_object.t) -> o.id) stack_objects in
   let metrics = Object_metrics.collect_of ~counters ~objects ~iterations in
   let footprint_bytes =

@@ -32,14 +32,17 @@ val record :
     exception the partial file is left unreadable (no trailer) and the
     exception re-raised. *)
 
-val replay : string -> Scavenger.result
+val replay : ?pool:Nvsc_team.Pool.t -> string -> Scavenger.result
 (** Stream the trace at [path] through attribution counters, fast tallies
     and the cache hierarchy (main-loop phases only, as live), rebuilding
     the full result — metrics come from the trace's final object tables,
     the main-memory trace from the cache filter.  Replay never
     materializes more than one chunk of references.  Instruction counts
     are not read, so they do not split the slices fed to the cache
-    filter. *)
+    filter.  With a caller's [pool] of two or more domains the filter
+    runs as a {!Nvsc_memtrace.Stage} on the second domain while the
+    decoder reads the next chunk; the result is the same at every
+    width. *)
 
 val perf_replay : string -> Nvsc_cpusim.Perf_model.t -> unit
 (** Feed the trace's main-loop references and instruction counts to a

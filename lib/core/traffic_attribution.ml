@@ -44,17 +44,17 @@ let analyze (result : Scavenger.result) =
          metrics)
   in
   let attributed = ref 0 and unattributed = ref 0 in
-  (* walk the trace's flat batch directly: no record materialisation *)
-  let batch, n = Nvsc_memtrace.Trace_log.as_batch trace in
+  (* walk the trace's chunks directly: no record materialisation *)
   let module Batch = Nvsc_memtrace.Sink.Batch in
-  for i = 0 to n - 1 do
-    match Interval_map.find map (Batch.addr batch i) with
-    | Some cell ->
-      incr attributed;
-      if Batch.is_write batch i then cell.w <- cell.w + 1
-      else cell.r <- cell.r + 1
-    | None -> incr unattributed
-  done;
+  Nvsc_memtrace.Trace_log.iter_slices trace (fun batch ~first ~n ->
+      for i = first to first + n - 1 do
+        match Interval_map.find map (Batch.addr batch i) with
+        | Some cell ->
+          incr attributed;
+          if Batch.is_write batch i then cell.w <- cell.w + 1
+          else cell.r <- cell.r + 1
+        | None -> incr unattributed
+      done);
   (* DDR3 burst energies at line granularity *)
   let power =
     Nvsc_dramsim.Power_params.of_tech

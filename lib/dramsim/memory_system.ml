@@ -1,6 +1,6 @@
 module Technology = Nvsc_nvram.Technology
 
-let compare_technologies ?org ?scheme ?window ?row_policy ?scheduler
+let compare_technologies ?org ?scheme ?window ?row_policy ?scheduler ?pool
     ?(jobs = 1) ?(bank_shards = 1) ~techs ~replay () =
   if bank_shards < 1 then
     invalid_arg "Memory_system.compare_technologies: bank_shards must be >= 1";
@@ -16,10 +16,14 @@ let compare_technologies ?org ?scheme ?window ?row_policy ?scheduler
     (tech, Controller.stats c)
   in
   (* Each task owns a private controller and replays the (read-only,
-     Bigarray-backed) trace into it, and [Pool.map] returns results in
-     input order — so the output is the same at every width; at
-     [jobs = 1] every technology runs on the caller. *)
-  Array.to_list (Nvsc_team.Pool.map ~jobs simulate (Array.of_list techs))
+     Bigarray-backed) trace into it, and the pool's map returns results
+     in input order — so the output is the same at every width; at
+     width 1 every technology runs on the caller. *)
+  let techs = Array.of_list techs in
+  Array.to_list
+    (match pool with
+    | Some pool -> Nvsc_team.Pool.map_in pool simulate techs
+    | None -> Nvsc_team.Pool.map ~jobs simulate techs)
 
 let normalized_power results =
   let base =

@@ -8,6 +8,7 @@ val compare_technologies :
   ?window:int ->
   ?row_policy:Controller.row_policy ->
   ?scheduler:Controller.scheduler ->
+  ?pool:Nvsc_team.Pool.t ->
   ?jobs:int ->
   ?bank_shards:int ->
   techs:Nvsc_nvram.Technology.t list ->
@@ -22,7 +23,9 @@ val compare_technologies :
     technologies on a domain pool (each worker owns a private controller;
     [replay] must then be safe to run concurrently against distinct
     sinks, which trace-log batch replay is); results keep input order and
-    are byte-identical to the serial path.
+    are byte-identical to the serial path.  Given a [pool], the
+    technologies run as its tasks instead, at its width, and [jobs] is
+    ignored.
 
     [bank_shards] has no effect: it is checked (≥ 1, else
     [Invalid_argument]) and otherwise ignored.  It remains only for the

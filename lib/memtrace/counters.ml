@@ -13,10 +13,11 @@ type t = {
   mutable width : int; (* plane length for newly created planes *)
   mutable iter : int;
   mutable max_iter : int;
+  max_id : int; (* ids above it are refused; [max_int] when unbounded *)
 }
 
-let create () =
-  let width = 64 in
+let create ?max_id () =
+  let width = match max_id with Some m -> max 0 (m + 1) | None -> 64 in
   let r = Array.make width 0 and w = Array.make width 0 in
   {
     reads = [| r |];
@@ -26,6 +27,7 @@ let create () =
     width;
     iter = 0;
     max_iter = 0;
+    max_id = Option.value max_id ~default:max_int;
   }
 
 let grow_outer a n =
@@ -57,10 +59,17 @@ let widen plane width =
   Array.blit plane 0 p 0 (Array.length plane);
   p
 
-(* Slow path: negative-id rejection, then growth of the current planes
-   (and of the width later planes are created with) to cover [obj_id]. *)
+(* Slow path: rejection of a negative id or one above the bound (a
+   bounded table's planes already cover every id up to it), then growth
+   of the current planes (and of the width later planes are created with)
+   to cover [obj_id]. *)
 let add_slow t obj_id op n =
   if obj_id < 0 then invalid_arg "Counters: negative object id";
+  if obj_id > t.max_id then
+    raise
+      (Trace_codec.Error
+         (Printf.sprintf "Counters: object id %d is in no object table (largest %d)"
+            obj_id t.max_id));
   if obj_id >= t.width then begin
     let w = ref (2 * t.width) in
     while obj_id >= !w do

@@ -15,7 +15,11 @@
 
 type t
 
-val create : unit -> t
+val create : ?max_id:int -> unit -> t
+(** With [max_id] the planes are sized for ids [0 .. max_id] up front and
+    {!record} raises {!Trace_codec.Error} on a larger id: a replay passes
+    its trace's largest object id, so a forged id is refused where it
+    would size an allocation, at no cost per reference. *)
 
 val set_iteration : t -> int -> unit
 (** Select the iteration subsequent {!record} calls are charged to.

@@ -9,11 +9,7 @@ module Batch = struct
   type op_buf =
     (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-  type t = {
-    mutable addrs : int_buf;
-    mutable sizes : int_buf;
-    mutable ops : op_buf;
-  }
+  type t = { addrs : int_buf; sizes : int_buf; ops : op_buf }
 
   let make_int_buf n =
     let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
@@ -37,30 +33,11 @@ module Batch = struct
 
   (* Buffer views for hot loops: consumers hoist these once per delivered
      slice and index with [Array1.unsafe_get], exactly as the previous
-     int-array representation hoisted the record fields.  The buffers stay
-     valid for the duration of one consumer call; [ensure] may replace
-     them between calls. *)
+     int-array representation hoisted the record fields.  A batch never
+     changes its buffers, so a view stays valid as long as the batch. *)
   let[@inline] addrs b = b.addrs
   let[@inline] sizes b = b.sizes
   let[@inline] ops b = b.ops
-
-  let ensure b want =
-    let cap = Bigarray.Array1.dim b.addrs in
-    if want > cap then begin
-      let cap' = ref (2 * cap) in
-      while want > !cap' do
-        cap' := 2 * !cap'
-      done;
-      let addrs = make_int_buf !cap' in
-      let sizes = make_int_buf !cap' in
-      let ops = make_op_buf !cap' in
-      Bigarray.Array1.blit b.addrs (Bigarray.Array1.sub addrs 0 cap);
-      Bigarray.Array1.blit b.sizes (Bigarray.Array1.sub sizes 0 cap);
-      Bigarray.Array1.blit b.ops (Bigarray.Array1.sub ops 0 cap);
-      b.addrs <- addrs;
-      b.sizes <- sizes;
-      b.ops <- ops
-    end
 
   let check_slice b ~first ~n =
     let cap = Bigarray.Array1.dim b.addrs in

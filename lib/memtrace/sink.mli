@@ -36,18 +36,14 @@ module Batch : sig
 
   val capacity : t -> int
 
-  val ensure : t -> int -> unit
-  (** Grow (by doubling) until the capacity is at least the given value;
-      existing records are preserved.  Invalidates previously hoisted
-      buffer views. *)
-
   val addrs : t -> int_buf
   val sizes : t -> int_buf
 
   val ops : t -> op_buf
   (** Raw buffer views for hot loops: validate the delivered slice with
       {!check_slice} once, then index with [Bigarray.Array1.unsafe_get].
-      Views are valid until the next {!ensure} on the batch. *)
+      A batch keeps its buffers for life, so a view stays valid as long
+      as the batch. *)
 
   val addr : t -> int -> int
   val size : t -> int -> int

@@ -1,5 +1,12 @@
 exception Error of string
 
+(* The widest reference the format carries.  A reference is one load or
+   store; the cache filter splits it into lines, so an unbounded size
+   read from a damaged file would be an unbounded amount of work.  One
+   less than a power of two, so the decoder checks it with one OR per
+   record. *)
+let max_ref_size = (1 lsl 13) - 1
+
 let err path fmt =
   Printf.ksprintf (fun s -> raise (Error ("Trace_codec: " ^ path ^ ": " ^ s))) fmt
 
@@ -383,6 +390,8 @@ module Writer = struct
 
   let add_ref w ~addr ~size ~op ~obj_id =
     if addr < 0 then invalid_arg "Trace_codec.Writer.add_ref: negative address";
+    if size < 0 || size > max_ref_size then
+      invalid_arg "Trace_codec.Writer.add_ref: reference size out of range";
     if
       obj_id >= 0
       && (obj_id >= Bytes.length w.seen
@@ -661,9 +670,9 @@ type cursor = {
    checks.  The stores are unchecked: [n <= nrefs - decoded] is checked
    before each run, and the rows being filled hold only records of this
    chunk, so every row is below [nrefs = c_refs <= capacity], which both
-   the batch and [obj_ids] are sized to.  A negative address fails the
-   run once it is decoded, before any of it is delivered: one OR per
-   record, not a branch. *)
+   the batch and [obj_ids] are sized to.  A negative address or a size
+   above [max_ref_size] fails the run once it is decoded, before any of
+   it is delivered: one OR per record for each, not a branch. *)
 let decode_refs d c batch obj_ids ~k ~nrefs ~skip_instr =
   let addrs = Sink.Batch.addrs batch
   and sizes = Sink.Batch.sizes batch
@@ -671,8 +680,10 @@ let decode_refs d c batch obj_ids ~k ~nrefs ~skip_instr =
   let buf = d.b and lim = d.lim in
   let pos = ref d.pos and len = ref c.len and decoded = ref c.decoded in
   let prev_addr = ref c.prev_addr and prev_id = ref c.prev_id in
-  (* the OR of every decoded address: negative iff one of them is *)
-  let signs = ref 0 in
+  (* the OR of every decoded address: negative iff one of them is; the
+     OR of every size/op field: above [max_ref_size lsl 1 lor 1] iff one
+     size is above [max_ref_size] (one less than a power of two) *)
+  let signs = ref 0 and size_bits = ref 0 in
   let go = ref true in
   while !go && !pos < lim do
     let t = Char.code (Bytes.unsafe_get buf !pos) in
@@ -712,6 +723,7 @@ let decode_refs d c batch obj_ids ~k ~nrefs ~skip_instr =
         prev_addr := addr;
         prev_id := obj_id;
         signs := !signs lor addr;
+        size_bits := !size_bits lor sz_op;
         Bigarray.Array1.unsafe_set addrs i addr;
         Bigarray.Array1.unsafe_set sizes i (sz_op lsr 1);
         (* the op plane's encoding: '\001' for a write, '\000' for a read *)
@@ -719,6 +731,8 @@ let decode_refs d c batch obj_ids ~k ~nrefs ~skip_instr =
         Array.unsafe_set obj_ids i obj_id
       done;
       if !signs < 0 then err d.d_path "corrupt chunk %d (negative address)" k;
+      if !size_bits lsr 1 > max_ref_size then
+        err d.d_path "corrupt chunk %d (reference size out of range)" k;
       len := first + n;
       decoded := !decoded + n
     end

@@ -66,6 +66,11 @@
 
 exception Error of string
 
+val max_ref_size : int
+(** 8191: the widest reference, in bytes, the format carries.  A
+    reference is one load or store, and the cache filter splits it into
+    lines, so a damaged size must not become unbounded work. *)
+
 type meta = {
   app : string;
   description : string;
@@ -124,8 +129,8 @@ module Writer : sig
       ([-1] = unattributed); attributed ids are dense allocation-order
       ints, and the writer keeps one byte per id up to the largest it has
       seen.  Allocates nothing on the heap per reference.  Raises
-      [Invalid_argument] on a negative [addr], which {!stream} would
-      reject as corrupt. *)
+      [Invalid_argument] on a negative [addr] or a [size] outside
+      [0 .. max_ref_size], which {!stream} would reject as corrupt. *)
 
   val add_batch : t -> on_refs
   (** Append a batch slice with its attribution. *)
@@ -215,4 +220,4 @@ val stream :
     be called repeatedly on one reader; each call re-streams from the first
     chunk.
     Raises {!Error} on a truncated or corrupted chunk, a negative
-    reference address included. *)
+    reference address or a size above {!max_ref_size} included. *)

@@ -3,12 +3,14 @@ let save log path =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      let batch, n = Trace_log.as_batch log in
-      for i = 0 to n - 1 do
-        Printf.fprintf oc "0x%x %s %d\n" (Sink.Batch.addr batch i)
-          (if Sink.Batch.is_write batch i then "P_MEM_WR" else "P_MEM_RD")
-          i
-      done)
+      let cycle = ref 0 in
+      Trace_log.iter_slices log (fun batch ~first ~n ->
+          for i = first to first + n - 1 do
+            Printf.fprintf oc "0x%x %s %d\n" (Sink.Batch.addr batch i)
+              (if Sink.Batch.is_write batch i then "P_MEM_WR" else "P_MEM_RD")
+              !cycle;
+            incr cycle
+          done))
 
 let parse_record ?(size = 64) line =
   let line = String.trim line in

@@ -150,6 +150,15 @@ let snapshot_json ?(strip_time = false) () =
     |> List.filter (fun (name, _) -> not (strip_time && is_wall_clock name))
     |> List.map (fun (name, v) -> (name, value_to_json v)))
 
+let touched snap =
+  List.filter
+    (fun (_, v) ->
+      match v with
+      | Counter n -> n <> 0
+      | Gauge g -> g <> 0.
+      | Dist d -> d.count > 0)
+    snap
+
 let pp_value fmt = function
   | Counter n -> Format.fprintf fmt "%d" n
   | Gauge v -> Format.fprintf fmt "%g" v

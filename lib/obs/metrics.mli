@@ -71,5 +71,10 @@ val snapshot_json : ?strip_time:bool -> unit -> Nvsc_util.Json.t
     values, the only ones that vary between byte-identical runs) are
     omitted, so CI can [cmp] two snapshots of the same workload. *)
 
+val touched : (string * value) list -> (string * value) list
+(** The entries of a snapshot the run touched: non-zero counters and
+    gauges, distributions with at least one observation.  [--profile]
+    prints these; {!snapshot} and {!snapshot_json} keep every key. *)
+
 val pp_snapshot : Format.formatter -> (string * value) list -> unit
 (** One aligned [metric value] line per entry. *)

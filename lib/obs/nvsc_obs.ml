@@ -40,7 +40,7 @@ let with_profiling ?trace_out ?(summary = Format.err_formatter)
     | None -> ());
     Profile.pp_summary summary (Profile.summary ());
     Format.fprintf summary "metrics:@.";
-    Metrics.pp_snapshot summary (Metrics.snapshot ());
+    Metrics.pp_snapshot summary (Metrics.touched (Metrics.snapshot ()));
     Format.pp_print_flush summary ();
     v
   end

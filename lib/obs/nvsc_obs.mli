@@ -37,6 +37,7 @@ val with_profiling :
   'a
 (** The [--profile] driver: when [enabled], reset the recorder, arm it,
     run the callback, then write the Chrome trace to [trace_out] (if
-    given) and print the self-time table and metrics snapshot to
-    [summary] (default [stderr], so report stdout stays byte-identical).
+    given) and print the self-time table and the metrics the run touched
+    ({!Metrics.touched}) to [summary] (default [stderr], so report stdout
+    stays byte-identical).
     When [not enabled], exactly [f ()]. *)

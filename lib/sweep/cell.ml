@@ -366,9 +366,9 @@ let objects_payload_of_result (r : Scavenger.result) =
     untouched_fraction = Usage_variance.untouched_in_main_fraction r;
   }
 
-let power_rows ?jobs trace =
+let power_rows ?pool trace =
   let results =
-    Nvsc_dramsim.Memory_system.compare_technologies ?jobs
+    Nvsc_dramsim.Memory_system.compare_technologies ?pool
       ~techs:Technology.paper_set
       ~replay:(fun sink -> Trace_log.replay_batch trace sink)
       ()
@@ -388,7 +388,7 @@ let power_rows ?jobs trace =
       })
     results normalized
 
-let power_payload_of_result ?jobs (r : Scavenger.result) =
+let power_payload_of_result ~pool (r : Scavenger.result) =
   let trace = Option.get r.mem_trace in
   {
     p_info = info_of_result r;
@@ -397,7 +397,7 @@ let power_payload_of_result ?jobs (r : Scavenger.result) =
     trace_writes = Trace_log.writes trace;
     l1_miss_rate = r.l1_miss_rate;
     l2_miss_rate = r.l2_miss_rate;
-    power_rows = power_rows ?jobs trace;
+    power_rows = power_rows ~pool trace;
   }
 
 let perf_rows_of_points points =
@@ -481,18 +481,29 @@ let check_trace ?trace (spec : spec) =
 (* The one pass a group shares: a trace-fed group streams the recorded
    reference stream and never re-runs the application; a live group
    filters its main-memory trace only when a power cell needs it. *)
-let shared_pass ?trace ~traced (spec : spec) =
+let shared_pass ~pool ?trace ~traced (spec : spec) =
   match trace with
-  | Some path -> Nvsc_core.Trace_run.replay path
+  | Some path -> Nvsc_core.Trace_run.replay ~pool path
   | None ->
-    Scavenger.run
+    Scavenger.run ~pool
       Scavenger.Config.(
         default |> with_scale spec.scale
         |> with_iterations spec.iterations
         |> with_trace traced)
       (find_app spec.app)
 
-let execute_group ?jobs ?trace specs =
+(* A power cell compares the technologies one domain each; a pass that
+   filters a trace (live for a study cell, always from a trace file)
+   overlaps the filter on a second domain.  A perf cell is a group of
+   its own and filters nothing. *)
+let group_width ?trace ~jobs specs =
+  let has kind = List.exists (fun s -> s.kind = kind) specs in
+  if has Power then min jobs (List.length Technology.paper_set)
+  else if has Study || (Option.is_some trace && not (has Perf)) then
+    min jobs 2
+  else 1
+
+let execute_group ?(jobs = 1) ?trace specs =
   match specs with
   | [] -> []
   | lead :: rest ->
@@ -502,7 +513,11 @@ let execute_group ?jobs ?trace specs =
     let traced =
       List.exists (fun s -> s.kind = Power || s.kind = Study) specs
     in
-    let pass = lazy (shared_pass ?trace ~traced lead) in
+    (* one caller's pool for the group: the pass's filter stage and the
+       power cells' technology comparison share its domains *)
+    Nvsc_team.Pool.with_pool ~jobs:(group_width ?trace ~jobs specs)
+    @@ fun pool ->
+    let pass = lazy (shared_pass ~pool ?trace ~traced lead) in
     List.map
       (fun spec ->
         Nvsc_obs.Span.with_
@@ -512,7 +527,7 @@ let execute_group ?jobs ?trace specs =
         Nvsc_obs.Metrics.Counter.incr m_cells;
         match spec.kind with
         | Objects -> Objects_result (objects_payload_of_result (Lazy.force pass))
-        | Power -> Power_result (power_payload_of_result ?jobs (Lazy.force pass))
+        | Power -> Power_result (power_payload_of_result ~pool (Lazy.force pass))
         | Place -> Place_result (place_payload_of_result spec (Lazy.force pass))
         | Perf -> execute_perf ?trace spec
         | Study ->

@@ -138,6 +138,12 @@ val group : (int * spec) list -> (int * spec) list list
     performance model (one pass for every technology), not through a
     [Scavenger.run]. *)
 
+val group_width : ?trace:string -> jobs:int -> spec list -> int
+(** The domains {!execute_group} uses for the group at width [jobs]: one
+    per technology (at most [jobs]) if it holds a [Power] cell, two (at
+    most [jobs]) if its pass filters a trace — a [Study] cell, or any
+    non-perf cell fed from [trace] — and one otherwise. *)
+
 val execute_group : ?jobs:int -> ?trace:string -> spec list -> payload list
 (** Run one group (as formed by {!group}) and return its payloads in
     input order.  A live group makes one {!Nvsc_core.Scavenger.run},
@@ -145,8 +151,10 @@ val execute_group : ?jobs:int -> ?trace:string -> spec list -> payload list
     [Power] or [Study] cell; a trace-fed group makes one
     {!Nvsc_core.Trace_run.replay}.  Each payload is projected from that
     one result and is equal to what {!execute} returns for the cell
-    alone.  [jobs] (default 1) is handed to the power cells' technology
-    comparison.  Re-entrant and domain-safe: builds a fresh context,
+    alone.  The group runs on one caller's pool of {!group_width}
+    domains ([jobs] defaults to 1): the pass's cache filter runs as a
+    stage on its second domain, and the power cells compare technologies
+    on all of them.  Re-entrant and domain-safe: builds a fresh context,
     touches no global mutable state.
 
     Raises [Invalid_argument] if the cells do not share one pass, on an

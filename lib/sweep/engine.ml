@@ -93,13 +93,10 @@ let run_specs ?jobs ?pool ?(cancelled = fun () -> false) ?cache ?trace
        so pools never nest *)
     | Some pool, _ -> (run_groups ~width:1 pool, domains)
     (* a lone group runs on the caller with the whole width for its
-       technology comparison, which only a power cell makes, over at most
-       one domain per technology *)
+       filter stage and technology comparison (Cell.group_width) *)
     | None, [ group ] ->
       ( Nvsc_team.Pool.with_pool ~jobs:1 (run_groups ~width:jobs),
-        if List.exists (fun (_, s) -> s.Cell.kind = Cell.Power) group then
-          min jobs (List.length Technology.paper_set)
-        else 1 )
+        Cell.group_width ?trace ~jobs (List.map snd group) )
     | None, _ ->
       (Nvsc_team.Pool.with_pool ~jobs:domains (run_groups ~width:1), domains)
   in

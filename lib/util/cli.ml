@@ -49,9 +49,12 @@ let iterations =
 
 let jobs =
   let doc =
-    "Worker domains (default: the machine's recommended domain count; \
-     $(b,nvscav run) defaults to 1). The report is byte-identical for every \
-     N."
+    "Worker domains (default: the machine's recommended domain count). A \
+     sweep spreads its cell groups over them; a lone group (a $(b,run), \
+     $(b,power) or $(b,replay)) overlaps its cache filter with the \
+     application or trace decoder on a second domain and spreads its \
+     technology comparison over all of them. The report is byte-identical \
+     for every N."
   in
   Arg.(
     value

@@ -21,13 +21,20 @@ let log accesses =
     accesses;
   t
 
+(* The log's records, in order, read chunk by chunk. *)
 let to_list log =
-  let batch, n = Trace_log.as_batch log in
-  slice batch ~first:0 ~n
+  let acc = ref [] in
+  Trace_log.iter_slices log (fun batch ~first ~n ->
+      acc := List.rev_append (slice batch ~first ~n) !acc);
+  List.rev !acc
 
 (* Hand the list to a sink consumer as one slice. *)
 let feed consume accesses =
-  let batch, n = Trace_log.as_batch (log accesses) in
+  let n = List.length accesses in
+  let batch = Batch.create (max 1 n) in
+  List.iteri
+    (fun i (a : Access.t) -> Batch.set batch i ~addr:a.addr ~size:a.size ~op:a.op)
+    accesses;
   consume batch ~first:0 ~n
 
 (* A sink that conses every delivered record onto [acc] (newest first). *)

@@ -163,6 +163,14 @@ let negative_address () =
   build ~header:(empty_header ())
     [ (1, String.concat "" ([ varint 1; varint 0; "\x02"; varint 1 ] @ record)) ]
 
+(* One chunk of one reference of 8192 bytes, one more than the format
+   carries: a cache filter fed it would split it into 128 lines, and a
+   larger one into unbounded work. *)
+let oversized_reference () =
+  let record = [ varint ((8192 lsl 1) lor 0); varint 64; varint 1 ] in
+  build ~header:(empty_header ())
+    [ (1, String.concat "" ([ varint 1; varint 0; "\x02"; varint 1 ] @ record)) ]
+
 (* One chunk whose object table gives a name length of 2^62, a varint
    that overflows to a negative int. *)
 let negative_length () =

@@ -116,7 +116,9 @@ let bad_text_traces =
    digests must fail with a [Trace_codec] error: a REFS run longer than
    its chunk's count wrote past the decode batch, a name length that
    overflowed to a negative int reached [Bytes.create], and a negative
-   address reached the cache filter; all three exited 125.  A trace with
+   address reached the cache filter; all three exited 125.  A reference
+   wider than the format allows would make the cache filter walk
+   unboundedly many lines.  A trace with
    no objects has nothing to place: [run] and [place] replays of one
    died in the placement (exit 125). *)
 let bad_nvt_traces =
@@ -124,6 +126,10 @@ let bad_nvt_traces =
     ("nvt REFS run past its count", Nvt_forge.over_long_run, [], "Trace_codec");
     ("nvt negative name length", Nvt_forge.negative_length, [], "Trace_codec");
     ("nvt negative address", Nvt_forge.negative_address, [], "Trace_codec");
+    ( "nvt oversized reference",
+      Nvt_forge.oversized_reference,
+      [],
+      "Trace_codec" );
     ("nvt without objects, run", Nvt_forge.no_objects, [], "no objects");
     ( "nvt without objects, place",
       Nvt_forge.no_objects,
@@ -152,10 +158,18 @@ let with_bad_file_rows f =
              let path = file ".txt" contents in
              ([ path ], (name, [ "power"; "gtc"; "--from-file"; path ], 2)))
            bad_text_traces
-        @ List.map
+        @ List.concat_map
             (fun (name, forge, args, names) ->
               let path = file ".nvt" (forge ()) in
-              ([ path; names ], (name, "replay" :: path :: args, 2)))
+              (* serial, and with the cache filter staged on a second
+                 domain while the decoder fails *)
+              List.map
+                (fun jobs ->
+                  ( [ path; names ],
+                    ( Printf.sprintf "%s, --jobs %s" name jobs,
+                      ("replay" :: path :: args) @ [ "--jobs"; jobs ],
+                      2 ) ))
+                [ "1"; "2" ])
             bad_nvt_traces))
 
 let contains s sub =

@@ -60,6 +60,29 @@ let test_invalid () =
     (Invalid_argument "Counters.record_n: negative count") (fun () ->
       C.record_n c ~obj_id:1 ~op:Access.Read ~n:(-1))
 
+(* A bounded table counts every id up to its bound, in every iteration,
+   and refuses a larger one as trace damage before allocating for it. *)
+let test_bounded () =
+  let c = C.create ~max_id:70 () in
+  C.set_iteration c 2;
+  C.record c ~obj_id:70 ~op:Access.Write;
+  C.record_n c ~obj_id:0 ~op:Access.Read ~n:3;
+  Alcotest.(check int) "id at the bound" 1 (C.writes c ~obj_id:70 ~iter:2);
+  Alcotest.(check int) "id 0" 3 (C.reads c ~obj_id:0 ~iter:2);
+  let refused id =
+    match C.record c ~obj_id:id ~op:Access.Read with
+    | () -> false
+    | exception Nvsc_memtrace.Trace_codec.Error _ -> true
+  in
+  Alcotest.(check bool) "id past the bound" true (refused 71);
+  Alcotest.(check bool) "forged huge id" true (refused (max_int / 2));
+  Alcotest.(check int) "nothing else counted" 4 (C.grand_total c);
+  let empty = C.create ~max_id:(-1) () in
+  Alcotest.(check bool) "no objects at all" true
+    (match C.record empty ~obj_id:0 ~op:Access.Write with
+    | () -> false
+    | exception Nvsc_memtrace.Trace_codec.Error _ -> true)
+
 let test_tracked_objects_sorted () =
   let c = C.create () in
   List.iter
@@ -188,6 +211,7 @@ let suite =
     Alcotest.test_case "pre/post only" `Quick test_pre_post_only;
     Alcotest.test_case "record_n zero" `Quick test_record_n_zero;
     Alcotest.test_case "invalid arguments" `Quick test_invalid;
+    Alcotest.test_case "bounded ids" `Quick test_bounded;
     Alcotest.test_case "tracked objects sorted" `Quick
       test_tracked_objects_sorted;
     QCheck_alcotest.to_alcotest conservation_prop;

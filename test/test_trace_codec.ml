@@ -503,8 +503,10 @@ let unzigzag z = (z lsr 1) lxor -(z land 1)
 let edge_values = [ 0; 0x7f; 0x80; (1 lsl 56) - 1; max_int ]
 
 (* Every varint field of the format carries each edge value: a record's
-   size/op field, its address and object deltas (zigzagged), an
-   instruction count and a flush's three raw fields. *)
+   address and object deltas (zigzagged), an instruction count and a
+   flush's three raw fields.  A record's size/op field carries each edge
+   value up to the widest reference the format allows
+   ([Trace_codec.max_ref_size]); a wider one is corrupt. *)
 let test_varint_edges_roundtrip () =
   let refs =
     (* Two lifts of 2^61 - 1 first: the edge deltas then sum to
@@ -521,7 +523,7 @@ let test_varint_edges_roundtrip () =
            (* obj ids stay 0 or negative: any negative id is unattributed *)
            Ref
              ( !addr,
-               v lsr 1,
+               min (v lsr 1) Trace_codec.max_ref_size,
                (if v land 1 = 1 then Access.Write else Access.Read),
                !obj ))
          edge_values
@@ -644,6 +646,8 @@ let test_rejects_forged_damage () =
       ("corrupt chunk 0 (varint out of range)", Nvt_forge.negative_length ());
       ("corrupt chunk 0 (empty object 7)", Nvt_forge.empty_object ());
       ("corrupt chunk 0 (negative address)", Nvt_forge.negative_address ());
+      ( "corrupt chunk 0 (reference size out of range)",
+        Nvt_forge.oversized_reference () );
       (* declared counts that would size allocations past the file *)
       ("corrupt chunk index (entry 0)", Nvt_forge.over_declared_index ());
       ("truncated trailer", Nvt_forge.over_declared_chunks ());
@@ -658,7 +662,13 @@ let test_writer_rejects_negative_address () =
     (Invalid_argument "Trace_codec.Writer.add_ref: negative address")
     (fun () ->
       Trace_codec.Writer.add_ref w ~addr:(-1) ~size:8 ~op:Access.Read
-        ~obj_id:(-1))
+        ~obj_id:(-1));
+  Alcotest.check_raises "oversized reference"
+    (Invalid_argument "Trace_codec.Writer.add_ref: reference size out of range")
+    (fun () ->
+      Trace_codec.Writer.add_ref w ~addr:0
+        ~size:(Trace_codec.max_ref_size + 1)
+        ~op:Access.Read ~obj_id:(-1))
 
 (* A trace with every token kind and per-chunk object tables: the seed
    of the mutation fuzz. *)
@@ -750,6 +760,28 @@ let mutation_fuzz =
            (Array.to_list chunks));
       match open_and_stream bad with
       | () | (exception Trace_codec.Error _) -> true)
+
+(* The same mutations replayed through the whole pipeline with the cache
+   filter staged on a second domain: a decode error raised while a filter
+   batch is in flight still surfaces as [Trace_codec.Error]. *)
+let mutation_fuzz_staged =
+  QCheck.Test.make
+    ~name:"mutated chunks replayed at width 2 fail only with Error"
+    ~count:100
+    QCheck.(pair (make Gen.(int_bound 1000)) (make gen_mutations))
+    (fun (which, mutations) ->
+      let seed = Lazy.force fuzz_seed in
+      let chunks = Array.of_list (Nvt_forge.chunks seed) in
+      let k = which mod Array.length chunks in
+      let refs, payload = chunks.(k) in
+      chunks.(k) <- (refs, List.fold_left mutate payload mutations);
+      with_tmp @@ fun bad ->
+      write_file bad
+        (Nvt_forge.build ~header:(Nvt_forge.header seed)
+           (Array.to_list chunks));
+      Nvsc_team.Pool.with_pool ~jobs:2 @@ fun pool ->
+      match Trace_run.replay ~pool bad with
+      | _ | (exception Trace_codec.Error _) -> true)
 
 (* --- slices --------------------------------------------------------------- *)
 
@@ -943,7 +975,7 @@ let test_trace_file_size_and_errors () =
       let log = Trace_file.load ~size:16 path in
       Alcotest.(check int)
         "load threads size" 16
-        (Nvsc_memtrace.Sink.Batch.size (fst (Trace_log.as_batch log)) 0))
+        (List.hd (Batches.to_list log)).Nvsc_memtrace.Access.size)
 
 (* --- golden fixture: the on-disk byte format is pinned ------------------- *)
 
@@ -1080,4 +1112,5 @@ let suite =
       test_codec_allocates_nothing;
     QCheck_alcotest.to_alcotest codec_roundtrip;
     QCheck_alcotest.to_alcotest mutation_fuzz;
+    QCheck_alcotest.to_alcotest mutation_fuzz_staged;
   ]
