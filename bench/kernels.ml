@@ -163,8 +163,8 @@ let run ~quick ~out =
     filter_bench ~reps "filter.strided" log
   in
 
-  (* word-granular run-heavy streams: the access shape the line-run
-     coalescer targets (ISSUE 10).  Trace_gen's synthetics are
+  (* word-granular run-heavy streams, where most references hit the
+     L1's MRU way in one probe.  Trace_gen's synthetics are
      line-granular — consecutive references never share a line, so runs
      never form — hence these streams are built locally: a run of word
      touches per line, the line chosen per shape, with writes mixed into

@@ -794,14 +794,14 @@ let port_arg =
   let doc = "Loopback TCP port (instead of, or in addition to, the socket)." in
   Arg.(
     value
-    & opt (some (Cli.min_int_conv ~what:"port" ~min:1)) None
+    & opt (some (Cli.min_int_conv ~what:"port" ~min:1 ())) None
     & info [ "port" ] ~docv:"PORT" ~doc)
 
 let serve_cmd =
   let max_queue_arg =
     Arg.(
       value
-      & opt (Cli.min_int_conv ~what:"max-queue" ~min:1) 64
+      & opt (Cli.min_int_conv ~what:"max-queue" ~min:1 ()) 64
       & info [ "max-queue" ] ~docv:"N"
           ~doc:"Bound on concurrently admitted analysis requests.")
   in

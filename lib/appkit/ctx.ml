@@ -107,6 +107,9 @@ type t = {
   shadow : Shadow_stack.t;
   mutable sinks : Sink.t array;
   mutable observers : observer array;
+  (* takes each flushed batch once the sinks and observers have seen it
+     and returns the batch emission continues in ([hand_over]) *)
+  mutable owner : (Sink.Batch.t -> n:int -> Sink.Batch.t) option;
   (* shadow-stack observers (NVSC-San): a trace does not record the frame
      structure, so it is not part of the observed stream *)
   mutable frame_hooks : (event -> unit) array;
@@ -116,14 +119,14 @@ type t = {
      always see a reference under the same object/stack state it was
      emitted in — making their view independent of batch capacity. *)
   mutable ordered : bool;
-  (* true iff some consumer reads the emission batch (any sink or
-     observer).  When false — [analyze] and every other run without a
+  (* true iff some consumer reads the emission batch (any sink, observer
+     or owner).  When false — [analyze] and every other run without a
      trace — [emit_observed] skips every per-reference buffer store and
      only keeps the flush accounting. *)
   mutable recording : bool;
   (* true iff some observer is subscribed: only observers read [obj_ids]
      and [instr_before], and only they make {!flops} count.  When false —
-     [run], whose only consumer is the cache-hierarchy sink — emission
+     [run], whose only consumer is the cache filter's stage — emission
      stores the address and op and nothing else. *)
   mutable attributing : bool;
   redzone_bytes : int; (* unregistered gap after each allocation *)
@@ -132,9 +135,11 @@ type t = {
      parallel [obj_ids] array carries emission-time attribution (-1 =
      unattributed) for observers; [instr_before.(i)] counts plain
      instructions committed since reference [i-1], so instruction counts
-     can be interleaved back in program order at flush time.  Mutable so
-     [release] can hand the ~2 MB of buffers to the per-domain pool and
-     swap in one-slot stand-ins. *)
+     can be interleaved back in program order at flush time.  Only
+     observers read these two, so they are empty until the first
+     [observe].  Mutable so [release] can hand the buffers to the
+     per-domain pool and swap in one-slot stand-ins, and so an owner can
+     hand back another batch. *)
   mutable batch : Sink.Batch.t;
   mutable obj_ids : int array;
   mutable instr_before : int array;
@@ -216,25 +221,25 @@ let pool_key : buffers list ref Domain.DLS.key =
 let acquire_buffers capacity =
   let pool = Domain.DLS.get pool_key in
   match !pool with
-  | b :: rest when Array.length b.b_obj_ids = capacity ->
+  | b :: rest when Sink.Batch.capacity b.b_batch = capacity ->
     pool := rest;
     b
   | _ ->
     {
       b_batch = Sink.Batch.create capacity;
-      b_obj_ids = Array.make capacity (-1);
-      b_instr_before = Array.make capacity 0;
+      b_obj_ids = [||];
+      b_instr_before = [||];
     }
+
+(* The emission batch of a context nothing records: emission neither
+   writes nor delivers it, so one shared stand-in serves every such
+   context. *)
+let no_batch = Sink.Batch.create 1
 
 let create ?(seed = 42) ?(batch_capacity = Sink.default_capacity)
     ?(redzone_words = 0) () =
   if batch_capacity <= 0 then invalid_arg "Ctx.create: batch_capacity";
   if redzone_words < 0 then invalid_arg "Ctx.create: redzone_words";
-  let bufs = acquire_buffers batch_capacity in
-  let batch = bufs.b_batch in
-  (* the context only emits word-sized references: prefill once (a pooled
-     batch may have been resized by a foreign consumer) *)
-  Sink.Batch.fill_sizes batch Layout.word;
   {
     rng = Rng.of_int seed;
     registry = Object_registry.create ();
@@ -243,14 +248,15 @@ let create ?(seed = 42) ?(batch_capacity = Sink.default_capacity)
     shadow = Shadow_stack.create ();
     sinks = [||];
     observers = [||];
+    owner = None;
     frame_hooks = [||];
     ordered = false;
     recording = false;
     attributing = false;
     redzone_bytes = redzone_words * Layout.word;
-    batch;
-    obj_ids = bufs.b_obj_ids;
-    instr_before = bufs.b_instr_before;
+    batch = no_batch;
+    obj_ids = [||];
+    instr_before = [||];
     batch_capacity;
     batch_len = 0;
     pending_instr = 0;
@@ -328,7 +334,15 @@ let flush_batch t ~boundary =
   end;
   if n > 0 || instr_tail > 0 then
     Array.iter (fun o -> deliver_observer t o n ~instr_tail) t.observers;
-  if instr_tail > 0 then t.pending_instr <- 0
+  if instr_tail > 0 then t.pending_instr <- 0;
+  match t.owner with
+  | Some f when n > 0 ->
+    let next = f t.batch ~n in
+    if Sink.Batch.capacity next <> t.batch_capacity then
+      invalid_arg
+        "Ctx.hand_over: the owner returned a batch of another capacity";
+    t.batch <- next
+  | Some _ | None -> ()
 
 let flush_refs t = flush_batch t ~boundary:true
 
@@ -339,7 +353,26 @@ let recompute_flags t =
          (fun o -> o.on_objects <> None || o.on_persist <> None)
          t.observers;
   t.attributing <- Array.length t.observers > 0;
-  t.recording <- t.attributing || Array.length t.sinks > 0
+  t.recording <-
+    t.attributing || Array.length t.sinks > 0 || Option.is_some t.owner
+
+(* The buffers a run fills, made when their first reader subscribes (the
+   subscription has flushed, so nothing is buffered): the batch once
+   anything records, the attribution planes once something observes.
+   [analyze] fills neither. *)
+let ensure_buffers t =
+  if t.recording && t.batch == no_batch then begin
+    let bufs = acquire_buffers t.batch_capacity in
+    (* the context only emits word-sized references: prefill once *)
+    Sink.Batch.fill_sizes bufs.b_batch Layout.word;
+    t.batch <- bufs.b_batch;
+    t.obj_ids <- bufs.b_obj_ids;
+    t.instr_before <- bufs.b_instr_before
+  end;
+  if t.attributing && Array.length t.obj_ids < t.batch_capacity then begin
+    t.obj_ids <- Array.make t.batch_capacity (-1);
+    t.instr_before <- Array.make t.batch_capacity 0
+  end
 
 (* Subscription flushes buffered references first: references emitted
    before the subscription are delivered to the previously-subscribed
@@ -348,14 +381,22 @@ let recompute_flags t =
 let add_sink t sink =
   flush_refs t;
   t.sinks <- Array.append t.sinks [| sink |];
-  recompute_flags t
+  recompute_flags t;
+  ensure_buffers t
 
 let observe t ?on_objects ?on_phase ?on_instr ?on_persist ~on_refs () =
   flush_refs t;
   t.observers <-
     Array.append t.observers
       [| { on_objects; on_phase; on_instr; on_persist; on_refs } |];
-  recompute_flags t
+  recompute_flags t;
+  ensure_buffers t
+
+let hand_over t f =
+  flush_refs t;
+  t.owner <- Some f;
+  recompute_flags t;
+  ensure_buffers t
 
 let add_frame_hook t f =
   flush_refs t;
@@ -379,7 +420,7 @@ let notify_object t obj =
 let release t =
   flush_refs t;
   let pool = Domain.DLS.get pool_key in
-  if List.length !pool < pool_max then
+  if t.batch != no_batch && List.length !pool < pool_max then
     pool :=
       {
         b_batch = t.batch;
@@ -389,12 +430,11 @@ let release t =
       :: !pool;
   (* the context stays usable, just with single-slot buffers (every
      emission flushes immediately) *)
-  let batch = Sink.Batch.create 1 in
-  Sink.Batch.fill_sizes batch Layout.word;
-  t.batch <- batch;
-  t.obj_ids <- Array.make 1 (-1);
-  t.instr_before <- Array.make 1 0;
-  t.batch_capacity <- 1
+  t.batch <- no_batch;
+  t.batch_capacity <- 1;
+  t.obj_ids <- [||];
+  t.instr_before <- [||];
+  ensure_buffers t
 
 let iteration_of_phase = function
   | Mem_object.Pre | Mem_object.Post -> 0

@@ -29,11 +29,12 @@ val create : ?seed:int -> ?batch_capacity:int -> ?redzone_words:int -> unit -> t
 
 (** {1 Subscribing to the reference stream}
 
-    Three kinds of subscriber: a plain {!Nvsc_memtrace.Sink.t} (the cache
-    hierarchy), an {!observe}r — the stream a recorded trace holds, with
-    the callbacks {!Nvsc_memtrace.Trace_codec.stream} takes — and a
-    {!add_frame_hook} for the shadow-stack structure a trace does not
-    record. *)
+    Three kinds of subscriber: a plain {!Nvsc_memtrace.Sink.t}, an
+    {!observe}r — the stream a recorded trace holds, with the callbacks
+    {!Nvsc_memtrace.Trace_codec.stream} takes — and a {!add_frame_hook}
+    for the shadow-stack structure a trace does not record.  After them,
+    the batch itself may go to one owner ({!hand_over}): the cache
+    filter's stage. *)
 
 val add_sink : t -> Nvsc_memtrace.Sink.t -> unit
 (** Subscribe a sink to the reference stream.  Batches are delivered
@@ -76,6 +77,18 @@ val observe :
     callback kind is delivered in subscription order.  Consumers must not
     retain the batch across callbacks. *)
 
+val hand_over :
+  t ->
+  (Nvsc_memtrace.Sink.Batch.t -> n:int -> Nvsc_memtrace.Sink.Batch.t) ->
+  unit
+(** [hand_over t f] gives the emission batch an owner: from now on,
+    once every sink and observer has seen a flushed batch of [n > 0]
+    references, [f batch ~n] takes it and returns the batch emission
+    continues in — of the same capacity, with its sizes already the word
+    size ({!Nvsc_memtrace.Stage.hand_over} has this shape).  A later
+    call replaces the owner.  Flushes buffered references first.  Raises
+    [Invalid_argument] when [f] returns a batch of another capacity. *)
+
 (** Shadow-stack events, as seen by an {!add_frame_hook}.  Delivered in
     program order: the emission batch is flushed {e before} the push or
     pop, so observers see each reference under the stack it was emitted
@@ -96,8 +109,12 @@ val add_frame_hook : t -> (event -> unit) -> unit
 val redzone_bytes : t -> int
 
 val release : t -> unit
-(** Flush, then return the ~2 MB emission buffers to a per-domain pool for
-    the next {!create} (buffer allocation dominates context setup).  Call
+(** Flush, then return the emission buffers to a per-domain pool for
+    the next context that records (buffer allocation dominates context
+    setup).  A context makes its batch (about 1 MB) when its first sink,
+    observer or owner subscribes, and its attribution planes (1 MB more)
+    when its first observer does; one that nothing records fills no
+    buffer and makes none.  Call
     once when done with the context — {!Nvsc_core.Scavenger.run} does.
     The context remains usable afterwards, but with single-slot buffers:
     every emission flushes, so read {!pipeline_stats} before releasing. *)

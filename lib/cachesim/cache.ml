@@ -3,8 +3,8 @@
    power-of-two set counts (with a guarded div/mod path otherwise), the way
    search probes the per-set MRU way first, recency is an intrusive per-set
    doubly-linked list so victim selection is O(1) (list tail) instead of a
-   timestamp scan, and a one-entry resident-line memo short-circuits
-   repeated sweeps over the same line.  Differential tests against
+   timestamp scan, and one probe of the set's most recently used way
+   answers most hits ([mru_hit]).  Differential tests against
    test/oracle/ pin the behaviour to the original straightforward
    implementation. *)
 
@@ -62,14 +62,6 @@ type t = {
      way scan — the steady state of a streaming sweep, whose fresh lines
      carry ever-larger tags. *)
   maxtag : int array;
-  (* one-entry memo: [memo_line] is resident at [memo_idx] (-1 =
-     none).  Maintained on every hit and allocation, so a repeated access
-     to the same line skips indexing and the way search entirely — and
-     since every recency update also retargets the memo, the memoized way
-     is always already at the head of its list, so the memo path needs no
-     LRU maintenance at all. *)
-  mutable memo_line : int;
-  mutable memo_idx : int;
   mutable read_hits : int;
   mutable read_misses : int;
   mutable write_hits : int;
@@ -119,8 +111,6 @@ let create p =
     mru;
     vcnt = Array.make nsets 0;
     maxtag = Array.make nsets (-1);
-    memo_line = -1;
-    memo_idx = 0;
     read_hits = 0;
     read_misses = 0;
     write_hits = 0;
@@ -189,7 +179,8 @@ and scan_find_tail (tags : int array) (tag : int) last i =
   else if Array.unsafe_get tags i = tag then i
   else scan_find_tail tags tag last (i + 1)
 
-(* Way search and victim selection in one call.  Returns [2*idx+1] when
+(* Way search and victim selection in one call, after [mru_hit] missed
+   (the scan may see the MRU way again).  Returns [2*idx+1] when
    [tag] is resident at [idx], else [2*victim] with [victim] the first
    invalid way (prefix fill) or, in a fully valid set, the
    least-recently-touched way — the circular list's tail, [lprev(head)].
@@ -202,20 +193,15 @@ and scan_find_tail (tags : int array) (tag : int) last i =
    the age scan without changing any victim choice; the differential
    oracle suite pins this. *)
 let[@inline] find_or_victim t set tag =
-  let tags = t.tags in
-  let m = Array.unsafe_get t.mru set in
-  if Array.unsafe_get tags m = tag then (m lsl 1) lor 1
-  else begin
-    let base = set * t.assoc in
-    let c = Array.unsafe_get t.vcnt set in
-    let i =
-      if tag > Array.unsafe_get t.maxtag set then -1
-      else scan_find tags tag (base + c - 1) base
-    in
-    if i >= 0 then (i lsl 1) lor 1
-    else if c < t.assoc then (base + c) lsl 1
-    else Array.unsafe_get t.lprev m lsl 1
-  end
+  let base = set * t.assoc in
+  let c = Array.unsafe_get t.vcnt set in
+  let i =
+    if tag > Array.unsafe_get t.maxtag set then -1
+    else scan_find t.tags tag (base + c - 1) base
+  in
+  if i >= 0 then (i lsl 1) lor 1
+  else if c < t.assoc then (base + c) lsl 1
+  else Array.unsafe_get t.lprev (Array.unsafe_get t.mru set) lsl 1
 
 (* Move way [idx] to the head of its set's recency circle (the touch).
    Re-touching the head is free; promoting the tail is a pure rotation
@@ -240,7 +226,7 @@ let[@inline] promote t set idx =
   end
 
 (* Install [line] at [idx] (the fused scan's victim). *)
-let[@inline] allocate_at t idx set tag ~line ~make_dirty =
+let[@inline] allocate_at t idx set tag ~make_dirty =
   let victim_tag = Array.unsafe_get t.tags idx in
   let e =
     if victim_tag <> -1 then begin
@@ -261,78 +247,67 @@ let[@inline] allocate_at t idx set tag ~line ~make_dirty =
   Array.unsafe_set t.dirty idx make_dirty;
   if tag > Array.unsafe_get t.maxtag set then Array.unsafe_set t.maxtag set tag;
   promote t set idx;
-  t.memo_line <- line;
-  t.memo_idx <- idx;
   e
+
+(* The one hit test.  A line in its set's most recently used way is a
+   hit that moves nothing: the way already heads its recency list.  An
+   invalid way holds tag -1, which no line's tag equals. *)
+let[@inline] hit_mru_way t set tag ~write =
+  let m = Array.unsafe_get t.mru set in
+  Array.unsafe_get t.tags m = tag
+  &&
+  (if write then begin
+     t.write_hits <- t.write_hits + 1;
+     Array.unsafe_set t.dirty m true
+   end
+   else t.read_hits <- t.read_hits + 1;
+   true)
+
+(* A negative line never hits: the mod path would index outside the
+   sets. *)
+let[@inline] mru_hit t ~line ~write =
+  line >= 0 && hit_mru_way t (set_of t line) (tag_of t line) ~write
+
+(* [read] and [write] past the MRU way: a hit in another way, or a
+   miss. *)
+let read_other t set tag =
+  let r = find_or_victim t set tag in
+  let idx = r lsr 1 in
+  if r land 1 <> 0 then begin
+    t.read_hits <- t.read_hits + 1;
+    promote t set idx;
+    e_hit
+  end
+  else begin
+    t.read_misses <- t.read_misses + 1;
+    allocate_at t idx set tag ~make_dirty:false
+  end
+
+let write_other t set tag =
+  let r = find_or_victim t set tag in
+  let idx = r lsr 1 in
+  if r land 1 <> 0 then begin
+    t.write_hits <- t.write_hits + 1;
+    Array.unsafe_set t.dirty idx true;
+    promote t set idx;
+    e_hit
+  end
+  else begin
+    t.write_misses <- t.write_misses + 1;
+    if t.write_allocate then allocate_at t idx set tag ~make_dirty:true
+    else (* no-write-allocate: the line stays absent *)
+      e_forward
+  end
 
 let read t ~line =
   if line < 0 then invalid_arg "Cache.read: negative line";
-  if line = t.memo_line then begin
-    (* resident at memo_idx, which is already the head of its recency
-       list (every touch retargets the memo): hit, nothing to move *)
-    t.read_hits <- t.read_hits + 1;
-    e_hit
-  end
-  else begin
-    let set = set_of t line in
-    let tag = tag_of t line in
-    let r = find_or_victim t set tag in
-    let idx = r lsr 1 in
-    if r land 1 <> 0 then begin
-      t.read_hits <- t.read_hits + 1;
-      promote t set idx;
-      t.memo_line <- line;
-      t.memo_idx <- idx;
-      e_hit
-    end
-    else begin
-      t.read_misses <- t.read_misses + 1;
-      allocate_at t idx set tag ~line ~make_dirty:false
-    end
-  end
+  let set = set_of t line and tag = tag_of t line in
+  if hit_mru_way t set tag ~write:false then e_hit else read_other t set tag
 
 let write t ~line =
   if line < 0 then invalid_arg "Cache.write: negative line";
-  if line = t.memo_line then begin
-    t.write_hits <- t.write_hits + 1;
-    Array.unsafe_set t.dirty t.memo_idx true;
-    e_hit
-  end
-  else begin
-    let set = set_of t line in
-    let tag = tag_of t line in
-    let r = find_or_victim t set tag in
-    let idx = r lsr 1 in
-    if r land 1 <> 0 then begin
-      t.write_hits <- t.write_hits + 1;
-      Array.unsafe_set t.dirty idx true;
-      promote t set idx;
-      t.memo_line <- line;
-      t.memo_idx <- idx;
-      e_hit
-    end
-    else begin
-      t.write_misses <- t.write_misses + 1;
-      if t.write_allocate then allocate_at t idx set tag ~line ~make_dirty:true
-      else
-        (* no-write-allocate: the line stays absent, the memo untouched *)
-        e_forward
-    end
-  end
-
-let last_line t = t.memo_line
-
-(* Bulk memo hits for [Hierarchy]'s line runs: the LRU refresh each
-   repeat would make is skipped, as on the memo path of [read]/[write] —
-   the memoized way already heads its recency list. *)
-let repeat_hits t ~line ~reads ~writes =
-  if line <> t.memo_line || line < 0 || reads < 0 || writes < 0 then
-    invalid_arg "Cache.repeat_hits: not the last line touched";
-  t.read_hits <- t.read_hits + reads;
-  if writes > 0 then begin
-    t.write_hits <- t.write_hits + writes;
-    Array.unsafe_set t.dirty t.memo_idx true
-  end
+  let set = set_of t line and tag = tag_of t line in
+  if hit_mru_way t set tag ~write:true then e_hit else write_other t set tag
 
 let probe t ~line =
   line >= 0 && find_way t (set_of t line) (tag_of t line) >= 0
@@ -361,8 +336,7 @@ let invalidate_all t =
   Array.fill t.dirty 0 (Array.length t.dirty) false;
   Array.fill t.vcnt 0 t.nsets 0;
   Array.fill t.maxtag 0 t.nsets (-1);
-  reset_recency ~nsets:t.nsets ~assoc:t.assoc t.lnext t.lprev t.mru;
-  t.memo_line <- -1
+  reset_recency ~nsets:t.nsets ~assoc:t.assoc t.lnext t.lprev t.mru
 
 let resident_lines t =
   Array.fold_left (fun acc tag -> if tag <> -1 then acc + 1 else acc) 0 t.tags

@@ -47,20 +47,13 @@ val write : t -> line:int -> Effect.t
     [No_write_allocate] leaves the cache unchanged and reports the write
     via {!Effect.forwards_write}. *)
 
-val last_line : t -> int
-(** The line the most recent hit or fill touched — the line a repeated
-    {!read} or {!write} finds without indexing or a way search — or [-1]
-    before any such access and after {!invalidate_all}.  A
-    no-write-allocate write miss touches no line and leaves it
-    unchanged. *)
-
-val repeat_hits : t -> line:int -> reads:int -> writes:int -> unit
-(** [repeat_hits t ~line ~reads ~writes] counts, in O(1), what [reads]
-    {!read}s and [writes] {!write}s of [line] would do when [line] is
-    {!last_line}: that many read and write hits, the line dirtied when
-    [writes > 0], and no change of recency (the line is already the most
-    recent of its set).  Raises [Invalid_argument] when [line] is not
-    {!last_line} or a count is negative. *)
+val mru_hit : t -> line:int -> write:bool -> bool
+(** The one hit test, a single probe: true when [line] is in the most
+    recently used way of its set.  Then it counts a read or write hit
+    ([write] dirties the line) and changes no recency — the way already
+    heads its set.  Otherwise it changes nothing and is false (also for
+    a negative [line]); {!read} and {!write} try it first, so a caller
+    that finds it false goes on with them. *)
 
 val probe : t -> line:int -> bool
 (** Non-intrusive presence test (does not touch LRU state). *)

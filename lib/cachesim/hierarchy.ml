@@ -95,58 +95,40 @@ let[@inline] access_raw t ~addr ~size ~op =
       access_line t line op
     done
 
+(* The one-probe L1 hit: a reference within one line that the L1 holds
+   in the most recently used way of its set.  An arithmetic shift keeps a
+   negative address's line negative, which never hits. *)
+let[@inline] l1_hit t ~addr ~size ~write =
+  let line = addr asr t.line_shift in
+  line = (addr + size - 1) asr t.line_shift
+  && Cache.mru_hit t.l1d ~line ~write
+  && begin
+    t.accesses <- t.accesses + 1;
+    true
+  end
+
+let m_probe_hits = Nvsc_obs.Metrics.counter "cachesim.filter.probe_hits"
+
 (* One span per delivered batch, not per access.  The slice is validated
    once on entry; the loop then reads the hoisted buffer views unchecked.
-
-   Batch-time run detection: word-granular streams issue long runs of
-   consecutive references to one line.  After a reference whose first
-   line is the L1's last-touched line, the detector gobbles the following
-   single-line references to that same line in a tight loop — each would
-   be a hit on the L1's memo (nothing intervenes to retarget it), so the
-   whole run costs one [Cache.repeat_hits] instead of a per-ref trip
-   through the access dispatch. *)
+   Most references hit the L1's MRU way ([l1_hit]); only the rest take
+   the access dispatch. *)
 let consume t batch ~first ~n =
   Nvsc_obs.Span.with_ "cachesim.filter" @@ fun () ->
   Sink.Batch.check_slice batch ~first ~n;
   let addrs = Sink.Batch.addrs batch
   and sizes = Sink.Batch.sizes batch
   and ops = Sink.Batch.ops batch in
-  let limit = first + n in
-  let shift = t.line_shift in
-  let i = ref first in
-  while !i < limit do
-    let j = !i in
-    let addr = Bigarray.Array1.unsafe_get addrs j in
-    let op =
-      if Bigarray.Array1.unsafe_get ops j <> '\000' then Access.Write
-      else Access.Read
-    in
-    access_raw t ~addr ~size:(Bigarray.Array1.unsafe_get sizes j) ~op;
-    incr i;
-    let line = Cache.last_line t.l1d in
-    if addr asr shift = line then begin
-      let reads = ref 0 and writes = ref 0 in
-      let continue_ = ref true in
-      while !continue_ && !i < limit do
-        let k = !i in
-        let a = Bigarray.Array1.unsafe_get addrs k in
-        if
-          a asr shift = line
-          && (a + Bigarray.Array1.unsafe_get sizes k - 1) asr shift = line
-        then begin
-          if Bigarray.Array1.unsafe_get ops k <> '\000' then incr writes
-          else incr reads;
-          incr i
-        end
-        else continue_ := false
-      done;
-      let r = !reads and w = !writes in
-      if r + w > 0 then begin
-        t.accesses <- t.accesses + r + w;
-        Cache.repeat_hits t.l1d ~line ~reads:r ~writes:w
-      end
-    end
-  done
+  let hits = ref 0 in
+  for j = first to first + n - 1 do
+    let addr = Bigarray.Array1.unsafe_get addrs j
+    and size = Bigarray.Array1.unsafe_get sizes j
+    and write = Bigarray.Array1.unsafe_get ops j <> '\000' in
+    if l1_hit t ~addr ~size ~write then incr hits
+    else
+      access_raw t ~addr ~size ~op:(if write then Access.Write else Access.Read)
+  done;
+  Nvsc_obs.Metrics.Counter.add m_probe_hits !hits
 
 let access_classified_raw t ~addr ~size ~op =
   let l1_misses_before = Cache.misses t.l1d in

@@ -27,9 +27,18 @@ val access_raw : t -> addr:int -> size:int -> op:Nvsc_memtrace.Access.op -> unit
 
 val consume : t -> Nvsc_memtrace.Sink.Batch.t -> first:int -> n:int -> unit
 (** Run a batch slice through the hierarchy in order (the sink-consumer
-    shape: wrap with [Sink.create (Hierarchy.consume t)]).  Raises
+    shape: wrap with [Sink.create (Hierarchy.consume t)]).  The
+    references answered by {!l1_hit} alone are added to the
+    [cachesim.filter.probe_hits] metric, once per slice.  Raises
     [Invalid_argument] on a slice outside the batch or a negative
     address. *)
+
+val l1_hit : t -> addr:int -> size:int -> write:bool -> bool
+(** One probe ({!Cache.mru_hit}): true when the reference lies in one
+    line that the L1 holds in the most recently used way of its set; it
+    then counts as an access and an L1 hit.  Otherwise nothing changes,
+    and the reference still has to go through {!access_raw} or
+    {!access_classified_raw}. *)
 
 val access_classified_raw :
   t -> addr:int -> size:int -> op:Nvsc_memtrace.Access.op -> [ `L1 | `L2 | `Mem ]

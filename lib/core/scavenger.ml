@@ -127,17 +127,15 @@ let run ?pool (cfg : Config.t) (module A : Nvsc_apps.Workload.APP) =
       Option.map (fun h -> Stage.create ?pool (Hierarchy.consume h)) hierarchy
     in
     (* Filter only main-loop batches through the caches: the paper
-       instruments the main computation loop.  Batches are delivered
-       under their emission phase, read here on the producer at
-       hand-off, so the filter is exact.  The sink only forwards
-       deliveries, so its own push buffer is one record. *)
+       instruments the main computation loop.  Batches are handed over
+       under their emission phase, read here on the producer, so the
+       filter is exact. *)
     Option.iter
       (fun stage ->
-        Ctx.add_sink ctx
-          (Sink.create ~name:"cache-hierarchy" ~capacity:1 (fun b ~first ~n ->
-               match Ctx.phase ctx with
-               | Mem_object.Main _ -> Stage.push stage b ~first ~n
-               | Mem_object.Pre | Mem_object.Post -> ())))
+        Ctx.hand_over ctx (fun b ~n ->
+            match Ctx.phase ctx with
+            | Mem_object.Main _ -> Stage.hand_over stage b ~n
+            | Mem_object.Pre | Mem_object.Post -> b))
       stage;
     (ctx, san, pchk, trace, hierarchy, stage)
   in

@@ -106,9 +106,11 @@ let replay ?pool path =
                 (if Bigarray.Array1.unsafe_get ops i <> '\000' then
                    Access.Write
                  else Access.Read)
-          done;
-          (* main-loop slices, chosen by the decoder's last phase token *)
-          if !in_main then Stage.push stage batch ~first ~n)
+          done)
+        ~hand_over:(fun batch ~n ->
+          (* main-loop slices, chosen by the decoder's last phase token,
+             go to the filter once the tally above has read them *)
+          if !in_main then Stage.hand_over stage batch ~n else batch)
         ());
   Hierarchy.drain hierarchy;
   let stack_ids = List.map (fun (o : Mem_object.t) -> o.id) stack_objects in

@@ -226,38 +226,55 @@ let posted_write t i =
   (* the write still occupies a bandwidth slot *)
   t.mem_stall.(i) <- t.mem_stall.(i) +. t.covered_miss_cycles
 
-let access_raw t ~addr ~size ~op =
+(* The TLB and the L1 answer most references with one probe each
+   ([Cache.mru_hit]); only the rest take the full lookups. *)
+let[@inline] access t ~addr ~size ~write =
   t.mem_instr_count <- t.mem_instr_count + 1;
   retire t 1;
-  if not (Cache.Effect.hit (Cache.read t.tlb ~line:(addr / t.p.page_bytes)))
+  let page = addr / t.p.page_bytes in
+  if
+    not
+      (Cache.mru_hit t.tlb ~line:page ~write:false
+      || Cache.Effect.hit (Cache.read t.tlb ~line:page))
   then
     t.cycles.tlb_stall <-
       t.cycles.tlb_stall +. float_of_int t.p.tlb_miss_cycles;
-  match Hierarchy.access_classified_raw t.hierarchy ~addr ~size ~op with
-  | `L1 -> t.l1_hits <- t.l1_hits + 1
-  | `L2 ->
-    t.l2_hits <- t.l2_hits + 1;
-    t.cycles.l2_stall <- t.cycles.l2_stall +. t.l2_visible_cycles
-  | `Mem ->
-    t.mem_accesses <- t.mem_accesses + 1;
-    for k = 0 to Array.length t.views - 1 do
-      let v = t.views.(k) in
-      match op with
-      | Access.Write when v.posted ->
-        for i = 0 to Array.length t.mem_stall - 1 do
-          if t.view_of.(i) == v then posted_write t i
-        done
-      | Access.Read | Access.Write ->
-        let line = addr / 64 in
-        if stream_covered t v line then stall_all t v t.covered_miss_cycles
-        else demand_miss t v
-    done
+  if Hierarchy.l1_hit t.hierarchy ~addr ~size ~write then
+    t.l1_hits <- t.l1_hits + 1
+  else
+    let op = if write then Access.Write else Access.Read in
+    match Hierarchy.access_classified_raw t.hierarchy ~addr ~size ~op with
+    | `L1 -> t.l1_hits <- t.l1_hits + 1
+    | `L2 ->
+      t.l2_hits <- t.l2_hits + 1;
+      t.cycles.l2_stall <- t.cycles.l2_stall +. t.l2_visible_cycles
+    | `Mem ->
+      t.mem_accesses <- t.mem_accesses + 1;
+      for k = 0 to Array.length t.views - 1 do
+        let v = t.views.(k) in
+        if write && v.posted then
+          for i = 0 to Array.length t.mem_stall - 1 do
+            if t.view_of.(i) == v then posted_write t i
+          done
+        else
+          let line = addr / 64 in
+          if stream_covered t v line then stall_all t v t.covered_miss_cycles
+          else demand_miss t v
+      done
+
+let access_raw t ~addr ~size ~op =
+  access t ~addr ~size ~write:(op = Access.Write)
 
 let consume t batch ~first ~n =
   Sink.Batch.check_slice batch ~first ~n;
+  let addrs = Sink.Batch.addrs batch
+  and sizes = Sink.Batch.sizes batch
+  and ops = Sink.Batch.ops batch in
   for i = first to first + n - 1 do
-    access_raw t ~addr:(Sink.Batch.addr batch i) ~size:(Sink.Batch.size batch i)
-      ~op:(Sink.Batch.op batch i)
+    access t
+      ~addr:(Bigarray.Array1.unsafe_get addrs i)
+      ~size:(Bigarray.Array1.unsafe_get sizes i)
+      ~write:(Bigarray.Array1.unsafe_get ops i <> '\000')
   done
 
 type report = {

@@ -21,13 +21,34 @@ module Batch = struct
     Bigarray.Array1.fill a '\000';
     a
 
-  let create capacity =
-    if capacity <= 0 then invalid_arg "Sink.Batch.create: capacity";
+  let make capacity =
     {
       addrs = make_int_buf capacity;
       sizes = make_int_buf capacity;
       ops = make_op_buf capacity;
     }
+
+  let create capacity =
+    if capacity <= 0 then invalid_arg "Sink.Batch.create: capacity";
+    make capacity
+
+  (* the one size plane is copied, not shared: the new batch's producer
+     may write sizes while [b] is read on another domain *)
+  let create_like b =
+    let capacity = Bigarray.Array1.dim b.addrs in
+    let sizes =
+      Bigarray.Array1.create Bigarray.int Bigarray.c_layout capacity
+    in
+    Bigarray.Array1.blit b.sizes sizes;
+    { addrs = make_int_buf capacity; sizes; ops = make_op_buf capacity }
+
+  let with_shared_sizes sizes =
+    let capacity = Bigarray.Array1.dim sizes in
+    if capacity <= 0 then invalid_arg "Sink.Batch.with_shared_sizes: capacity";
+    { addrs = make_int_buf capacity; sizes; ops = make_op_buf capacity }
+
+  (* the push buffer of a sink that has not been pushed to *)
+  let empty = make 0
 
   let capacity b = Bigarray.Array1.dim b.addrs
 
@@ -88,7 +109,10 @@ type consumer = Batch.t -> first:int -> n:int -> unit
 type t = {
   name : string;
   consumer : consumer;
-  batch : Batch.t;
+  capacity : int; (* of the push buffer; 0: never buffers ([null]) *)
+  (* [Batch.empty] until the first [push]: a sink that is only delivered
+     to never allocates one *)
+  mutable batch : Batch.t;
   mutable len : int;
   mutable pushed : int;
   mutable batches : int;
@@ -98,11 +122,12 @@ type t = {
 
 let default_capacity = 65536
 
-let create ?(name = "sink") ?(capacity = default_capacity) consumer =
+let make ~name ~capacity consumer =
   {
     name;
     consumer;
-    batch = Batch.create capacity;
+    capacity;
+    batch = Batch.empty;
     len = 0;
     pushed = 0;
     batches = 0;
@@ -110,7 +135,11 @@ let create ?(name = "sink") ?(capacity = default_capacity) consumer =
     boundary_flushes = 0;
   }
 
-let null () = create ~name:"null" (fun _ ~first:_ ~n:_ -> ())
+let create ?(name = "sink") ?(capacity = default_capacity) consumer =
+  if capacity <= 0 then invalid_arg "Sink.create: capacity";
+  make ~name ~capacity consumer
+
+let null () = make ~name:"null" ~capacity:0 (fun _ ~first:_ ~n:_ -> ())
 
 let flush t =
   if t.len > 0 then begin
@@ -121,17 +150,28 @@ let flush t =
     t.consumer t.batch ~first:0 ~n
   end
 
+(* Reached only while the push buffer is [Batch.empty]: a capacity flush
+   leaves a full buffer empty again at once. *)
+let first_push t =
+  t.capacity > 0
+  && begin
+    t.batch <- Batch.create t.capacity;
+    true
+  end
+
 let push t ~addr ~size ~op =
-  let i = t.len in
-  Batch.set t.batch i ~addr ~size ~op;
-  t.len <- i + 1;
   t.pushed <- t.pushed + 1;
-  if t.len = Batch.capacity t.batch then begin
-    let n = t.len in
-    t.len <- 0;
-    t.batches <- t.batches + 1;
-    t.capacity_flushes <- t.capacity_flushes + 1;
-    t.consumer t.batch ~first:0 ~n
+  let i = t.len in
+  if i < Batch.capacity t.batch || first_push t then begin
+    Batch.set t.batch i ~addr ~size ~op;
+    t.len <- i + 1;
+    if t.len = t.capacity then begin
+      let n = t.len in
+      t.len <- 0;
+      t.batches <- t.batches + 1;
+      t.capacity_flushes <- t.capacity_flushes + 1;
+      t.consumer t.batch ~first:0 ~n
+    end
   end
 
 let deliver t batch ~first ~n =
@@ -149,6 +189,7 @@ let batches t = t.batches
 let capacity_flushes t = t.capacity_flushes
 let boundary_flushes t = t.boundary_flushes
 let flushes t = t.capacity_flushes + t.boundary_flushes
+let buffer_capacity t = Batch.capacity t.batch
 
 type stats = {
   name : string;

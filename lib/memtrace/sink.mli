@@ -10,7 +10,9 @@
     A {!t} is a buffered, counted sink: pushes accumulate in an internal
     {!Batch.t} and are handed to the consumer when the batch fills
     (capacity flush) or at an explicit boundary ({!flush}, called at
-    iteration/phase boundaries so per-iteration statistics stay exact). *)
+    iteration/phase boundaries so per-iteration statistics stay exact).
+    The push buffer is allocated by the first {!push}: a sink that is
+    only {!deliver}ed to owns none. *)
 
 (** Flat batch of references: parallel [addr]/[size] buffers plus one byte
     per record for the read/write op.  Indices [0 .. n-1] are valid, where
@@ -33,6 +35,18 @@ module Batch : sig
 
   val create : int -> t
   (** A batch with the given capacity (positive), zero-filled. *)
+
+  val create_like : t -> t
+  (** A fresh batch of the same capacity whose size plane starts as a
+      copy of the given batch's: a producer that fills the sizes once
+      ({!fill_sizes}) finds them filled.  The addresses and ops are
+      zero. *)
+
+  val with_shared_sizes : int_buf -> t
+  (** A batch of the plane's length (positive) whose size plane {e is}
+      the given plane, not a copy: several batches of one uniform size
+      share one plane, which their writers leave alone
+      ({!set_addr_op}). *)
 
   val capacity : t -> int
 
@@ -78,14 +92,16 @@ type consumer = Batch.t -> first:int -> n:int -> unit
 type t
 
 val create : ?name:string -> ?capacity:int -> consumer -> t
-(** A buffered sink delivering to [consumer].  [capacity] defaults to
-    {!default_capacity}. *)
+(** A buffered sink delivering to [consumer].  [capacity] (positive)
+    defaults to {!default_capacity}; the push buffer of that many records
+    is made by the first {!push}. *)
 
 val default_capacity : int
 (** 65536, the paper's flush granularity. *)
 
 val null : unit -> t
-(** A sink that discards everything (still counts). *)
+(** A sink that discards everything (still counts {!pushed}); it never
+    buffers, so it never calls a consumer. *)
 
 val push : t -> addr:int -> size:int -> op:Access.op -> unit
 (** Append one reference; triggers a capacity flush when the buffer
@@ -116,6 +132,10 @@ val boundary_flushes : t -> int
 
 val flushes : t -> int
 (** [capacity_flushes + boundary_flushes]. *)
+
+val buffer_capacity : t -> int
+(** Records the push buffer holds: 0 before the first {!push}, and
+    always for {!null}. *)
 
 type stats = {
   name : string;

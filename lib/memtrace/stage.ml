@@ -1,11 +1,11 @@
 module Pool = Nvsc_team.Pool
 
+let m_hand_overs = Nvsc_obs.Metrics.counter "stage.hand_overs"
+
 type staging = {
   pool : Pool.t;
-  bufs : Sink.Batch.t array; (* two; [cur] is the one being filled *)
-  mutable cur : int;
-  mutable fill : int;
-  mutable inflight : unit Pool.ticket option;
+  (* task k-1 and the batch it reads, which is the producer's next *)
+  mutable inflight : (unit Pool.ticket * Sink.Batch.t) option;
   mutable failed : exn option;
 }
 
@@ -15,34 +15,22 @@ let create ?pool consumer =
   let staging =
     match pool with
     | Some pool when Pool.jobs pool > 1 ->
-      Some
-        {
-          pool;
-          bufs =
-            [|
-              Sink.Batch.create Sink.default_capacity;
-              Sink.Batch.create Sink.default_capacity;
-            |];
-          cur = 0;
-          fill = 0;
-          inflight = None;
-          failed = None;
-        }
+      Some { pool; inflight = None; failed = None }
     | Some _ | None -> None
   in
   { consumer; staging }
 
 let check s = match s.failed with Some e -> raise e | None -> ()
 
-(* Await task k-1.  A failure is kept, so every later hand-off and
-   [finish] re-raise it instead of consuming more. *)
+(* Await task k-1 and return its batch.  A failure is kept, so every
+   later hand-over and [finish] re-raise it instead of consuming more. *)
 let await_inflight s =
   match s.inflight with
-  | None -> ()
-  | Some ticket -> (
+  | None -> None
+  | Some (ticket, batch) -> (
     s.inflight <- None;
     match Pool.await ticket with
-    | Pool.Done () -> ()
+    | Pool.Done () -> Some batch
     | Pool.Failed e ->
       s.failed <- Some e;
       raise e
@@ -51,52 +39,43 @@ let await_inflight s =
       s.failed <- Some e;
       raise e)
 
-(* Submit the filled buffer as task k once task k-1 has finished; the
-   other buffer (task k-1's) is then free for the producer. *)
-let hand_off t s =
-  let n = s.fill in
-  if n > 0 then begin
-    await_inflight s;
-    let buf = s.bufs.(s.cur) in
-    let consumer = t.consumer in
-    s.inflight <-
-      Some (Pool.hand_off s.pool (fun () -> consumer buf ~first:0 ~n));
-    s.cur <- 1 - s.cur;
-    s.fill <- 0
-  end
-
-let push t batch ~first ~n =
-  Sink.Batch.check_slice batch ~first ~n;
+let hand_over t batch ~n =
+  Sink.Batch.check_slice batch ~first:0 ~n;
+  if n > 0 then Nvsc_obs.Metrics.Counter.incr m_hand_overs;
   match t.staging with
-  | None -> if n > 0 then t.consumer batch ~first ~n
+  | None ->
+    if n > 0 then t.consumer batch ~first:0 ~n;
+    batch
+  | Some _ when n = 0 -> batch
   | Some s ->
     check s;
-    let pos = ref first and left = ref n in
-    while !left > 0 do
-      let buf = s.bufs.(s.cur) in
-      let k = min !left (Sink.Batch.capacity buf - s.fill) in
-      Sink.Batch.blit batch ~src_pos:!pos buf ~dst_pos:s.fill ~n:k;
-      s.fill <- s.fill + k;
-      pos := !pos + k;
-      left := !left - k;
-      if s.fill = Sink.Batch.capacity buf then hand_off t s
-    done
+    (* task k-1 must finish before task k starts; its batch is the
+       producer's next one, and the first hand-over makes the spare.  The
+       producer fills the batch it gets back as it filled this one. *)
+    let next =
+      match await_inflight s with
+      | Some free when Sink.Batch.capacity free = Sink.Batch.capacity batch ->
+        free
+      | Some _ | None -> Sink.Batch.create_like batch
+    in
+    let consumer = t.consumer in
+    s.inflight <-
+      Some (Pool.hand_off s.pool (fun () -> consumer batch ~first:0 ~n), batch);
+    next
 
 let finish t =
   match t.staging with
   | None -> ()
   | Some s ->
     check s;
-    hand_off t s;
-    await_inflight s
+    ignore (await_inflight s)
 
 let abandon t =
   match t.staging with
   | None -> ()
   | Some s -> (
-    s.fill <- 0;
     match s.inflight with
-    | Some ticket ->
+    | Some (ticket, _) ->
       s.inflight <- None;
       ignore (Pool.await ticket)
     | None -> ())

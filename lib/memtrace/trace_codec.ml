@@ -750,19 +750,21 @@ let decode_refs d c batch obj_ids ~k ~nrefs ~skip_instr =
   c.prev_id <- !prev_id
 
 let stream (r : Reader.t) ?(on_objects = fun _ -> ()) ?(on_phase = fun _ -> ())
-    ?on_instr ?(on_persist = fun _ -> ()) ?(on_chunk = fun _ -> ()) ~on_refs () =
+    ?on_instr ?(on_persist = fun _ -> ()) ?(on_chunk = fun _ -> ())
+    ?(hand_over = fun b ~n:_ -> b) ~on_refs () =
   let path = r.Reader.r_path in
   let ic = r.Reader.ic in
   let cap =
     Array.fold_left (fun acc c -> Stdlib.max acc c.c_refs) 1 r.Reader.index
   in
-  let batch = Sink.Batch.create cap in
+  let batch = ref (Sink.Batch.create cap) in
   let obj_ids = Array.make cap (-1) in
   let c = { len = 0; decoded = 0; prev_addr = 0; prev_id = 0 } in
   let skip_instr = Option.is_none on_instr in
   let deliver () =
     if c.len > 0 then begin
-      on_refs batch ~obj_ids ~first:0 ~n:c.len;
+      on_refs !batch ~obj_ids ~first:0 ~n:c.len;
+      batch := hand_over !batch ~n:c.len;
       c.len <- 0
     end
   in
@@ -775,7 +777,7 @@ let stream (r : Reader.t) ?(on_objects = fun _ -> ()) ?(on_phase = fun _ -> ())
     c.decoded <- 0;
     c.prev_addr <- 0;
     c.prev_id <- 0;
-    decode_refs d c batch obj_ids ~k ~nrefs ~skip_instr;
+    decode_refs d c !batch obj_ids ~k ~nrefs ~skip_instr;
     while d.pos < d.lim do
       (match get_byte d with
       | t when t = tag_phase ->
@@ -813,7 +815,7 @@ let stream (r : Reader.t) ?(on_objects = fun _ -> ()) ?(on_phase = fun _ -> ())
         in
         on_persist ev
       | t -> err path "corrupt chunk %d (unknown token %d)" k t);
-      decode_refs d c batch obj_ids ~k ~nrefs ~skip_instr
+      decode_refs d c !batch obj_ids ~k ~nrefs ~skip_instr
     done;
     if c.decoded <> nrefs then
       err path "corrupt chunk %d (record count mismatch)" k;

@@ -201,6 +201,7 @@ val stream :
   ?on_instr:(int -> unit) ->
   ?on_persist:(Persist.t -> unit) ->
   ?on_chunk:(int -> unit) ->
+  ?hand_over:(Sink.Batch.t -> n:int -> Sink.Batch.t) ->
   on_refs:on_refs ->
   unit ->
   unit
@@ -219,5 +220,10 @@ val stream :
     records, so consumers can stamp findings with a seekable location.  May
     be called repeatedly on one reader; each call re-streams from the first
     chunk.
+    [hand_over] (default: give the batch back) is called after each
+    [on_refs] slice, which then always starts at record 0, with the
+    batch and the slice length; decoding continues in the batch it
+    returns, of the same capacity, and never writes the handed one again
+    when another comes back ({!Stage.hand_over} has this shape).
     Raises {!Error} on a truncated or corrupted chunk, a negative
     reference address or a size above {!max_ref_size} included. *)

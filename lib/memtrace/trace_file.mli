@@ -18,10 +18,12 @@ val load : ?size:int -> string -> Trace_log.t
 (** [load path] parses a trace file; [size] (default 64) is the byte size
     assigned to each access (the format does not carry one).  Raises
     [Failure] naming the file path and the offending line number on a
-    malformed record. *)
+    malformed record, or on a line longer than 4096 bytes, which is
+    never held whole.  An error quotes at most the first 40 bytes of
+    what it rejects. *)
 
 val parse_record : ?size:int -> string -> Access.t option
 (** Parse one line; [None] for comments and blank lines.  Raises [Failure]
-    on malformed input, including a negative address (a hex literal past
-    [max_int] reads as one).  The parsed access gets byte size [size]
-    (default 64 — the format carries no size column). *)
+    on malformed input, including a negative address and one out of
+    range (a hex literal past [max_int]).  The parsed access gets byte
+    size [size] (default 64 — the format carries no size column). *)

@@ -10,7 +10,10 @@
     The storage is a sequence of fixed-capacity chunks: the log grows by
     appending a chunk, never by copying what it holds, and
     {!replay_batch} hands the recorded stream to a {!Sink.t} as one
-    zero-copy slice per chunk. *)
+    zero-copy slice per chunk.  While every record has the first
+    record's size (a cache filter's trace is all one line size), the
+    chunks share one read-only size plane; a record of another size
+    gives the chunk it lands in a plane of its own. *)
 
 type t
 
@@ -26,7 +29,8 @@ val record_batch : t -> Sink.Batch.t -> first:int -> n:int -> unit
     Raises [Invalid_argument] on a slice outside the batch. *)
 
 val sink : ?name:string -> t -> Sink.t
-(** A sink that records everything delivered to it into the log. *)
+(** A sink that records everything delivered or pushed to it into the
+    log.  Its push buffer holds at most one chunk. *)
 
 val length : t -> int
 

@@ -38,6 +38,9 @@ let check_tech tech =
 let check_config ~scale ~iterations =
   if not (Float.is_finite scale && scale > 0.) then
     bad ~field:"scale" "scale must be a positive number"
+  else if scale > Nvsc_util.Cli.max_scale then
+    bad ~field:"scale"
+      (Printf.sprintf "scale must be at most %g" Nvsc_util.Cli.max_scale)
   else if iterations < 1 then
     bad ~field:"iterations" "iterations must be at least 1"
   else Ok ()

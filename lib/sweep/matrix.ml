@@ -62,7 +62,8 @@ let make ?(apps = default.apps) ?(kinds = default.kinds) ?techs
   in
   if apps = [] then Error "empty application list"
   else if kinds = [] then Error "empty kind list"
-  else if scale <= 0. then Error "scale must be positive"
+  else if not (scale > 0. && scale <= Nvsc_util.Cli.max_scale) then
+    Error (Printf.sprintf "scale must be in (0, %g]" Nvsc_util.Cli.max_scale)
   else if iterations <= 0 then Error "iterations must be positive"
   else Ok { apps; kinds; techs; scale; iterations; overrides }
 
@@ -89,7 +90,8 @@ let parse_override s =
           | _ -> Error (Printf.sprintf "override: unknown kind %S" value))
         | "scale" -> (
           match float_of_string_opt value with
-          | Some f when f > 0. -> loop { o with o_scale = Some f } rest
+          | Some f when f > 0. && f <= Nvsc_util.Cli.max_scale ->
+            loop { o with o_scale = Some f } rest
           | _ -> Error (Printf.sprintf "override: bad scale %S" value))
         | "iterations" -> (
           match int_of_string_opt value with

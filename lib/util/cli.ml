@@ -12,24 +12,42 @@ let unknown ~what ~known name =
    code 2) — never silently clamped into a successful run, and never left
    to crash a pipeline stage as an uncaught exception. *)
 
-let positive_float ~what =
+let positive_float ?max ~what () =
   let parse s =
     match float_of_string_opt s with
-    | Some f when Float.is_finite f && f > 0. -> Ok f
+    | Some f when Float.is_finite f && f > 0. -> (
+      match max with
+      | Some m when f > m ->
+        Error (`Msg (Printf.sprintf "%s must be at most %g, got %S" what m s))
+      | Some _ | None -> Ok f)
     | Some _ | None ->
       Error
         (`Msg (Printf.sprintf "%s must be a positive number, got %S" what s))
   in
   Arg.conv ~docv:"FLOAT" (parse, Format.pp_print_float)
 
-let min_int_conv ~what ~min =
+let min_int_conv ?max ~what ~min () =
   let parse s =
     match int_of_string_opt s with
-    | Some i when i >= min -> Ok i
+    | Some i when i >= min -> (
+      match max with
+      | Some m when i > m ->
+        Error (`Msg (Printf.sprintf "%s must be at most %d, got %S" what m s))
+      | Some _ | None -> Ok i)
     | Some _ | None ->
-      Error (`Msg (Printf.sprintf "%s must be an integer >= %d, got %S" what min s))
+      Error
+        (`Msg (Printf.sprintf "%s must be an integer >= %d, got %S" what min s))
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+(* Applications' data grows linearly with the scale.  The largest
+   extent is nek5000's global data, 593 MB at 256: every application
+   still fits Nvsc_memtrace.Layout's 896 MiB global and 768 MiB heap
+   segments (test_apps checks this). *)
+let max_scale = 256.
+
+(* OCaml 5's runtime runs at most 128 domains at once (Max_domains). *)
+let max_jobs = 128
 
 (* --- shared argument definitions ---------------------------------------- *)
 
@@ -37,14 +55,14 @@ let scale =
   let doc = "Data-size multiplier (default 1.0; use 0.25 for quick runs)." in
   Arg.(
     value
-    & opt (positive_float ~what:"scale") 1.0
+    & opt (positive_float ~max:max_scale ~what:"scale" ()) 1.0
     & info [ "scale" ] ~docv:"SCALE" ~doc)
 
 let iterations =
   let doc = "Main-loop iterations to instrument (the paper uses 10)." in
   Arg.(
     value
-    & opt (min_int_conv ~what:"iterations" ~min:1) 10
+    & opt (min_int_conv ~what:"iterations" ~min:1 ()) 10
     & info [ "iterations"; "n" ] ~docv:"N" ~doc)
 
 let jobs =
@@ -58,7 +76,7 @@ let jobs =
   in
   Arg.(
     value
-    & opt (some (min_int_conv ~what:"jobs" ~min:1)) None
+    & opt (some (min_int_conv ~max:max_jobs ~what:"jobs" ~min:1 ())) None
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let cache_dir =
@@ -72,7 +90,7 @@ let cache_max =
   let doc = "Bound the cache to N entries (oldest evicted first)." in
   Arg.(
     value
-    & opt (some (min_int_conv ~what:"cache-max" ~min:1)) None
+    & opt (some (min_int_conv ~what:"cache-max" ~min:1 ())) None
     & info [ "cache-max" ] ~docv:"N" ~doc)
 
 let apps =

@@ -11,16 +11,32 @@ val unknown : what:string -> known:string list -> string -> string
 (** [unknown ~what ~known name] renders the uniform "unknown
     $(what) ..." error, listing the accepted names. *)
 
-val positive_float : what:string -> float Cmdliner.Arg.conv
-(** Rejects zero, negative and non-finite values at parse time, so the
-    mistake is a usage error (exit 2) instead of a crash downstream. *)
+val positive_float :
+  ?max:float -> what:string -> unit -> float Cmdliner.Arg.conv
+(** Rejects zero, negative and non-finite values, and values above
+    [max] when given, at parse time, so the mistake is a usage error
+    (exit 2) instead of a crash downstream. *)
 
-val min_int_conv : what:string -> min:int -> int Cmdliner.Arg.conv
-(** Rejects integers below [min] at parse time (e.g. [--jobs 0]). *)
+val min_int_conv :
+  ?max:int -> what:string -> min:int -> unit -> int Cmdliner.Arg.conv
+(** Rejects integers below [min], and above [max] when given, at parse
+    time (e.g. [--jobs 0]). *)
+
+val max_scale : float
+(** The largest [--scale]: every application's data at it fits the
+    address-space segments of [Nvsc_memtrace.Layout]. *)
+
+val max_jobs : int
+(** The largest [--jobs]: the OCaml runtime's limit on domains running
+    at once. *)
 
 val scale : float Cmdliner.Term.t
+(** [--scale], in (0, {!max_scale}]. *)
+
 val iterations : int Cmdliner.Term.t
 val jobs : int option Cmdliner.Term.t
+(** [--jobs], in [1, {!max_jobs}]. *)
+
 val cache_dir : string option Cmdliner.Term.t
 val cache_max : int option Cmdliner.Term.t
 val apps : string list option Cmdliner.Term.t

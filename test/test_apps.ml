@@ -93,6 +93,37 @@ let test_scale_changes_footprint () =
   Alcotest.(check bool) "scale grows footprint" true
     (footprint big > footprint small)
 
+(* [--scale] stops at [Cli.max_scale]: each application's global and
+   heap extents grow linearly with the scale, and at the bound they must
+   still fit their [Layout] segments. *)
+let test_max_scale_fits_segments () =
+  let module L = Nvsc_memtrace.Layout in
+  List.iter
+    (fun (module A : Nvsc_apps.Workload.APP) ->
+      let extent ctx kind base =
+        List.fold_left
+          (fun acc (o : Nvsc_memtrace.Mem_object.t) ->
+            if o.kind = kind then max acc (o.base + o.size - base) else acc)
+          0
+          (Nvsc_memtrace.Object_registry.objects (Ctx.registry ctx))
+      in
+      let ctx = run_app ~scale:1.0 ~iterations:1 (module A) in
+      List.iter
+        (fun (kind, base, limit) ->
+          let at_max =
+            Nvsc_util.Cli.max_scale *. float_of_int (extent ctx kind base)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s extent at the largest scale: %.0f MB"
+               A.name (L.kind_to_string kind) (at_max /. 1e6))
+            true
+            (at_max <= float_of_int (limit - base)))
+        [
+          (L.Global, L.global_base, L.global_limit);
+          (L.Heap, L.heap_base, L.heap_limit);
+        ])
+    Nvsc_apps.Apps.extended
+
 let test_invalid_iterations () =
   List.iter
     (fun (module A : Nvsc_apps.Workload.APP) ->
@@ -144,6 +175,8 @@ let suite =
       test_iterations_scale_refs;
     Alcotest.test_case "scale changes footprint" `Slow
       test_scale_changes_footprint;
+    Alcotest.test_case "largest scale fits the segments" `Slow
+      test_max_scale_fits_segments;
     Alcotest.test_case "invalid iterations" `Quick test_invalid_iterations;
     Alcotest.test_case "phases present" `Slow test_phases_present;
     Alcotest.test_case "workload helpers" `Quick test_workload_helpers;

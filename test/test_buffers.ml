@@ -56,6 +56,38 @@ let test_sink_deliver_zero_copy () =
   Sink.deliver s b ~first:0 ~n:0;
   Alcotest.(check int) "no empty delivery" 2 (List.length !batches)
 
+(* A sink's push buffer is made by its first push: a sink that is only
+   delivered to (a memory controller's, say) owns none, and the null
+   sink never buffers. *)
+let test_sink_lazy_buffer () =
+  let calls = ref 0 in
+  let s = Sink.create ~capacity:4 (fun _ ~first:_ ~n:_ -> incr calls) in
+  let b = Sink.Batch.create 8 in
+  Sink.deliver s b ~first:0 ~n:8;
+  Sink.flush s;
+  Alcotest.(check int) "delivered only: no push buffer" 0
+    (Sink.buffer_capacity s);
+  Sink.push s ~addr:0 ~size:8 ~op:Access.Read;
+  Alcotest.(check int) "the first push makes it" 4 (Sink.buffer_capacity s);
+  let null = Sink.null () in
+  for i = 0 to 9 do
+    Sink.push null ~addr:i ~size:8 ~op:Access.Write
+  done;
+  Sink.flush null;
+  Alcotest.(check int) "null: no push buffer" 0 (Sink.buffer_capacity null);
+  Alcotest.(check int) "null: still counts" 10 (Sink.pushed null);
+  Alcotest.check_raises "non-positive capacity"
+    (Invalid_argument "Sink.create: capacity") (fun () ->
+      ignore (Sink.create ~capacity:0 (fun _ ~first:_ ~n:_ -> ())));
+  let cs =
+    Nvsc_dramsim.Controller.sink
+      (Nvsc_dramsim.Controller.create
+         ~tech:(Nvsc_nvram.Technology.get Nvsc_nvram.Technology.DDR3) ())
+  in
+  Sink.deliver cs b ~first:0 ~n:8;
+  Alcotest.(check int) "controller sink: no push buffer" 0
+    (Sink.buffer_capacity cs)
+
 let test_batch_accessors () =
   let b = Sink.Batch.create 2 in
   Sink.Batch.set b 0 ~addr:0x40 ~size:64 ~op:Access.Read;
@@ -237,6 +269,8 @@ let suite =
     Alcotest.test_case "sink empty flush" `Quick test_sink_empty_flush;
     Alcotest.test_case "sink deliver zero-copy" `Quick
       test_sink_deliver_zero_copy;
+    Alcotest.test_case "sink push buffer made by the first push" `Quick
+      test_sink_lazy_buffer;
     Alcotest.test_case "batch accessors" `Quick test_batch_accessors;
     Alcotest.test_case "batch checked slices" `Quick
       test_batch_checked_slices;

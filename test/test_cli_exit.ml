@@ -99,6 +99,28 @@ let table =
       0 );
   ]
 
+(* Upper bounds on [--jobs] (the runtime's domain limit) and [--scale]
+   (what fits the address-space segments), with what stderr must name.
+   They are refused before any run starts, so these rows never start a
+   large width or scale. *)
+let bound_rows =
+  [
+    ( ("jobs above the domain limit", [ "run"; "gtc"; "--jobs"; "129" ], 2),
+      "at most 128" );
+    ( ( "replay jobs above the domain limit",
+        [ "replay"; golden_nvt; "-j"; "100000" ],
+        2 ),
+      "at most 128" );
+    ( ("scale above the segments", [ "run"; "gtc"; "--scale"; "257" ], 2),
+      "at most 256" );
+    ( ("sweep scale above the segments", [ "sweep"; "--scale"; "1e9" ], 2),
+      "at most 256" );
+    ( ( "sweep override scale above the segments",
+        [ "sweep"; "--override"; "scale=300" ],
+        2 ),
+      "bad scale" );
+  ]
+
 (* DRAMSim2 text traces [power --from-file] must refuse with a
    positioned message.  A negative address used to decode to a negative
    rank or bank and either print nonsense (exit 0) or index the
@@ -109,6 +131,10 @@ let bad_text_traces =
     ("negative address before a valid one", "-0x100000 READ 0\n0x40 READ 1\n");
     ("negative address", "-0x20000 READ 0\n");
     ("malformed text record", "zzz READ 0\n");
+    (* past max_int: the hex literal wraps to a negative int *)
+    ("address out of range", "0x7fffffffffffffc0 READ 0\n");
+    (* one line with no newline: refused at the cap, quoted by a prefix *)
+    ("over-long line", String.make 1_000_000 '7');
   ]
 
 (* [.nvt] traces for [replay], with the extra arguments each is replayed
@@ -179,6 +205,11 @@ let contains s sub =
 
 let check_row ?(stderr_has = []) (name, args, expected) =
   let code, out, err = run_nvscav args in
+  (* a bad input is quoted by a short prefix, never echoed whole *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: stderr is short (%d bytes)" name (String.length err))
+    true
+    (String.length err < 4096);
   Alcotest.(check int)
     (Printf.sprintf "%s: exit code of `nvscav %s`" name
        (String.concat " " args))
@@ -200,6 +231,7 @@ let check_row ?(stderr_has = []) (name, args, expected) =
 
 let test_exit_codes () =
   List.iter check_row table;
+  List.iter (fun (row, word) -> check_row ~stderr_has:[ word ] row) bound_rows;
   with_bad_file_rows
     (List.iter (fun (stderr_has, row) -> check_row ~stderr_has row))
 

@@ -198,6 +198,60 @@ let cache_differential =
         ops
       && cache_stats_equal c o)
 
+(* --- property: the one-probe hit test ----------------------------------- *)
+
+(* [Cache.mru_hit] is true exactly when the line is the one its set
+   touched last (a hit or a fill; a no-write-allocate write miss touches
+   nothing), and never for a negative line, which [read]/[write] then
+   reject.  Whatever the probe answers, the access it stands for has the
+   oracle's effect and leaves the same counts.  The pool has
+   no-write-allocate levels and set counts that are not powers of two. *)
+let mru_probe_differential =
+  QCheck.Test.make ~name:"one-probe hits match the oracle" ~count:60
+    QCheck.(
+      make
+        Gen.(
+          let* p = oneofl cache_params_pool in
+          let* ops =
+            list_size (int_range 200 500)
+              (pair
+                 (frequency [ (9, int_range 0 255); (1, int_range (-64) (-1)) ])
+                 bool)
+          in
+          return (p, ops)))
+    (fun (p, ops) ->
+      let c = Cache.create p and o = OC.create p in
+      let nsets = Cache_params.sets p in
+      let last = Array.make nsets (-1) in
+      List.for_all
+        (fun (line, write) ->
+          if line < 0 then
+            (not (Cache.mru_hit c ~line ~write))
+            && (match
+                  if write then Cache.write c ~line else Cache.read c ~line
+                with
+               | _ -> false
+               | exception Invalid_argument _ -> true)
+          else begin
+            let set = line mod nsets in
+            let expected = last.(set) = line in
+            let probed = Cache.mru_hit c ~line ~write in
+            let r = if write then OC.write o ~line else OC.read o ~line in
+            let ok =
+              probed = expected
+              &&
+              if probed then r.OC.hit
+              else
+                effect_equal line
+                  (if write then Cache.write c ~line else Cache.read c ~line)
+                  r
+            in
+            if r.OC.hit || r.OC.fill = Some line then last.(set) <- line;
+            ok
+          end)
+        ops
+      && cache_stats_equal c o)
+
 (* --- deterministic long streams: >=10k refs per geometry --------------- *)
 
 (* A fixed LCG keeps the big runs reproducible and independent of qcheck's
@@ -749,5 +803,5 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       (hierarchy_differential_tests
-      @ [ straddle_differential; cache_differential; dram_differential;
-          perf_differential ])
+      @ [ mru_probe_differential; straddle_differential; cache_differential;
+          dram_differential; perf_differential ])

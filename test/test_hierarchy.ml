@@ -132,13 +132,12 @@ let conservation_prop =
       H.drain h;
       List.for_all (fun l -> Hashtbl.mem written l) lines)
 
-(* Property: line-run coalescing in [consume] (the batch-time run
-   detector that replays a run of same-line references through the
-   repeat-line memo in one probe) is invisible in every counter and every
-   trace record.  Random run-heavy word-granular streams are replayed
-   per reference through [access_raw], which never coalesces, and through
-   [consume] in 64-reference slices; DESIGN.md "Kernel fast paths" has the
-   proof sketch. *)
+(* Property: [consume]'s one-probe L1 hits ([H.l1_hit], which answer a
+   reference in its set's MRU way without the access dispatch) are
+   invisible in every counter and every trace record.  Random run-heavy
+   word-granular streams are replayed per reference through
+   [access_raw] and through [consume] in 64-reference slices; DESIGN.md
+   "One-probe L1 hits" has the argument. *)
 let gen_run_stream =
   QCheck.Gen.(
     list_size (int_range 1 60)
@@ -172,8 +171,8 @@ let replay_fingerprint feed =
     (H.accesses h, H.memory_reads h, H.memory_writes h),
     List.rev_map (fun (a : Access.t) -> (a.addr, a.size, a.op)) !trace )
 
-let coalescing_invisible =
-  QCheck.Test.make ~name:"run coalescing is invisible (per-ref = consume)"
+let probe_hits_invisible =
+  QCheck.Test.make ~name:"one-probe hits are invisible (per-ref = consume)"
     ~count:20 (QCheck.make gen_run_stream) (fun segs ->
       let refs = Array.of_list (expand_runs segs) in
       let per_ref h =
@@ -210,5 +209,5 @@ let suite =
     Alcotest.test_case "mismatched line sizes" `Quick
       test_mismatched_lines_rejected;
     QCheck_alcotest.to_alcotest conservation_prop;
-    QCheck_alcotest.to_alcotest coalescing_invisible;
+    QCheck_alcotest.to_alcotest probe_hits_invisible;
   ]

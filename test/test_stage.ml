@@ -26,21 +26,34 @@ let batch_of ~base n =
 let cap = Sink.default_capacity
 
 (* A consumer that checks it sees the addresses 0, 1, 2, ... in order,
-   and fails the test if two of its calls ever overlap or it is handed
-   the producer's own batch.  Returns the count seen so far. *)
-let counting_consumer ~producer =
+   and fails the test if two of its calls ever overlap or its slice
+   changes while it reads it: it checksums the slice on entry and again
+   after a pause, so a producer writing a batch still in flight shows.
+   Returns the count seen so far. *)
+let counting_consumer () =
   let seen = ref 0 in
   let active = Atomic.make false in
+  let checksum b ~first ~n =
+    let h = ref 0 in
+    for i = first to first + n - 1 do
+      h := (!h * 31) + Sink.Batch.addr b i + Sink.Batch.size b i
+           + Bool.to_int (Sink.Batch.is_write b i)
+    done;
+    !h
+  in
   let consume b ~first ~n =
     if not (Atomic.compare_and_set active false true) then
       Alcotest.fail "two consumer calls overlap";
-    if b == producer then Alcotest.fail "the producer's batch was not copied";
+    let before = checksum b ~first ~n in
     for i = first to first + n - 1 do
       if Sink.Batch.addr b i <> !seen then
         Alcotest.failf "address %d delivered where %d was due"
           (Sink.Batch.addr b i) !seen;
       incr seen
     done;
+    Unix.sleepf 0.0005;
+    if checksum b ~first ~n <> before then
+      Alcotest.fail "a handed-over batch was written while in flight";
     Atomic.set active false
   in
   (consume, seen)
@@ -53,61 +66,75 @@ let test_direct_at_width_1 () =
   let consume b' ~first ~n = got := (b' == b, first, n) :: !got in
   let check label stage =
     got := [];
-    Stage.push stage b ~first:3 ~n:4;
-    Stage.push stage b ~first:0 ~n:0;
+    Alcotest.(check bool) (label ^ ": the same batch comes back") true
+      (Stage.hand_over stage b ~n:4 == b);
+    Alcotest.(check bool) (label ^ ": an empty hand-over") true
+      (Stage.hand_over stage b ~n:0 == b);
     Stage.finish stage;
     Alcotest.(check (list (triple bool int int)))
-      (label ^ ": the delivered slice itself, no copy")
-      [ (true, 3, 4) ] !got
+      (label ^ ": the handed batch itself, no copy")
+      [ (true, 0, 4) ] !got
   in
   check "no pool" (Stage.create consume);
   Pool.with_pool ~jobs:1 @@ fun pool ->
   check "one-domain pool" (Stage.create ~pool consume)
 
-(* Slices of every size — small ones, ones near a stage buffer's
-   capacity, and ones spanning two buffers — arrive whole and in order,
-   one consumer call at a time; the producer may overwrite its batch as
-   soon as [push] returns. *)
+(* A producer of a random capacity hands over slices of random sizes,
+   and at once overwrites every record of the batch it gets back.  The
+   stream arrives whole and in order, one consumer call at a time, no
+   handed batch changes while the consumer reads it, and the producer
+   gets back a batch of its capacity that is never the one it just
+   handed over. *)
 let stage_order_prop =
   QCheck.Test.make ~name:"stage delivers the stream in order at width 2"
     ~count:20
     QCheck.(
-      list_of_size
-        Gen.(int_range 0 8)
-        (make
-           Gen.(
-             oneof
-               [
-                 int_range 0 23;
-                 int_range (cap - 5) (cap + 5);
-                 int_range 0 ((2 * cap) + 5);
-               ])))
-    (fun sizes ->
+      pair (int_range 1 40)
+        (list_of_size Gen.(int_range 0 30) (int_range 0 40)))
+    (fun (capacity, sizes) ->
       Pool.with_pool ~jobs:2 @@ fun pool ->
-      let producer = Sink.Batch.create ((2 * cap) + 10) in
-      let consume, seen = counting_consumer ~producer in
+      let consume, seen = counting_consumer () in
       let stage = Stage.create ~pool consume in
+      let batch = ref (Sink.Batch.create capacity) in
       let next = ref 0 in
       List.iter
         (fun n ->
+          let n = min n capacity in
           for i = 0 to n - 1 do
-            Sink.Batch.set producer (i + 4) ~addr:(!next + i) ~size:8
-              ~op:Access.Read
+            Sink.Batch.set !batch i ~addr:(!next + i) ~size:8 ~op:Access.Read
           done;
-          Stage.push stage producer ~first:4 ~n;
-          (* scribble over the slice just pushed *)
-          Sink.Batch.set producer 4 ~addr:(-1) ~size:8 ~op:Access.Write;
+          let handed = !batch in
+          batch := Stage.hand_over stage handed ~n;
+          if n > 0 && !batch == handed then
+            Alcotest.fail "the producer kept the batch it handed over";
+          if Sink.Batch.capacity !batch <> capacity then
+            Alcotest.fail "the producer got a batch of another capacity";
+          (* scribble over the whole batch the producer got back *)
+          for i = 0 to capacity - 1 do
+            Sink.Batch.set !batch i ~addr:(-1) ~size:(-1) ~op:Access.Write
+          done;
           next := !next + n)
         sizes;
       Stage.finish stage;
       !seen = !next)
 
+(* The spare starts with the first handed batch's sizes, so a producer
+   that fills them once (the emission context) finds them filled. *)
+let test_spare_keeps_sizes () =
+  Pool.with_pool ~jobs:2 @@ fun pool ->
+  let stage = Stage.create ~pool (fun _ ~first:_ ~n:_ -> ()) in
+  let b = Sink.Batch.create 5 in
+  Sink.Batch.fill_sizes b 8;
+  let spare = Stage.hand_over stage b ~n:5 in
+  Stage.finish stage;
+  Alcotest.(check (list int)) "sizes" [ 8; 8; 8; 8; 8 ]
+    (List.init 5 (Sink.Batch.size spare))
+
 exception Consumer_failed of int
 
-(* The consumer raises on its k-th batch (each push fills one stage
-   buffer): the same exception reaches the producer from a later
-   hand-off or from [finish], no later batch is consumed, and
-   [with_pool] returns (its worker joined). *)
+(* The consumer raises on its k-th batch: the same exception reaches the
+   producer from a later hand-over or from [finish], no later batch is
+   consumed, and [with_pool] returns (its worker joined). *)
 let test_failing_consumer () =
   List.iter
     (fun k ->
@@ -120,16 +147,16 @@ let test_failing_consumer () =
         match
           Pool.with_pool ~jobs:2 @@ fun pool ->
           let stage = Stage.create ~pool consume in
-          let b = batch_of ~base:0 cap in
+          let b = ref (batch_of ~base:0 cap) in
           (try
              for _ = 1 to 10 do
-               Stage.push stage b ~first:0 ~n:cap
+               b := Stage.hand_over stage !b ~n:cap
              done;
              Stage.finish stage
            with Consumer_failed j ->
              (* every later use of the failed stage re-raises *)
-             (match Stage.push stage b ~first:0 ~n:cap with
-             | () -> Alcotest.fail "push after a failure succeeded"
+             (match Stage.hand_over stage !b ~n:cap with
+             | _ -> Alcotest.fail "a hand-over after a failure succeeded"
              | exception Consumer_failed j' -> assert (j = j'));
              (match Stage.finish stage with
              | () -> Alcotest.fail "finish after a failure succeeded"
@@ -148,8 +175,8 @@ let test_failing_consumer () =
     [ 1; 2; 5; 10 ]
 
 (* A producer that fails under [drive]: the in-flight batch finishes
-   before the producer's exception leaves, and the partly filled buffer
-   is never consumed. *)
+   before the producer's exception leaves, and the batch the producer
+   was filling is never consumed. *)
 let test_failing_producer () =
   let consumed = ref [] in
   let consume _ ~first:_ ~n =
@@ -160,8 +187,8 @@ let test_failing_producer () =
   let stage = Stage.create ~pool consume in
   (match
      Stage.drive stage (fun () ->
-         Stage.push stage (batch_of ~base:0 cap) ~first:0 ~n:cap;
-         Stage.push stage (batch_of ~base:0 1) ~first:0 ~n:1;
+         let b = Stage.hand_over stage (batch_of ~base:0 cap) ~n:cap in
+         Sink.Batch.set b 0 ~addr:0 ~size:8 ~op:Access.Read;
          raise Exit)
    with
   | () -> Alcotest.fail "the producer's exception was lost"
@@ -208,9 +235,9 @@ let test_stage_wait_is_blocked () =
          Atomic.incr started;
          Unix.sleepf 0.03)
    in
-   let b = batch_of ~base:0 cap in
+   let b = ref (batch_of ~base:0 cap) in
    for k = 1 to 4 do
-     Stage.push stage b ~first:0 ~n:cap;
+     b := Stage.hand_over stage !b ~n:cap;
      while Atomic.get started < k do
        Unix.sleepf 0.0005
      done
@@ -306,6 +333,55 @@ let test_log_file_roundtrip () =
   let lines = List.init 11 (fun _ -> input_line ic) in
   close_in ic;
   Alcotest.(check string) "last line" "0x280 P_MEM_RD 10" (List.nth lines 10)
+
+(* Chunks share one size plane while every record has the first one's
+   size; a record of another size, pushed one at a time or inside a
+   batch slice, gives only the chunk it lands in a plane of its own.
+   Every record keeps its size through [replay_batch], and its address
+   and op through [Trace_file] (whose format has no size column). *)
+let test_log_mixed_sizes () =
+  let log = Trace_log.create ~chunk_capacity:4 () in
+  let expected = ref [] in
+  let raw addr size =
+    let op = if addr mod 3 = 0 then Access.Write else Access.Read in
+    Trace_log.record_raw log ~addr ~size ~op;
+    expected := { Access.addr; size; op } :: !expected
+  in
+  for i = 0 to 5 do
+    raw (i * 64) 64
+  done;
+  (* chunk 1 gets an 8-byte record among 64-byte ones *)
+  raw 400 8;
+  raw 448 64;
+  (* a slice straddling chunks 2 and 3, with one 16-byte record in
+     chunk 3 *)
+  let b = Sink.Batch.create 6 in
+  List.iteri
+    (fun i size ->
+      let addr = 1000 + (i * 64) in
+      let op = if i = 2 then Access.Write else Access.Read in
+      Sink.Batch.set b i ~addr ~size ~op;
+      expected := { Access.addr; size; op } :: !expected)
+    [ 64; 64; 64; 64; 16; 64 ];
+  Trace_log.record_batch log b ~first:0 ~n:6;
+  raw 5000 64;
+  let expected = List.rev !expected in
+  let replayed = ref [] in
+  Trace_log.replay_batch log
+    (Sink.create (fun b ~first ~n ->
+         replayed := List.rev_append (Batches.slice b ~first ~n) !replayed));
+  Alcotest.(check bool) "replay_batch keeps every size" true
+    (List.rev !replayed = expected);
+  Alcotest.(check bool) "iter_slices too" true (Batches.to_list log = expected);
+  let path = Filename.temp_file "nvsc-mixed" ".trc" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Trace_file.save log path;
+  let back = Batches.to_list (Trace_file.load ~size:64 path) in
+  Alcotest.(check bool) "addresses and ops survive save/load" true
+    (List.map (fun (a : Access.t) -> (a.addr, a.op)) back
+    = List.map (fun (a : Access.t) -> (a.addr, a.op)) expected);
+  Alcotest.(check bool) "loaded records take the given size" true
+    (List.for_all (fun (a : Access.t) -> a.size = 64) back)
 
 (* --- differential: widths and capacities -------------------------------- *)
 
@@ -413,6 +489,8 @@ let suite =
     Alcotest.test_case "stage: width 1 calls the consumer directly" `Quick
       test_direct_at_width_1;
     QCheck_alcotest.to_alcotest stage_order_prop;
+    Alcotest.test_case "stage: the spare starts with the sizes" `Quick
+      test_spare_keeps_sizes;
     Alcotest.test_case "stage: a failing consumer stops the stream" `Quick
       test_failing_consumer;
     Alcotest.test_case "stage: a failing producer leaves the filter idle"
@@ -429,6 +507,8 @@ let suite =
       test_log_straddles_chunks;
     Alcotest.test_case "log: Trace_file save/load round trip" `Quick
       test_log_file_roundtrip;
+    Alcotest.test_case "log: mixed sizes share a plane only where uniform"
+      `Quick test_log_mixed_sizes;
     Alcotest.test_case "filter: widths 1/2 x capacities 1/7/65536 agree"
       `Slow test_widths_agree;
   ]

@@ -962,15 +962,38 @@ let test_trace_file_size_and_errors () =
           ("line number in " ^ msg) true (contains msg "(line 2)"));
       (* a negative address would decode to a negative rank or bank *)
       List.iter
-        (fun addr ->
+        (fun (addr, what) ->
           write_file path ("0x40 P_MEM_RD 0\n" ^ addr ^ " READ 1\n");
           match Trace_file.load path with
           | _ -> Alcotest.fail ("accepted address " ^ addr)
           | exception Failure msg ->
             Alcotest.(check bool)
-              ("negative address named in " ^ msg) true
-              (contains msg "negative address" && contains msg "(line 2)"))
-        [ "-0x100000"; "-0x20000"; "-1"; "0x7fffffffffffffff" ];
+              (what ^ " named in " ^ msg) true
+              (contains msg what && contains msg "(line 2)"))
+        [
+          ("-0x100000", "negative address");
+          ("-0x20000", "negative address");
+          ("-1", "negative address");
+          (* hex literals past max_int wrap to negative ints *)
+          ("0x7fffffffffffffff", "address out of range");
+          ("0x7fffffffffffffc0", "address out of range");
+        ];
+      (* a line past the cap fails at the cap, quoting a short prefix *)
+      write_file path ("0x40 P_MEM_RD 0\n" ^ String.make 100_000 'z');
+      (match Trace_file.load path with
+      | _ -> Alcotest.fail "accepted an over-long line"
+      | exception Failure msg ->
+        Alcotest.(check bool) ("over-long line named in " ^ msg) true
+          (contains msg "longer than" && contains msg "(line 2)");
+        Alcotest.(check bool) "the message quotes a short prefix" true
+          (String.length msg < String.length path + 120));
+      (* a bad record is quoted by a short prefix too *)
+      write_file path (String.make 5000 'y' ^ " READ 0\n");
+      (match Trace_file.load path with
+      | _ -> Alcotest.fail "accepted a bad address"
+      | exception Failure msg ->
+        Alcotest.(check bool) "a bad line is quoted by a prefix" true
+          (String.length msg < String.length path + 120));
       write_file path "0x40 P_MEM_RD 0\n";
       let log = Trace_file.load ~size:16 path in
       Alcotest.(check int)
